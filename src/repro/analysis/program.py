@@ -4,13 +4,14 @@ This module is the v2 engine's orchestrator. One run:
 
 1. **Discover** the python files under the requested paths (optionally
    narrowed to the git-changed set).
-2. **Extract** a :class:`FileSummary` per file — in parallel — holding
+2. **Extract** a :class:`FileSummary` per file, serially, holding
    the per-file lint violations (the v1 pack plus the extraction-time
    RACE rules), the function summaries the interprocedural rules need,
    and the file's ``noqa`` map. Extraction is fronted by a
    content-addressed cache keyed on the source digest and the
    rule-pack fingerprint (same hashing as the lab result store), so a
-   warm rerun on an unchanged tree never parses a single file.
+   warm rerun on an unchanged tree never parses a single file. AST
+   work holds the GIL, so a thread pool would only add overhead.
 3. **Link** the summaries into one :class:`SymbolTable` and run the
    program-level rules (SRV002/RES002/DET001) over the call graph.
    These rules are cheap on summaries — the expensive part (parsing)
@@ -27,7 +28,6 @@ it skips the fsync).
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import json
 import re
 import subprocess
@@ -344,7 +344,6 @@ def analyze_paths(
     rules: Optional[Sequence[Rule]] = None,
     program_rules: Optional[Sequence[ProgramRule]] = None,
     cache: Optional[AnalysisCache] = None,
-    jobs: Optional[int] = None,
     rule_filter: Optional[Set[str]] = None,
 ) -> ProgramReport:
     """Run the full v2 analysis over ``paths``.
@@ -363,7 +362,7 @@ def analyze_paths(
     files = discover_files(paths)
     roots = _roots_for(paths)
 
-    def summarize(item: Tuple[Path, str]) -> Optional[FileSummary]:
+    def summarize(item: Tuple[Path, str]) -> FileSummary:
         path, reported = item
         try:
             raw_bytes = path.read_bytes()
@@ -390,39 +389,13 @@ def analyze_paths(
         cache.save(key, summary)
         return summary
 
-    def summarize_safe(item: Tuple[Path, str]) -> Optional[FileSummary]:
-        # Worker threads can have far less usable stack than the main
-        # thread (smaller stack size, tracing hooks installed by test
-        # harnesses), and CPython surfaces a deep-parse overflow as
-        # SystemError, not just RecursionError. Treat either as "retry
-        # on the main thread" rather than a finding.
-        try:
-            return summarize(item)
-        except (RecursionError, SystemError):
-            return None
-
-    workers = jobs if jobs and jobs > 0 else min(8, len(files) or 1)
-    if workers > 1 and len(files) > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            summaries = list(pool.map(summarize_safe, files))
-        for position, summary in enumerate(summaries):
-            if summary is None:
-                # The failed worker-thread attempt already counted this
-                # file's cache miss before extraction overflowed; the
-                # serial retry re-counts it, so take one back to keep
-                # misses == files on a cold run.
-                cache.misses = max(0, cache.misses - 1)
-                summaries[position] = summarize(files[position])
-    else:
-        summaries = [summarize(item) for item in files]
+    summaries = [summarize(item) for item in files]
 
     report = ProgramReport(files_checked=len(summaries))
     by_path: Dict[str, FileSummary] = {}
     module_paths: Dict[str, str] = {}
     functions: List[FunctionSummary] = []
     for summary in summaries:
-        if summary is None:
-            continue
         by_path[summary.path] = summary
         if summary.parse_error is not None:
             report.parse_errors.append((summary.path, summary.parse_error))

@@ -514,9 +514,9 @@ class PerRecordLoopRule(Rule):
     :class:`~repro.perf.packed.PackedTrace` layout removes. Loops over
     an ``.unpack()`` result are the same regression through the other
     door — unpacking a column store back to records to iterate them —
-    so they are flagged too (``batchcore``/``checkpoint`` must go
-    through :class:`~repro.perf.batchcore.TraceColumns`, never back to
-    record objects). The legitimate record walks — packing itself and
+    so they are flagged too (``batchcore`` must go through
+    :class:`~repro.perf.batchcore.TraceColumns`, never back to record
+    objects). The legitimate record walks — packing itself and
     the scalar baselines the benchmarks measure against — carry
     ``# repro: noqa[PERF001]`` with a justification.
     """

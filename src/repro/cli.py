@@ -553,7 +553,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     report = analyze_paths(
         paths,
         cache=cache,
-        jobs=args.jobs,
         rule_filter=rule_filter,
     )
 
@@ -1221,8 +1220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir",
                    help="store root for the analysis cache (default: "
                    ".repro-cache or $REPRO_CACHE_DIR)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel extraction workers (default: auto)")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(

@@ -182,50 +182,6 @@ def simulate_workload_batch(
     return [result for result in results if result is not None]
 
 
-def simulate_workload_sharded(
-    name: str,
-    config: Optional[CoreConfig] = None,
-    length: int = DEFAULT_LENGTH,
-    seed: int = DEFAULT_SEED,
-    shards: int = 4,
-) -> SimulationResult:
-    """Simulate one workload by checkpoint-sharding its trace.
-
-    Bit-exact vs :func:`simulate_workload`, so it reads and writes the
-    same cache entries; the sharded path only pays off when the cache
-    misses and the trace is long enough to split across pool workers.
-    """
-    if config is None:
-        config = baseline_config()
-    key = (name, length, seed, _config_key(config))
-    result = _sim_cache.get(key)
-    if result is not None:
-        return result
-
-    store = _persistent_store()
-    persist_key = job_key("sim-ooo", name, length, seed, config)
-    if store is not None:
-        payload = store.get(persist_key)
-        if payload is not None:
-            result = result_from_payload(payload)
-            _sim_cache[key] = result
-            return result
-
-    from repro.perf.checkpoint import simulate_sharded
-
-    result = simulate_sharded(
-        workload_trace(name, length, seed), config, shards=shards
-    )
-    _sim_cache[key] = result
-    if store is not None:
-        store.put(
-            persist_key,
-            result_to_payload(result),
-            meta={"workload": name, "length": length, "seed": seed},
-        )
-    return result
-
-
 def cache_stats() -> Dict[str, Dict[str, int]]:
     """Hit/miss/eviction counters for both in-memory caches."""
     return {

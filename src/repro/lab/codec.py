@@ -150,46 +150,14 @@ def batch_from_payload(payload: Dict[str, Any]) -> "Any":
     return [result_from_payload(p) for p in payload["results"]]
 
 
-def shard_to_payload(shard: "Any") -> Dict[str, Any]:
-    """JSON-ready form of one checkpoint shard's relative-time result."""
-    return {
-        "type": "simulation_shard",
-        "start": shard.start,
-        "stop": shard.stop,
-        "resume_cycle": shard.resume_cycle,
-        "clean": shard.clean,
-        "result": result_to_payload(shard.result),
-    }
-
-
-def shard_from_payload(payload: Dict[str, Any]) -> "Any":
-    """Inverse of :func:`shard_to_payload`."""
-    # Lazy for the same reason as the experiment codec: perf.checkpoint
-    # reaches back into lab-adjacent modules.
-    from repro.perf.checkpoint import ShardResult
-
-    if payload.get("type") != "simulation_shard":
-        raise ValueError(f"not a simulation shard: {payload.get('type')!r}")
-    return ShardResult(
-        start=payload["start"],
-        stop=payload["stop"],
-        result=result_from_payload(payload["result"]),
-        resume_cycle=payload["resume_cycle"],
-        clean=payload["clean"],
-    )
-
-
 def payload_from_value(value: Any) -> Dict[str, Any]:
     """Encode any supported job return value."""
     from repro.harness.experiment import ExperimentResult
-    from repro.perf.checkpoint import ShardResult
 
     if isinstance(value, SimulationResult):
         return result_to_payload(value)
     if isinstance(value, ExperimentResult):
         return experiment_to_payload(value)
-    if isinstance(value, ShardResult):
-        return shard_to_payload(value)
     if isinstance(value, (list, tuple)) and value and all(
         isinstance(item, SimulationResult) for item in value
     ):
@@ -208,8 +176,6 @@ def value_from_payload(payload: Dict[str, Any]) -> Any:
         return experiment_from_payload(payload)
     if kind == "simulation_batch":
         return batch_from_payload(payload)
-    if kind == "simulation_shard":
-        return shard_from_payload(payload)
     raise ValueError(f"no codec for stored payload type {kind!r}")
 
 
@@ -221,7 +187,5 @@ __all__: List[str] = [
     "payload_from_value",
     "result_from_payload",
     "result_to_payload",
-    "shard_from_payload",
-    "shard_to_payload",
     "value_from_payload",
 ]

@@ -195,63 +195,6 @@ class BatchSimJob(JobSpec):
 
 
 @dataclass(frozen=True)
-class ShardSimJob(JobSpec):
-    """Simulate one checkpoint shard ``[start, stop)`` of a workload.
-
-    The shard's result is in its own relative time base; the submitter
-    stitches the pieces with :func:`repro.perf.checkpoint.stitch`.
-    ``start`` must be 0 or an interval boundary of the trace — the
-    natural drain points where resume is provably clean.
-    """
-
-    workload: str = ""
-    length: int = 60_000
-    seed: int = 2006
-    config: CoreConfig = field(default_factory=CoreConfig)
-    start: int = 0
-    stop: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.workload:
-            raise ValueError("ShardSimJob needs a workload name")
-        if not (0 <= self.start < self.stop):
-            raise ValueError(
-                f"need 0 <= start < stop, got [{self.start}, {self.stop})"
-            )
-        if not self.label:
-            object.__setattr__(
-                self,
-                "label",
-                f"shard:{self.workload}:[{self.start},{self.stop})",
-            )
-
-    def key(self) -> str:
-        return job_key(
-            kind="sim-shard",
-            workload=self.workload,
-            length=self.length,
-            seed=self.seed,
-            config=self.config,
-            extra={"start": self.start, "stop": self.stop},
-        )
-
-    def execute(self) -> Any:
-        from repro.perf.checkpoint import simulate_shard
-        from repro.trace.synthetic import generate_trace
-        from repro.util.rng import derive_seed
-        from repro.workloads.spec_profiles import ALL_PROFILES
-
-        try:
-            profile = ALL_PROFILES[self.workload]
-        except KeyError:
-            raise ValueError(f"unknown workload {self.workload!r}") from None
-        trace = generate_trace(
-            profile, self.length, seed=derive_seed(self.seed, self.workload)
-        )
-        return simulate_shard(trace, self.config, self.start, self.stop)
-
-
-@dataclass(frozen=True)
 class ExperimentJob(JobSpec):
     """Run one registered experiment (``t1``..``t3``, ``f1``..``f21``)."""
 
@@ -666,7 +609,6 @@ __all__ = [
     "JobResult",
     "JobSpec",
     "JobStatus",
-    "ShardSimJob",
     "SimJob",
     "SweepJob",
     "execute_job",

@@ -25,9 +25,6 @@ package is the performance layer on top of that representation:
   detailed core: lockstep multi-config simulation over shared trace
   columns, bit-exact against the scalar
   :class:`~repro.pipeline.core.SuperscalarCore` oracle;
-* :mod:`repro.perf.checkpoint` — interval-boundary checkpointing:
-  shard a long trace at mispredict drain points, simulate the shards
-  independently, and stitch the per-shard results bit-identically;
 * :mod:`repro.perf.bench` — the ``repro bench`` throughput harness and
   the ``BENCH_simulator.json`` regression baseline format.
 
@@ -43,14 +40,6 @@ from repro.perf.batchcore import (
     run_batch,
 )
 from repro.perf.cache import PackedTraceCache, packed_trace_for
-from repro.perf.checkpoint import (
-    PipelineCheckpoint,
-    ShardResult,
-    interval_boundaries,
-    simulate_shard,
-    simulate_sharded,
-    stitch,
-)
 from repro.perf.fast import VectorizedIntervalSimulator
 from repro.perf.kernels import packed_critical_path_length, packed_statistics
 from repro.perf.packed import PackedTrace
@@ -60,19 +49,13 @@ __all__ = [
     "BatchedSuperscalarCore",
     "PackedTrace",
     "PackedTraceCache",
-    "PipelineCheckpoint",
     "ReplayResult",
-    "ShardResult",
     "TraceColumns",
     "VectorizedIntervalSimulator",
     "batch_supported",
-    "interval_boundaries",
     "packed_critical_path_length",
     "packed_statistics",
     "packed_trace_for",
     "replay",
     "run_batch",
-    "simulate_shard",
-    "simulate_sharded",
-    "stitch",
 ]

@@ -30,11 +30,6 @@ machinery, in three layers:
   kernel does not model (wrong-path ghost dispatch, the random-issue
   ablation) and runs under ambient observability or sanitizing fall
   back to it per config, keeping observable behavior identical.
-
-The kernel also reports its **end state** (final frontend-ready cycle,
-last commit cycle, residual functional-unit reservations), which is
-what :mod:`repro.perf.checkpoint` uses to prove an interval boundary
-drained cleanly and stitch sharded runs bit-identically.
 """
 
 from __future__ import annotations
@@ -97,9 +92,7 @@ class TraceColumns:
     the oracle miss flags, the D-cache miss-class code per record, and
     the dependence CSR rewritten from *distances* to absolute *producer
     indices* (negative producers — before the trace start — already
-    filtered out). Slicing for checkpoint shards re-filters producers
-    against the shard base, which is exactly the fresh-start semantics
-    a clean interval boundary guarantees.
+    filtered out).
     """
 
     __slots__ = (
@@ -114,8 +107,6 @@ class TraceColumns:
         "prod_indptr",
         "prod_data",
         "prod_lists",
-        "_owners",
-        "_producers",
     )
 
     def __init__(
@@ -130,8 +121,6 @@ class TraceColumns:
         dcode: np.ndarray,
         prod_indptr: List[int],
         prod_data: List[int],
-        owners: np.ndarray,
-        producers: np.ndarray,
     ):
         self.n = n
         self.op = op
@@ -151,8 +140,6 @@ class TraceColumns:
             tuple(prod_data[prod_indptr[i]:prod_indptr[i + 1]])
             for i in range(n)
         ]
-        self._owners = owners
-        self._producers = producers
 
     #: Bounded (packed-trace -> columns) memo. Keyed by object identity
     #: — ``Trace.pack`` memoizes the packed form with invalidation on
@@ -196,7 +183,7 @@ class TraceColumns:
         counts = np.diff(packed.dep_indptr)
         owners = np.repeat(np.arange(n, dtype=np.int64), counts)
         producers = owners - packed.dep_data.astype(np.int64)
-        indptr, data = cls._producer_csr(owners, producers, 0, n)
+        indptr, data = cls._producer_csr(owners, producers, n)
         return cls(
             n=n,
             op=op.tolist(),
@@ -208,46 +195,18 @@ class TraceColumns:
             dcode=dcode,
             prod_indptr=indptr,
             prod_data=data,
-            owners=owners,
-            producers=producers,
         )
 
     @staticmethod
     def _producer_csr(
-        owners: np.ndarray, producers: np.ndarray, start: int, stop: int
+        owners: np.ndarray, producers: np.ndarray, n: int
     ) -> Tuple[List[int], List[int]]:
-        """CSR (indptr, data) of in-range producers, rebased to ``start``."""
-        length = stop - start
-        keep = (owners >= start) & (owners < stop) & (producers >= start)
-        kept_owners = owners[keep] - start
-        kept_producers = producers[keep] - start
-        counts = np.bincount(kept_owners, minlength=length)
-        indptr = np.zeros(length + 1, dtype=np.int64)
+        """CSR (indptr, data) of the producers inside the trace."""
+        keep = producers >= 0
+        counts = np.bincount(owners[keep], minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return indptr.tolist(), kept_producers.tolist()
-
-    def slice(self, start: int, stop: int) -> "TraceColumns":
-        """Columns of records ``[start, stop)`` with rebased producers."""
-        if not (0 <= start <= stop <= self.n):
-            raise ValueError(f"bad slice [{start}, {stop}) of {self.n}")
-        keep = (self._owners >= start) & (self._owners < stop)
-        owners = self._owners[keep] - start
-        producers = self._producers[keep] - start
-        indptr, data = self._producer_csr(owners, producers, 0, stop - start)
-        return TraceColumns(
-            n=stop - start,
-            op=self.op[start:stop],
-            op_np=self.op_np[start:stop],
-            misp=self.misp[start:stop],
-            il1=self.il1[start:stop],
-            is_load=self.is_load[start:stop],
-            is_long=self.is_long[start:stop],
-            dcode=self.dcode[start:stop],
-            prod_indptr=indptr,
-            prod_data=data,
-            owners=owners,
-            producers=producers,
-        )
+        return indptr.tolist(), producers[keep].tolist()
 
 
 class _CacheColumns:
@@ -365,40 +324,6 @@ class BatchPlan:
         ) | (np.asarray(mine.icache_lat) != np.asarray(base.icache_lat))
 
 
-class KernelEndState:
-    """What the kernel left behind — the checkpoint layer's evidence.
-
-    ``resume_cycle`` is when the *next* instruction after this column
-    range would dispatch (the final frontend-ready cycle);
-    ``last_commit_cycle`` and ``max_fu_free`` bound the straggler work
-    still in flight at that point. A boundary is *clean* — the suffix
-    can be simulated from a fresh kernel and shifted — exactly when all
-    residual activity lands strictly before (commits) or at latest at
-    (FU reservations) the resume cycle. ``max_fu_free`` covers only FU
-    groups that can actually bind (multi-cycle issue intervals or fewer
-    units than the issue width); an unconstrained group's newest
-    reservation is at most its last issue cycle + 1, which the commit
-    conjunct already bounds below the resume cycle, so omitting those
-    groups never flips ``clean``.
-    """
-
-    __slots__ = ("resume_cycle", "last_commit_cycle", "max_fu_free")
-
-    def __init__(
-        self, resume_cycle: int, last_commit_cycle: int, max_fu_free: int
-    ):
-        self.resume_cycle = resume_cycle
-        self.last_commit_cycle = last_commit_cycle
-        self.max_fu_free = max_fu_free
-
-    @property
-    def clean(self) -> bool:
-        return (
-            self.last_commit_cycle < self.resume_cycle
-            and self.max_fu_free <= self.resume_cycle
-        )
-
-
 class KernelOutput:
     """Raw kernel products before assembly into a SimulationResult."""
 
@@ -411,7 +336,6 @@ class KernelOutput:
         "fu_issued",
         "rob_peak",
         "last_commit_cycle",
-        "end_state",
     )
 
     def __init__(self, **fields):
@@ -464,14 +388,9 @@ def _simulate_columns(
     # same-cycle reservations exist when a unit is sought, and every
     # earlier reservation (made at c' < cycle, free at c' + 1) has
     # already expired — the scan always succeeds. Those codes skip the
-    # reservation bookkeeping entirely. The checkpoint cleanliness
-    # probe stays exact without them: such a reservation is at most
-    # (last issue cycle) + 1 <= that instruction's completion cycle <=
-    # the last commit cycle, which the probe's first conjunct already
-    # bounds below the resume cycle, so an unconstrained group can
-    # never flip ``clean``. ``op_bind`` is the complement of that
-    # property mapped per seq, so the issue loop pays one truthy column
-    # read instead of two table lookups.
+    # reservation bookkeeping entirely. ``op_bind`` is the complement
+    # of that property mapped per seq, so the issue loop pays one
+    # truthy column read instead of two table lookups.
     fu_bind = [
         0 if (fu_interval[i] == 1 and c >= issue_width) else 1
         for i, c in enumerate(fu.count)
@@ -731,11 +650,6 @@ def _simulate_columns(
             break
         cycle = nxt if nxt > best else best
 
-    max_fu_free = 0
-    for free in fu_free:
-        for value in free:
-            if value > max_fu_free:
-                max_fu_free = value
     # Every dispatched instruction issues exactly once, so the per-FU
     # issue counts are just the op-code histogram of the trace — no
     # per-issue counter needed in the loop.
@@ -760,11 +674,6 @@ def _simulate_columns(
         fu_issued=fu_issued,
         rob_peak=rob_peak,
         last_commit_cycle=last_commit_cycle,
-        end_state=KernelEndState(
-            resume_cycle=frontend_ready,
-            last_commit_cycle=last_commit_cycle,
-            max_fu_free=max_fu_free,
-        ),
     )
 
 
@@ -851,7 +760,6 @@ def run_batch(
 __all__ = [
     "BatchPlan",
     "BatchedSuperscalarCore",
-    "KernelEndState",
     "TraceColumns",
     "batch_supported",
     "run_batch",

@@ -20,7 +20,6 @@ same trace) are machine-independent and recorded alongside.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import tempfile
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -38,6 +37,7 @@ from repro.perf.replay import replay
 from repro.pipeline.annotate import OracleAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
+from repro.resilience.atomic import atomic_write_json
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
 from repro.util.timing import Stopwatch
@@ -389,19 +389,7 @@ def write_payload(payload: Dict[str, Any], path: str) -> None:
         pass
     run = {key: payload[key] for key in payload if key not in ("schema", "seed")}
     document["runs"][payload.get("mode", "full")] = run
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_json(path, document, indent=2, sort_keys=True)
 
 
 def render(payload: Dict[str, Any]) -> str:

@@ -7,9 +7,8 @@ front door over the primitives every prior layer already provides:
 - :mod:`repro.serve.protocol` — JSON-lines request/response frames,
   validation, and the job-spec mapping (requests are content-addressed
   through the same :func:`repro.lab.store.job_key` as batch runs);
-- :mod:`repro.serve.cache` — tier-0 in-process LRU (byte-bounded) over
-  pluggable verified disk backends (the lab store plus an independent
-  directory tier);
+- :mod:`repro.serve.cache` — tier-0 in-process LRU (byte-bounded) in
+  front of the verified lab store;
 - :mod:`repro.serve.shards` — hash-prefix worker shards with
   write-ahead journals, heartbeats, and crash-restart replay;
 - :mod:`repro.serve.service` — request coalescing (singleflight per
@@ -21,12 +20,7 @@ front door over the primitives every prior layer already provides:
 Start one with ``python -m repro serve run``; see ``docs/serve.md``.
 """
 
-from repro.serve.cache import (
-    CacheBackend,
-    DirectoryBackend,
-    StoreBackend,
-    TieredCache,
-)
+from repro.serve.cache import TieredCache
 from repro.serve.client import ServeClient, ServeClientError, read_endpoint
 from repro.serve.protocol import ProtocolError, ShardCrashError
 from repro.serve.service import (
@@ -39,8 +33,6 @@ from repro.serve.shards import Shard, ShardSet, shard_index
 
 __all__ = [
     "BackgroundServer",
-    "CacheBackend",
-    "DirectoryBackend",
     "ExperimentService",
     "ProtocolError",
     "ServeClient",
@@ -49,7 +41,6 @@ __all__ = [
     "Shard",
     "ShardCrashError",
     "ShardSet",
-    "StoreBackend",
     "TieredCache",
     "endpoint_path",
     "read_endpoint",

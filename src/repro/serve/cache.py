@@ -1,42 +1,29 @@
-"""The serve result cache: tier-0 LRU over pluggable disk backends.
+"""The serve result cache: a tier-0 LRU in front of the result store.
 
 Lookup order is tier 0 (in-process :class:`repro.util.lru.LRUCache`,
-byte-bounded), then each configured :class:`CacheBackend` in priority
-order. A backend hit is promoted into tier 0 so the next identical
-request never leaves the process. Writes go everywhere (write-through)
-so a service restart only costs the tier-0 warmth.
+byte-bounded), then the lab's content-addressed
+:class:`~repro.lab.store.ResultStore`, where every read is
+integrity-verified (payload sha256 + content address + code salt) and
+corrupt objects are quarantined, exactly as for batch runs. A store hit
+is promoted into tier 0 so the next identical request never leaves the
+process.
 
-Two backends prove the interface is real:
+The cache never writes the store. A cold result is persisted once, by
+the pool worker that computed it (:func:`repro.lab.jobs.execute_job`);
+the service then only admits it to tier 0 (:meth:`TieredCache.admit`).
 
-- :class:`StoreBackend` — the lab's content-addressed
-  ``.repro-cache`` store; every read is integrity-verified (payload
-  sha256 + content address + code salt) and corrupt objects are
-  quarantined, exactly as for batch runs.
-- :class:`DirectoryBackend` — a second, independent directory of
-  checksummed objects in the same verified envelope
-  (:func:`repro.lab.store.verify_object_bytes`), demonstrating that a
-  remote/blob tier can slot in without touching the service.
-
-Everything here is synchronous on purpose: the service calls it
-through ``asyncio.to_thread`` so the event loop never blocks on disk
-(SRV001 polices that discipline).
+Everything here is synchronous on purpose: the service calls the store
+probe through ``asyncio.to_thread`` so the event loop never blocks on
+disk (SRV001 polices that discipline).
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Tuple
 
+from repro.lab.store import ResultStore
 from repro.obs import context as obs_context
-from repro.lab.store import (
-    CODE_SALT,
-    ResultStore,
-    payload_digest,
-    quarantine_file,
-    verify_object_bytes,
-)
-from repro.resilience.atomic import atomic_write_bytes
 from repro.util.lru import LRUCache
 
 #: Tier-0 defaults: enough for a sweep's working set, bounded in bytes
@@ -45,6 +32,11 @@ DEFAULT_TIER0_ITEMS = 512
 DEFAULT_TIER0_BYTES = 64 * 1024 * 1024
 
 TIER0_NAME = "tier0"
+STORE_NAME = "store"
+
+#: Tier labels in lookup order, as used in metrics
+#: (``serve.cache_hits_<name>_total``) and response ``meta.source``.
+TIER_NAMES = (TIER0_NAME, STORE_NAME)
 
 
 def json_sizeof(value: Any) -> int:
@@ -57,131 +49,11 @@ def json_sizeof(value: Any) -> int:
     return len(json.dumps(value, separators=(",", ":")))
 
 
-class CacheBackend:
-    """One disk (or remote) tier below the in-process LRU.
-
-    ``get`` returns the verified payload or ``None`` — backends never
-    raise for a miss, a corrupt object, or an unreadable file, because
-    a cache failure must degrade to a recompute, not an error.
-    ``put`` failures are likewise swallowed by :class:`TieredCache`.
-    """
-
-    #: Short tier label used in metrics (``serve.cache_hits_<name>_total``)
-    #: and response ``meta.source``; lowercase alphanumerics only.
-    name: str = "backend"
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def put(
-        self,
-        key: str,
-        payload: Dict[str, Any],
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        raise NotImplementedError
-
-    def stats(self) -> Dict[str, Any]:
-        return {}
-
-
-class StoreBackend(CacheBackend):
-    """The lab's content-addressed store as a cache tier."""
-
-    name = "store"
-
-    def __init__(self, store: ResultStore) -> None:
-        self.store = store
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        return self.store.get(key)
-
-    def put(
-        self,
-        key: str,
-        payload: Dict[str, Any],
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.store.put(key, payload, meta=meta)
-
-    def stats(self) -> Dict[str, Any]:
-        return self.store.stats.as_dict()
-
-
-class DirectoryBackend(CacheBackend):
-    """An independent directory tier in the store's verified envelope.
-
-    Objects live at ``<root>/<key[:2]>/<key>.json`` with the same
-    salt + sha256 wrapper the primary store writes, so reads reuse
-    :func:`verify_object_bytes` and damaged objects are quarantined
-    into ``<root>/quarantine/`` rather than served.
-    """
-
-    name = "dir"
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._path(key)
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            self.misses += 1
-            return None
-        status, obj = verify_object_bytes(raw, expected_key=key)
-        if status == "ok":
-            self.hits += 1
-            return obj.get("payload")
-        self.misses += 1
-        if status != "stale-salt":
-            quarantine_file(self.root, path, f"dir-tier get: {status}")
-        return None
-
-    def put(
-        self,
-        key: str,
-        payload: Dict[str, Any],
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        import time
-
-        obj = {
-            "key": key,
-            "salt": CODE_SALT,
-            "sha256": payload_digest(payload),
-            "stored_at": time.time(),
-            "meta": meta or {},
-            "payload": payload,
-        }
-        blob = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-        atomic_write_bytes(self._path(key), blob)
-
-    def count(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(
-            1
-            for p in self.root.glob("*/*.json")
-            if p.parent.name != "quarantine"
-        )
-
-    def stats(self) -> Dict[str, Any]:
-        return {"hits": self.hits, "misses": self.misses}
-
-
 class TieredCache:
-    """Tier-0 LRU in front of an ordered list of backends."""
+    """Tier-0 LRU in front of one :class:`ResultStore`."""
 
     def __init__(
-        self,
-        tier0: Optional[LRUCache] = None,
-        backends: Sequence[CacheBackend] = (),
+        self, store: ResultStore, tier0: Optional[LRUCache] = None
     ) -> None:
         # `tier0 or ...` would discard a caller-supplied cache: LRUCache
         # defines __len__, so an empty one is falsy.
@@ -192,33 +64,25 @@ class TieredCache:
                 sizeof=json_sizeof,
             )
         self.tier0 = tier0
-        self.backends: List[CacheBackend] = list(backends)
+        self.store = store
         #: Brownout hook: when set, only payloads at most this many
-        #: serialized bytes are admitted into tier 0 (lookups and the
-        #: write-through to backends are unaffected). ``None`` = no cap.
+        #: serialized bytes are admitted into tier 0 (lookups are
+        #: unaffected). ``None`` = no cap.
         self.tier0_admit_bytes: Optional[int] = None
-        names = [TIER0_NAME] + [b.name for b in self.backends]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate cache tier names: {names}")
 
-    def _admit_tier0(self, payload: Dict[str, Any]) -> bool:
+    def admit(self, key: str, payload: Dict[str, Any]) -> None:
+        """Put ``payload`` in tier 0 unless the brownout cap refuses it."""
         cap = self.tier0_admit_bytes
-        return cap is None or json_sizeof(payload) <= cap
-
-    @property
-    def tier_names(self) -> List[str]:
-        return [TIER0_NAME] + [b.name for b in self.backends]
+        if cap is None or json_sizeof(payload) <= cap:
+            self.tier0[key] = payload
 
     def lookup(self, key: str) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
         """``(payload, tier_name)`` on a hit; ``(None, None)`` on a miss.
 
-        A backend hit is promoted into tier 0 (and only tier 0 — the
-        backends already have it by write-through).
-
         When the calling request carries an ambient span collector
         (:func:`repro.obs.context.current_collector` — contextvars
         survive the service's ``asyncio.to_thread`` hop into here), the
-        tier-0 probe and the backend walk are recorded as
+        tier-0 probe and the store read are recorded as
         ``cache_tier0`` / ``cache_backend`` latency-stack spans. With
         tracing off the collector is ``None`` and this is the single
         extra attribute read the overhead benchmark budgets for.
@@ -228,76 +92,52 @@ class TieredCache:
             payload = self.tier0.get(key)
             if payload is not None:
                 return payload, TIER0_NAME
-            for backend in self.backends:
-                payload = backend.get(key)
-                if payload is not None:
-                    if self._admit_tier0(payload):
-                        self.tier0[key] = payload
-                    return payload, backend.name
-            return None, None
-        ctx = obs_context.current_context()
-        trace_id = ctx.trace_id if ctx else ""
-        parent_id = ctx.span_id if ctx else None
-        t0 = collector.now()
-        payload = self.tier0.get(key)
-        collector.add_complete(
-            "cache_tier0",
-            trace_id=trace_id,
-            parent_id=parent_id,
-            start_ns=t0,
-            hit=payload is not None,
-            key=key[:12],
-        )
-        if payload is not None:
-            return payload, TIER0_NAME
-        for backend in self.backends:
+            payload = self.store.get(key)
+        else:
+            ctx = obs_context.current_context()
+            trace_id = ctx.trace_id if ctx else ""
+            parent_id = ctx.span_id if ctx else None
             t0 = collector.now()
-            payload = backend.get(key)
+            payload = self.tier0.get(key)
+            collector.add_complete(
+                "cache_tier0",
+                trace_id=trace_id,
+                parent_id=parent_id,
+                start_ns=t0,
+                hit=payload is not None,
+                key=key[:12],
+            )
+            if payload is not None:
+                return payload, TIER0_NAME
+            t0 = collector.now()
+            payload = self.store.get(key)
             collector.add_complete(
                 "cache_backend",
                 trace_id=trace_id,
                 parent_id=parent_id,
                 start_ns=t0,
-                tier=backend.name,
+                tier=STORE_NAME,
                 hit=payload is not None,
                 key=key[:12],
             )
-            if payload is not None:
-                if self._admit_tier0(payload):
-                    self.tier0[key] = payload
-                return payload, backend.name
-        return None, None
-
-    def store(
-        self,
-        key: str,
-        payload: Dict[str, Any],
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Write-through to every tier; backend failures are absorbed
-        (a result that cannot be cached is still a result)."""
-        if self._admit_tier0(payload):
-            self.tier0[key] = payload
-        for backend in self.backends:
-            try:
-                backend.put(key, payload, meta=meta)
-            except Exception:
-                continue
+        if payload is None:
+            return None, None
+        self.admit(key, payload)
+        return payload, STORE_NAME
 
     def stats(self) -> Dict[str, Any]:
         return {
             TIER0_NAME: self.tier0.stats(),
-            **{b.name: b.stats() for b in self.backends},
+            STORE_NAME: self.store.stats.as_dict(),
         }
 
 
 __all__ = [
-    "CacheBackend",
     "DEFAULT_TIER0_BYTES",
     "DEFAULT_TIER0_ITEMS",
-    "DirectoryBackend",
-    "StoreBackend",
+    "STORE_NAME",
     "TIER0_NAME",
+    "TIER_NAMES",
     "TieredCache",
     "json_sizeof",
 ]

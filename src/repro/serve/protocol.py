@@ -34,7 +34,7 @@ perturb coalescing.
 Responses::
 
     {"id": "r4", "ok": true, "result": {...},
-     "meta": {"key": "...", "source": "tier0|store|dir|pool",
+     "meta": {"key": "...", "source": "tier0|store|pool",
               "coalesced": false, "shard": 1, "elapsed_ms": 3.2}}
     {"id": "r4", "ok": false,
      "error": {"type": "bad-request", "message": "...",

@@ -15,10 +15,11 @@ Request path for ``simulate``:
    requests arriving in one scheduling window always collapse to one
    computation, deterministically;
 3. **tiered cache** (:class:`repro.serve.cache.TieredCache`): tier-0
-   LRU, then the verified store, then further backends — a warm
-   request never touches a shard (``serve.cache_hits_<tier>_total``);
+   LRU, then the verified store — a warm request never touches a shard
+   (``serve.cache_hits_<tier>_total``);
 4. **shard dispatch**: route by content address, journal write-ahead,
-   execute on the shard's worker (``serve.pool_executions_total``). If
+   execute on the shard's worker (``serve.pool_executions_total``),
+   which also persists the result to the store. If
    the shard's worker dies mid-job (``BrokenProcessPool``), the shard
    is restarted and the journal consulted: completed-before-death work
    is replayed from the store, in-flight work is resubmitted once, and
@@ -66,8 +67,7 @@ from repro.serve.admission import (
 from repro.serve.cache import (
     DEFAULT_TIER0_BYTES,
     DEFAULT_TIER0_ITEMS,
-    DirectoryBackend,
-    StoreBackend,
+    TIER_NAMES,
     TieredCache,
     json_sizeof,
 )
@@ -109,7 +109,6 @@ class ExperimentService:
         n_shards: int = 2,
         tier0_items: int = DEFAULT_TIER0_ITEMS,
         tier0_bytes: Optional[int] = DEFAULT_TIER0_BYTES,
-        dir_cache: Optional[Union[str, Path]] = None,
         service_id: Optional[str] = None,
         use_cache: bool = True,
         watchdog_policy: Optional[WatchdogPolicy] = None,
@@ -124,13 +123,9 @@ class ExperimentService:
         self.service_id = service_id or f"serve-{uuid.uuid4().hex[:10]}"
         self.use_cache = use_cache
         self.metrics = MetricsRegistry()
-        backends = [StoreBackend(self.store)]
-        if dir_cache is None:
-            dir_cache = self.store.root / "serve" / "l2"
-        backends.append(DirectoryBackend(dir_cache))
         self.cache = TieredCache(
+            self.store,
             LRUCache(tier0_items, max_bytes=tier0_bytes, sizeof=json_sizeof),
-            backends,
         )
         self.shards = ShardSet(
             n_shards,
@@ -185,7 +180,7 @@ class ExperimentService:
             "serve.deadline_dropped_total",
         ):
             self.metrics.counter(name)
-        for tier in self.cache.tier_names:
+        for tier in TIER_NAMES:
             self.metrics.counter(f"serve.cache_hits_{tier}_total")
         self.metrics.histogram(
             "serve.request_latency_milliseconds", edges=LATENCY_EDGES_MS
@@ -646,24 +641,10 @@ class ExperimentService:
             key, spec, request, deadline
         )
         if self.use_cache:
-            collector = obs_context.current_collector()
-            if collector is not None:
-                ctx = obs_context.current_context()
-                t0 = collector.now()
-                await asyncio.to_thread(
-                    self.cache.store, key, payload, {"label": spec.label}
-                )
-                collector.add_complete(
-                    "store_put",
-                    trace_id=ctx.trace_id if ctx else "",
-                    parent_id=ctx.span_id if ctx else None,
-                    start_ns=t0,
-                    key=key[:12],
-                )
-            else:
-                await asyncio.to_thread(
-                    self.cache.store, key, payload, {"label": spec.label}
-                )
+            # The worker's execute_job already stored the payload. If
+            # that put failed, the result is OK-but-unstored and a later
+            # miss recomputes it; the service never writes it again.
+            self.cache.admit(key, payload)
         return payload, "pool", exec_span
 
     async def _run_on_shard(
@@ -887,7 +868,7 @@ class ExperimentService:
             "store_root": str(self.store.root),
             "shards": self.shards.describe(),
             "cache": self.cache.stats(),
-            "tiers": self.cache.tier_names,
+            "tiers": list(TIER_NAMES),
             "inflight": len(self._inflight),
             "admission": self.admission.describe(),
             "brownout": self.brownout.describe(),

@@ -241,8 +241,6 @@ class Shard:
         ``deadline_ns`` rides the same way so the worker can drop
         already-expired work at dequeue.
         """
-        if self._executor is None:
-            self.start()
         if key not in self.pending:
             if trace_ctx:
                 self.journal.note("accepted", key=key, request=request, **trace_ctx)
@@ -256,18 +254,13 @@ class Shard:
                 self.pending_deadline[key] = int(deadline_ns)
         self.journal.started(self.submitted, key)
         self.submitted += 1
-        return self._executor.submit(
-            execute_job, spec, self.store_root, self.use_cache,
-            trace_ctx=trace_ctx, deadline_ns=deadline_ns,
-        )
+        return self._submit(spec, trace_ctx, deadline_ns)
 
     def resubmit(self, key: str) -> Optional[Future]:
         """Replay one pending job after a restart (None if unknown)."""
         spec = self.pending.get(key)
         if spec is None:
             return None
-        if self._executor is None:
-            self.start()
         trace_ctx = self.pending_ctx.get(key)
         if trace_ctx:
             self.journal.note("replay", key=key, **trace_ctx)
@@ -275,11 +268,26 @@ class Shard:
             self.journal.note("replay", key=key)
         self.journal.started(self.submitted, key)
         self.submitted += 1
-        return self._executor.submit(
-            execute_job, spec, self.store_root, self.use_cache,
-            trace_ctx=trace_ctx,
-            deadline_ns=self.pending_deadline.get(key),
-        )
+        return self._submit(spec, trace_ctx, self.pending_deadline.get(key))
+
+    def _submit(
+        self,
+        spec: JobSpec,
+        trace_ctx: Optional[Dict[str, str]],
+        deadline_ns: Optional[int],
+    ) -> Future:
+        # Under the lifecycle lock: a concurrent recover() swaps the
+        # executor out (briefly None, then a fresh pool), and a submit
+        # racing that swap would hit None or a shut-down pool. Holding
+        # the lock means a submit only ever sees a live or a broken
+        # pool, and a broken one raises BrokenExecutor, which callers
+        # already handle.
+        with self._lock:
+            self._start_locked()
+            return self._executor.submit(
+                execute_job, spec, self.store_root, self.use_cache,
+                trace_ctx=trace_ctx, deadline_ns=deadline_ns,
+            )
 
     def complete(self, key: str, result: JobResult) -> None:
         from repro.lab.store import payload_digest

@@ -325,7 +325,7 @@ def test_perf_flags_aliased_unpack_result():
         "    trace = packed.unpack()\n"
         "    return [r.pc for r in trace]\n"
     )
-    assert "PERF001" in rules_hit(source, "src/repro/perf/checkpoint.py")
+    assert "PERF001" in rules_hit(source, "src/repro/perf/batchcore.py")
 
 
 def test_perf_flags_enumerate_of_unpack():

@@ -1,4 +1,4 @@
-"""simulate_workload_batch / _sharded must share the scalar cache."""
+"""simulate_workload_batch must share the scalar cache."""
 
 import repro.harness.runner as runner
 from repro.harness.runner import (
@@ -6,7 +6,6 @@ from repro.harness.runner import (
     clear_caches,
     simulate_workload,
     simulate_workload_batch,
-    simulate_workload_sharded,
 )
 
 
@@ -47,10 +46,3 @@ class TestBatchRunner:
         [batched] = simulate_workload_batch("gzip", [config], length=500)
         assert runner.cache_stats()["sim"]["hits"] == hits_before + 1
         assert vars(batched) == vars(scalar)
-
-    def test_sharded_matches_scalar(self):
-        config = baseline_config()
-        sharded = simulate_workload_sharded("gzip", config, length=800, shards=4)
-        clear_caches()
-        scalar = simulate_workload("gzip", config, length=800)
-        assert vars(sharded) == vars(scalar)

@@ -1,4 +1,4 @@
-"""Batched/sharded simulation jobs: keys, execution, codec, caching."""
+"""Batched simulation jobs: keys, execution, codec, caching."""
 
 import json
 
@@ -8,13 +8,10 @@ from repro.lab.codec import (
     batch_from_payload,
     batch_to_payload,
     payload_from_value,
-    shard_from_payload,
-    shard_to_payload,
     value_from_payload,
 )
-from repro.lab.jobs import BatchSimJob, ShardSimJob, SweepJob, execute_job
+from repro.lab.jobs import BatchSimJob, SweepJob, execute_job
 from repro.lab.store import ResultStore
-from repro.perf.checkpoint import simulate_shard
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.synthetic import generate_trace
@@ -60,29 +57,6 @@ class TestBatchSimJob:
         trace = reference_trace()
         for config, result in zip(configs, results):
             assert vars(result) == vars(simulate(trace, config))
-
-
-class TestShardSimJob:
-    def test_validates_span(self):
-        with pytest.raises(ValueError):
-            ShardSimJob(workload=WORKLOAD, start=100, stop=100)
-        with pytest.raises(ValueError):
-            ShardSimJob(workload=WORKLOAD, start=-1, stop=10)
-
-    def test_key_separates_spans(self):
-        first = ShardSimJob(workload=WORKLOAD, start=0, stop=200)
-        second = ShardSimJob(workload=WORKLOAD, start=200, stop=400)
-        assert first.key() != second.key()
-
-    def test_execute_matches_direct_shard(self):
-        job = ShardSimJob(workload=WORKLOAD, length=400, start=100, stop=300)
-        piece = job.execute()
-        direct = simulate_shard(reference_trace(), CoreConfig(), 100, 300)
-        assert piece.start == direct.start
-        assert piece.stop == direct.stop
-        assert piece.resume_cycle == direct.resume_cycle
-        assert piece.clean == direct.clean
-        assert vars(piece.result) == vars(direct.result)
 
 
 class TestExpandBatched:
@@ -136,22 +110,10 @@ class TestCodec:
         for a, b in zip(decoded, results):
             assert vars(a) == vars(b)
 
-    def test_shard_payload_round_trips_through_json(self):
-        piece = simulate_shard(reference_trace(length=300), CoreConfig(), 50, 250)
-        payload = json.loads(json.dumps(shard_to_payload(piece)))
-        decoded = shard_from_payload(payload)
-        assert decoded.start == piece.start
-        assert decoded.stop == piece.stop
-        assert decoded.resume_cycle == piece.resume_cycle
-        assert decoded.clean == piece.clean
-        assert vars(decoded.result) == vars(piece.result)
-
     def test_dispatch_by_value_type(self):
         trace = reference_trace(length=200)
         results = [simulate(trace, CoreConfig())]
         assert payload_from_value(results)["type"] == "simulation_batch"
-        piece = simulate_shard(trace, CoreConfig(), 0, 100)
-        assert payload_from_value(piece)["type"] == "simulation_shard"
 
     def test_value_from_payload_inverts_dispatch(self):
         trace = reference_trace(length=200)
@@ -161,9 +123,7 @@ class TestCodec:
 
     def test_wrong_type_rejected(self):
         with pytest.raises(ValueError):
-            batch_from_payload({"type": "simulation_shard"})
-        with pytest.raises(ValueError):
-            shard_from_payload({"type": "simulation_batch"})
+            batch_from_payload({"type": "simulation_result"})
 
 
 class TestBatchCaching:

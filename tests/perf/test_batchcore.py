@@ -147,23 +147,6 @@ class TestTraceColumns:
         trace = generate_trace(profile(), 200, seed=41)
         assert TraceColumns.build(trace) is TraceColumns.build(trace)
 
-    def test_slice_rebases_producers(self):
-        trace = generate_trace(profile(), 300, seed=43)
-        cols = TraceColumns.build(trace)
-        part = cols.slice(100, 250)
-        assert part.n == 150
-        assert part.op == cols.op[100:250]
-        for seq, producers in enumerate(part.prod_lists):
-            for producer in producers:
-                assert 0 <= producer < seq
-
-    def test_slice_bounds_checked(self):
-        cols = TraceColumns.build(generate_trace(profile(), 50, seed=47))
-        with pytest.raises(ValueError):
-            cols.slice(-1, 10)
-        with pytest.raises(ValueError):
-            cols.slice(10, 51)
-
 
 CONFIG_STRATEGY = st.builds(
     CoreConfig,

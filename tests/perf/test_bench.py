@@ -120,6 +120,9 @@ def test_write_payload_merges_modes(tmp_path):
     bench.write_payload(scaled(quick, 2.0), str(path))
     document = bench.load_baseline(str(path))
     assert document["runs"]["full"]["length"] == 60_000
+    # Deterministic formatting: indented, sorted keys, trailing newline.
+    expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_render_mentions_mode_and_speedups():

@@ -323,15 +323,17 @@ class TestTier0AdmissionCap:
     def test_cap_blocks_large_payloads_from_tier0_only(self, tmp_path):
         from repro.serve.cache import TieredCache, json_sizeof
 
-        cache = TieredCache()
+        from repro.lab.store import ResultStore
+
+        cache = TieredCache(ResultStore(root=tmp_path / "cache"))
         big = {"x": "y" * 4096}
         small = {"x": 1}
         cache.tier0_admit_bytes = 64
-        cache.store("a" * 64, big)
-        cache.store("b" * 64, small)
+        cache.admit("a" * 64, big)
+        cache.admit("b" * 64, small)
         assert cache.tier0.get("a" * 64) is None
         assert cache.tier0.get("b" * 64) == small
         assert json_sizeof(big) > 64 >= json_sizeof(small)
         cache.tier0_admit_bytes = None
-        cache.store("a" * 64, big)
+        cache.admit("a" * 64, big)
         assert cache.tier0.get("a" * 64) == big

@@ -1,73 +1,31 @@
-"""Unit tests for the tiered serve cache and its backends."""
-
-import json
+"""Unit tests for the serve cache: a tier-0 LRU over the result store."""
 
 from repro.lab.store import ResultStore
-from repro.serve.cache import (
-    DirectoryBackend,
-    StoreBackend,
-    TieredCache,
-    json_sizeof,
-)
+from repro.serve.cache import TieredCache, json_sizeof
 from repro.util.lru import LRUCache
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
 
 
-class TestDirectoryBackend:
-    def test_put_get_roundtrip(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "l2")
-        backend.put(KEY_A, {"x": 1})
-        assert backend.get(KEY_A) == {"x": 1}
-        assert backend.count() == 1
-
-    def test_miss(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "l2")
-        assert backend.get(KEY_A) is None
-        assert backend.stats()["misses"] == 1
-
-    def test_corrupt_object_is_quarantined_not_served(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "l2")
-        backend.put(KEY_A, {"x": 1})
-        path = backend._path(KEY_A)
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        obj["payload"] = {"x": 999}  # payload no longer matches sha256
-        path.write_text(json.dumps(obj), encoding="utf-8")
-        assert backend.get(KEY_A) is None
-        assert not path.exists()  # moved aside, never re-served
-        assert backend.count() == 0
-
-    def test_key_mismatch_rejected(self, tmp_path):
-        backend = DirectoryBackend(tmp_path / "l2")
-        source = backend._path(KEY_A)
-        backend.put(KEY_A, {"x": 1})
-        target = backend._path(KEY_B)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(source.read_bytes())
-        assert backend.get(KEY_B) is None
-
-
 class TestTieredCache:
     def _cache(self, tmp_path, items=8):
         store = ResultStore(root=tmp_path / "cache")
         return TieredCache(
-            LRUCache(items, max_bytes=1 << 20, sizeof=json_sizeof),
-            [StoreBackend(store), DirectoryBackend(tmp_path / "l2")],
+            store, LRUCache(items, max_bytes=1 << 20, sizeof=json_sizeof)
         ), store
 
     def test_miss_everywhere(self, tmp_path):
         cache, _ = self._cache(tmp_path)
         assert cache.lookup(KEY_A) == (None, None)
 
-    def test_write_through_and_tier0_hit(self, tmp_path):
+    def test_admit_fills_tier0_only(self, tmp_path):
         cache, store = self._cache(tmp_path)
-        cache.store(KEY_A, {"x": 1})
-        payload, tier = cache.lookup(KEY_A)
-        assert (payload, tier) == ({"x": 1}, "tier0")
-        # write-through reached both disk tiers
-        assert store.get(KEY_A) == {"x": 1}
-        assert cache.backends[1].get(KEY_A) == {"x": 1}
+        cache.admit(KEY_A, {"x": 1})
+        assert cache.lookup(KEY_A) == ({"x": 1}, "tier0")
+        # Persisting is the pool worker's job, never the cache's.
+        assert store.count() == 0
+        assert store.stats.puts == 0
 
     def test_store_tier_hit_promotes_to_tier0(self, tmp_path):
         cache, store = self._cache(tmp_path)
@@ -77,38 +35,25 @@ class TestTieredCache:
         payload, tier = cache.lookup(KEY_A)
         assert tier == "tier0"  # promoted
 
-    def test_dir_tier_backstops_a_lost_store_object(self, tmp_path):
+    def test_lost_store_object_is_a_miss(self, tmp_path):
         cache, store = self._cache(tmp_path)
-        cache.store(KEY_A, {"x": 3})
-        cache.tier0.clear()
-        store.gc(clear=True)  # primary store loses the object
-        payload, tier = cache.lookup(KEY_A)
-        assert (payload, tier) == ({"x": 3}, "dir")
+        store.put(KEY_A, {"x": 3})
+        store.gc(clear=True)
+        assert cache.lookup(KEY_A) == (None, None)
 
     def test_tier0_eviction_falls_back_to_disk(self, tmp_path):
-        cache, _ = self._cache(tmp_path, items=1)
-        cache.store(KEY_A, {"x": 1})
-        cache.store(KEY_B, {"x": 2})  # evicts KEY_A from tier0
+        cache, store = self._cache(tmp_path, items=1)
+        store.put(KEY_A, {"x": 1})
+        cache.admit(KEY_A, {"x": 1})
+        cache.admit(KEY_B, {"x": 2})  # evicts KEY_A from tier0
         payload, tier = cache.lookup(KEY_A)
         assert payload == {"x": 1}
         assert tier == "store"
 
-    def test_duplicate_tier_names_rejected(self, tmp_path):
-        import pytest
-
-        with pytest.raises(ValueError):
-            TieredCache(
-                LRUCache(4),
-                [
-                    DirectoryBackend(tmp_path / "a"),
-                    DirectoryBackend(tmp_path / "b"),
-                ],
-            )
-
     def test_stats_shape(self, tmp_path):
         cache, _ = self._cache(tmp_path)
-        cache.store(KEY_A, {"x": 1})
+        cache.admit(KEY_A, {"x": 1})
         cache.lookup(KEY_A)
         stats = cache.stats()
-        assert set(stats) == {"tier0", "store", "dir"}
+        assert set(stats) == {"tier0", "store"}
         assert stats["tier0"]["hits"] == 1

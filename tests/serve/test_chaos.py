@@ -254,6 +254,50 @@ class TestMultiWorkerShards:
             live.wait()
             shard.close()
 
+    def test_submit_survives_a_concurrent_restart(self, tmp_path):
+        """A recover() on another thread briefly leaves the shard with
+        no executor. A submit whose journal writes overlap that window
+        must wait for the fresh pool, not crash on the missing one."""
+        import threading
+
+        from repro.serve.shards import Shard
+
+        shard = Shard(
+            index=0, run_id="swap-unit", store_root=None,
+            runs_dir=tmp_path / "runs",
+            heartbeat_root=tmp_path / "hb",
+        )
+        spec = sim_job_from(dict(REQUEST))
+        journal_started = shard.journal.started
+        helpers = []
+
+        def restart_while_journaling(*args, **kwargs):
+            journal_started(*args, **kwargs)
+            swapped = threading.Event()
+
+            def restart():
+                with shard._lock:
+                    old, shard._executor = shard._executor, None
+                    swapped.set()
+                    time.sleep(0.3)  # hold the gap open
+                    old.shutdown(wait=True)
+                    shard._start_locked()
+
+            helper = threading.Thread(target=restart)
+            helper.start()
+            helpers.append(helper)
+            assert swapped.wait(10)
+
+        try:
+            shard.start()
+            shard.journal.started = restart_while_journaling
+            future = shard.submit(spec.key(), spec, dict(REQUEST))
+            assert future.result(timeout=120).ok
+        finally:
+            for helper in helpers:
+                helper.join(30)
+            shard.close()
+
     def test_single_worker_death_keeps_attribution_disjoint(
         self, tmp_path
     ):

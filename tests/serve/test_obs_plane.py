@@ -299,7 +299,7 @@ class TestByteIdentity:
                 first = run(svc.handle(dict(WORKLOAD)))
                 second = run(svc.handle(dict(WORKLOAD)))
                 assert first["ok"] and second["ok"]
-                assert first["meta"]["source"] in ("store", "dir")
+                assert first["meta"]["source"] == "store"
                 assert second["meta"]["source"] == "tier0"
                 spans = merge_span_snapshots([svc.spans.snapshot()])
                 return write_chrome_trace_spans(spans, out_path)

@@ -104,15 +104,26 @@ class TestCacheTiers:
         finally:
             fresh.close()
 
-    def test_dir_tier_survives_store_loss(self, service):
+    def test_store_loss_recomputes(self, service):
         cold = run(service.handle(dict(WORKLOAD)))
         key = cold["meta"]["key"]
         service.cache.tier0.clear()
         service.store.gc(clear=True)
-        warm = run(service.handle(dict(WORKLOAD)))
-        assert warm["ok"] and warm["meta"]["source"] == "dir"
-        assert warm["meta"]["key"] == key
-        assert counters(service)["serve.pool_executions_total"] == 1
+        again = run(service.handle(dict(WORKLOAD)))
+        assert again["ok"] and again["meta"]["source"] == "pool"
+        assert again["meta"]["key"] == key
+        assert counters(service)["serve.pool_executions_total"] == 2
+
+    def test_cold_miss_persists_exactly_once(self, service):
+        cold = run(service.handle(dict(WORKLOAD)))
+        assert cold["ok"] and cold["meta"]["source"] == "pool"
+        key = cold["meta"]["key"]
+        root = service.store.root
+        # The worker's put is the only write: one object, no mirror
+        # tier, and nothing stored from the service process.
+        assert len(list((root / "objects").rglob(f"{key}*"))) == 1
+        assert not (root / "serve" / "l2").exists()
+        assert service.store.stats.puts == 0
 
 
 class TestShardingAndOps:
@@ -147,7 +158,7 @@ class TestShardingAndOps:
     def test_status_and_ping_and_bad_request(self, service):
         assert run(service.handle({"op": "ping"}))["result"] == "pong"
         status = run(service.handle({"op": "status"}))["result"]
-        assert status["tiers"] == ["tier0", "store", "dir"]
+        assert status["tiers"] == ["tier0", "store"]
         assert len(status["shards"]) == 2
         bad = run(service.handle({"op": "simulate"}))  # no workload
         assert not bad["ok"]
