@@ -81,9 +81,9 @@ def decompose_contributors(
 ) -> ContributorBreakdown:
     """Attribute each misprediction's penalty to the five contributors.
 
-    ``max_events`` caps how many mispredictions are sliced (they are
-    sampled uniformly from the front of the run) to bound analysis time
-    on very long traces.
+    ``max_events`` caps how many mispredictions are sliced, to bound
+    analysis time on very long traces: the first ``max_events`` in
+    program order are taken, not a sample of the whole run.
     """
     if report is None:
         report = measure_penalties(result)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.isa.opcodes import OpClass
@@ -68,6 +69,89 @@ def full_latency(trace: Trace, fu_specs, config) -> LatencyFn:
     return latency
 
 
+#: Finish-time cells (window offsets x windows) one lockstep batch
+#: holds. Overlapping windows (``stride < window``) multiply the cells
+#: a trace needs, so the windows are taken in batches of this size.
+_BATCH_CELLS = 1 << 16
+
+
+def _latency_column(trace: Trace, latency_of: Optional[LatencyFn]):
+    """``latency_of(seq)`` for every record, evaluated once each."""
+    import numpy as np
+
+    n = len(trace.records)
+    if latency_of is None:
+        return np.ones(n, dtype=np.int64)
+    return np.asarray(list(map(latency_of, range(n))))
+
+
+def _dependence_columns(trace: Trace):
+    """Dependence distances as a ``(width, n)`` array: row ``j`` holds
+    each record's ``j``-th distance, 0 where it has fewer. Built once
+    from the trace's CSR (per-record counts + flat distances)."""
+    import numpy as np
+
+    deps = [record.deps for record in trace.records]
+    n = len(deps)
+    counts = np.fromiter(map(len, deps), np.int64, n)
+    total = int(counts.sum())
+    flat = np.fromiter(chain.from_iterable(deps), np.int64, total)
+    starts = np.cumsum(counts) - counts
+    width = int(counts.max(initial=0))
+    columns = np.zeros((width, n), dtype=np.int64)
+    for j in range(width):
+        has = counts > j
+        columns[j, has] = flat[starts[has] + j]
+    return columns
+
+
+def _window_criticality(deps, latency, window: int, stride: int) -> float:
+    """Mean critical path of the windows ``[s, s + window)``,
+    ``s = 0, stride, ...``, over prepared columns.
+
+    The windows are independent dataflow graphs, so all of them advance
+    together: step ``t`` finishes offset ``t`` of every window with one
+    gather per dependence slot. ``finish`` is laid out offset-major with
+    a leading row of zeros, which is what a producer outside the window
+    reads. Row ``t + 1`` starts at zero, like the scalar ``begin``, and
+    takes the running maximum; a padded slot (distance 0) reads that
+    row itself, which leaves the maximum unchanged.
+    """
+    import numpy as np
+
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    n = len(latency)
+    if not n:
+        return 0.0
+    size = min(window, n)
+    starts = np.arange(0, max(n - window + 1, 1), stride)
+    offsets = np.arange(size)[:, None]
+    maxima = []
+    per_batch = max(1, _BATCH_CELLS // size)
+    for first in range(0, len(starts), per_batch):
+        batch = starts[first:first + per_batch]
+        rows = len(batch)
+        seq = offsets + batch  # (size, rows): offset t of each window
+        lat = latency[seq]
+        column = np.arange(rows)
+        sources = [
+            np.maximum(offsets + 1 - dist[seq], 0) * rows + column
+            for dist in deps
+        ]
+        finish = np.zeros((size + 1, rows), dtype=latency.dtype)
+        cells = finish.reshape(-1)
+        for t in range(size):
+            begin = finish[t + 1]
+            for source in sources:
+                np.maximum(begin, cells[source[t]], out=begin)
+            begin += lat[t]
+        maxima.append(finish.max(axis=0))
+    # Summed in window order, as one running float total would be.
+    total = np.cumsum(np.concatenate(maxima), dtype=np.float64)[-1]
+    return float(total) / len(starts)
+
+
 def window_criticality(
     trace: Trace,
     window: int,
@@ -81,33 +165,12 @@ def window_criticality(
     before the window are treated as satisfied, exactly as a window
     full of post-miss instructions would see them.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if latency_of is None:
-        latency_of = unit_latency(trace)
-    records = trace.records
-    if not records:
-        return 0.0
-    stride = stride or window
-    total = 0.0
-    count = 0
-    for start in range(0, max(len(records) - window + 1, 1), stride):
-        stop = min(start + window, len(records))
-        finish = [0] * (stop - start)
-        longest = 0
-        for offset in range(stop - start):
-            seq = start + offset
-            begin = 0
-            for dist in records[seq].deps:
-                producer = seq - dist
-                if producer >= start:
-                    begin = max(begin, finish[producer - start])
-            done = begin + latency_of(seq)
-            finish[offset] = done
-            longest = max(longest, done)
-        total += longest
-        count += 1
-    return total / count
+    return _window_criticality(
+        _dependence_columns(trace),
+        _latency_column(trace, latency_of),
+        window,
+        stride or window,
+    )
 
 
 @dataclass(frozen=True)
@@ -160,10 +223,15 @@ def fit_ilp_profile(
     windows: Sequence[int] = DEFAULT_ILP_WINDOWS,
     latency_of: Optional[LatencyFn] = None,
 ) -> ILPFit:
-    """Measure K(w) over ``windows`` and fit the power law in log space."""
+    """Measure K(w) over ``windows`` and fit the power law in log space.
+
+    The latency and dependence columns are built once and shared by
+    every window size."""
     if len(windows) < 2:
         raise ValueError("need at least two window sizes to fit")
-    ks = [window_criticality(trace, w, latency_of) for w in windows]
+    deps = _dependence_columns(trace)
+    latency = _latency_column(trace, latency_of)
+    ks = [_window_criticality(deps, latency, w, w) for w in windows]
     xs = [math.log(w) for w in windows]
     ys = [math.log(max(k, 1e-9)) for k in ks]
     n = len(xs)

@@ -11,8 +11,8 @@ package is the performance layer on top of that representation:
   synthetic generation + packing happens once per (profile, seed,
   length), keyed with the lab store's hashing;
 * :mod:`repro.perf.kernels` — vectorized
-  :class:`~repro.trace.stream.TraceStatistics` and critical-path
-  evaluation over the packed columns;
+  :class:`~repro.trace.stream.TraceStatistics` and counter-table scans
+  over the packed columns;
 * :mod:`repro.perf.replay` — whole-branch-column predictor replay for
   the bimodal/gshare/local predictors, bit-identical to the scalar
   predictor classes;
@@ -41,7 +41,7 @@ from repro.perf.batchcore import (
 )
 from repro.perf.cache import PackedTraceCache, packed_trace_for
 from repro.perf.fast import VectorizedIntervalSimulator
-from repro.perf.kernels import packed_critical_path_length, packed_statistics
+from repro.perf.kernels import packed_statistics
 from repro.perf.packed import PackedTrace
 from repro.perf.replay import ReplayResult, replay
 
@@ -53,7 +53,6 @@ __all__ = [
     "TraceColumns",
     "VectorizedIntervalSimulator",
     "batch_supported",
-    "packed_critical_path_length",
     "packed_statistics",
     "packed_trace_for",
     "replay",

@@ -1,18 +1,11 @@
 """Vectorized trace kernels over :class:`PackedTrace` columns.
 
-Two families live here:
-
-* :func:`packed_statistics` — the columnar rewrite of
-  :meth:`Trace.statistics`, producing a value-identical
-  :class:`~repro.trace.stream.TraceStatistics` (counts and ratios come
-  out of the same integer arithmetic, so even the floats match
-  exactly);
-* :func:`packed_critical_path_length` / :func:`packed_dataflow_ipc` —
-  the dataflow-limit measures. The longest-path recurrence is a serial
-  scan by construction (a chain of distance-1 dependences admits no
-  parallel evaluation), so the win here comes from evaluating it over
-  flat CSR integer arrays with a precomputed per-class latency table
-  instead of per-record attribute walks and latency callbacks.
+:func:`packed_statistics` is the columnar rewrite of
+:meth:`Trace.statistics`, producing a value-identical
+:class:`~repro.trace.stream.TraceStatistics` (counts and ratios come
+out of the same integer arithmetic, so even the floats match exactly).
+:func:`counter_table_scan` replays tables of saturating counters over
+whole columns.
 
 Shared helpers used by the predictor replay and fast-sim modules —
 per-record latency columns and the op-class lookup tables — also live
@@ -116,54 +109,6 @@ def packed_statistics(packed: PackedTrace) -> TraceStatistics:
         mean_dependence_distance=dep_hist.mean,
         dependence_histogram=dep_hist,
     )
-
-
-def packed_critical_path_length(
-    packed: PackedTrace, latency_of=None
-) -> int:
-    """Dataflow critical path of the whole packed trace, in cycles.
-
-    Same contract as :meth:`Trace.critical_path_length`. The recurrence
-    ``finish[i] = latency[i] + max(finish[i - d])`` is evaluated over
-    flat CSR lists: no record objects, no attribute lookups, and the
-    latency callback collapses to an 11-entry table evaluated once.
-    """
-    n = len(packed)
-    if not n:
-        return 0
-    if latency_of is None:
-        lat_table = np.ones(len(OP_CLASSES), dtype=np.int64)
-    else:
-        lat_table = op_class_table(latency_of)
-    lat = lat_table[packed.op].tolist()
-    indptr = packed.dep_indptr.tolist()
-    dep = packed.dep_data.tolist()
-    finish = [0] * n
-    longest = 0
-    for i in range(n):
-        start = 0
-        for k in range(indptr[i], indptr[i + 1]):
-            producer = i - dep[k]
-            if producer >= 0:
-                done = finish[producer]
-                if done > start:
-                    start = done
-        done = start + lat[i]
-        finish[i] = done
-        if done > longest:
-            longest = done
-    return longest
-
-
-def packed_dataflow_ipc(
-    packed: PackedTrace, latency_of=None
-) -> float:
-    """Instructions per cycle at the dataflow limit (infinite window)."""
-    n = len(packed)
-    if not n:
-        return 0.0
-    length = packed_critical_path_length(packed, latency_of)
-    return n / length if length else float(n)
 
 
 def counter_table_scan(

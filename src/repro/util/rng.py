@@ -9,6 +9,11 @@ traces, identical miss events, and therefore identical measurements.
 convenient ``split`` operation for deriving independent child streams.
 We use it rather than ``random.Random`` where we want a stable algorithm
 that cannot change across Python versions.
+
+SplitMix64 is counter-based: the ``k``-th output (from 1) of a stream
+whose state is ``s`` is ``_mix(s + k * GOLDEN)``. That is what lets
+:meth:`SplitMix.next_u64_array` compute a block of draws in NumPy
+``uint64`` arithmetic, bit-identical to the scalar draws.
 """
 
 from __future__ import annotations
@@ -59,6 +64,15 @@ def jittered_backoff_s(base_s: float, attempt: int, *labels: object) -> float:
     return base_s * (2 ** max(0, attempt)) * (0.5 + rng.random())
 
 
+def unit_floats(raw):
+    """Map a ``uint64`` array of raw outputs into [0, 1) exactly as
+    :meth:`SplitMix.random` maps one output (the top 53 bits, scaled by
+    a power of two, so the float arithmetic is exact)."""
+    import numpy as np
+
+    return (raw >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+
+
 class SplitMix:
     """SplitMix64 pseudo-random generator.
 
@@ -74,6 +88,24 @@ class SplitMix:
         """Return the next raw 64-bit output."""
         self._state = (self._state + _GOLDEN) & _MASK64
         return _mix(self._state)
+
+    def next_u64_array(self, count: int):
+        """Return the next ``count`` raw outputs as a NumPy ``uint64``
+        array, advancing the state exactly as ``count`` calls of
+        :meth:`next_u64` would. ``uint64`` arithmetic wraps mod 2**64,
+        which is the ``& _MASK64`` of the scalar path."""
+        import numpy as np
+
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(self._state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GOLDEN) & _MASK64
+        return z
 
     def split(self, *labels: object) -> "SplitMix":
         """Return an independent child generator derived from labels."""

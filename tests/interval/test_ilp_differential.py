@@ -1,0 +1,110 @@
+"""The lockstep ILP window fit against the scalar oracle, exactly.
+
+``window_criticality`` advances all windows of one size together;
+``scalar_ilp`` walks them one record at a time. The returned floats must
+be equal (``==``), not merely close.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.harness.runner import workload_trace
+from repro.interval.ilp import (
+    fit_ilp_profile,
+    full_latency,
+    window_criticality,
+)
+from repro.interval.model import IntervalModel
+from repro.isa.opcodes import OpClass
+from repro.pipeline.config import CoreConfig
+from repro.trace.record import TraceRecord
+from repro.trace.stream import Trace
+
+from tests.interval.scalar_ilp import (
+    scalar_fit_ilp_profile,
+    scalar_window_criticality,
+)
+
+
+@st.composite
+def traces(draw, max_size=120):
+    """Traces whose distances may reach before record 0 and before the
+    window, with up to three dependences per record."""
+    deps = draw(
+        st.lists(
+            st.lists(st.integers(1, 40), max_size=3).map(tuple),
+            max_size=max_size,
+        )
+    )
+    return Trace([TraceRecord(OpClass.IALU, deps=d) for d in deps])
+
+
+class TestWindowCriticality:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        trace=traces(),
+        window=st.integers(1, 150),
+        stride=st.one_of(st.none(), st.integers(1, 160)),
+        latencies=st.lists(st.integers(-3, 20), min_size=120, max_size=120),
+    )
+    def test_matches_scalar(self, trace, window, stride, latencies):
+        latency_of = latencies.__getitem__
+        assert window_criticality(
+            trace, window, latency_of, stride
+        ) == scalar_window_criticality(trace, window, latency_of, stride)
+        assert window_criticality(
+            trace, window, stride=stride
+        ) == scalar_window_criticality(trace, window, stride=stride)
+
+    def test_window_larger_than_trace(self):
+        trace = Trace(
+            [TraceRecord(OpClass.IALU, deps=(1,) if i else ()) for i in range(10)]
+        )
+        assert window_criticality(trace, 64) == scalar_window_criticality(
+            trace, 64
+        ) == 10.0
+
+    def test_empty_trace(self):
+        assert window_criticality(Trace(), 8) == 0.0
+        assert window_criticality(Trace(), 8, stride=3) == 0.0
+
+    def test_overlapping_windows(self, small_trace):
+        for window, stride in ((16, 1), (64, 5), (200, 199)):
+            assert window_criticality(
+                small_trace, window, stride=stride
+            ) == scalar_window_criticality(small_trace, window, stride=stride)
+
+    def test_fractional_latencies_sum_in_window_order(self, small_trace):
+        latency_of = lambda seq: 0.1 * (seq % 7) + 0.3  # noqa: E731
+        for window in (8, 256):
+            assert window_criticality(
+                small_trace, window, latency_of
+            ) == scalar_window_criticality(small_trace, window, latency_of)
+
+    def test_custom_latency_on_real_trace(self, small_trace):
+        config = CoreConfig()
+        latency_of = full_latency(small_trace, config.fu_specs, config)
+        for window in (8, 32, 256):
+            assert window_criticality(
+                small_trace, window, latency_of
+            ) == scalar_window_criticality(small_trace, window, latency_of)
+
+
+class TestFit:
+    @pytest.mark.parametrize("name", ["gcc", "mcf"])
+    def test_suite_fit_is_exact(self, name):
+        trace = workload_trace(name)
+        latency_of = IntervalModel(CoreConfig())._steady_latency(trace)
+        for latency in (None, latency_of):
+            got = fit_ilp_profile(trace, latency_of=latency)
+            want = scalar_fit_ilp_profile(trace, latency_of=latency)
+            assert got.criticality == want.criticality
+            assert got == want
+
+    def test_empty_trace_fit(self):
+        assert fit_ilp_profile(Trace()) == scalar_fit_ilp_profile(Trace())
+
+    def test_bad_window_raises(self, small_trace):
+        with pytest.raises(ValueError):
+            fit_ilp_profile(small_trace, windows=(8, 0))

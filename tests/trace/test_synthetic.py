@@ -8,7 +8,7 @@ import pytest
 
 from repro.isa.opcodes import OpClass
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.synthetic import SyntheticTraceGenerator, generate_trace
+from repro.trace.synthetic import generate_trace
 
 N = 30_000
 
@@ -34,13 +34,6 @@ class TestDeterminism:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             generate_trace(WorkloadProfile(), -1)
-
-    def test_incremental_matches_batch(self):
-        profile = WorkloadProfile()
-        gen = SyntheticTraceGenerator(profile, seed=3)
-        incremental = [gen.generate_record() for _ in range(500)]
-        batch = generate_trace(profile, 500, seed=3)
-        assert incremental == batch.records
 
 
 class TestStatisticsMatchProfile:

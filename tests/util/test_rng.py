@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.rng import SplitMix, derive_seed
+from repro.util.rng import SplitMix, derive_seed, unit_floats
 
 
 class TestSplitMix:
@@ -125,6 +125,18 @@ class TestSplitMix:
             SplitMix(41).split("x").next_u64()
             == SplitMix(41).split("x").next_u64()
         )
+
+    @pytest.mark.parametrize("seed", [0, 43, (1 << 64) - 1, 0x9E3779B97F4A7C15])
+    def test_array_draws_equal_scalar_draws(self, seed):
+        # The state wraps mod 2**64 inside the block for the large seeds.
+        block, scalar = SplitMix(seed), SplitMix(seed)
+        raw = block.next_u64_array(300)
+        assert raw.tolist() == [scalar.next_u64() for _ in range(300)]
+        assert unit_floats(block.next_u64_array(50)).tolist() == [
+            scalar.random() for _ in range(50)
+        ]
+        assert block.next_u64_array(0).tolist() == []
+        assert block.next_u64() == scalar.next_u64()
 
 
 class TestDeriveSeed:
