@@ -17,6 +17,7 @@ from repro.harness.runner import (
     DEFAULT_SEED,
     baseline_config,
     simulate_workload,
+    simulate_workload_batch,
     workload_trace,
 )
 from repro.interval.contributors import decompose_contributors
@@ -38,6 +39,40 @@ from repro.workloads.spec_profiles import SPEC_PROFILES
 SUITE = list(SPEC_PROFILES)
 _SWEEP_LENGTH = 40_000
 _SLICE_CAP = 120  # mispredictions sliced per workload in decompositions
+
+
+def _simulate_trace(trace, config):
+    """One detailed-core run of a trace outside the suite's cache.
+
+    Runs on the batched core, which falls back to the scalar oracle on
+    its own; callers that need an annotator use ``simulate``.
+    """
+    from repro.perf.batchcore import run_batch
+
+    return run_batch(trace, [config])[0]
+
+
+def _sweep_means(names, configs) -> List[List[float]]:
+    """Per config, the mean resolution, penalty and IPC over ``names``.
+
+    Each workload runs every config in one batched call. The sums run
+    over ``names`` in order, so the rows do not depend on that grouping.
+    """
+    per_name = [
+        simulate_workload_batch(name, configs, length=_SWEEP_LENGTH)
+        for name in names
+    ]
+    means = []
+    for index in range(len(configs)):
+        totals = [0.0, 0.0, 0.0]
+        for results in per_name:
+            result = results[index]
+            report = measure_penalties(result)
+            totals[0] += report.mean_resolution
+            totals[1] += report.mean_penalty
+            totals[2] += result.ipc
+        means.append([total / len(names) for total in totals])
+    return means
 
 
 def run_t1() -> ExperimentResult:
@@ -264,7 +299,7 @@ def run_f6() -> ExperimentResult:
         trace = generate_trace(
             profile, _SWEEP_LENGTH, seed=derive_seed(DEFAULT_SEED, "f6", distance)
         )
-        result = simulate(trace, baseline_config())
+        result = _simulate_trace(trace, baseline_config())
         report = measure_penalties(result)
         rows.append(
             [
@@ -296,19 +331,13 @@ def run_f6() -> ExperimentResult:
 
 def run_f7() -> ExperimentResult:
     """F7: penalty vs functional-unit latency scaling (C4)."""
-    rows = []
-    for factor in (1.0, 1.5, 2.0, 3.0, 4.0):
-        config = baseline_config().with_scaled_fu_latencies(factor)
-        totals = [0.0, 0.0, 0.0]
-        for name in ("parser", "twolf", "crafty"):
-            result = simulate_workload(name, config=config, length=_SWEEP_LENGTH)
-            report = measure_penalties(result)
-            totals[0] += report.mean_resolution
-            totals[1] += report.mean_penalty
-            totals[2] += result.ipc
-        rows.append(
-            [factor, totals[0] / 3, totals[1] / 3, totals[2] / 3]
-        )
+    factors = (1.0, 1.5, 2.0, 3.0, 4.0)
+    configs = [
+        baseline_config().with_scaled_fu_latencies(factor)
+        for factor in factors
+    ]
+    means = _sweep_means(("parser", "twolf", "crafty"), configs)
+    rows = [[factor, *mean] for factor, mean in zip(factors, means)]
     return ExperimentResult(
         experiment_id="f7",
         title="Penalty vs functional-unit latency (C4)",
@@ -335,7 +364,7 @@ def run_f8() -> ExperimentResult:
                 _SWEEP_LENGTH,
                 seed=derive_seed(DEFAULT_SEED, "f8", rate, rep),
             )
-            result = simulate(trace, baseline_config())
+            result = _simulate_trace(trace, baseline_config())
             report = measure_penalties(result)
             resolution += report.mean_resolution
             penalty += report.mean_penalty
@@ -358,18 +387,10 @@ def run_f8() -> ExperimentResult:
 
 def run_f9() -> ExperimentResult:
     """F9: penalty vs window (ROB) size."""
-    rows = []
-    for rob in (32, 64, 128, 256):
-        config = baseline_config().with_overrides(rob_size=rob)
-        totals = [0.0, 0.0, 0.0]
-        names = ("parser", "twolf", "bzip2")
-        for name in names:
-            result = simulate_workload(name, config=config, length=_SWEEP_LENGTH)
-            report = measure_penalties(result)
-            totals[0] += report.mean_resolution
-            totals[1] += report.mean_penalty
-            totals[2] += result.ipc
-        rows.append([rob, totals[0] / 3, totals[1] / 3, totals[2] / 3])
+    robs = (32, 64, 128, 256)
+    configs = [baseline_config().with_overrides(rob_size=rob) for rob in robs]
+    means = _sweep_means(("parser", "twolf", "bzip2"), configs)
+    rows = [[rob, *mean] for rob, mean in zip(robs, means)]
     return ExperimentResult(
         experiment_id="f9",
         title="Penalty vs window (ROB) size",
@@ -833,20 +854,15 @@ def run_f19() -> ExperimentResult:
     than raw IPC — another instance of the paper's theme that the
     penalty is set by the program's chains, not by one machine knob.
     """
-    rows = []
-    for width in (1, 2, 4, 8):
-        config = baseline_config().with_overrides(
+    widths = (1, 2, 4, 8)
+    configs = [
+        baseline_config().with_overrides(
             dispatch_width=width, issue_width=width, commit_width=width
         )
-        totals = [0.0, 0.0, 0.0]
-        names = ("parser", "twolf", "gzip")
-        for name in names:
-            result = simulate_workload(name, config=config, length=_SWEEP_LENGTH)
-            report = measure_penalties(result)
-            totals[0] += report.mean_resolution
-            totals[1] += report.mean_penalty
-            totals[2] += result.ipc
-        rows.append([width, totals[0] / 3, totals[1] / 3, totals[2] / 3])
+        for width in widths
+    ]
+    means = _sweep_means(("parser", "twolf", "gzip"), configs)
+    rows = [[width, *mean] for width, mean in zip(widths, means)]
     return ExperimentResult(
         experiment_id="f19",
         title="Penalty vs machine width",
@@ -927,7 +943,7 @@ def run_f21() -> ExperimentResult:
             profile, _SWEEP_LENGTH, seed=derive_seed(DEFAULT_SEED, "f21",
                                                      profile.name)
         )
-        result = simulate(trace, config)
+        result = _simulate_trace(trace, config)
         return measure_penalties(result).mean_penalty
 
     knobs = [

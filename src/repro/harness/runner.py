@@ -11,6 +11,17 @@ caching keep the table/figure suite fast:
   reuse simulations across processes. Set ``REPRO_NO_CACHE=1`` to
   disable it, ``REPRO_CACHE_DIR`` to relocate it.
 
+Every miss runs on the structure-of-arrays detailed core
+(:func:`repro.perf.batchcore.run_batch`), which is field-exact against
+:class:`~repro.pipeline.core.SuperscalarCore`. The scalar core stays
+the oracle: ``run_batch`` hands it the configs the kernel does not
+model (wrong-path dispatch, random issue) and every run under an
+ambient tracer, metrics registry, profiler or sanitizer.
+:func:`simulate_workload` is the one-config case of
+:func:`simulate_workload_batch`, so there is one lookup-and-persist
+path. A sweep passes all its configs for a workload in one call, so
+the trace's columns are built once for them.
+
 Simulation keys come from the lab's canonical config digest
 (:func:`repro.lab.store.config_digest`), so a key can never collide
 between differing configurations nor depend on field order. Traces are
@@ -32,7 +43,10 @@ from repro.lab.store import (
     job_key,
 )
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import simulate
+# Not called here since harness misses run on the batched core; kept as
+# a module attribute because bench/figure_round.py wraps
+# ``runner.simulate`` for its detailed-core span.
+from repro.pipeline.core import simulate  # noqa: F401
 from repro.pipeline.result import SimulationResult
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
@@ -96,55 +110,24 @@ def simulate_workload(
     length: int = DEFAULT_LENGTH,
     seed: int = DEFAULT_SEED,
 ) -> SimulationResult:
-    """Simulate one suite workload under ``config`` (cached).
-
-    Lookup order: in-process LRU, then the persistent store, then a
-    real simulation (which populates both layers).
-    """
-    if config is None:
-        config = baseline_config()
-    key = (name, length, seed, _config_key(config))
-    result = _sim_cache.get(key)
-    if result is not None:
-        return result
-
-    store = _persistent_store()
-    persist_key = job_key("sim-ooo", name, length, seed, config)
-    if store is not None:
-        payload = store.get(persist_key)
-        if payload is not None:
-            result = result_from_payload(payload)
-            _sim_cache[key] = result
-            return result
-
-    result = simulate(workload_trace(name, length, seed), config)
-    _sim_cache[key] = result
-    if store is not None:
-        store.put(
-            persist_key,
-            result_to_payload(result),
-            meta={"workload": name, "length": length, "seed": seed},
-        )
-    return result
+    """Simulate one suite workload under ``config`` (cached); see
+    :func:`simulate_workload_batch`."""
+    return simulate_workload_batch(name, [config], length, seed)[0]
 
 
 def simulate_workload_batch(
     name: str,
-    configs: "Sequence[CoreConfig]",
+    configs: "Sequence[Optional[CoreConfig]]",
     length: int = DEFAULT_LENGTH,
     seed: int = DEFAULT_SEED,
 ) -> "List[SimulationResult]":
-    """Simulate one workload under N configs via the lockstep batch core.
+    """Simulate one workload under each of ``configs``, in order (cached).
 
-    Results are field-exact equal to :func:`simulate_workload` per
-    config (the batched kernel is bit-exact against the scalar oracle,
-    and unsupported configs fall back to it), so both paths share the
-    same ``sim-ooo`` cache entries: points already simulated scalar are
-    served from cache, only the missing subset runs batched, and every
-    batched result is stored where a later scalar call will find it.
+    A ``None`` config means the baseline. Lookup order per config:
+    in-process LRU, then the persistent store; the configs found in
+    neither run together in one :func:`repro.perf.batchcore.run_batch`
+    call over the shared trace, and populate both layers.
     """
-    from repro.perf.batchcore import run_batch
-
     configs = [
         baseline_config() if config is None else config for config in configs
     ]
@@ -167,6 +150,8 @@ def simulate_workload_batch(
         missing.append(index)
 
     if missing:
+        from repro.perf.batchcore import run_batch
+
         trace = workload_trace(name, length, seed)
         fresh = run_batch(trace, [configs[i] for i in missing])
         for index, result in zip(missing, fresh):
@@ -179,7 +164,12 @@ def simulate_workload_batch(
                     result_to_payload(result),
                     meta={"workload": name, "length": length, "seed": seed},
                 )
-    return [result for result in results if result is not None]
+    unfilled = [i for i, result in enumerate(results) if result is None]
+    if unfilled:
+        raise RuntimeError(
+            f"{name}: no result for config index(es) {unfilled}"
+        )
+    return results  # type: ignore[return-value]
 
 
 def cache_stats() -> Dict[str, Dict[str, int]]:

@@ -34,6 +34,7 @@ machinery, in three layers:
 
 from __future__ import annotations
 
+import weakref
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -88,11 +89,12 @@ def _observability_active() -> bool:
 class TraceColumns:
     """Config-independent columns of one trace, shared across a batch.
 
-    Builds once per trace from its :class:`PackedTrace` form: op codes,
-    the oracle miss flags, the D-cache miss-class code per record, and
-    the dependence CSR rewritten from *distances* to absolute *producer
-    indices* (negative producers — before the trace start — already
-    filtered out).
+    Built from the trace's :class:`PackedTrace` form by the
+    :class:`BatchedSuperscalarCore` that runs it, which keeps only its
+    last trace's columns: op codes, the oracle miss flags, the D-cache
+    miss-class code per record, and the dependence CSR rewritten from
+    *distances* to absolute *producer indices* (negative producers —
+    before the trace start — already filtered out).
     """
 
     __slots__ = (
@@ -107,6 +109,7 @@ class TraceColumns:
         "prod_indptr",
         "prod_data",
         "prod_lists",
+        "__weakref__",
     )
 
     def __init__(
@@ -140,26 +143,6 @@ class TraceColumns:
             tuple(prod_data[prod_indptr[i]:prod_indptr[i + 1]])
             for i in range(n)
         ]
-
-    #: Bounded (packed-trace -> columns) memo. Keyed by object identity
-    #: — ``Trace.pack`` memoizes the packed form with invalidation on
-    #: mutation, so identity is a correct proxy for content here. The
-    #: values hold strong references to their keys, which both bounds
-    #: the memo and keeps the ids stable while entries live.
-    _memo: "Dict[int, Tuple[PackedTrace, TraceColumns]]" = {}
-    _MEMO_LIMIT = 4
-
-    @classmethod
-    def build(cls, trace: Trace) -> "TraceColumns":
-        packed = trace.pack()
-        entry = cls._memo.get(id(packed))
-        if entry is not None and entry[0] is packed:
-            return entry[1]
-        cols = cls.from_packed(packed)
-        if len(cls._memo) >= cls._MEMO_LIMIT:
-            cls._memo.pop(next(iter(cls._memo)))
-        cls._memo[id(packed)] = (packed, cols)
-        return cols
 
     @classmethod
     def from_packed(cls, packed: PackedTrace) -> "TraceColumns":
@@ -265,10 +248,7 @@ class BatchPlan:
     """Divergence bookkeeping for one batch of configs.
 
     Derived columns are deduplicated by group key; two configs in the
-    same cache group share the *same* column lists (tested by identity).
-    :meth:`divergence_mask` exposes, per config, a boolean column
-    marking where its latency columns differ from config 0's — the
-    positions where lockstep points actually diverge.
+    same cache group share the *same* column lists.
     """
 
     def __init__(self, cols: TraceColumns, configs: Sequence[CoreConfig]):
@@ -294,14 +274,6 @@ class BatchPlan:
                     cols, self._cache_groups[ckey], self._fu_groups[fkey]
                 )
 
-    @property
-    def cache_group_count(self) -> int:
-        return len(self._cache_groups)
-
-    @property
-    def fu_group_count(self) -> int:
-        return len(self._fu_groups)
-
     def cache_columns(self, index: int) -> _CacheColumns:
         return self._cache_groups[self.cache_group_of[index]]
 
@@ -312,16 +284,6 @@ class BatchPlan:
         return self._lat_groups[
             (self.cache_group_of[index], self.fu_group_of[index])
         ]
-
-    def divergence_mask(self, index: int) -> np.ndarray:
-        """Where config ``index``'s latency columns differ from config 0's."""
-        base = self.cache_columns(0)
-        mine = self.cache_columns(index)
-        if mine is base:
-            return np.zeros(self.cols.n, dtype=bool)
-        return (
-            np.asarray(mine.exec_extra) != np.asarray(base.exec_extra)
-        ) | (np.asarray(mine.icache_lat) != np.asarray(base.icache_lat))
 
 
 class KernelOutput:
@@ -403,7 +365,12 @@ def _simulate_columns(
     waiters: List[Optional[List[int]]] = [None] * n
     icache_done = bytearray(n)
     dispatch_of = [0] * n
+    issue_of = [0] * n
     commit_cycle = [0] * n if record_timeline else None
+    # Every cycle the loop acts on, as the very int object the timeline
+    # columns store for it (see the interning at the end).
+    acted: List[int] = []
+    acted_append = acted.append
 
     # Cycle-bucketed ready queue: the bucket dict maps a cycle to the
     # seqs that become ready then; the key heap holds each *distinct*
@@ -437,6 +404,7 @@ def _simulate_columns(
 
     while rob_head < n:
         nxt = cycle + 1
+        acted_append(cycle)
 
         # --- drain the next-cycle ready bucket ---------------------------
         # Entries were filed at some earlier cycle c with key c+1 <= the
@@ -569,6 +537,7 @@ def _simulate_columns(
                     deferred.append(seq)
                     continue
             issued += 1
+            issue_of[seq] = cycle
             done = cycle + lat_total[seq]
             comp[seq] = done
             w = waiters[seq]
@@ -656,13 +625,17 @@ def _simulate_columns(
     fu_issued = np.bincount(
         cols.op_np, minlength=len(fu.count)
     ).tolist()
-    # Same reasoning collapses three of the four timeline columns:
-    # dispatch_of *is* the dispatch timeline, `comp` *is* the
-    # completion timeline, and issue = completion - execute latency.
+    # The timeline columns are the kernel's own state: dispatch, issue
+    # and commit hold the `cycle` object of the iteration that acted,
+    # so equal cycles already share one int object. Completion sums
+    # mint one object per instruction; interning them through the
+    # acted-cycle objects makes every value in the four columns one
+    # object, which roughly halves what a cached result holds.
     if record_timeline:
         dispatch_cycle = dispatch_of
-        complete_cycle = comp
-        issue_cycle = np.subtract(comp, lat_total).tolist()
+        issue_cycle = issue_of
+        intern = dict(zip(acted, acted)).setdefault
+        complete_cycle = list(map(intern, comp, comp))
     else:
         dispatch_cycle = issue_cycle = complete_cycle = None
     return KernelOutput(
@@ -712,13 +685,19 @@ class BatchedSuperscalarCore:
 
     def __init__(self, configs: Sequence[CoreConfig]):
         self.configs = list(configs)
-        self._plan: Optional[BatchPlan] = None
+        # The last trace's plan (and so its columns), keyed on that
+        # trace, held weakly, and its mutation version: a core reused
+        # over one trace stays warm, and a discarded core frees them.
+        self._last: Optional[Tuple[weakref.ref, int, BatchPlan]] = None
 
-    def _plan_for(self, cols: TraceColumns) -> BatchPlan:
-        plan = self._plan
-        if plan is None or plan.cols is not cols:
-            plan = BatchPlan(cols, self.configs)
-            self._plan = plan
+    def _plan_for(self, trace: Trace) -> BatchPlan:
+        last = self._last
+        if last is not None:
+            ref, version, plan = last
+            if ref() is trace and version == trace.version:
+                return plan
+        plan = BatchPlan(TraceColumns.from_packed(trace.pack()), self.configs)
+        self._last = (weakref.ref(trace), trace.version, plan)
         return plan
 
     def run(self, trace: Trace) -> List[SimulationResult]:
@@ -738,7 +717,7 @@ class BatchedSuperscalarCore:
                 results[index] = SuperscalarCore(config).run(trace)
                 continue
             if plan is None:
-                plan = self._plan_for(TraceColumns.build(trace))
+                plan = self._plan_for(trace)
             output = _simulate_columns(
                 plan.cols,
                 plan.cache_columns(index),

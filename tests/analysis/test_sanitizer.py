@@ -35,7 +35,9 @@ def test_env_var_enables(monkeypatch):
 
 
 def test_enable_exports_to_environment(monkeypatch):
-    monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
+    # setenv, not delenv: monkeypatch then restores the variable's
+    # absence, so enable()'s export does not leak into later tests.
+    monkeypatch.setenv(sanitizer.ENV_VAR, "0")
     sanitizer.enable()
     import os
 

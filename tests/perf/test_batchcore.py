@@ -8,10 +8,14 @@ contract is bit-exactness against :class:`SuperscalarCore`.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import sanitizer
 from repro.perf.batchcore import (
     BatchedSuperscalarCore,
     TraceColumns,
@@ -142,10 +146,62 @@ class TestOracleEquality:
         )
 
 
+@pytest.fixture
+def kernel_path(monkeypatch):
+    """No ambient sanitizer, so supported configs run on the kernel."""
+    monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
+    sanitizer.reset()
+    yield
+    sanitizer.reset()
+
+
 class TestTraceColumns:
-    def test_build_is_memoized_per_trace(self):
+    def test_columns_are_cached_per_core_instance(self):
         trace = generate_trace(profile(), 200, seed=41)
-        assert TraceColumns.build(trace) is TraceColumns.build(trace)
+        core = BatchedSuperscalarCore([CoreConfig()])
+        cols = core._plan_for(trace).cols
+        assert core._plan_for(trace).cols is cols
+        other = BatchedSuperscalarCore([CoreConfig()])
+        assert other._plan_for(trace).cols is not cols
+        trace.extend(generate_trace(profile(), 10, seed=43).records)
+        rebuilt = core._plan_for(trace).cols
+        assert rebuilt is not cols
+        assert rebuilt.n == len(trace)
+
+    def test_finished_run_batch_frees_the_columns(
+        self, monkeypatch, kernel_path
+    ):
+        built = []
+        from_packed = TraceColumns.from_packed
+
+        def recording(packed):
+            cols = from_packed(packed)
+            built.append(weakref.ref(cols))
+            return cols
+
+        monkeypatch.setattr(TraceColumns, "from_packed", recording)
+        trace = generate_trace(profile(), 300, seed=47)
+        results = run_batch(trace, [CoreConfig(), CoreConfig(rob_size=32)])
+        gc.collect()
+        assert len(built) == 1
+        assert built[0]() is None
+        assert len(results) == 2
+
+
+class TestResultMemory:
+    def test_timeline_columns_share_one_object_per_value(self, kernel_path):
+        trace = generate_trace(profile(), 2000, seed=53)
+        [result] = run_batch(trace, [CoreConfig()])
+        columns = (
+            result.dispatch_cycle,
+            result.issue_cycle,
+            result.complete_cycle,
+            result.commit_cycle,
+        )
+        objects = {id(value) for column in columns for value in column}
+        values = {value for column in columns for value in column}
+        assert max(values) > 256  # beyond CPython's small-int cache
+        assert len(objects) == len(values)
 
 
 CONFIG_STRATEGY = st.builds(
