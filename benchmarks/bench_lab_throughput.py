@@ -90,8 +90,8 @@ class TestWarmCacheSpeedup:
 
 class TestFaultPointOverhead:
     #: Generous upper bound on fault points crossed per job: one
-    #: store.read, one store.write, one job.execute, two cache.npz,
-    #: padded 20x for headroom.
+    #: store.read, one store.write and one job.execute, padded over 30x
+    #: for headroom.
     POINTS_PER_JOB = 100
     BUDGET = 0.01
 

@@ -76,35 +76,3 @@ def test_throughput_pack(benchmark, trace):
     )
     assert len(packed) == N
 
-
-def test_throughput_vectorized_fast_sim(benchmark, trace, config):
-    from repro.perf.fast import VectorizedIntervalSimulator
-
-    estimator = VectorizedIntervalSimulator(config)
-    packed = trace.pack()
-    estimate = benchmark.pedantic(
-        lambda: estimator.estimate(packed), rounds=3, iterations=1
-    )
-    assert estimate.instructions == N
-
-
-def test_throughput_vectorized_replay(benchmark, trace):
-    from repro.perf.replay import replay
-
-    packed = trace.pack()
-    result = benchmark.pedantic(
-        lambda: replay(packed, "gshare"), rounds=3, iterations=1
-    )
-    assert result.branch_count == sum(
-        1 for r in trace.records if r.is_branch
-    )
-
-
-def test_throughput_vectorized_statistics(benchmark, trace):
-    from repro.perf.kernels import packed_statistics
-
-    packed = trace.pack()
-    stats = benchmark.pedantic(
-        lambda: packed_statistics(packed), rounds=3, iterations=1
-    )
-    assert stats.instruction_count == N

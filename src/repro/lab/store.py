@@ -96,8 +96,7 @@ def payload_digest(payload: Any) -> str:
     """SHA-256 of a JSON-serializable payload's canonical encoding.
 
     The one hashing primitive every content address in the repo is
-    built from; ``repro.perf.cache`` reuses it so compiled-trace keys
-    and result-store keys come out of the same canonical form.
+    built from, so every key comes out of the same canonical form.
     """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

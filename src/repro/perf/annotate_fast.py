@@ -24,20 +24,19 @@ import numpy as np
 
 from repro.memory.hierarchy import MissClass
 from repro.perf.packed import (
-    BRANCH_CODE,
-    JUMP_CODE,
-    LOAD_CODE,
-    STORE_CODE,
+    DCODE_L1_HIT,
+    DCODE_LONG,
+    DCODE_SHORT,
+    oracle_miss_columns,
 )
 from repro.pipeline.annotate import Annotation
 from repro.pipeline.config import CoreConfig
 from repro.trace.stream import Trace
 
-_DCODE_NONE, _DCODE_L1_HIT, _DCODE_SHORT, _DCODE_LONG = 0, 1, 2, 3
 _DCODE_CLASS = {
-    _DCODE_L1_HIT: MissClass.L1_HIT,
-    _DCODE_SHORT: MissClass.SHORT,
-    _DCODE_LONG: MissClass.LONG,
+    DCODE_L1_HIT: MissClass.L1_HIT,
+    DCODE_SHORT: MissClass.SHORT,
+    DCODE_LONG: MissClass.LONG,
 }
 
 
@@ -72,21 +71,7 @@ def oracle_annotations(trace: Trace, config: CoreConfig) -> List[Annotation]:
     Equal, record for record, to calling
     ``OracleAnnotator(config).annotate`` on each record.
     """
-    packed = trace.pack()
-    op = packed.op
-    is_control = (op == BRANCH_CODE) | (op == JUMP_CODE)
-    is_memory = (op == LOAD_CODE) | (op == STORE_CODE)
-    mispredicted = is_control & (packed.mispredict == 1)
-    il1_miss = packed.il1_miss == 1
-    dcode = np.where(
-        is_memory,
-        np.where(
-            packed.dl2_miss == 1,
-            _DCODE_LONG,
-            np.where(packed.dl1_miss == 1, _DCODE_SHORT, _DCODE_L1_HIT),
-        ),
-        _DCODE_NONE,
-    )
+    mispredicted, il1_miss, dcode = oracle_miss_columns(trace.pack())
     keys = (
         (mispredicted.astype(np.int64) << 3)
         | (il1_miss.astype(np.int64) << 2)

@@ -43,12 +43,11 @@ import numpy as np
 from repro.analysis import sanitizer as _sanitizer
 from repro.obs import runtime as _obs
 from repro.perf.packed import (
-    BRANCH_CODE,
-    JUMP_CODE,
+    DCODE_LONG,
     LOAD_CODE,
     OP_CLASSES,
-    STORE_CODE,
     PackedTrace,
+    oracle_miss_columns,
 )
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import SuperscalarCore
@@ -60,9 +59,6 @@ from repro.pipeline.events import (
 )
 from repro.pipeline.result import SimulationResult
 from repro.trace.stream import Trace
-
-#: D-cache miss-class codes (match repro.perf.annotate_fast).
-_DCODE_NONE, _DCODE_L1_HIT, _DCODE_SHORT, _DCODE_LONG = 0, 1, 2, 3
 
 
 def batch_supported(config: CoreConfig) -> bool:
@@ -148,21 +144,9 @@ class TraceColumns:
     def from_packed(cls, packed: PackedTrace) -> "TraceColumns":
         n = len(packed)
         op = packed.op
-        is_control = (op == BRANCH_CODE) | (op == JUMP_CODE)
-        is_memory = (op == LOAD_CODE) | (op == STORE_CODE)
         is_load = op == LOAD_CODE
-        misp = is_control & (packed.mispredict == 1)
-        il1 = packed.il1_miss == 1
-        dcode = np.where(
-            is_memory,
-            np.where(
-                packed.dl2_miss == 1,
-                _DCODE_LONG,
-                np.where(packed.dl1_miss == 1, _DCODE_SHORT, _DCODE_L1_HIT),
-            ),
-            _DCODE_NONE,
-        )
-        is_long = is_load & (dcode == _DCODE_LONG)
+        misp, il1, dcode = oracle_miss_columns(packed)
+        is_long = is_load & (dcode == DCODE_LONG)
         counts = np.diff(packed.dep_indptr)
         owners = np.repeat(np.arange(n, dtype=np.int64), counts)
         producers = owners - packed.dep_data.astype(np.int64)
@@ -198,6 +182,7 @@ class _CacheColumns:
     __slots__ = ("exec_extra", "icache_lat")
 
     def __init__(self, cols: TraceColumns, config: CoreConfig):
+        # Indexed by the DCODE_* miss-class code.
         dtable = np.array(
             [0, config.l1_latency, config.l2_latency, config.memory_latency],
             dtype=np.int64,

@@ -1,9 +1,10 @@
 """The ``repro bench`` throughput harness and its regression baseline.
 
 Measures instruction throughput (instr/sec) of the simulator's main
-paths — detailed core, scalar and vectorized interval simulation,
-scalar and vectorized predictor replay, pack/unpack — and writes the
-results to ``BENCH_simulator.json``.
+paths — the detailed core (scalar and batched), interval simulation,
+scalar predictor replay, pack/unpack, trace statistics and a cold
+generate-then-estimate pipeline — and writes the results to
+``BENCH_simulator.json``.
 
 Raw instr/sec numbers are machine-bound, so the harness also measures a
 fixed pure-Python + NumPy **calibration workload** and records every
@@ -13,15 +14,13 @@ order) and are what the ``--compare`` regression gate judges: a
 benchmark regresses when its normalized throughput falls more than
 ``REGRESSION_THRESHOLD`` below the committed baseline.
 
-Speedups (vectorized over scalar, measured in the same process on the
+Speedups (one path over another, measured in the same process on the
 same trace) are machine-independent and recorded alongside.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
-import tempfile
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.frontend.bimodal import BimodalPredictor
@@ -29,11 +28,7 @@ from repro.frontend.gshare import GSharePredictor
 from repro.frontend.local import LocalPredictor
 from repro.interval.fast_sim import FastIntervalSimulator
 from repro.perf.batchcore import BatchedSuperscalarCore
-from repro.perf.cache import PackedTraceCache
-from repro.perf.fast import VectorizedIntervalSimulator
-from repro.perf.kernels import packed_statistics
 from repro.perf.packed import PackedTrace
-from repro.perf.replay import replay
 from repro.pipeline.annotate import OracleAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
@@ -203,16 +198,13 @@ def run_benchmarks(
 
     # Interval simulation.
     scalar_sim = FastIntervalSimulator(config)
-    vector_sim = VectorizedIntervalSimulator(config)
     spec("fast_sim_scalar", lambda: scalar_sim.estimate(trace), n)
-    spec("fast_sim_vectorized", lambda: vector_sim.estimate(packed), n)
 
     # Predictor replay (throughput counted in branches).
     def scalar_replay(name: str) -> Callable[[], None]:
         def run() -> None:
             predictor = _PREDICTOR_SCALARS[name]()
-            # The scalar baseline being measured against — the one loop
-            # this package exists to beat.
+            # The per-branch predictor walk F17's structural runs make.
             for r in trace.records:  # repro: noqa[PERF001]
                 if r.is_branch:
                     predictor.predict_and_update(r.pc, r.taken)
@@ -221,35 +213,17 @@ def run_benchmarks(
 
     for name in ("bimodal", "gshare", "local"):
         spec(f"replay_{name}_scalar", scalar_replay(name), branch_count)
-        spec(
-            f"replay_{name}_vectorized",
-            lambda name=name: replay(packed, name),
-            branch_count,
-        )
 
     # Columnar conversions and statistics.
     spec("pack", lambda: PackedTrace.pack(trace), n)
     spec("unpack", lambda: packed.unpack(), n)
     spec("statistics_scalar", lambda: trace._compute_statistics(), n)
-    spec("statistics_vectorized", lambda: packed_statistics(packed), n)
 
-    # End to end: cold scalar pipeline (generate, then scalar interval
-    # estimate) vs the perf pipeline (content-addressed packed trace,
-    # then the vectorized estimate) with a warm compiled-trace cache.
-    tmp = tempfile.mkdtemp(prefix="repro-bench-")
-    cache = PackedTraceCache(root=tmp)
-    cache.get_or_build(profile, length, BENCH_SEED)  # warm it
+    # End to end: cold columnar generation, then F16's interval estimate.
     spec(
         "end_to_end_scalar",
         lambda: FastIntervalSimulator(config).estimate(
             generate_trace(profile, length, BENCH_SEED)
-        ),
-        n,
-    )
-    spec(
-        "end_to_end_perf",
-        lambda: VectorizedIntervalSimulator(config).estimate(
-            cache.get_or_build(profile, length, BENCH_SEED)
         ),
         n,
     )
@@ -263,44 +237,35 @@ def run_benchmarks(
     # cycle to bias the result).
     benchmarks: Dict[str, Dict[str, float]] = {}
     scores: List[float] = []
-    try:
-        for _cycle in range(_CYCLES):
-            for name, fn, items in specs:
-                local_score = machine_score()
-                scores.append(local_score)
-                seconds = _time_best(fn, repeats)
-                rate = items / seconds if seconds > 0 else float("inf")
-                entry = {
-                    "items_per_sec": rate,
-                    "seconds": seconds,
-                    "items": items,
-                    "normalized": rate / local_score,
-                }
-                best = benchmarks.get(name)
-                if best is None or entry["normalized"] > best["normalized"]:
-                    benchmarks[name] = entry
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    for _cycle in range(_CYCLES):
+        for name, fn, items in specs:
+            local_score = machine_score()
+            scores.append(local_score)
+            seconds = _time_best(fn, repeats)
+            rate = items / seconds if seconds > 0 else float("inf")
+            entry = {
+                "items_per_sec": rate,
+                "seconds": seconds,
+                "items": items,
+                "normalized": rate / local_score,
+            }
+            best = benchmarks.get(name)
+            if best is None or entry["normalized"] > best["normalized"]:
+                benchmarks[name] = entry
 
     scores.sort()
     score = scores[len(scores) // 2]  # median of the local calibrations
 
     def ratio(fast: str, slow: str) -> float:
-        # Judged on the drift-cancelled normalized values: the scalar
-        # and vectorized variants run minutes apart in a full suite.
+        # Judged on the drift-cancelled normalized values: the two
+        # variants run minutes apart in a full suite.
         return (
             benchmarks[fast]["normalized"] / benchmarks[slow]["normalized"]
         )
 
     speedups = {
-        "fast_sim": ratio("fast_sim_vectorized", "fast_sim_scalar"),
-        "replay_bimodal": ratio("replay_bimodal_vectorized", "replay_bimodal_scalar"),
-        "replay_gshare": ratio("replay_gshare_vectorized", "replay_gshare_scalar"),
-        "replay_local": ratio("replay_local_vectorized", "replay_local_scalar"),
-        "statistics": ratio("statistics_vectorized", "statistics_scalar"),
         "detailed_core": ratio("detailed_core", "detailed_core_scalar_annotate"),
         "detailed_core_batched": ratio("detailed_core_batched", "detailed_core"),
-        "end_to_end": ratio("end_to_end_perf", "end_to_end_scalar"),
     }
 
     return {
@@ -406,7 +371,7 @@ def render(payload: Dict[str, Any]) -> str:
             f"{name:<32} {entry['items_per_sec']:>14.0f} "
             f"{entry['normalized']:>12.3f}"
         )
-    lines.append("speedups (vectorized / scalar):")
+    lines.append("speedups:")
     for name, value in sorted(payload["speedups"].items()):
         lines.append(f"  {name:<30} {value:6.2f}x")
     return "\n".join(lines)

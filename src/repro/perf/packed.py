@@ -60,8 +60,9 @@ RECORD_DTYPE = np.dtype(
     ]
 )
 
-#: Bumped when the column encoding changes; folded into cache keys.
-PACK_SCHEMA_VERSION = 2  # 2: npz objects carry an embedded content checksum
+#: D-cache miss-class codes of :func:`oracle_miss_columns`: no memory
+#: access, L1 hit, short (L2-hit) miss, long (memory) miss.
+DCODE_NONE, DCODE_L1_HIT, DCODE_SHORT, DCODE_LONG = 0, 1, 2, 3
 
 
 def _tri(value) -> int:
@@ -225,33 +226,6 @@ class PackedTrace:
         ]
         return Trace(records, name=self.name)
 
-    # -- array (de)serialization ------------------------------------------
-
-    def to_arrays(self) -> Dict[str, np.ndarray]:
-        """Plain-array form for ``np.savez`` (see :mod:`repro.perf.cache`)."""
-        return {
-            "columns": self.columns,
-            "dep_indptr": self.dep_indptr,
-            "dep_data": self.dep_data,
-            "name": np.asarray(self.name),
-            "schema": np.asarray(PACK_SCHEMA_VERSION),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "PackedTrace":
-        """Inverse of :meth:`to_arrays`; validates the schema version."""
-        schema = int(arrays["schema"])
-        if schema != PACK_SCHEMA_VERSION:
-            raise ValueError(
-                f"packed-trace schema {schema} != {PACK_SCHEMA_VERSION}"
-            )
-        return cls(
-            columns=np.asarray(arrays["columns"], dtype=RECORD_DTYPE),
-            dep_indptr=np.asarray(arrays["dep_indptr"], dtype=np.int64),
-            dep_data=np.asarray(arrays["dep_data"], dtype=np.int32),
-            name=str(arrays["name"]),
-        )
-
     def equals(self, other: "PackedTrace") -> bool:
         """Exact column equality (name included)."""
         return (
@@ -266,3 +240,30 @@ class PackedTrace:
             f"PackedTrace({self.name!r}, n={len(self)}, "
             f"deps={len(self.dep_data)}, {self.nbytes} bytes)"
         )
+
+
+def oracle_miss_columns(
+    packed: PackedTrace,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle miss columns the detailed core reads, one row per record.
+
+    Returns ``(mispredicted, il1_miss, dcode)``: mispredicted control
+    transfers, I-cache misses, and the D-cache miss-class code
+    (``DCODE_*``) of every memory access, ``DCODE_NONE`` elsewhere.
+    Unannotated (-1) flags read as no miss, as ``OracleAnnotator`` does.
+    """
+    op = packed.op
+    is_control = (op == BRANCH_CODE) | (op == JUMP_CODE)
+    is_memory = (op == LOAD_CODE) | (op == STORE_CODE)
+    mispredicted = is_control & (packed.mispredict == 1)
+    il1_miss = packed.il1_miss == 1
+    dcode = np.where(
+        is_memory,
+        np.where(
+            packed.dl2_miss == 1,
+            DCODE_LONG,
+            np.where(packed.dl1_miss == 1, DCODE_SHORT, DCODE_L1_HIT),
+        ),
+        DCODE_NONE,
+    )
+    return mispredicted, il1_miss, dcode

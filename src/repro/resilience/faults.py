@@ -19,7 +19,7 @@ Grammar (clauses separated by ``;``)::
     spec    := clause (";" clause)*
     clause  := "seed=" INT | site ":" action ["@" INT] ["x" (INT | "*")]
     site    := "store.write" | "store.read" | "pool.worker"
-             | "job.execute" | "cache.npz" | "serve.admit"
+             | "job.execute" | "serve.admit"
     action  := "raise" | "corrupt" | "kill" | "stop"
              | "delay(" FLOAT ")"
 
@@ -68,7 +68,6 @@ SITES: Tuple[str, ...] = (
     "store.read",
     "pool.worker",
     "job.execute",
-    "cache.npz",
     "serve.admit",
 )
 

@@ -6,8 +6,6 @@ depends on and classifies each file:
 - **result objects** (``objects/*/*.json``) — parse, verify the
   embedded payload SHA-256, check the content address against the
   filename, check the code salt;
-- **packed traces** (``packed/*/*.npz``) — load and verify the
-  embedded array checksum (see :mod:`repro.perf.cache`);
 - **run manifests** (``runs/*.json``) — must parse as JSON;
 - **run journals** (``runs/*.journal.jsonl``) — must parse line-wise
   (a torn final line is the legal crash signature, not corruption);
@@ -79,7 +77,6 @@ class FsckReport:
     root: str = ""
     repair: bool = False
     objects_scanned: int = 0
-    packed_scanned: int = 0
     manifests_scanned: int = 0
     journals_scanned: int = 0
     issues: List[FsckIssue] = field(default_factory=list)
@@ -106,7 +103,6 @@ class FsckReport:
         return (
             f"fsck {self.root}: {status}; "
             f"{self.objects_scanned} object(s), "
-            f"{self.packed_scanned} packed trace(s), "
             f"{self.manifests_scanned} manifest(s), "
             f"{self.journals_scanned} journal(s) scanned"
             + (f"; {len(self.stale)} stale-salt object(s)" if self.stale else "")
@@ -124,7 +120,6 @@ class FsckReport:
             "ok": self.ok,
             "scanned": {
                 "objects": self.objects_scanned,
-                "packed": self.packed_scanned,
                 "manifests": self.manifests_scanned,
                 "journals": self.journals_scanned,
             },
@@ -174,31 +169,6 @@ def _scan_objects(report: FsckReport, store: ResultStore, repair: bool) -> None:
         _resolve(report, store, path, status, detail, repair)
 
 
-def _scan_packed(report: FsckReport, store: ResultStore, repair: bool) -> None:
-    packed_dir = store.root / "packed"
-    if not packed_dir.is_dir():
-        return
-    from repro.perf.cache import verify_npz_bytes
-
-    for path in sorted(packed_dir.glob("*/*.npz")):
-        report.packed_scanned += 1
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            _resolve(report, store, path, "unreadable", str(exc), repair)
-            continue
-        status = verify_npz_bytes(raw)
-        if status == "ok":
-            continue
-        if status == "stale-schema":
-            report.stale.append(str(path))
-            continue
-        _resolve(
-            report, store, path, status,
-            "packed trace fails its embedded checksum", repair,
-        )
-
-
 def _scan_runs(report: FsckReport, store: ResultStore, repair: bool) -> None:
     if not store.runs_dir.is_dir():
         return
@@ -245,15 +215,12 @@ def _scan_tmp(report: FsckReport, repair: bool) -> None:
 def fsck_store(
     store: Optional[ResultStore] = None,
     repair: bool = False,
-    packed: bool = True,
 ) -> FsckReport:
     """Scan one cache root; quarantine/clean when ``repair`` is set."""
     if store is None:
         store = ResultStore()
     report = FsckReport(root=str(store.root), repair=repair)
     _scan_objects(report, store, repair)
-    if packed:
-        _scan_packed(report, store, repair)
     _scan_runs(report, store, repair)
     _scan_tmp(report, repair)
     _count_metrics(report)

@@ -18,7 +18,7 @@ def run_payload(**overrides):
         "repeats": 2,
         "machine_score": 1_000_000.0,
         "benchmarks": {
-            "fast_sim_vectorized": {
+            "detailed_core_batched": {
                 "items_per_sec": 5e6,
                 "seconds": 0.01,
                 "items": 12_000,
@@ -31,7 +31,7 @@ def run_payload(**overrides):
                 "normalized": 1.0,
             },
         },
-        "speedups": {"fast_sim": 5.0},
+        "speedups": {"detailed_core_batched": 5.0},
     }
     payload.update(overrides)
     return payload
@@ -128,7 +128,7 @@ def test_write_payload_merges_modes(tmp_path):
 def test_render_mentions_mode_and_speedups():
     text = bench.render(run_payload())
     assert "bench[quick]" in text
-    assert "fast_sim" in text
+    assert "detailed_core_batched" in text
     assert "5.00x" in text
 
 
@@ -145,10 +145,6 @@ def test_run_benchmarks_smoke(monkeypatch):
     for entry in payload["benchmarks"].values():
         assert entry["normalized"] > 0
     assert set(payload["speedups"]) >= {
-        "fast_sim",
-        "replay_bimodal",
-        "replay_gshare",
-        "replay_local",
-        "statistics",
-        "end_to_end",
+        "detailed_core",
+        "detailed_core_batched",
     }

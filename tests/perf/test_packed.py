@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.isa.opcodes import OpClass
-from repro.perf.packed import PACK_SCHEMA_VERSION, PackedTrace
+from repro.perf.packed import PackedTrace
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
@@ -75,18 +72,6 @@ def test_csr_dependence_index_matches_records():
     assert packed.dep_indptr[-1] == len(packed.dep_data)
     for seq, record in enumerate(trace.records):
         assert tuple(packed.deps_of(seq)) == record.deps
-
-
-def test_array_round_trip_and_schema_gate(tmp_path):
-    packed = PackedTrace.pack(hand_trace())
-    arrays = packed.to_arrays()
-    again = PackedTrace.from_arrays(arrays)
-    assert packed.equals(again)
-
-    wrong = dict(arrays)
-    wrong["schema"] = np.int64(PACK_SCHEMA_VERSION + 1)
-    with pytest.raises(ValueError):
-        PackedTrace.from_arrays(wrong)
 
 
 def test_equals_discriminates():

@@ -1,23 +1,16 @@
 """Property tests for the columnar perf layer.
 
-Two invariants, over arbitrary annotated traces:
-
-* ``Trace.pack() -> unpack()`` is the identity on every record field,
-  including the tri-state (None/False/True) annotations;
-* vectorized predictor replay produces the very bitstream the scalar
-  predictors produce one ``predict_and_update`` call at a time.
+Over arbitrary annotated traces, ``Trace.pack() -> unpack()`` is the
+identity on every record field, including the tri-state
+(None/False/True) annotations.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.frontend.bimodal import BimodalPredictor
-from repro.frontend.gshare import GSharePredictor
-from repro.frontend.local import LocalPredictor
 from repro.isa.opcodes import OpClass
 from repro.perf.packed import PackedTrace
-from repro.perf.replay import replay
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 
@@ -83,71 +76,3 @@ def test_pack_unpack_is_identity(records):
         for field in ("mispredict", "il1_miss", "dl1_miss", "dl2_miss"):
             assert getattr(a, field) is getattr(b, field)
 
-
-@settings(max_examples=25, deadline=None)
-@given(
-    records=trace_records(max_size=120),
-    entries=st.sampled_from([8, 64, 1024]),
-)
-def test_bimodal_replay_matches_scalar(records, entries):
-    trace = Trace(records)
-    result = replay(PackedTrace.pack(trace), "bimodal", entries=entries)
-    predictor = BimodalPredictor(entries=entries)
-    expected = [
-        not predictor.predict_and_update(r.pc, r.taken)
-        for r in trace.records
-        if r.is_branch
-    ]
-    assert result.mispredicted.tolist() == expected
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    records=trace_records(max_size=120),
-    entries=st.sampled_from([16, 256]),
-    history_bits=st.sampled_from([2, 5, 12]),
-)
-def test_gshare_replay_matches_scalar(records, entries, history_bits):
-    trace = Trace(records)
-    result = replay(
-        PackedTrace.pack(trace),
-        "gshare",
-        entries=entries,
-        history_bits=history_bits,
-    )
-    predictor = GSharePredictor(entries=entries, history_bits=history_bits)
-    expected = [
-        not predictor.predict_and_update(r.pc, r.taken)
-        for r in trace.records
-        if r.is_branch
-    ]
-    assert result.mispredicted.tolist() == expected
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    records=trace_records(max_size=120),
-    history_entries=st.sampled_from([4, 32]),
-    history_bits=st.sampled_from([3, 8]),
-)
-def test_local_replay_matches_scalar(records, history_entries, history_bits):
-    trace = Trace(records)
-    pattern_entries = 1 << history_bits
-    result = replay(
-        PackedTrace.pack(trace),
-        "local",
-        history_entries=history_entries,
-        history_bits=history_bits,
-        pattern_entries=pattern_entries,
-    )
-    predictor = LocalPredictor(
-        history_entries=history_entries,
-        history_bits=history_bits,
-        pattern_entries=pattern_entries,
-    )
-    expected = [
-        not predictor.predict_and_update(r.pc, r.taken)
-        for r in trace.records
-        if r.is_branch
-    ]
-    assert result.mispredicted.tolist() == expected

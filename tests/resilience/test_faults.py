@@ -43,7 +43,7 @@ class TestGrammar:
         assert rule.count == FOREVER
 
     def test_render_round_trips(self):
-        spec = "seed=7;store.write:corrupt@2x3;cache.npz:delay(0.25)"
+        spec = "seed=7;store.write:corrupt@2x3;store.read:delay(0.25)"
         plan = parse_spec(spec)
         again = parse_spec(plan.render())
         assert again.seed == plan.seed

@@ -5,11 +5,9 @@ from __future__ import annotations
 import json
 
 from repro.lab.store import ResultStore, verify_object_bytes
-from repro.perf.cache import PackedTraceCache, trace_key, verify_npz_bytes
 from repro.resilience import faults
 from repro.resilience.fsck import fsck_store
 from repro.resilience.journal import RunJournal
-from repro.workloads.spec_profiles import ALL_PROFILES
 
 PAYLOAD = {"value": {"kind": "raw", "data": [1, 2, 3]}}
 
@@ -143,30 +141,3 @@ class TestFsck:
         report = fsck_store(store)
         assert report.ok
         assert report.stale == [str(path)]
-
-
-class TestPackedCacheIntegrity:
-    def test_roundtrip_verifies(self, tmp_path):
-        cache = PackedTraceCache(tmp_path)
-        profile = ALL_PROFILES["gzip"]
-        cache.get_or_build(profile, 400, 7)
-        key = trace_key(profile, 400, 7)
-        raw = cache._object_path(key).read_bytes()
-        assert verify_npz_bytes(raw) == "ok"
-        assert cache.get(key) is not None
-
-    def test_corrupt_npz_quarantined_then_rebuilt(self, tmp_path):
-        cache = PackedTraceCache(tmp_path)
-        profile = ALL_PROFILES["gzip"]
-        packed = cache.get_or_build(profile, 400, 7)
-        key = trace_key(profile, 400, 7)
-        with faults.injected("seed=11;cache.npz:corrupt@1"):
-            cache.put(key, packed)
-        assert cache.get(key) is None  # quarantined, not served
-        assert cache.corrupt == 1
-        rebuilt = cache.get_or_build(profile, 400, 7)
-        assert len(rebuilt) == len(packed)
-        assert cache.get(key) is not None
-
-    def test_verify_statuses(self, tmp_path):
-        assert verify_npz_bytes(b"junk") == "unreadable"
