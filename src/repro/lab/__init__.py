@@ -9,10 +9,10 @@ The lab is the execution layer every experiment and sweep runs through:
 - :mod:`repro.lab.jobs` — declarative :class:`SimJob` /
   :class:`ExperimentJob` / :class:`SweepJob` specs with per-job
   timeout, bounded retry with backoff, and error capture.
-- :mod:`repro.lab.pool` — a ``multiprocessing``-based worker pool that
-  fans independent jobs across cores, with a write-ahead run journal
-  (``--resume``), graceful SIGINT/SIGTERM draining, a heartbeat
-  watchdog, and degradation to serial execution when ``workers=1``,
+- :mod:`repro.lab.pool` — fans independent jobs across cores on the
+  :class:`repro.resilience.supervisor.Supervisor` worker pool, with a
+  write-ahead run journal (``--resume``), graceful SIGINT/SIGTERM
+  draining, and degradation to serial execution when ``workers=1``,
   the platform cannot fork, or workers die/hang.
 - :mod:`repro.lab.telemetry` — per-job wall-time / cache-hit / retry
   counters, the run manifest written next to the results, and the

@@ -1,7 +1,7 @@
 """The worker pool: fan independent jobs out across cores, survivably.
 
 Independent simulations are embarrassingly parallel; the pool is a
-``ProcessPoolExecutor`` front end over :func:`repro.lab.jobs.execute_job`
+supervised process-pool front end over :func:`repro.lab.jobs.execute_job`
 with the operational behaviors a long characterization run needs:
 
 - **cache short-circuit** — the parent consults the store before
@@ -21,16 +21,15 @@ with the operational behaviors a long characterization run needs:
 - **graceful drain** — the first SIGINT/SIGTERM stops dispatching new
   work, lets running jobs finish, journals the interruption, and still
   writes the manifest; a second signal aborts hard;
-- **heartbeat watchdog** — workers beat at every job boundary *and*
-  from a background pulse thread while a job runs, so a legitimately
-  long job never looks hung; when both completions and heartbeats go
-  silent past the policy's ``hang_s`` the parent kills the stale
-  workers and degrades;
+- **supervised workers** — the processes belong to a
+  :class:`~repro.resilience.supervisor.Supervisor`, which fails every
+  pending future with ``BrokenProcessPool`` as soon as a worker is dead
+  or declared hung (heartbeats and completions silent past the
+  policy's ``hang_s``);
 - **graceful fallback** — ``workers=1``, a single-core box, a platform
-  where process pools cannot start, a worker death
-  (``BrokenProcessPool``), or a declared hang all degrade to serial
-  in-process execution (after seeded jittered backoff) with identical
-  results.
+  where process pools cannot start, or a broken pool all degrade to
+  serial in-process execution (after seeded jittered backoff) with
+  identical results.
 
 Workers re-open the store read/write by root path; object writes are
 atomic, so concurrent puts of the same key are benign.
@@ -44,12 +43,7 @@ import signal
 import tempfile
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,12 +66,8 @@ from repro.lab.store import (
 from repro.lab.telemetry import RunTelemetry
 from repro.obs import runtime as _obs
 from repro.resilience.journal import RunJournal, load_journal
-from repro.resilience.watchdog import (
-    HeartbeatDir,
-    Watchdog,
-    WatchdogPolicy,
-    mark_worker_process,
-)
+from repro.resilience.supervisor import Supervisor
+from repro.resilience.watchdog import WatchdogPolicy
 from repro.util.rng import jittered_backoff_s
 
 #: Chunks per worker when batching timeout-free jobs; small enough to
@@ -364,21 +354,12 @@ def run_jobs(
                     time.sleep(
                         jittered_backoff_s(0.05, 0, telemetry.run_id, "degrade")
                     )
-                    leftovers = [
-                        (i, s) for i, s in pending if i not in results
-                    ]
-                    _run_serial(
-                        leftovers, root_arg, use_cache, results, drain, journal
-                    )
+                    # _run_serial skips the jobs the pool already finished.
+                    _run_serial(pending, root_arg, use_cache, results, drain, journal)
                 except (OSError, ValueError, RuntimeError, NotImplementedError):
                     # Process pools can be unavailable (no /dev/shm, seccomp,
                     # missing semaphores); the jobs still run, just serially.
-                    leftovers = [
-                        (i, s) for i, s in pending if i not in results
-                    ]
-                    _run_serial(
-                        leftovers, root_arg, use_cache, results, drain, journal
-                    )
+                    _run_serial(pending, root_arg, use_cache, results, drain, journal)
 
         for index, spec in pending:
             if index not in results:
@@ -457,7 +438,7 @@ def _run_parallel(
     journal: Optional[RunJournal],
     policy: WatchdogPolicy,
 ) -> None:
-    """Dispatch pending jobs across a process pool, filling ``results``.
+    """Dispatch pending jobs across a supervised pool, filling ``results``.
 
     Raises :class:`_PoolDegraded` when the pool cannot make progress
     (worker death, declared hang) — the caller re-runs whatever is
@@ -467,16 +448,7 @@ def _run_parallel(
     without_timeout = [(i, s) for i, s in pending if s.timeout_s is None]
     max_workers = min(workers, max(1, len(pending)))
     hb_root = Path(tempfile.mkdtemp(prefix="repro-heartbeats-"))
-    heartbeats = HeartbeatDir(hb_root)
-    watchdog = Watchdog(heartbeats, policy)
-    executor = ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=mark_worker_process,
-        initargs=(str(hb_root), policy.worker_pulse_s),
-    )
-    #: True once a future was abandoned (stuck job) — shutdown must not
-    #: block waiting for it.
-    tainted = False
+    supervisor = Supervisor(max_workers, hb_root, policy)
     flights: Dict[Any, _Flight] = {}
     try:
         for chunk in _chunked(without_timeout, max_workers * _CHUNKS_PER_WORKER):
@@ -485,12 +457,14 @@ def _run_parallel(
             if journal is not None:
                 for index, spec in chunk:
                     journal.started(index, spec.key())
-            future = executor.submit(_execute_chunk, specs, store_root, use_cache)
+            future, _ = supervisor.submit(
+                _execute_chunk, specs, store_root, use_cache
+            )
             flights[future] = _Flight(indices=indices, specs=specs)
         for index, spec in with_timeout:
             if journal is not None:
                 journal.started(index, spec.key())
-            future = executor.submit(execute_job, spec, store_root, use_cache)
+            future, _ = supervisor.submit(execute_job, spec, store_root, use_cache)
             flights[future] = _Flight(indices=[index], specs=[spec], timed=True)
 
         drained = False
@@ -500,7 +474,6 @@ def _run_parallel(
             )
             for future in done_set:
                 flight = flights.pop(future)
-                watchdog.note_progress()
                 try:
                     outcome = future.result()
                 except CancelledError:
@@ -542,16 +515,16 @@ def _run_parallel(
                 spec = flight.specs[0]
                 index = flight.indices[0]
                 if flight.started_at is None:
-                    flight.started_at = heartbeats.job_started_at(spec.key())
+                    flight.started_at = supervisor.heartbeats.job_started_at(spec.key())
                     if flight.started_at is None:
                         continue  # still queued; the clock starts with execution
                 if time.time() - flight.started_at < (spec.timeout_s or 0.0):
                     continue
                 flights.pop(future)
-                if not future.cancel():
-                    # Already running: abandon it. The worker is killed
-                    # at teardown instead of blocking shutdown.
-                    tainted = True
+                # Already running when cancel() fails: the attempt is
+                # abandoned, and the supervisor kills its worker at
+                # teardown instead of blocking on it.
+                future.cancel()
                 _count("resilience.job_timeouts_total")
                 flight.timeouts += 1
                 if flight.timeouts <= spec.retries and not drain.stopped:
@@ -568,8 +541,8 @@ def _run_parallel(
                         journal.started(index, spec.key())
                     # Drop the abandoned attempt's stamp so the retry's
                     # clock arms from *its* execution start, not this one's.
-                    heartbeats.clear_start(spec.key())
-                    retry = executor.submit(
+                    supervisor.heartbeats.clear_start(spec.key())
+                    retry, _ = supervisor.submit(
                         execute_job, spec, store_root, use_cache
                     )
                     flights[retry] = _Flight(
@@ -582,40 +555,15 @@ def _run_parallel(
                     result = _timeout_failure(spec, spec.key(), flight.timeouts)
                     results[index] = result
                     _journal_result(journal, index, result)
-
-            if flights and watchdog.hung():
-                killed = watchdog.declare_hang()
-                _count("resilience.hung_workers_total", max(1, len(killed)))
-                tainted = True
-                raise _PoolDegraded(
-                    f"pool hung for {policy.hang_s}s; "
-                    f"killed stale workers {killed}"
-                )
     except BrokenProcessPool as exc:
-        _count("resilience.worker_deaths_total")
-        tainted = True
-        raise _PoolDegraded(f"worker process died: {exc}") from exc
+        if supervisor.hangs:
+            _count("resilience.hung_workers_total", supervisor.workers)
+        else:
+            _count("resilience.worker_deaths_total")
+        raise _PoolDegraded(f"worker pool broke: {exc}") from exc
     finally:
-        _teardown_pool(executor, heartbeats, tainted)
+        supervisor.close()
         shutil.rmtree(hb_root, ignore_errors=True)
-
-
-def _teardown_pool(
-    executor: ProcessPoolExecutor, heartbeats: HeartbeatDir, tainted: bool
-) -> None:
-    """Shut the pool down; never block on a worker stuck in a job."""
-    if not tainted:
-        executor.shutdown(wait=True)
-        return
-    executor.shutdown(wait=False, cancel_futures=True)
-    for record in heartbeats.beats():
-        pid = record.get("pid")
-        if not isinstance(pid, int) or pid == os.getpid():
-            continue
-        try:
-            os.kill(pid, getattr(signal, "SIGKILL", signal.SIGTERM))
-        except (OSError, ProcessLookupError):
-            continue
 
 
 def run_experiments(

@@ -13,8 +13,11 @@ its long runs survivable:
   kill a worker at the N-th hit;
 - :mod:`repro.resilience.journal` — the write-ahead run journal behind
   ``repro lab run --resume``;
-- :mod:`repro.resilience.watchdog` — worker heartbeats and the
-  parent-side hang detector the pool degrades through;
+- :mod:`repro.resilience.watchdog` — worker heartbeats, claims and
+  start stamps, written from inside pool workers;
+- :mod:`repro.resilience.supervisor` — the one worker supervisor the
+  lab pool and the serve shards run on: eager forking under a fork
+  lock, the liveness rule, hang detection, restart and teardown;
 - :mod:`repro.resilience.fsck` — store integrity scanning, the
   quarantine, and ``repro lab fsck [--repair]``.
 
@@ -43,7 +46,6 @@ from repro.resilience.faults import (
 from repro.resilience.journal import JournalState, RunJournal, load_journal
 from repro.resilience.watchdog import (
     HeartbeatDir,
-    Watchdog,
     WatchdogPolicy,
     worker_checkpoint,
 )
@@ -57,7 +59,6 @@ __all__ = [
     "InjectedFault",
     "JournalState",
     "RunJournal",
-    "Watchdog",
     "WatchdogPolicy",
     "atomic_write_bytes",
     "atomic_write_json",

@@ -1,12 +1,11 @@
-"""Heartbeat watchdog: tell a hung worker from a dead one, then degrade.
+"""Worker heartbeats: the worker-side half of the pool supervisor.
 
 The pool's failure taxonomy has three distinct cases:
 
 - **timeout** — one job exceeded its own ``timeout_s`` budget; the pool
   retries it within the spec's retry budget (the worker is healthy);
-- **dead worker** — a worker process vanished (SIGKILL, OOM); the
-  executor reports ``BrokenProcessPool`` and every in-flight job must
-  be re-run;
+- **dead worker** — a worker process vanished (SIGKILL, OOM); every
+  in-flight job fails with ``BrokenProcessPool`` and must be re-run;
 - **hung worker** — the worker is alive but making no progress (stuck
   syscall, livelock); nothing raises, futures just never resolve.
 
@@ -15,15 +14,9 @@ touches ``<dir>/<pid>.json`` at every job boundary (checkpoint) *and*
 from a background pulse thread while a job executes
 (:data:`WatchdogPolicy.worker_pulse_s`), so a single job legitimately
 running longer than ``hang_s`` keeps its heartbeat fresh and is never
-mistaken for a hang. The parent can therefore see *when anything last
-made progress*. The :class:`Watchdog` declares a hang only when both
-its own completion clock and every heartbeat have been silent for
-``hang_s`` — which, with the pulse, means the worker processes
-themselves are frozen (SIGSTOP, uninterruptible sleep) or gone — then
-kills the stale worker pids so the run can degrade to serial
-re-execution (with jittered exponential backoff between degradation
-attempts — :func:`repro.util.rng.jittered_backoff_s`, seeded, no
-wall-clock in the jitter).
+mistaken for a hang. The parent-side half — the liveness rule that
+catches dead workers via :func:`pid_dead`, and hang detection — lives
+in :mod:`repro.resilience.supervisor`.
 
 Worker marking: :func:`mark_worker_process` runs in the executor's
 initializer. It is what authorizes the ``pool.worker`` fault site's
@@ -35,7 +28,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -43,18 +35,14 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.resilience import faults
-from repro.resilience.atomic import atomic_write_json
-from repro.util.timing import Stopwatch
+from repro.resilience.atomic import AppendOnlyWriter, atomic_write_json
 
-#: Exported by the pool so worker processes know where to beat.
-ENV_HEARTBEAT_DIR = "REPRO_HEARTBEAT_DIR"
-
-_in_worker = False
-_pulse_thread: Optional[threading.Thread] = None
+#: This worker's heartbeat directory; None outside marked workers.
+_heartbeats: Optional["HeartbeatDir"] = None
+_claims_writer: Optional[AppendOnlyWriter] = None
 
 
-def _pulse_loop(heartbeat_dir: str, pulse_s: float) -> None:
-    heartbeats = HeartbeatDir(heartbeat_dir)
+def _pulse_loop(heartbeats: "HeartbeatDir", pulse_s: float) -> None:
     while True:
         time.sleep(pulse_s)
         try:
@@ -63,34 +51,27 @@ def _pulse_loop(heartbeat_dir: str, pulse_s: float) -> None:
             return  # heartbeat dir torn down; the run is over
 
 
-def mark_worker_process(
-    heartbeat_dir: Optional[str] = None,
-    pulse_s: Optional[float] = None,
-) -> None:
+def mark_worker_process(heartbeats: "HeartbeatDir", pulse_s: float) -> None:
     """Executor initializer: mark this process as an expendable worker.
 
-    With ``pulse_s`` set, a daemon thread keeps beating every
-    ``pulse_s`` seconds for the worker's lifetime, so a job that simply
-    runs longer than the watchdog's ``hang_s`` never reads as hung —
-    only a frozen or dead process lets its heartbeat go stale.
+    A daemon thread keeps beating every ``pulse_s`` seconds for the
+    worker's lifetime, so a job that simply runs longer than the
+    policy's ``hang_s`` never reads as hung — only a frozen or dead
+    process lets its heartbeat go stale.
     """
-    global _in_worker, _pulse_thread
-    _in_worker = True
-    if heartbeat_dir:
-        os.environ[ENV_HEARTBEAT_DIR] = heartbeat_dir
-        HeartbeatDir(heartbeat_dir).beat("init")
-        if pulse_s and (_pulse_thread is None or not _pulse_thread.is_alive()):
-            _pulse_thread = threading.Thread(
-                target=_pulse_loop,
-                args=(heartbeat_dir, pulse_s),
-                name="repro-heartbeat-pulse",
-                daemon=True,
-            )
-            _pulse_thread.start()
+    global _heartbeats
+    _heartbeats = heartbeats
+    _heartbeats.beat("init")
+    threading.Thread(
+        target=_pulse_loop,
+        args=(_heartbeats, pulse_s),
+        name="repro-heartbeat-pulse",
+        daemon=True,
+    ).start()
 
 
 def in_worker_process() -> bool:
-    return _in_worker
+    return _heartbeats is not None
 
 
 def worker_checkpoint(label: str = "") -> None:
@@ -99,15 +80,10 @@ def worker_checkpoint(label: str = "") -> None:
     A no-op outside marked worker processes, so serial runs and the
     coordinator neither write heartbeats nor trigger worker faults.
     """
-    if not _in_worker:
+    if _heartbeats is None:
         return
-    raw = os.environ.get(ENV_HEARTBEAT_DIR, "").strip()
-    if raw:
-        HeartbeatDir(raw).beat(label)
+    _heartbeats.beat(label)
     faults.fault_point("pool.worker", allow_kill=True)
-
-
-_claims_writer = None
 
 
 def claim_job(key: str) -> None:
@@ -125,17 +101,9 @@ def claim_job(key: str) -> None:
     durable safety net, not this file. A no-op outside marked workers.
     """
     global _claims_writer
-    if not _in_worker:
-        return
-    raw = os.environ.get(ENV_HEARTBEAT_DIR, "").strip()
-    if not raw:
-        return
-    root = Path(raw)
-    if not root.is_dir():
-        return  # torn down by the parent; the run is over
-    from repro.resilience.atomic import AppendOnlyWriter
-
-    path = root / f"{os.getpid()}.claims.jsonl"
+    if _heartbeats is None or not _heartbeats.root.is_dir():
+        return  # not a worker, or torn down by the parent (run over)
+    path = _heartbeats.claims_path(os.getpid())
     if _claims_writer is None or _claims_writer.path != path:
         if _claims_writer is not None:
             _claims_writer.close()
@@ -156,11 +124,8 @@ def stamp_job_start(key: str) -> None:
     spends queued behind a busy pool never counts against ``timeout_s``.
     A no-op outside marked worker processes.
     """
-    if not _in_worker:
-        return
-    raw = os.environ.get(ENV_HEARTBEAT_DIR, "").strip()
-    if raw:
-        HeartbeatDir(raw).stamp_start(key)
+    if _heartbeats is not None:
+        _heartbeats.stamp_start(key)
 
 
 class HeartbeatDir:
@@ -232,14 +197,6 @@ class HeartbeatDir:
         except OSError:
             pass
 
-    def stale_pids(self, age_s: float) -> List[int]:
-        now = time.time()
-        return sorted(
-            record["pid"]
-            for record in self.beats()
-            if now - record.get("beat_at", 0.0) > age_s
-        )
-
     def claims_path(self, pid: int) -> Path:
         return self.root / f"{pid}.claims.jsonl"
 
@@ -284,65 +241,16 @@ class HeartbeatDir:
 
 @dataclass(frozen=True)
 class WatchdogPolicy:
-    """When to declare a hang and what to do about it."""
+    """When to declare a hang, and how often the supervisor polls."""
 
     hang_s: float = 60.0
     poll_s: float = 0.2
-    kill_stale: bool = True
 
     @property
     def worker_pulse_s(self) -> float:
         """Mid-job heartbeat interval for workers: well inside ``hang_s``
         so an alive worker can never look stale between pulses."""
         return max(0.05, min(5.0, self.hang_s / 4.0))
-
-
-class Watchdog:
-    """Parent-side hang detector over a :class:`HeartbeatDir`."""
-
-    def __init__(
-        self,
-        heartbeats: Optional[HeartbeatDir],
-        policy: Optional[WatchdogPolicy] = None,
-    ) -> None:
-        self.heartbeats = heartbeats
-        self.policy = policy or WatchdogPolicy()
-        self._idle = Stopwatch()
-        self.hangs_detected = 0
-        self.workers_killed: List[int] = []
-
-    def note_progress(self) -> None:
-        """A future completed; restart the idle clock."""
-        self._idle = Stopwatch()
-
-    def hung(self) -> bool:
-        """True when both completions and heartbeats have gone silent."""
-        if self._idle.elapsed < self.policy.hang_s:
-            return False
-        if self.heartbeats is None:
-            return True
-        age = self.heartbeats.newest_age_s()
-        # No beats at all after hang_s of silence counts as hung: the
-        # workers never even initialized.
-        return age is None or age >= self.policy.hang_s
-
-    def declare_hang(self) -> List[int]:
-        """Record the hang; kill stale workers so the pool can be torn
-        down without the executor's exit handler blocking on them."""
-        self.hangs_detected += 1
-        killed: List[int] = []
-        if self.heartbeats is not None and self.policy.kill_stale:
-            for pid in self.heartbeats.stale_pids(self.policy.hang_s / 2):
-                if pid == os.getpid():
-                    continue
-                try:
-                    os.kill(pid, getattr(signal, "SIGKILL", signal.SIGTERM))
-                    killed.append(pid)
-                except (OSError, ProcessLookupError):
-                    continue
-        self.workers_killed.extend(killed)
-        self.note_progress()
-        return killed
 
 
 def pid_dead(pid: int) -> bool:
@@ -373,9 +281,7 @@ def pid_dead(pid: int) -> bool:
 
 
 __all__ = [
-    "ENV_HEARTBEAT_DIR",
     "HeartbeatDir",
-    "Watchdog",
     "WatchdogPolicy",
     "claim_job",
     "in_worker_process",

@@ -9,8 +9,9 @@ front door over the primitives every prior layer already provides:
   through the same :func:`repro.lab.store.job_key` as batch runs);
 - :mod:`repro.serve.cache` — tier-0 in-process LRU (byte-bounded) in
   front of the verified lab store;
-- :mod:`repro.serve.shards` — hash-prefix worker shards with
-  write-ahead journals, heartbeats, and crash-restart replay;
+- :mod:`repro.serve.shards` — hash-prefix worker shards, each a
+  :class:`repro.resilience.supervisor.Supervisor` pool with a
+  write-ahead journal and crash-restart replay;
 - :mod:`repro.serve.service` — request coalescing (singleflight per
   content address), the tier walk, shard dispatch, metrics, and the
   TCP server;

@@ -705,46 +705,13 @@ class ExperimentService:
         service_ms: Optional[float] = None
         pool_watch = Stopwatch()
         try:
-            generation = shard.generation
-            try:
-                future = await asyncio.to_thread(
-                    shard.submit, key, spec, wire_request, trace_ctx, deadline
-                )
-            except BrokenExecutor:
-                # The pool was already broken when this request arrived
-                # (a corpse nobody has observed yet, or one mid-triage
-                # by an earlier waiter — recover() blocks on the shard
-                # lock either way). Rebuild and submit once on the
-                # fresh pool; a second break is the crash path proper.
-                recovered = await asyncio.to_thread(
-                    shard.recover, generation
-                )
-                if recovered is not None:
-                    self.metrics.counter("serve.shard_restarts_total").inc()
-                try:
-                    future = await asyncio.to_thread(
-                        shard.submit, key, spec, wire_request, trace_ctx,
-                        deadline,
-                    )
-                except BrokenExecutor:
-                    await asyncio.to_thread(
-                        shard.fail, key, "shard pool broken at submit"
-                    )
-                    if collector is not None and exec_span is not None:
-                        collector.finish(
-                            exec_span, status="aborted",
-                            abort_reason="shard-crashed",
-                        )
-                    raise protocol.ShardCrashError(
-                        f"shard {shard.index} pool broke before "
-                        f"{spec.label} could be submitted; the request "
-                        "is safe to retry"
-                    ) from None
-            # Captured *after* submit: if the pool breaks under us,
-            # recover() restarts it only for the first observer whose
-            # generation still matches — the guard against N waiters
-            # serially killing each other's fresh pools.
-            generation = shard.generation
+            # recover() restarts the pool only for the first observer of
+            # ``generation``'s death, so N waiters never kill each
+            # other's fresh pools. A pool already broken at submit hands
+            # back a failed future, so that corpse takes the same path.
+            future, generation = await asyncio.to_thread(
+                shard.submit, key, spec, wire_request, trace_ctx, deadline
+            )
             self._sample_queues()
             for attempt in (1, 2):
                 try:
@@ -778,7 +745,6 @@ class ExperimentService:
                         self.metrics.counter(
                             "serve.shard_restarts_total"
                         ).inc()
-                    generation = shard.generation
                     # Journal triage: work that finished before the
                     # crash replays from the store; everything else
                     # gets exactly one resubmission (at-least-once,
@@ -787,9 +753,7 @@ class ExperimentService:
                     if state.classify(key) == "complete" and self.use_cache:
                         payload = await asyncio.to_thread(self.store.get, key)
                         if payload is not None:
-                            shard.pending.pop(key, None)
-                            shard.pending_ctx.pop(key, None)
-                            shard.pending_deadline.pop(key, None)
+                            shard.settle(key)
                             if collector is not None and exec_span is not None:
                                 collector.finish(
                                     exec_span, status="ok", replayed=True
@@ -797,9 +761,10 @@ class ExperimentService:
                             return payload, exec_span_id
                     if attempt == 2:
                         break
-                    future = await asyncio.to_thread(shard.resubmit, key)
-                    if future is None:
+                    resubmitted = await asyncio.to_thread(shard.resubmit, key)
+                    if resubmitted is None:
                         break
+                    future, generation = resubmitted
                     continue
                 if result.status == JobStatus.EXPIRED:
                     # The worker dropped it unexecuted at dequeue —

@@ -8,11 +8,9 @@ each shard's journal/heartbeat state is disjoint by construction.
 
 Each :class:`Shard` owns:
 
-- a ``ProcessPoolExecutor`` of ``workers`` processes (>= 1) whose
-  initializer is the lab's
-  :func:`repro.resilience.watchdog.mark_worker_process` — workers
-  write heartbeats (with a mid-job pulse), record per-pid *claim*
-  files naming the key they are executing, and honour the
+- a :class:`repro.resilience.supervisor.Supervisor` of ``workers``
+  processes (>= 1), the same supervisor the lab pool runs on: workers
+  heartbeat, claim the key they execute, and honour the
   ``pool.worker`` fault site, exactly like batch pool workers;
 - a write-ahead :class:`repro.resilience.journal.RunJournal` under the
   store's ``runs/`` directory (``<service>-shard<i>.journal.jsonl``):
@@ -20,56 +18,36 @@ Each :class:`Shard` owns:
   SIGKILL'd shard can be restarted and its in-flight work replayed —
   at-least-once execution on top of an idempotent, content-addressed
   job;
-- restart bookkeeping the service's watchdog loop and ``status`` op
-  report.
+- the pending table: one :class:`PendingJob` per accepted key, the
+  source of the one resubmission a crash earns.
 
-**Multi-worker crash triage.** ``ProcessPoolExecutor`` semantics make
-one worker's death break the *whole* pool: every in-flight future
-raises ``BrokenExecutor``, even for workers that were healthy. Two
-mechanisms keep the journal's at-least-once story exact anyway:
-
-- *worker attribution*: each worker claims its key in
-  ``<heartbeats>/<pid>.claims.jsonl`` before executing. At recovery
-  the dead pid's claims are intersected with the pending table and
-  journaled as a ``worker-death`` note — so the journal records which
-  keys the dead worker was actually holding, not merely "everything
-  in flight on the shard". Keys held by workers that were alive at
-  the crash are *not* attributed to the death; their requests recover
-  through the ordinary resubmit path (and usually replay from the
-  store, since those workers often finished and published before the
-  pool tore down).
-- *generation-guarded restart*: with N workers, N awaiting requests
-  see ``BrokenExecutor`` nearly simultaneously. Each captured the
-  shard's ``generation`` at submit; :meth:`Shard.recover` restarts
-  the pool only for the first observer whose generation still
-  matches — later observers see the bump, skip the (destructive)
-  restart, and go straight to resubmission on the fresh pool. Without
-  the guard, the second restart would SIGKILL the pool the first one
-  just built, along with any work already resubmitted onto it.
+**Crash triage.** One worker's death breaks the *whole* pool: every
+in-flight future raises ``BrokenExecutor``, within one supervisor poll
+even when the executor itself never notices. Each observer hands the
+generation its submit returned to :meth:`Shard.recover`; only the
+first observer of a generation restarts the pool (a second restart
+would kill the fresh pool and the work already resubmitted onto it).
+That observer's recovery journals one ``worker-death`` note per dead
+pid, naming the keys the pid claimed that are still pending — never
+"everything in flight on the shard".
 
 Shards are synchronous objects; the async service drives them through
 ``asyncio.to_thread`` / ``asyncio.wrap_future`` so the event loop
-never blocks on executor management. Executor-management state
-(generation, restart) is serialized by a per-shard lock because those
-``to_thread`` hops land on different threads.
+never blocks on executor management.
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.lab.jobs import JobResult, JobSpec, execute_job
 from repro.resilience.journal import JournalState, RunJournal
-from repro.resilience.watchdog import (
-    HeartbeatDir,
-    WatchdogPolicy,
-    mark_worker_process,
-    pid_dead,
-)
+from repro.resilience.supervisor import Supervisor
+from repro.resilience.watchdog import HeartbeatDir, WatchdogPolicy
 
 
 def shard_index(key: str, n_shards: int) -> int:
@@ -79,8 +57,22 @@ def shard_index(key: str, n_shards: int) -> int:
     return int(key[:2], 16) * n_shards // 256
 
 
+@dataclass
+class PendingJob:
+    """One accepted-but-unfinished job on a shard: the in-process replay
+    source (the journal is the durable copy)."""
+
+    spec: JobSpec
+    #: Trace context, so a replay after a crash keeps the span tree of
+    #: the original request instead of starting an orphan.
+    trace_ctx: Optional[Dict[str, str]] = None
+    #: Absolute monotonic deadline (ns); rides into the worker so
+    #: resubmissions keep the original request's budget.
+    deadline_ns: Optional[int] = None
+
+
 class Shard:
-    """One hash-prefix range: its executor, journal, and heartbeats."""
+    """One hash-prefix range: its supervised workers and its journal."""
 
     def __init__(
         self,
@@ -93,130 +85,52 @@ class Shard:
         watchdog_policy: Optional[WatchdogPolicy] = None,
         workers: int = 1,
     ) -> None:
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
         self.index = index
         self.run_id = f"{run_id}-shard{index}"
         self.store_root = str(store_root) if store_root else None
         self.use_cache = use_cache
-        self.workers = workers
+        self.supervisor = Supervisor(
+            workers, Path(heartbeat_root) / f"shard{index}", watchdog_policy
+        )
         self.journal = RunJournal(runs_dir, self.run_id)
-        self.heartbeats = HeartbeatDir(Path(heartbeat_root) / f"shard{index}")
-        self.policy = watchdog_policy or WatchdogPolicy()
-        self._executor: Optional[ProcessPoolExecutor] = None
-        #: Serializes executor lifecycle (start/restart/recover): the
-        #: async service reaches these methods from to_thread workers,
-        #: so concurrent BrokenExecutor observers race without it.
-        self._lock = threading.Lock()
-        #: Bumped on every restart; observers capture it at submit and
-        #: present it to :meth:`recover`, which restarts only for the
-        #: first observer of a given generation's corpse.
-        self.generation = 0
-        self.restarts = 0
         self.submitted = 0
-        #: key -> spec for accepted-but-unfinished work (replay source
-        #: within this process; the journal is the durable copy).
-        self.pending: Dict[str, JobSpec] = {}
-        #: key -> trace context dict for pending work, so a journal
-        #: replay after a crash keeps the span tree of the original
-        #: request instead of starting an orphan.
-        self.pending_ctx: Dict[str, Dict[str, str]] = {}
-        #: key -> absolute monotonic deadline (ns) for pending work;
-        #: rides into the worker so resubmissions keep the original
-        #: request's budget.
-        self.pending_deadline: Dict[str, int] = {}
+        self.pending: Dict[str, PendingJob] = {}
+
+    @property
+    def heartbeats(self) -> HeartbeatDir:
+        return self.supervisor.heartbeats
+
+    @property
+    def restarts(self) -> int:
+        return self.supervisor.restarts
 
     # -- lifecycle ----------------------------------------------------
 
     def start(self) -> None:
-        with self._lock:
-            self._start_locked()
-
-    def _start_locked(self) -> None:
-        if self._executor is not None:
-            return
-        self.heartbeats.root.mkdir(parents=True, exist_ok=True)
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=mark_worker_process,
-            initargs=(str(self.heartbeats.root), self.policy.worker_pulse_s),
-        )
-
-    def restart(self) -> None:
-        """Tear down a (possibly broken) executor and start fresh."""
-        with self._lock:
-            self._restart_locked()
-
-    def _restart_locked(self) -> None:
-        executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
-        # Stale beat files would make the old (dead) pids look current.
-        for path in self.heartbeats.root.glob("*.json"):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-        self.generation += 1
-        self.restarts += 1
-        self._start_locked()
+        self.supervisor.start()
 
     def recover(self, observed_generation: int) -> Optional[Dict[int, List[str]]]:
         """Crash triage for one ``BrokenExecutor`` observer.
 
         Returns ``None`` when another observer already recovered this
-        corpse (the caller should skip straight to resubmission);
-        otherwise triages dead workers (journaling ``worker-death``
-        notes attributing each dead pid's claimed in-flight keys),
-        restarts the pool, and returns the ``{pid: [keys]}``
-        attribution map.
+        generation (the caller should skip straight to resubmission);
+        otherwise the supervisor restarts the pool, each dead pid's
+        claimed pending keys are journaled as a ``worker-death`` note,
+        and the ``{pid: [keys]}`` attribution map is returned.
         """
-        with self._lock:
-            if observed_generation != self.generation:
-                return None
-            attribution = self._triage_dead_workers_locked()
-            self._restart_locked()
-            return attribution
-
-    def _triage_dead_workers_locked(self) -> Dict[int, List[str]]:
-        """Attribute in-flight keys to dead workers, via their claims.
-
-        A pid is *dead* when its process is gone or a zombie
-        (:func:`repro.resilience.watchdog.pid_dead`); its attributed
-        keys are its claims intersected with the pending table (claims
-        from already-completed work are stale and dropped by the
-        intersection). Each dead pid gets one ``worker-death`` journal
-        note — the worker attribution the multi-worker at-least-once
-        proof rests on.
-        """
-        attribution: Dict[int, List[str]] = {}
-        for record in self.heartbeats.beats():
-            pid = record.get("pid")
-            if not isinstance(pid, int) or pid == os.getpid():
-                continue
-            if not pid_dead(pid):
-                continue
-            keys = [
-                key
-                for key in self.heartbeats.claimed_keys(pid)
-                if key in self.pending
-            ]
-            attribution[pid] = keys
+        attribution = self.supervisor.recover(observed_generation, self.pending)
+        for pid, keys in (attribution or {}).items():
             self.journal.note(
                 "worker-death",
                 pid=pid,
                 keys=keys,
                 shard=self.index,
-                generation=self.generation,
+                generation=observed_generation,
             )
-            self.heartbeats.clear_claims(pid)
         return attribution
 
     def close(self) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        self.supervisor.close()
         self.journal.close()
 
     # -- work ---------------------------------------------------------
@@ -228,10 +142,11 @@ class Shard:
         request: Dict[str, Any],
         trace_ctx: Optional[Dict[str, str]] = None,
         deadline_ns: Optional[int] = None,
-    ) -> Future:
+    ) -> Tuple[Future, int]:
         """Journal the job (write-ahead), then hand it to a worker.
 
-        The ``accepted`` note carries the client request verbatim so a
+        Returns the future plus the pool generation it runs under. The
+        ``accepted`` note carries the client request verbatim so a
         future service generation could rebuild the spec from the
         journal alone; ``queued``/``started`` are the standard resume
         records :class:`JournalState` classifies. ``trace_ctx``
@@ -242,59 +157,43 @@ class Shard:
         already-expired work at dequeue.
         """
         if key not in self.pending:
-            if trace_ctx:
-                self.journal.note("accepted", key=key, request=request, **trace_ctx)
-            else:
-                self.journal.note("accepted", key=key, request=request)
+            self.journal.note("accepted", key=key, request=request, **(trace_ctx or {}))
             self.journal.queued(self.submitted, key, spec.label)
-            self.pending[key] = spec
-            if trace_ctx:
-                self.pending_ctx[key] = dict(trace_ctx)
-            if deadline_ns is not None:
-                self.pending_deadline[key] = int(deadline_ns)
-        self.journal.started(self.submitted, key)
-        self.submitted += 1
-        return self._submit(spec, trace_ctx, deadline_ns)
+            self.pending[key] = PendingJob(
+                spec, dict(trace_ctx) if trace_ctx else None, deadline_ns
+            )
+        return self._start_attempt(key, spec, trace_ctx, deadline_ns)
 
-    def resubmit(self, key: str) -> Optional[Future]:
+    def resubmit(self, key: str) -> Optional[Tuple[Future, int]]:
         """Replay one pending job after a restart (None if unknown)."""
-        spec = self.pending.get(key)
-        if spec is None:
+        job = self.pending.get(key)
+        if job is None:
             return None
-        trace_ctx = self.pending_ctx.get(key)
-        if trace_ctx:
-            self.journal.note("replay", key=key, **trace_ctx)
-        else:
-            self.journal.note("replay", key=key)
-        self.journal.started(self.submitted, key)
-        self.submitted += 1
-        return self._submit(spec, trace_ctx, self.pending_deadline.get(key))
+        self.journal.note("replay", key=key, **(job.trace_ctx or {}))
+        return self._start_attempt(key, job.spec, job.trace_ctx, job.deadline_ns)
 
-    def _submit(
+    def _start_attempt(
         self,
+        key: str,
         spec: JobSpec,
         trace_ctx: Optional[Dict[str, str]],
         deadline_ns: Optional[int],
-    ) -> Future:
-        # Under the lifecycle lock: a concurrent recover() swaps the
-        # executor out (briefly None, then a fresh pool), and a submit
-        # racing that swap would hit None or a shut-down pool. Holding
-        # the lock means a submit only ever sees a live or a broken
-        # pool, and a broken one raises BrokenExecutor, which callers
-        # already handle.
-        with self._lock:
-            self._start_locked()
-            return self._executor.submit(
-                execute_job, spec, self.store_root, self.use_cache,
-                trace_ctx=trace_ctx, deadline_ns=deadline_ns,
-            )
+    ) -> Tuple[Future, int]:
+        self.journal.started(self.submitted, key)
+        self.submitted += 1
+        return self.supervisor.submit(
+            execute_job, spec, self.store_root, self.use_cache,
+            trace_ctx=trace_ctx, deadline_ns=deadline_ns,
+        )
+
+    def settle(self, key: str) -> None:
+        """Forget a pending key whose outcome the journal already holds."""
+        self.pending.pop(key, None)
 
     def complete(self, key: str, result: JobResult) -> None:
         from repro.lab.store import payload_digest
 
-        self.pending.pop(key, None)
-        self.pending_ctx.pop(key, None)
-        self.pending_deadline.pop(key, None)
+        self.settle(key)
         self.journal.done(
             self.submitted,
             key,
@@ -304,9 +203,7 @@ class Shard:
         )
 
     def fail(self, key: str, error: str) -> None:
-        self.pending.pop(key, None)
-        self.pending_ctx.pop(key, None)
-        self.pending_deadline.pop(key, None)
+        self.settle(key)
         self.journal.failed(self.submitted, key, error, attempts=1)
 
     def journal_state(self) -> JournalState:
@@ -326,8 +223,8 @@ class Shard:
         return {
             "index": self.index,
             "run_id": self.run_id,
-            "workers": self.workers,
-            "generation": self.generation,
+            "workers": self.supervisor.workers,
+            "generation": self.supervisor.generation,
             "submitted": self.submitted,
             "pending": len(self.pending),
             "restarts": self.restarts,
@@ -386,4 +283,4 @@ class ShardSet:
         return [shard.describe() for shard in self.shards]
 
 
-__all__ = ["Shard", "ShardSet", "shard_index"]
+__all__ = ["PendingJob", "Shard", "ShardSet", "shard_index"]

@@ -18,6 +18,7 @@ from repro.lab.store import payload_digest
 from repro.resilience import faults
 from repro.serve.protocol import ERR_SHARD_CRASHED, sim_job_from
 from repro.serve.service import ExperimentService
+from repro.serve.shards import PendingJob
 
 REQUEST = {"op": "simulate", "workload": "twolf", "length": 1500}
 
@@ -53,11 +54,11 @@ class TestShardDeath:
             store_root=tmp_path / "cache", n_shards=2,
             service_id="serve-chaos-a",
         )
-        svc.start()
         # Hold the first execution open long enough to kill the worker
         # mid-job; the replay (a fresh worker process) re-arms the
         # per-process fault counter and just runs slow again.
-        faults.enable("job.execute:delay(0.8)x*")
+        faults.enable("job.execute:delay(0.8)x*")  # before start: workers fork at start
+        svc.start()
         try:
             shard = svc.shards.route(_spec_key(svc))
 
@@ -101,8 +102,8 @@ class TestShardDeath:
             store_root=tmp_path / "cache", n_shards=2,
             service_id="serve-chaos-b",
         )
+        faults.enable("pool.worker:kill@1")  # before start: workers fork at start
         svc.start()
-        faults.enable("pool.worker:kill@1")
         try:
             async def drive():
                 waiters = [
@@ -133,8 +134,8 @@ class TestShardDeath:
             store_root=tmp_path / "cache", n_shards=2,
             service_id="serve-chaos-c",
         )
+        faults.enable("job.execute:delay(0.8)x*")  # before start: workers fork at start
         svc.start()
-        faults.enable("job.execute:delay(0.8)x*")
         try:
             key = _spec_key(svc)
             victim = svc.shards.route(key)
@@ -225,8 +226,8 @@ class TestMultiWorkerShards:
                     + "\n"
                 )
             spec = sim_job_from(dict(REQUEST))
-            shard.pending[keys["dead"]] = spec
-            shard.pending[keys["live"]] = spec
+            shard.pending[keys["dead"]] = PendingJob(spec)
+            shard.pending[keys["live"]] = PendingJob(spec)
 
             attribution = shard.recover(observed_generation=0)
 
@@ -276,12 +277,13 @@ class TestMultiWorkerShards:
             swapped = threading.Event()
 
             def restart():
-                with shard._lock:
-                    old, shard._executor = shard._executor, None
+                supervisor = shard.supervisor
+                with supervisor._lock:
+                    old, supervisor._executor = supervisor._executor, None
                     swapped.set()
                     time.sleep(0.3)  # hold the gap open
                     old.shutdown(wait=True)
-                    shard._start_locked()
+                    supervisor._start_locked()
 
             helper = threading.Thread(target=restart)
             helper.start()
@@ -291,7 +293,7 @@ class TestMultiWorkerShards:
         try:
             shard.start()
             shard.journal.started = restart_while_journaling
-            future = shard.submit(spec.key(), spec, dict(REQUEST))
+            future, _ = shard.submit(spec.key(), spec, dict(REQUEST))
             assert future.result(timeout=120).ok
         finally:
             for helper in helpers:
@@ -310,8 +312,8 @@ class TestMultiWorkerShards:
             store_root=tmp_path / "cache", n_shards=1, shard_workers=2,
             service_id="serve-chaos-mw",
         )
+        faults.enable("job.execute:delay(0.8)x*")  # before start: workers fork at start
         svc.start()
-        faults.enable("job.execute:delay(0.8)x*")
         requests = [
             dict(REQUEST),
             {"op": "simulate", "workload": "gzip", "length": 1500},
@@ -397,7 +399,6 @@ class TestMultiWorkerShards:
             shard_workers=workers,
             service_id=f"serve-chaos-done{workers}",
         )
-        svc.start()
         spec = sim_job_from(dict(REQUEST))
         key = spec.key()
         shard = svc.shards.shards[0]
@@ -407,7 +408,7 @@ class TestMultiWorkerShards:
             assert result.ok
             # ...the done record journaled, but the in-process pending
             # table still believes the key is in flight.
-            shard.pending[key] = spec
+            shard.pending[key] = PendingJob(spec)
             shard.journal.done(
                 0, key, result.status, payload_digest(result.payload), 1
             )
@@ -415,6 +416,7 @@ class TestMultiWorkerShards:
             # the (redundant) execution can never answer — only the
             # store-replay branch can.
             faults.enable("pool.worker:kill@1")
+            svc.start()  # workers fork at start, so after the plan
             payload, _span = asyncio.run(
                 svc._run_on_shard(key, spec, dict(REQUEST), None)
             )

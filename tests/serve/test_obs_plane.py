@@ -246,8 +246,8 @@ class TestAbortedSpans:
             store_root=tmp_path / "cache", n_shards=2, trace_requests=True,
             service_id="serve-obs-abort",
         )
+        faults.enable("pool.worker:kill@1")  # before start: workers fork at start
         svc.start()
-        faults.enable("pool.worker:kill@1")
         try:
             async def drive():
                 return await asyncio.wait_for(
