@@ -3,9 +3,9 @@
 The lab is the execution layer every experiment and sweep runs through:
 
 - :mod:`repro.lab.store` — a content-addressed on-disk result store
-  (JSON objects under ``.repro-cache/``) keyed by a stable hash of the
-  machine configuration, the workload identity, and a code-version
-  salt, with hit/miss/eviction accounting.
+  (compressed, checksummed binary objects under ``.repro-cache/``)
+  keyed by a stable hash of the machine configuration, the workload
+  identity, and a code-version salt, with hit/miss/eviction accounting.
 - :mod:`repro.lab.jobs` — declarative :class:`SimJob` /
   :class:`ExperimentJob` / :class:`SweepJob` specs with per-job
   timeout, bounded retry with backoff, and error capture.

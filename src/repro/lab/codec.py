@@ -1,15 +1,36 @@
-"""JSON codecs for the objects the lab stores.
+"""Codecs for the objects the lab stores.
 
-The store holds plain JSON so results survive process boundaries and
-code reloads. Round-tripping must be faithful: the interval-analysis
-layer consumes events and per-instruction timelines from a decoded
+A payload is a JSON-ready dict, except that a simulation result's four
+per-instruction cycle columns stay typed ``array('q')`` (see
+:class:`~repro.pipeline.result.SimulationResult`). :func:`encode_payload`
+turns any payload into one deterministic byte string:
+
+    u32 header length (little-endian)
+    header: JSON (sorted keys, compact) of the payload with every cycle
+            column replaced by its name and length in a ``columns`` list
+    columns: each column, in ``columns`` order, delta-coded as
+             little-endian int32 (first delta from 0)
+
+and :func:`decode_payload` inverts it exactly. The store compresses and
+checksums these bytes (:mod:`repro.lab.store`). Delta coding keeps the
+columns small and compressible: cycles grow with sequence number, so
+neighbouring deltas are tiny. A delta that does not fit int32 makes
+the encoder raise; it never truncates.
+
+Round-tripping must be faithful: the interval-analysis layer consumes
+events and per-instruction timelines from a decoded
 :class:`~repro.pipeline.result.SimulationResult` exactly as it would
-from a fresh simulation (tests assert this bit-for-bit).
+from a fresh simulation (tests assert this field for field). NumPy is
+imported only when a payload has columns, so importing the lab stays
+NumPy-free.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+import json
+import struct
+from array import array
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.pipeline.events import (
     BranchMispredictEvent,
@@ -17,7 +38,14 @@ from repro.pipeline.events import (
     LongDMissEvent,
     MissEvent,
 )
-from repro.pipeline.result import SimulationResult
+from repro.pipeline.result import CYCLE_TYPECODE, SimulationResult
+
+#: The per-instruction cycle columns of a simulation result payload.
+CYCLE_COLUMNS = ("dispatch_cycle", "issue_cycle", "complete_cycle", "commit_cycle")
+
+_HEADER_LENGTH = struct.Struct("<I")
+_INT32_MIN = -(1 << 31)
+_INT32_MAX = (1 << 31) - 1
 
 _EVENT_KINDS = {
     "bpred": BranchMispredictEvent,
@@ -65,7 +93,7 @@ def _event_from_payload(payload: Dict[str, Any]) -> MissEvent:
 
 
 def result_to_payload(result: SimulationResult) -> Dict[str, Any]:
-    """JSON-ready form of a simulation result."""
+    """Payload form of a simulation result (columns stay typed)."""
     return {
         "type": "simulation_result",
         "instructions": result.instructions,
@@ -100,7 +128,7 @@ def result_from_payload(payload: Dict[str, Any]) -> SimulationResult:
 
 
 def experiment_to_payload(result: "Any") -> Dict[str, Any]:
-    """JSON-ready form of an experiment result (tables survive as-is)."""
+    """Payload form of an experiment result (tables survive as-is)."""
     return {
         "type": "experiment_result",
         "experiment_id": result.experiment_id,
@@ -131,7 +159,7 @@ def experiment_from_payload(payload: Dict[str, Any]) -> "Any":
 
 
 def batch_to_payload(results: "Any") -> Dict[str, Any]:
-    """JSON-ready form of one lockstep batch (a list of results).
+    """Payload form of one lockstep batch (a list of results).
 
     The batch rides the store as a single payload so a
     ``BatchSimJob``'s N lockstep points stay one cache entry — the
@@ -179,9 +207,119 @@ def value_from_payload(payload: Dict[str, Any]) -> Any:
     raise ValueError(f"no codec for stored payload type {kind!r}")
 
 
+def _split_columns(
+    payload: Dict[str, Any], columns: List[Sequence[int]]
+) -> Dict[str, Any]:
+    """Header form of ``payload``: its cycle columns moved to ``columns``."""
+    kind = payload.get("type")
+    if kind == "simulation_batch":
+        return {
+            **payload,
+            "results": [_split_columns(p, columns) for p in payload["results"]],
+        }
+    if kind != "simulation_result":
+        return payload
+    header = dict(payload)
+    names = []
+    for name in CYCLE_COLUMNS:
+        column = header.get(name)
+        if column is not None:
+            del header[name]
+            names.append([name, len(column)])
+            columns.append(column)
+    header["columns"] = names
+    return header
+
+
+def _join_columns(
+    header: Dict[str, Any], take: Callable[[int], array]
+) -> Dict[str, Any]:
+    """Inverse of :func:`_split_columns`; ``take(n)`` reads the next column."""
+    kind = header.get("type")
+    if kind == "simulation_batch":
+        header["results"] = [_join_columns(p, take) for p in header["results"]]
+    elif kind == "simulation_result":
+        for name, length in header.pop("columns"):
+            header[name] = take(length)
+    return header
+
+
+def _delta_bytes(column: Sequence[int]) -> bytes:
+    import numpy as np
+
+    values = np.asarray(column, dtype=np.int64)  # no copy for array('q')
+    deltas = np.diff(values, prepend=np.int64(0))
+    if deltas.size and (
+        deltas.min() < _INT32_MIN or deltas.max() > _INT32_MAX
+    ):
+        raise ValueError("cycle column delta does not fit in int32")
+    return deltas.astype("<i4").tobytes()
+
+
+def encode_payload(
+    payload: Dict[str, Any], envelope: Optional[Dict[str, Any]] = None
+) -> bytes:
+    """Deterministic bytes of ``payload`` (layout in the module docstring).
+
+    ``envelope`` fields (the store's key, salt, time stamp, meta) ride
+    in the same header beside ``"payload"``.
+    """
+    columns: List[Sequence[int]] = []
+    header = dict(envelope or {})
+    header["payload"] = _split_columns(payload, columns)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return b"".join(
+        [_HEADER_LENGTH.pack(len(blob)), blob]
+        + [_delta_bytes(column) for column in columns]
+    )
+
+
+def decode_payload(blob: bytes) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """Inverse of :func:`encode_payload`: ``(payload, envelope)``.
+
+    Raises ValueError when ``blob`` is not a complete encoding.
+    """
+    view = memoryview(blob)
+    if len(view) < _HEADER_LENGTH.size:
+        raise ValueError("payload shorter than its header length")
+    (size,) = _HEADER_LENGTH.unpack_from(view)
+    offset = _HEADER_LENGTH.size + size
+    if offset > len(view):
+        raise ValueError("payload header is truncated")
+    header = json.loads(bytes(view[_HEADER_LENGTH.size:offset]))
+    if not isinstance(header, dict) or not isinstance(
+        header.get("payload"), dict
+    ):
+        raise ValueError("payload header is not an object")
+
+    def take(length: int) -> array:
+        nonlocal offset
+        end = offset + 4 * length
+        if end > len(view):
+            raise ValueError("cycle column is truncated")
+        column = array(CYCLE_TYPECODE, [0]) * length
+        if length:
+            import numpy as np
+
+            deltas = np.frombuffer(view, dtype="<i4", count=length, offset=offset)
+            np.cumsum(
+                deltas, dtype=np.int64, out=np.frombuffer(column, dtype=np.int64)
+            )
+        offset = end
+        return column
+
+    payload = _join_columns(header.pop("payload"), take)
+    if offset != len(view):
+        raise ValueError("trailing bytes after the last cycle column")
+    return payload, header
+
+
 __all__: List[str] = [
+    "CYCLE_COLUMNS",
     "batch_from_payload",
     "batch_to_payload",
+    "decode_payload",
+    "encode_payload",
     "experiment_from_payload",
     "experiment_to_payload",
     "payload_from_value",

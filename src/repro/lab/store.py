@@ -15,21 +15,33 @@ Layout on disk (default root ``.repro-cache/``, overridable with the
 ``REPRO_CACHE_DIR`` environment variable)::
 
     .repro-cache/
-      objects/<digest[:2]>/<digest>.json   # one result per object
+      objects/<digest[:2]>/<digest>.bin    # one result per object
       runs/<run_id>.json                   # manifests (telemetry.py)
+
+An object is binary, one for every payload kind::
+
+    magic "RLAB", u16 format version, u64 body length   (little-endian)
+    sha256 of the body (32 bytes)
+    body: one zlib stream (level 1) of lab.codec.encode_payload bytes,
+          whose JSON header carries key, salt, stored_at and meta
+          beside the payload, followed by the delta-coded int32 cycle
+          columns of simulation results
 
 Objects are written atomically (temp file + fsync + ``os.replace`` via
 :mod:`repro.resilience.atomic`) so concurrent worker processes never
 observe torn writes; last writer wins, which is harmless because the
 content is a pure function of the key.
 
-Integrity: every object embeds a SHA-256 of its payload, verified on
-**every** read. An object that fails verification — torn by a crash
-the atomic write could not cover (bad disk, external truncation) or
-damaged by an injected ``store.read``/``store.write`` fault — is moved
-to ``<root>/quarantine/`` and reported as a miss, so the caller simply
+Integrity: every read runs :func:`verify_object_bytes` — magic and
+length, then the sha256 over the stored body bytes, then salt and key.
+An object that fails — torn by a crash the atomic write could not cover
+(bad disk, external truncation) or damaged by an injected
+``store.read``/``store.write`` fault — is moved to
+``<root>/quarantine/`` and reported as a miss, so the caller simply
 recomputes; ``repro lab fsck`` scans the whole store offline (see
-:mod:`repro.resilience.fsck`).
+:mod:`repro.resilience.fsck`). JSON objects of schema 2
+(``objects/*/*.json``) are never read; fsck lists them as stale and
+``repro lab gc`` removes them.
 """
 
 from __future__ import annotations
@@ -38,12 +50,16 @@ import dataclasses
 import hashlib
 import json
 import os
+import struct
 import time
+import zlib
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro import __version__
+from repro.lab.codec import decode_payload, encode_payload
 from repro.pipeline.config import CoreConfig
 from repro.resilience import faults
 from repro.resilience.atomic import AppendOnlyWriter, atomic_write_bytes
@@ -51,10 +67,19 @@ from repro.resilience.atomic import AppendOnlyWriter, atomic_write_bytes
 #: Bump when simulator or payload semantics change in a way that makes
 #: previously stored results stale. Combined with the package version
 #: into :data:`CODE_SALT`, which is folded into every job key.
-#: (2: objects embed a payload sha256, verified on every read.)
-SCHEMA_VERSION = 2
+#: (2: objects embed a payload sha256, verified on every read.
+#: 3: binary objects with compressed, delta-coded cycle columns.)
+SCHEMA_VERSION = 3
 
 CODE_SALT = f"repro-{__version__}/lab-schema-{SCHEMA_VERSION}"
+
+#: Object file prefix: magic, format version, body length, body sha256.
+_PREFIX = struct.Struct("<4sHQ32s")
+_MAGIC = b"RLAB"
+_FORMAT_VERSION = 1
+_OBJECT_SUFFIX = ".bin"
+#: Schema-2 JSON objects: listed, counted and collectable, never read.
+LEGACY_OBJECT_SUFFIX = ".json"
 
 _ENV_ROOT = "REPRO_CACHE_DIR"
 _ENV_DISABLE = "REPRO_NO_CACHE"
@@ -92,13 +117,22 @@ def canonical_config(config: CoreConfig) -> Dict[str, Any]:
     return out
 
 
+def _column_digest(value: Any) -> str:
+    if isinstance(value, array):
+        return f"{value.typecode}:{hashlib.sha256(value).hexdigest()}"
+    raise TypeError(f"cannot digest {type(value).__name__}")
+
+
 def payload_digest(payload: Any) -> str:
-    """SHA-256 of a JSON-serializable payload's canonical encoding.
+    """SHA-256 of a payload's canonical JSON encoding.
 
     The one hashing primitive every content address in the repo is
-    built from, so every key comes out of the same canonical form.
+    built from, so every key comes out of the same canonical form. A
+    typed cycle column enters as the sha256 of its bytes.
     """
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), default=_column_digest
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -138,31 +172,56 @@ def job_key(
     )
 
 
+def encode_object(
+    key: str, payload: Dict[str, Any], meta: Optional[Dict[str, Any]] = None
+) -> bytes:
+    """The stored bytes of one object (layout in the module docstring)."""
+    envelope = {
+        "key": key,
+        "salt": CODE_SALT,
+        "stored_at": time.time(),
+        "meta": meta or {},
+    }
+    body = zlib.compress(encode_payload(payload, envelope), 1)
+    digest = hashlib.sha256(body).digest()
+    return _PREFIX.pack(_MAGIC, _FORMAT_VERSION, len(body), digest) + body
+
+
 def verify_object_bytes(
     raw: bytes, expected_key: Optional[str] = None
 ) -> Tuple[str, Optional[Dict[str, Any]]]:
     """Classify one serialized store object.
 
     Returns ``(status, obj)`` with status one of ``"ok"``,
-    ``"unreadable"`` (not parseable as a store object), ``"stale-salt"``
-    (written by another code version — unreachable, not corrupt),
-    ``"checksum-mismatch"`` (payload does not hash to its recorded
-    sha256), or ``"key-mismatch"`` (content address does not match
-    ``expected_key``). Shared by :meth:`ResultStore.get` and
-    ``repro lab fsck`` so online and offline verification can never
-    disagree.
+    ``"unreadable"`` (bad magic, wrong length, or a body that does not
+    decode), ``"stale-salt"`` (written by another code version or
+    object format — unreachable, not corrupt), ``"checksum-mismatch"``
+    (the body does not hash to its recorded sha256), or
+    ``"key-mismatch"`` (content address does not match
+    ``expected_key``). ``obj`` holds ``key``, ``salt``, ``stored_at``,
+    ``meta`` and the decoded ``payload``. Shared by
+    :meth:`ResultStore.get` and ``repro lab fsck`` so online and
+    offline verification can never disagree.
     """
+    if len(raw) < _PREFIX.size:
+        return "unreadable", None
+    magic, version, length, recorded = _PREFIX.unpack_from(raw)
+    if magic != _MAGIC:
+        return "unreadable", None
+    if version != _FORMAT_VERSION:
+        return "stale-salt", None
+    if len(raw) != _PREFIX.size + length:
+        return "unreadable", None
+    body = memoryview(raw)[_PREFIX.size:]
+    if hashlib.sha256(body).digest() != recorded:
+        return "checksum-mismatch", None
     try:
-        obj = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError, ValueError):
+        payload, obj = decode_payload(zlib.decompress(body))
+    except (zlib.error, ValueError, TypeError, KeyError):
         return "unreadable", None
-    if not isinstance(obj, dict) or "payload" not in obj:
-        return "unreadable", None
+    obj["payload"] = payload
     if obj.get("salt") != CODE_SALT:
         return "stale-salt", obj
-    recorded = obj.get("sha256")
-    if recorded is None or payload_digest(obj["payload"]) != recorded:
-        return "checksum-mismatch", obj
     if expected_key is not None and obj.get("key") != expected_key:
         return "key-mismatch", obj
     return "ok", obj
@@ -248,7 +307,7 @@ class StoreStats:
 
 @dataclass
 class ResultStore:
-    """Content-addressed JSON object store under ``root``.
+    """Content-addressed binary object store under ``root``.
 
     ``max_entries`` (optional) turns :meth:`put` into an evicting
     write: once the object count exceeds the bound, the oldest objects
@@ -276,7 +335,7 @@ class ResultStore:
         return self.root / "quarantine"
 
     def _object_path(self, key: str) -> Path:
-        return self.objects_dir / key[:2] / f"{key}.json"
+        return self.objects_dir / key[:2] / f"{key}{_OBJECT_SUFFIX}"
 
     def contains(self, key: str) -> bool:
         return self._object_path(key).is_file()
@@ -291,8 +350,8 @@ class ResultStore:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Verified payload stored under ``key``, or None (a miss).
 
-        Every read is integrity-checked (payload sha256 + content
-        address + code salt). A corrupt object is quarantined and
+        Every read is integrity-checked (body sha256 + code salt +
+        content address). A corrupt object is quarantined and
         reported as a miss so the caller recomputes; an unreadable file
         or an injected ``store.read`` fault is just a miss.
         """
@@ -326,16 +385,7 @@ class ResultStore:
     ) -> Path:
         """Atomically store ``payload`` under ``key`` (checksummed)."""
         path = self._object_path(key)
-        obj = {
-            "key": key,
-            "salt": CODE_SALT,
-            "sha256": payload_digest(payload),
-            "stored_at": time.time(),
-            "meta": meta or {},
-            "payload": payload,
-        }
-        blob = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-        blob = faults.fault_point("store.write", blob)
+        blob = faults.fault_point("store.write", encode_object(key, payload, meta))
         atomic_write_bytes(path, blob)
         self.stats.puts += 1
         if self.max_entries is not None:
@@ -343,10 +393,14 @@ class ResultStore:
         return path
 
     def iter_objects(self) -> Iterator[Path]:
+        """Every object file, legacy schema-2 JSON objects included."""
         if not self.objects_dir.is_dir():
             return
-        for path in sorted(self.objects_dir.glob("*/*.json")):
-            yield path
+        yield from sorted(
+            path
+            for suffix in (_OBJECT_SUFFIX, LEGACY_OBJECT_SUFFIX)
+            for path in self.objects_dir.glob(f"*/*{suffix}")
+        )
 
     def count(self) -> int:
         return sum(1 for _ in self.iter_objects())

@@ -57,7 +57,7 @@ from repro.pipeline.events import (
     LongDMissEvent,
     MissEvent,
 )
-from repro.pipeline.result import SimulationResult
+from repro.pipeline.result import SimulationResult, cycle_column
 from repro.trace.stream import Trace
 
 
@@ -352,10 +352,6 @@ def _simulate_columns(
     dispatch_of = [0] * n
     issue_of = [0] * n
     commit_cycle = [0] * n if record_timeline else None
-    # Every cycle the loop acts on, as the very int object the timeline
-    # columns store for it (see the interning at the end).
-    acted: List[int] = []
-    acted_append = acted.append
 
     # Cycle-bucketed ready queue: the bucket dict maps a cycle to the
     # seqs that become ready then; the key heap holds each *distinct*
@@ -389,7 +385,6 @@ def _simulate_columns(
 
     while rob_head < n:
         nxt = cycle + 1
-        acted_append(cycle)
 
         # --- drain the next-cycle ready bucket ---------------------------
         # Entries were filed at some earlier cycle c with key c+1 <= the
@@ -610,24 +605,13 @@ def _simulate_columns(
     fu_issued = np.bincount(
         cols.op_np, minlength=len(fu.count)
     ).tolist()
-    # The timeline columns are the kernel's own state: dispatch, issue
-    # and commit hold the `cycle` object of the iteration that acted,
-    # so equal cycles already share one int object. Completion sums
-    # mint one object per instruction; interning them through the
-    # acted-cycle objects makes every value in the four columns one
-    # object, which roughly halves what a cached result holds.
-    if record_timeline:
-        dispatch_cycle = dispatch_of
-        issue_cycle = issue_of
-        intern = dict(zip(acted, acted)).setdefault
-        complete_cycle = list(map(intern, comp, comp))
-    else:
-        dispatch_cycle = issue_cycle = complete_cycle = None
+    # The timeline columns are the kernel's own state lists;
+    # _assemble_result types them.
     return KernelOutput(
         events=events,
-        dispatch_cycle=dispatch_cycle,
-        issue_cycle=issue_cycle,
-        complete_cycle=complete_cycle,
+        dispatch_cycle=dispatch_of if record_timeline else None,
+        issue_cycle=issue_of if record_timeline else None,
+        complete_cycle=comp if record_timeline else None,
         commit_cycle=commit_cycle,
         fu_issued=fu_issued,
         rob_peak=rob_peak,
@@ -647,10 +631,10 @@ def _assemble_result(
         instructions=n,
         cycles=output.last_commit_cycle + 1,
         events=output.events,
-        dispatch_cycle=output.dispatch_cycle,
-        issue_cycle=output.issue_cycle,
-        complete_cycle=output.complete_cycle,
-        commit_cycle=output.commit_cycle,
+        dispatch_cycle=cycle_column(output.dispatch_cycle),
+        issue_cycle=cycle_column(output.issue_cycle),
+        complete_cycle=cycle_column(output.complete_cycle),
+        commit_cycle=cycle_column(output.commit_cycle),
         fu_issue_counts=fu_counts,
         rob_peak_occupancy=output.rob_peak,
         squashed_ghosts=0,

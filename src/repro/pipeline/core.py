@@ -43,7 +43,7 @@ from repro.pipeline.events import (
     LongDMissEvent,
 )
 from repro.pipeline.functional_units import FunctionalUnits
-from repro.pipeline.result import SimulationResult
+from repro.pipeline.result import SimulationResult, cycle_column
 from repro.pipeline.rob import ReorderBuffer
 from repro.trace.stream import Trace
 from repro.util.rng import SplitMix, derive_seed
@@ -463,10 +463,10 @@ class SuperscalarCore:
             instructions=n,
             cycles=total_cycles,
             events=events,
-            dispatch_cycle=dispatch_cycle,
-            issue_cycle=issue_cycle,
-            complete_cycle=complete_cycle,
-            commit_cycle=commit_cycle,
+            dispatch_cycle=cycle_column(dispatch_cycle),
+            issue_cycle=cycle_column(issue_cycle),
+            complete_cycle=cycle_column(complete_cycle),
+            commit_cycle=cycle_column(commit_cycle),
             fu_issue_counts=fus.issue_counts(),
             rob_peak_occupancy=rob.peak_occupancy,
             squashed_ghosts=squashed_ghost_count,

@@ -35,7 +35,7 @@ from repro.pipeline.events import (
     LongDMissEvent,
 )
 from repro.pipeline.functional_units import FunctionalUnits
-from repro.pipeline.result import SimulationResult
+from repro.pipeline.result import SimulationResult, cycle_column
 from repro.trace.stream import Trace
 
 
@@ -206,10 +206,10 @@ class InOrderCore:
             instructions=n,
             cycles=last_commit + 1,
             events=events,
-            dispatch_cycle=dispatch_cycle,
-            issue_cycle=issue_cycle,
-            complete_cycle=list(comp) if record_timeline else None,
-            commit_cycle=commit_cycle,
+            dispatch_cycle=cycle_column(dispatch_cycle),
+            issue_cycle=cycle_column(issue_cycle),
+            complete_cycle=cycle_column(comp) if record_timeline else None,
+            commit_cycle=cycle_column(commit_cycle),
             fu_issue_counts=fus.issue_counts(),
             rob_peak_occupancy=0,
         )

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.pipeline.events import (
     BranchMispredictEvent,
@@ -12,24 +13,39 @@ from repro.pipeline.events import (
     MissEvent,
 )
 
+#: Element type of the per-instruction cycle columns (signed 64-bit).
+CYCLE_TYPECODE = "q"
+
+
+def cycle_column(values: Optional[Iterable[int]]) -> Optional[array]:
+    """``values`` as a typed cycle column; None stays None.
+
+    The cores build their timelines as Python lists and convert once,
+    on the way out, so a result holds 8 bytes per cycle rather than one
+    int object per cycle, and the store's codec reads the columns
+    without copying.
+    """
+    return None if values is None else array(CYCLE_TYPECODE, values)
+
 
 @dataclass
 class SimulationResult:
     """Everything the interval-analysis layer needs from one run.
 
-    The per-instruction timing lists are indexed by dynamic sequence
-    number and are only populated when ``CoreConfig.record_timeline``
-    is set (the default). ``events`` holds the three miss-event types
-    in the order their instructions dispatched.
+    The per-instruction timing columns are ``array('q')`` indexed by
+    dynamic sequence number (elements read back as Python ints) and are
+    only populated when ``CoreConfig.record_timeline`` is set (the
+    default). ``events`` holds the three miss-event types in the order
+    their instructions dispatched.
     """
 
     instructions: int
     cycles: int
     events: List[MissEvent] = field(default_factory=list)
-    dispatch_cycle: Optional[List[int]] = None
-    issue_cycle: Optional[List[int]] = None
-    complete_cycle: Optional[List[int]] = None
-    commit_cycle: Optional[List[int]] = None
+    dispatch_cycle: Optional[array] = None
+    issue_cycle: Optional[array] = None
+    complete_cycle: Optional[array] = None
+    commit_cycle: Optional[array] = None
     fu_issue_counts: Dict[str, int] = field(default_factory=dict)
     rob_peak_occupancy: int = 0
     squashed_ghosts: int = 0

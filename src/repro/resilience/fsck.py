@@ -3,9 +3,11 @@
 ``repro lab fsck`` walks everything under the cache root that a run
 depends on and classifies each file:
 
-- **result objects** (``objects/*/*.json``) — parse, verify the
-  embedded payload SHA-256, check the content address against the
-  filename, check the code salt;
+- **result objects** (``objects/*/*.bin``) — check magic and length,
+  verify the body SHA-256, decode, check the code salt and the content
+  address against the filename (:func:`repro.lab.store.verify_object_bytes`);
+  schema-2 JSON objects (``objects/*/*.json``) are listed as stale
+  without being read;
 - **run manifests** (``runs/*.json``) — must parse as JSON;
 - **run journals** (``runs/*.journal.jsonl``) — must parse line-wise
   (a torn final line is the legal crash signature, not corruption);
@@ -31,6 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.lab.store import (
     CODE_SALT,
+    LEGACY_OBJECT_SUFFIX,
     ResultStore,
     quarantine_file,
     verify_object_bytes,
@@ -150,6 +153,9 @@ def _resolve(
 def _scan_objects(report: FsckReport, store: ResultStore, repair: bool) -> None:
     for path in list(store.iter_objects()):
         report.objects_scanned += 1
+        if path.suffix == LEGACY_OBJECT_SUFFIX:
+            report.stale.append(str(path))
+            continue
         try:
             raw = path.read_bytes()
         except OSError as exc:
@@ -163,7 +169,7 @@ def _scan_objects(report: FsckReport, store: ResultStore, repair: bool) -> None:
             continue
         detail = {
             "unreadable": "not a valid store object",
-            "checksum-mismatch": "payload does not match its sha256",
+            "checksum-mismatch": "body does not match its sha256",
             "key-mismatch": "stored key does not match the filename",
         }.get(status, status)
         _resolve(report, store, path, status, detail, repair)

@@ -3,7 +3,7 @@
 Lookup order is tier 0 (in-process :class:`repro.util.lru.LRUCache`,
 byte-bounded), then the lab's content-addressed
 :class:`~repro.lab.store.ResultStore`, where every read is
-integrity-verified (payload sha256 + content address + code salt) and
+integrity-verified (body sha256 + code salt + content address) and
 corrupt objects are quarantined, exactly as for batch runs. A store hit
 is promoted into tier 0 so the next identical request never leaves the
 process.
@@ -20,6 +20,7 @@ disk (SRV001 polices that discipline).
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Any, Dict, Optional, Tuple
 
 from repro.lab.store import ResultStore
@@ -40,13 +41,25 @@ TIER_NAMES = (TIER0_NAME, STORE_NAME)
 
 
 def json_sizeof(value: Any) -> int:
-    """Measure a payload by its serialized JSON size.
+    """Measure a payload: typed columns by their bytes, the rest as JSON.
 
-    ``sys.getsizeof`` is shallow (a dict of big lists measures tiny);
-    the JSON length is what the payload actually costs to hold and
-    ship, and it is deterministic across runs.
+    ``sys.getsizeof`` is shallow (a dict of big columns measures tiny).
+    A simulation payload's cycle columns are ``array`` objects, counted
+    as ``len × itemsize`` (what they hold in memory); everything else is
+    counted by its compact JSON length, with each column standing in as
+    ``null``. Both are deterministic across runs.
     """
-    return len(json.dumps(value, separators=(",", ":")))
+    column_bytes = 0
+
+    def column(obj: Any) -> None:
+        nonlocal column_bytes
+        if not isinstance(obj, array):
+            raise TypeError(f"cannot size {type(obj).__name__}")
+        column_bytes += len(obj) * obj.itemsize
+        return None
+
+    text = json.dumps(value, separators=(",", ":"), default=column)
+    return len(text) + column_bytes
 
 
 class TieredCache:

@@ -1,12 +1,12 @@
 """Batched simulation jobs: keys, execution, codec, caching."""
 
-import json
-
 import pytest
 
 from repro.lab.codec import (
     batch_from_payload,
     batch_to_payload,
+    decode_payload,
+    encode_payload,
     payload_from_value,
     value_from_payload,
 )
@@ -105,7 +105,7 @@ class TestCodec:
         results = [
             simulate(trace, CoreConfig(rob_size=r)) for r in (32, 128)
         ]
-        payload = json.loads(json.dumps(batch_to_payload(results)))
+        payload, _ = decode_payload(encode_payload(batch_to_payload(results)))
         decoded = batch_from_payload(payload)
         for a, b in zip(decoded, results):
             assert vars(a) == vars(b)

@@ -1,9 +1,11 @@
-"""Round-trip tests for the store's JSON codecs."""
+"""Round-trip tests for the store's codecs."""
 
 import pytest
 
 from repro.harness.experiment import ExperimentResult
 from repro.lab.codec import (
+    decode_payload,
+    encode_payload,
     experiment_from_payload,
     experiment_to_payload,
     payload_from_value,
@@ -11,6 +13,7 @@ from repro.lab.codec import (
     result_to_payload,
     value_from_payload,
 )
+from repro.lab.store import ResultStore
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.synthetic import generate_trace
@@ -37,12 +40,11 @@ class TestSimulationResultCodec:
         assert decoded.rob_peak_occupancy == sim_result.rob_peak_occupancy
         assert decoded.squashed_ghosts == sim_result.squashed_ghosts
 
-    def test_roundtrip_survives_json(self, sim_result):
-        import json
-
-        blob = json.dumps(result_to_payload(sim_result))
-        decoded = result_from_payload(json.loads(blob))
-        assert decoded.events == sim_result.events
+    def test_roundtrip_survives_stored_bytes(self, sim_result, tmp_path):
+        store = ResultStore(root=tmp_path)
+        store.put("ab" * 32, result_to_payload(sim_result))
+        decoded = result_from_payload(store.get("ab" * 32))
+        assert decoded == sim_result
         assert decoded.ipc == sim_result.ipc
 
     def test_interval_analysis_agrees_on_decoded_result(self, sim_result):
@@ -58,6 +60,45 @@ class TestSimulationResultCodec:
     def test_rejects_wrong_type(self):
         with pytest.raises(ValueError):
             result_from_payload({"type": "experiment_result"})
+
+
+class TestEncodedPayload:
+    def test_encoding_is_deterministic_and_exact(self, sim_result):
+        payload = result_to_payload(sim_result)
+        blob = encode_payload(payload)
+        assert blob == encode_payload(result_to_payload(sim_result))
+        decoded, envelope = decode_payload(blob)
+        assert envelope == {}
+        assert decoded == payload
+        assert result_from_payload(decoded) == sim_result
+
+    def test_envelope_rides_beside_the_payload(self):
+        payload = {"x": [1, 2, 3]}
+        decoded, envelope = decode_payload(
+            encode_payload(payload, {"key": "k", "meta": {"a": 1}})
+        )
+        assert decoded == payload
+        assert envelope == {"key": "k", "meta": {"a": 1}}
+
+    def test_delta_beyond_int32_raises(self):
+        from array import array
+
+        payload = {
+            "type": "simulation_result",
+            "dispatch_cycle": array("q", [0, 1 << 31]),
+        }
+        with pytest.raises(ValueError, match="int32"):
+            encode_payload(payload)
+        extremes = [-(1 << 31), -1, (1 << 31) - 2]  # deltas at both bounds
+        payload["dispatch_cycle"] = array("q", extremes)
+        decoded, _ = decode_payload(encode_payload(payload))
+        assert list(decoded["dispatch_cycle"]) == extremes
+
+    def test_truncated_or_padded_bytes_raise(self, sim_result):
+        blob = encode_payload(result_to_payload(sim_result))
+        for damaged in (blob[:-1], blob + b"\0", blob[:3]):
+            with pytest.raises(ValueError):
+                decode_payload(damaged)
 
 
 class TestExperimentResultCodec:

@@ -2,16 +2,15 @@
 
 The lab's content-addressed store and the analysis pack both assume a
 simulation is a pure function of (trace, config). Serialize two
-back-to-back runs through lab.codec and compare the exact bytes.
+back-to-back runs through lab.codec's encoder and compare the exact
+bytes.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.lab.codec import result_to_payload
+from repro.lab.codec import encode_payload, result_to_payload
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
@@ -20,9 +19,7 @@ from repro.workloads.spec_profiles import SPEC_PROFILES
 
 
 def canonical_bytes(result) -> bytes:
-    return json.dumps(
-        result_to_payload(result), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    return encode_payload(result_to_payload(result))
 
 
 @pytest.mark.parametrize("workload", ["gzip", "mcf"])

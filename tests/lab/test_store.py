@@ -1,7 +1,6 @@
 """Unit tests for the content-addressed result store and config hashing."""
 
 import itertools
-import json
 import time
 
 import pytest
@@ -13,6 +12,7 @@ from repro.lab.store import (
     canonical_config,
     config_digest,
     job_key,
+    verify_object_bytes,
 )
 from repro.pipeline.config import DEFAULT_FU_SPECS, CoreConfig, FUSpec
 
@@ -119,8 +119,8 @@ class TestResultStore:
     def test_objects_are_salted(self, tmp_path):
         store = ResultStore(root=tmp_path / "cache")
         path = store.put("a" * 64, {"x": 1})
-        with open(path, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
+        status, obj = verify_object_bytes(path.read_bytes())
+        assert status == "ok"
         assert obj["salt"] == CODE_SALT
 
     def test_corrupt_object_counts_as_miss(self, tmp_path):

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.lab.codec import result_to_payload
+from repro.lab.codec import encode_payload, result_to_payload
 from repro.perf.annotate_fast import annotation_table, oracle_annotations
 from repro.pipeline.annotate import OracleAnnotator
 from repro.pipeline.config import CoreConfig
@@ -43,8 +41,8 @@ def test_simulation_result_byte_identical(seed):
     config = CoreConfig()
     via_fast = simulate(trace, config)
     via_scalar = simulate(trace, config, annotator=OracleAnnotator(config))
-    fast_bytes = json.dumps(result_to_payload(via_fast), sort_keys=True)
-    scalar_bytes = json.dumps(result_to_payload(via_scalar), sort_keys=True)
+    fast_bytes = encode_payload(result_to_payload(via_fast))
+    scalar_bytes = encode_payload(result_to_payload(via_scalar))
     assert fast_bytes == scalar_bytes
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -189,7 +190,7 @@ class TestTraceColumns:
 
 
 class TestResultMemory:
-    def test_timeline_columns_share_one_object_per_value(self, kernel_path):
+    def test_timeline_columns_are_typed_int64(self, kernel_path):
         trace = generate_trace(profile(), 2000, seed=53)
         [result] = run_batch(trace, [CoreConfig()])
         columns = (
@@ -198,10 +199,11 @@ class TestResultMemory:
             result.complete_cycle,
             result.commit_cycle,
         )
-        objects = {id(value) for column in columns for value in column}
-        values = {value for column in columns for value in column}
-        assert max(values) > 256  # beyond CPython's small-int cache
-        assert len(objects) == len(values)
+        for column in columns:
+            assert isinstance(column, array)
+            assert column.typecode == "q" and column.itemsize == 8
+            assert len(column) == len(trace)
+        assert max(max(column) for column in columns) > 256
 
 
 CONFIG_STRATEGY = st.builds(

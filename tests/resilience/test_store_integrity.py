@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+from array import array
 
+import pytest
+
+from repro.cli import main
+from repro.lab import store as store_module
 from repro.lab.store import ResultStore, verify_object_bytes
 from repro.resilience import faults
 from repro.resilience.fsck import fsck_store
@@ -32,9 +37,9 @@ class TestVerifyObjectBytes:
 
     def test_checksum_mismatch(self, tmp_path):
         store, key, path = _store_with_object(tmp_path)
-        obj = json.loads(path.read_bytes())
-        obj["payload"]["value"]["data"] = [9, 9, 9]  # bit-rot
-        status, _ = verify_object_bytes(json.dumps(obj).encode())
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01  # bit-rot in the compressed body
+        status, _ = verify_object_bytes(bytes(raw))
         assert status == "checksum-mismatch"
 
     def test_key_mismatch(self, tmp_path):
@@ -133,11 +138,127 @@ class TestFsck:
         assert report.ok
         assert report.journals_scanned == 1
 
-    def test_stale_salt_is_informational(self, tmp_path):
-        store, key, path = _store_with_object(tmp_path)
-        obj = json.loads(path.read_bytes())
-        obj["salt"] = "older-code-version"
-        path.write_text(json.dumps(obj))
+    def test_stale_salt_is_informational(self, tmp_path, monkeypatch):
+        store = ResultStore(root=tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "CODE_SALT", "older-code-version")
+            path = store.put("ab" + "0" * 62, dict(PAYLOAD))
         report = fsck_store(store)
         assert report.ok
         assert report.stale == [str(path)]
+
+
+#: Byte offsets into a stored object: the magic, the format-version and
+#: length header, the body sha256, and the compressed body.
+MAGIC_AT, HEADER_AT, DIGEST_AT = 1, 6, 20
+
+
+class TestBinaryObjectDamage:
+    """Each region of a binary object is covered by verification."""
+
+    @staticmethod
+    def _simulation_payload():
+        return {
+            "type": "simulation_result",
+            "instructions": 3,
+            "cycles": 9,
+            "events": [],
+            "dispatch_cycle": array("q", [1, 2, 3]),
+            "issue_cycle": array("q", [2, 3, 4]),
+            "complete_cycle": array("q", [3, 4, 5]),
+            "commit_cycle": array("q", [6, 7, 8]),
+            "fu_issue_counts": {"int_alu": 3},
+            "rob_peak_occupancy": 3,
+            "squashed_ghosts": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "where, status",
+        [
+            ("magic", "unreadable"),
+            ("header", "unreadable"),
+            ("digest", "checksum-mismatch"),
+            ("body", "checksum-mismatch"),
+        ],
+    )
+    def test_flipped_byte_is_a_quarantined_miss(self, tmp_path, where, status):
+        store = ResultStore(root=tmp_path)
+        key = "ab" + "3" * 62
+        path = store.put(key, self._simulation_payload())
+        raw = bytearray(path.read_bytes())
+        offset = {
+            "magic": MAGIC_AT,
+            "header": HEADER_AT,
+            "digest": DIGEST_AT,
+            "body": len(raw) - 7,
+        }[where]
+        raw[offset] ^= 0x10
+        path.write_bytes(bytes(raw))
+        assert verify_object_bytes(bytes(raw), expected_key=key)[0] == status
+        report = fsck_store(store)
+        assert not report.ok
+        assert [issue.kind for issue in report.issues] == [status]
+        assert store.get(key) is None
+        assert store.stats.corrupt == 1
+        assert store.stats.quarantined == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize("keep", [0, 10, 50, -1])
+    def test_truncated_object_is_unreadable(self, tmp_path, keep):
+        store = ResultStore(root=tmp_path)
+        key = "ab" + "4" * 62
+        path = store.put(key, self._simulation_payload())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:keep])
+        assert verify_object_bytes(raw[:keep], expected_key=key)[0] == "unreadable"
+        assert [issue.kind for issue in fsck_store(store).issues] == [
+            "unreadable"
+        ]
+        assert store.get(key) is None
+        assert store.stats.quarantined == 1
+
+    def test_round_trip_is_exact(self, tmp_path):
+        store = ResultStore(root=tmp_path)
+        key = "ab" + "5" * 62
+        payload = self._simulation_payload()
+        store.put(key, payload)
+        assert store.get(key) == payload
+
+
+class TestLegacyJsonObjects:
+    """Schema-2 JSON objects are never read; fsck calls them stale and
+    ``repro lab gc --all`` removes them."""
+
+    @staticmethod
+    def _legacy_object(store, key):
+        path = store.objects_dir / key[:2] / f"{key}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps({
+            "key": key,
+            "salt": store_module.CODE_SALT,  # even a matching salt
+            "sha256": store_module.payload_digest(PAYLOAD),
+            "stored_at": 0.0,
+            "meta": {},
+            "payload": PAYLOAD,
+        }))
+        return path
+
+    def test_never_read_and_reported_stale(self, tmp_path):
+        store = ResultStore(root=tmp_path)
+        key = "ab" + "6" * 62
+        legacy = self._legacy_object(store, key)
+        assert store.get(key) is None
+        assert store.stats.corrupt == 0 and legacy.exists()
+        report = fsck_store(store, repair=True)
+        assert report.ok and report.issues == []
+        assert report.stale == [str(legacy)]
+        assert legacy.exists()  # stale objects are gc's business
+
+    def test_gc_all_removes_it(self, tmp_path, capsys):
+        store = ResultStore(root=tmp_path)
+        legacy = self._legacy_object(store, "ab" + "7" * 62)
+        current = store.put("ab" + "8" * 62, dict(PAYLOAD))
+        assert store.count() == 2
+        assert main(["lab", "gc", "--all", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 2 object(s); 0 remain" in capsys.readouterr().out
+        assert not legacy.exists() and not current.exists()

@@ -1,11 +1,37 @@
 """Unit tests for the serve cache: a tier-0 LRU over the result store."""
 
+import json
+
+from repro.lab.codec import result_to_payload
 from repro.lab.store import ResultStore
+from repro.pipeline.result import SimulationResult, cycle_column
 from repro.serve.cache import TieredCache, json_sizeof
 from repro.util.lru import LRUCache
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
+
+
+def _simulation_payload(n):
+    column = list(range(10_000, 10_000 + n))
+    return result_to_payload(SimulationResult(
+        instructions=n,
+        cycles=10_000 + n,
+        dispatch_cycle=cycle_column(column),
+        issue_cycle=cycle_column(column),
+        complete_cycle=cycle_column(column),
+        commit_cycle=cycle_column(column),
+    ))
+
+
+def test_json_sizeof_counts_columns_by_their_bytes():
+    payload = _simulation_payload(100)
+    rest = {
+        name: None if name.endswith("_cycle") else value
+        for name, value in payload.items()
+    }
+    expected = len(json.dumps(rest, separators=(",", ":"))) + 4 * 100 * 8
+    assert json_sizeof(payload) == expected
 
 
 class TestTieredCache:
@@ -49,6 +75,16 @@ class TestTieredCache:
         payload, tier = cache.lookup(KEY_A)
         assert payload == {"x": 1}
         assert tier == "store"
+
+    def test_admit_cap_refuses_the_larger_simulation(self, tmp_path):
+        cache, _ = self._cache(tmp_path)
+        small, large = _simulation_payload(100), _simulation_payload(200)
+        cache.tier0_admit_bytes = json_sizeof(small)
+        assert json_sizeof(large) > cache.tier0_admit_bytes
+        cache.admit(KEY_A, small)
+        cache.admit(KEY_B, large)
+        assert cache.lookup(KEY_A) == (small, "tier0")
+        assert cache.lookup(KEY_B) == (None, None)
 
     def test_stats_shape(self, tmp_path):
         cache, _ = self._cache(tmp_path)
