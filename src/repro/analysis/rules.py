@@ -507,17 +507,19 @@ class MetricNameRule(Rule):
 
 @register
 class PerRecordLoopRule(Rule):
-    """No per-record Python loops over ``trace.records`` in ``perf/``.
+    """No per-record Python loops over ``trace.records`` in the column
+    consumers: ``perf/``, ``interval/`` and ``harness/``.
 
-    The perf package exists to keep hot paths columnar; a Python loop
-    over the record objects silently reintroduces the very overhead the
-    :class:`~repro.perf.packed.PackedTrace` layout removes. Loops over
+    A generated trace is held as columns and builds its record objects
+    only when asked; a Python loop over them silently reintroduces the
+    very overhead the :class:`~repro.perf.packed.PackedTrace` layout
+    removes, and builds every record of the trace first. Loops over
     an ``.unpack()`` result are the same regression through the other
     door — unpacking a column store back to records to iterate them —
     so they are flagged too (``batchcore`` must go through
     :class:`~repro.perf.batchcore.TraceColumns`, never back to record
-    objects). The legitimate record walks — packing itself and
-    the scalar baselines the benchmarks measure against — carry
+    objects). The legitimate record walks — packing itself and the
+    scalar baselines kept as oracles — carry
     ``# repro: noqa[PERF001]`` with a justification.
     """
 
@@ -525,10 +527,11 @@ class PerRecordLoopRule(Rule):
     name = "per-record-loop"
     description = (
         "no Python for-loops/comprehensions over trace.records or "
-        ".unpack() results in perf/; operate on PackedTrace/"
-        "TraceColumns columns (escape hatch: # repro: noqa[PERF001])"
+        ".unpack() results in perf/, interval/ or harness/; operate on "
+        "PackedTrace/TraceColumns columns (escape hatch: "
+        "# repro: noqa[PERF001])"
     )
-    scope = ("perf",)
+    scope = ("perf", "interval", "harness")
 
     def _is_records(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Attribute) and node.attr == "records":
@@ -587,8 +590,8 @@ class PerRecordLoopRule(Rule):
                         yield self.violation(
                             ctx, it,
                             "per-record Python loop over trace.records in "
-                            "perf/; use PackedTrace columns (or justify "
-                            "with # repro: noqa[PERF001])",
+                            "a column consumer; use PackedTrace columns (or "
+                            "justify with # repro: noqa[PERF001])",
                         )
 
 

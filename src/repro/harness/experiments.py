@@ -13,7 +13,6 @@ from typing import Callable, Dict, List
 
 from repro.harness.experiment import ExperimentResult
 from repro.harness.runner import (
-    DEFAULT_LENGTH,
     DEFAULT_SEED,
     baseline_config,
     simulate_workload,
@@ -22,7 +21,7 @@ from repro.harness.runner import (
 )
 from repro.interval.contributors import decompose_contributors
 from repro.interval.cpi_stack import build_cpi_stack
-from repro.interval.ilp import fit_ilp_profile, full_latency
+from repro.interval.ilp import fit_ilp_profile
 from repro.interval.model import IntervalModel
 from repro.interval.penalty import (
     bucket_resolution_by_gap,
@@ -30,8 +29,6 @@ from repro.interval.penalty import (
 )
 from repro.interval.segmentation import segment_intervals
 from repro.pipeline.core import simulate
-from repro.pipeline.events import BranchMispredictEvent, MissEventKind
-from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
@@ -628,38 +625,32 @@ def run_f14() -> ExperimentResult:
 
 def run_f15() -> ExperimentResult:
     """F15 (ablation): sensitivity of segmentation to the event definition."""
+    import numpy as np
+
+    from repro.perf.packed import miss_event_masks
+
+    def events_and_mean_gap(mask):
+        seqs = np.flatnonzero(mask)
+        if not len(seqs):
+            return 0, 0.0
+        # The gaps from seq -1 to each event sum to the last seq + 1.
+        return len(seqs), (int(seqs[-1]) + 1) / len(seqs)
+
     rows = []
     for name in SUITE[:6]:
         trace = workload_trace(name)
-        paper_events = 0
-        extended_events = 0
-        last_paper = -1
-        last_ext = -1
-        paper_gaps = []
-        ext_gaps = []
-        for seq, record in enumerate(trace.records):
-            is_paper_event = (
-                (record.is_branch and record.mispredict)
-                or record.il1_miss
-                or (record.is_load and record.dl2_miss)
-            )
-            is_short = bool(record.is_load and record.dl1_miss)
-            if is_paper_event:
-                paper_events += 1
-                paper_gaps.append(seq - last_paper)
-                last_paper = seq
-            if is_paper_event or is_short:
-                extended_events += 1
-                ext_gaps.append(seq - last_ext)
-                last_ext = seq
-        n = len(trace.records)
+        bpred, icache, long, short = miss_event_masks(trace.pack())
+        paper = bpred | icache | long
+        paper_events, paper_gap = events_and_mean_gap(paper)
+        extended_events, ext_gap = events_and_mean_gap(paper | short)
+        n = len(trace)
         rows.append(
             [
                 name,
                 1000.0 * paper_events / n,
                 1000.0 * extended_events / n,
-                sum(paper_gaps) / len(paper_gaps) if paper_gaps else 0.0,
-                sum(ext_gaps) / len(ext_gaps) if ext_gaps else 0.0,
+                paper_gap,
+                ext_gap,
             ]
         )
     return ExperimentResult(
@@ -1042,27 +1033,3 @@ def run_experiment(experiment_id: str) -> ExperimentResult:
         ) from None
     return runner()
 
-
-def run_all(
-    workers: int = 1, use_cache: bool = True
-) -> List[ExperimentResult]:
-    """Run the full table/figure suite in DESIGN.md order.
-
-    Execution goes through :mod:`repro.lab`: results are served from
-    the persistent store when warm, and ``workers > 1`` fans the
-    experiments out across a process pool. Any failed experiment job
-    raises (use :func:`repro.lab.run_experiments` directly for
-    failure-tolerant batches).
-    """
-    from repro.lab import run_experiments
-
-    results, telemetry = run_experiments(
-        list(EXPERIMENTS), workers=workers, use_cache=use_cache
-    )
-    failures = telemetry.failures()
-    if failures:
-        raise RuntimeError(
-            f"{len(failures)} experiment job(s) failed; first: "
-            f"{failures[0].label}\n{failures[0].error}"
-        )
-    return results

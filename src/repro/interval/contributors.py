@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.interval.ilp import (
-    backward_slice_latency,
+    backward_slice_latencies,
     fu_latency,
     full_latency,
     unit_latency,
@@ -104,9 +104,11 @@ def decompose_contributors(
             mean_penalty=float(config.frontend_depth),
         )
 
-    lat_unit = unit_latency(trace)
-    lat_fu = fu_latency(trace, config.fu_specs, config)
-    lat_full = full_latency(trace, config.fu_specs, config)
+    latencies = (
+        unit_latency(trace),
+        fu_latency(trace, config.fu_specs, config),
+        full_latency(trace, config.fu_specs, config),
+    )
 
     # Producers that finished executing before the branch dispatched do
     # not delay it: anchor the slice at the branch's dispatch cycle.
@@ -128,14 +130,8 @@ def decompose_contributors(
                 return complete[seq] != 0 and complete[seq] <= _at
         else:
             satisfied = None
-        unit_depth = backward_slice_latency(
-            trace, item.seq, window_start, lat_unit, satisfied=satisfied
-        )
-        fu_depth = backward_slice_latency(
-            trace, item.seq, window_start, lat_fu, satisfied=satisfied
-        )
-        full_depth = backward_slice_latency(
-            trace, item.seq, window_start, lat_full, satisfied=satisfied
+        unit_depth, fu_depth, full_depth = backward_slice_latencies(
+            trace, item.seq, window_start, latencies, satisfied=satisfied
         )
         total_unit += unit_depth
         total_fu += fu_depth

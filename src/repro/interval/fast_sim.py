@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.interval.ilp import backward_slice_latency
+from repro.interval.ilp import backward_slice_latency, load_latencies
 from repro.obs import runtime as _obs
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimulationResult
@@ -105,27 +105,14 @@ class FastIntervalSimulator:
             weakref.WeakKeyDictionary()
         )
 
-    def _steady_latency(self, trace: Trace):
-        config = self.config
-        records = trace.records
-
-        def latency(seq: int) -> int:
-            record = records[seq]
-            base = config.fu_specs[record.op_class].latency
-            if record.is_load:
-                base += (
-                    config.l2_latency if record.dl1_miss else config.l1_latency
-                )
-            return base
-
-        return latency
-
     @staticmethod
     def _event_stream(trace: Trace) -> List[Tuple[int, str]]:
         """(seq, kind) pairs in dynamic order; bpred shadows co-located
         events, mirroring the segmentation priority."""
         events = []
-        for seq, record in enumerate(trace.records):
+        # F16 measures this one-pass walk over the record objects
+        # against the detailed core, so it stays a record walk.
+        for seq, record in enumerate(trace.records):  # repro: noqa[PERF001]
             if record.is_branch and record.mispredict:
                 events.append((seq, "bpred"))
             elif record.il1_miss:
@@ -198,7 +185,9 @@ class FastIntervalSimulator:
         watch = Stopwatch()
         config = self.config
         n = len(trace.records)
-        latency = self._steady_latency(trace)
+        latency = load_latencies(
+            trace, config.fu_specs, config.l1_latency, config.l2_latency
+        )
         events = self._event_stream(trace)
 
         base_cycles = n / config.dispatch_width

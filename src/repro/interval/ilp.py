@@ -16,57 +16,92 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.isa.opcodes import OpClass
 from repro.trace.stream import Trace
 
 LatencyFn = Callable[[int], int]  # seq -> execution latency in cycles
 
 
-def unit_latency(trace: Trace) -> LatencyFn:
+class LatencyColumn:
+    """Per-record execution latencies held as one column.
+
+    ``column`` is the NumPy array the ILP fit reads directly; calling
+    the object with a seq returns that record's latency as a Python
+    int, so it is a :data:`LatencyFn` for slice walks and oracles.
+    """
+
+    __slots__ = ("column", "_values")
+
+    def __init__(self, column):
+        self.column = column
+        self._values: Optional[List[int]] = None
+
+    def __call__(self, seq: int) -> int:
+        if self._values is None:
+            self._values = self.column.tolist()
+        return self._values[seq]
+
+
+def load_latencies(
+    trace: Trace, fu_specs, hit: int, short: int, long: Optional[int] = None
+) -> LatencyColumn:
+    """FU latency of every record, plus a D-cache latency for loads.
+
+    A load adds ``long`` when it misses to memory (only when ``long``
+    is given), else ``short`` when it misses L1, else ``hit``. The FU
+    latency is a lookup by op code, made for the classes the trace
+    holds.
+    """
+    import numpy as np
+
+    from repro.perf.packed import LOAD_CODE, OP_CLASSES
+
+    packed = trace.pack()
+    op = packed.op
+    present = np.bincount(op, minlength=len(OP_CLASSES)) > 0
+    table = np.asarray(
+        [
+            fu_specs[cls].latency if here else 0
+            for cls, here in zip(OP_CLASSES, present.tolist())
+        ]
+    )
+    column = table[op]
+    loads = np.flatnonzero(op == LOAD_CODE)
+    extra = np.where(packed.dl1_miss[loads] == 1, short, hit)
+    if long is not None:
+        extra = np.where(packed.dl2_miss[loads] == 1, long, extra)
+    column[loads] += extra
+    return LatencyColumn(column)
+
+
+def unit_latency(trace: Trace) -> LatencyColumn:
     """Every instruction takes one cycle — the pure-ILP measure."""
-    return lambda seq: 1
+    import numpy as np
+
+    return LatencyColumn(np.ones(len(trace), dtype=np.int64))
 
 
-def fu_latency(trace: Trace, fu_specs, config=None) -> LatencyFn:
+def fu_latency(trace: Trace, fu_specs, config=None) -> LatencyColumn:
     """Functional-unit latencies, L1-hit memory (isolates C4 from C5).
 
     When ``config`` is given, loads are charged the L1-hit latency —
     the baseline load-to-use cost, which belongs with the functional
     unit latencies (C4), not with the short-miss contribution (C5).
     """
-    records = trace.records
     l1_latency = config.l1_latency if config is not None else 0
-
-    def latency(seq: int) -> int:
-        record = records[seq]
-        base = fu_specs[record.op_class].latency
-        if record.op_class is OpClass.LOAD:
-            base += l1_latency
-        return base
-
-    return latency
+    return load_latencies(trace, fu_specs, l1_latency, l1_latency)
 
 
-def full_latency(trace: Trace, fu_specs, config) -> LatencyFn:
+def full_latency(trace: Trace, fu_specs, config) -> LatencyColumn:
     """FU + L1 latencies plus each load's actual miss latency (adds C5)."""
-    records = trace.records
-
-    def latency(seq: int) -> int:
-        record = records[seq]
-        base = fu_specs[record.op_class].latency
-        if record.op_class is OpClass.LOAD:
-            if record.dl2_miss:
-                base += config.memory_latency
-            elif record.dl1_miss:
-                base += config.l2_latency
-            else:
-                base += config.l1_latency
-        return base
-
-    return latency
+    return load_latencies(
+        trace,
+        fu_specs,
+        config.l1_latency,
+        config.l2_latency,
+        config.memory_latency,
+    )
 
 
 #: Finish-time cells (window offsets x windows) one lockstep batch
@@ -76,12 +111,15 @@ _BATCH_CELLS = 1 << 16
 
 
 def _latency_column(trace: Trace, latency_of: Optional[LatencyFn]):
-    """``latency_of(seq)`` for every record, evaluated once each."""
+    """The latency of every record: a :class:`LatencyColumn`'s column,
+    or ``latency_of(seq)`` evaluated once per record."""
     import numpy as np
 
-    n = len(trace.records)
+    n = len(trace)
     if latency_of is None:
         return np.ones(n, dtype=np.int64)
+    if isinstance(latency_of, LatencyColumn):
+        return latency_of.column
     return np.asarray(list(map(latency_of, range(n))))
 
 
@@ -91,12 +129,11 @@ def _dependence_columns(trace: Trace):
     from the trace's CSR (per-record counts + flat distances)."""
     import numpy as np
 
-    deps = [record.deps for record in trace.records]
-    n = len(deps)
-    counts = np.fromiter(map(len, deps), np.int64, n)
-    total = int(counts.sum())
-    flat = np.fromiter(chain.from_iterable(deps), np.int64, total)
-    starts = np.cumsum(counts) - counts
+    packed = trace.pack()
+    n = len(packed)
+    counts = np.diff(packed.dep_indptr)
+    flat = packed.dep_data.astype(np.int64)
+    starts = packed.dep_indptr[:-1]
     width = int(counts.max(initial=0))
     columns = np.zeros((width, n), dtype=np.int64)
     for j in range(width):
@@ -267,35 +304,61 @@ def backward_slice_latency(
     completion preceded the branch's dispatch, anchoring the slice at
     the moment the resolution clock starts.
     """
-    if not 0 <= window_start <= branch_seq < len(trace.records):
+    return backward_slice_latencies(
+        trace, branch_seq, window_start, (latency_of,), satisfied
+    )[0]
+
+
+def backward_slice_latencies(
+    trace: Trace,
+    branch_seq: int,
+    window_start: int,
+    latency_fns: Sequence[LatencyFn],
+    satisfied: Optional[Callable[[int], bool]] = None,
+) -> List[int]:
+    """:func:`backward_slice_latency` under each of ``latency_fns``.
+
+    The slice does not depend on the latencies, so it is collected once
+    and only its finish times are evaluated per function.
+    """
+    if not 0 <= window_start <= branch_seq < len(trace):
         raise ValueError(
             f"bad slice bounds [{window_start}, {branch_seq}] "
-            f"for trace of {len(trace.records)}"
+            f"for trace of {len(trace)}"
         )
-    records = trace.records
+    # Record ``seq``'s distances are distances[offsets[at]:offsets[at + 1]]
+    # with ``at = seq - window_start``.
+    offsets, distances = trace.pack().window_deps(window_start, branch_seq + 1)
 
-    def in_window(seq: int) -> bool:
-        if seq < window_start:
-            return False
-        return satisfied is None or not satisfied(seq)
-
-    # Collect the backward slice by walking dependences from the branch.
-    in_slice = {branch_seq}
+    # Collect the backward slice by walking dependences from the branch,
+    # keeping each member's producers that are members too: every
+    # in-window producer not yet satisfied joins the slice.
+    members = {branch_seq}
+    inside = {}
     stack = [branch_seq]
     while stack:
         seq = stack.pop()
-        for dist in records[seq].deps:
+        at = seq - window_start
+        kept = []
+        for dist in distances[offsets[at]:offsets[at + 1]]:
             producer = seq - dist
-            if producer >= 0 and in_window(producer) and producer not in in_slice:
-                in_slice.add(producer)
-                stack.append(producer)
+            if producer >= window_start and (
+                satisfied is None or not satisfied(producer)
+            ):
+                kept.append(producer)
+                if producer not in members:
+                    members.add(producer)
+                    stack.append(producer)
+        inside[seq] = kept
     # Evaluate finish times in program order over the slice.
-    finish = {}
-    for seq in sorted(in_slice):
-        begin = 0
-        for dist in records[seq].deps:
-            producer = seq - dist
-            if producer in finish:
+    order = sorted(inside)
+    depths = []
+    for latency_of in latency_fns:
+        finish = {}
+        for seq in order:
+            begin = 0
+            for producer in inside[seq]:
                 begin = max(begin, finish[producer])
-        finish[seq] = begin + latency_of(seq)
-    return finish[branch_seq]
+            finish[seq] = begin + latency_of(seq)
+        depths.append(finish[branch_seq])
+    return depths

@@ -25,10 +25,14 @@ Comparing the prediction against the simulator validates the model
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.interval.ilp import ILPFit, LatencyFn, fit_ilp_profile
-from repro.isa.opcodes import OpClass
+from repro.interval.ilp import (
+    ILPFit,
+    LatencyColumn,
+    fit_ilp_profile,
+    load_latencies,
+)
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimulationResult
 from repro.trace.stream import Trace
@@ -99,17 +103,17 @@ class IntervalModel:
         A single instruction can carry several events; bpred wins for
         interval-cutting purposes (mirrors the segmentation rule).
         """
-        positions: List[Tuple[int, str]] = []
-        for seq, record in enumerate(trace.records):
-            if record.is_branch and record.mispredict:
-                positions.append((seq, "bpred"))
-            elif record.il1_miss:
-                positions.append((seq, "icache"))
-            elif record.is_load and record.dl2_miss:
-                positions.append((seq, "long"))
-        return positions
+        import numpy as np
 
-    def _steady_latency(self, trace: Trace) -> LatencyFn:
+        from repro.perf.packed import miss_event_masks
+
+        bpred, icache, long, _ = miss_event_masks(trace.pack())
+        seqs = np.flatnonzero(bpred | icache | long)
+        kinds = np.where(bpred[seqs], 0, np.where(icache[seqs], 1, 2))
+        names = ("bpred", "icache", "long")
+        return list(zip(seqs.tolist(), map(names.__getitem__, kinds.tolist())))
+
+    def _steady_latency(self, trace: Trace) -> LatencyColumn:
         """Inter-miss steady-state latencies: FU + L1 + short misses.
 
         Long misses are miss *events*, charged separately; including
@@ -117,16 +121,9 @@ class IntervalModel:
         them and wreck the base rate for memory-bound workloads.
         """
         config = self.config
-        records = trace.records
-
-        def latency(seq: int) -> int:
-            record = records[seq]
-            base = config.fu_specs[record.op_class].latency
-            if record.op_class is OpClass.LOAD:
-                base += config.l2_latency if record.dl1_miss else config.l1_latency
-            return base
-
-        return latency
+        return load_latencies(
+            trace, config.fu_specs, config.l1_latency, config.l2_latency
+        )
 
     def _fit(self, trace: Trace) -> ILPFit:
         if self.ilp_fit is None:
@@ -138,12 +135,13 @@ class IntervalModel:
     def _depends_on(self, trace: Trace, consumer: int, producer: int) -> bool:
         """True when ``consumer`` transitively depends on ``producer``
         through dependences that stay at or after ``producer``."""
-        records = trace.records
+        offsets, distances = trace.pack().window_deps(producer, consumer + 1)
         frontier = [consumer]
         seen = set()
         while frontier:
             seq = frontier.pop()
-            for dist in records[seq].deps:
+            at = seq - producer
+            for dist in distances[offsets[at]:offsets[at + 1]]:
                 upstream = seq - dist
                 if upstream == producer:
                     return True
@@ -155,7 +153,7 @@ class IntervalModel:
     def predict(self, trace: Trace) -> ModelPrediction:
         """Predict total cycles for an annotated trace."""
         config = self.config
-        n = len(trace.records)
+        n = len(trace)
         fit = self._fit(trace)
         positions = self.event_positions(trace)
 

@@ -59,21 +59,12 @@ def _enable(pillar: str) -> None:
     os.environ[_ENV_BY_PILLAR[pillar]] = "1"
 
 
-def _disable(pillar: str) -> None:
-    _forced[pillar] = False
-    os.environ.pop(_ENV_BY_PILLAR[pillar], None)
-
-
 def tracing_enabled() -> bool:
     return _enabled(_TRACE)
 
 
 def metrics_enabled() -> bool:
     return _enabled(_METRICS)
-
-
-def profiling_enabled() -> bool:
-    return _enabled(_PROFILE)
 
 
 def enable_tracing() -> None:
@@ -87,18 +78,6 @@ def enable_metrics() -> None:
 
 def enable_profiling() -> None:
     _enable(_PROFILE)
-
-
-def disable_tracing() -> None:
-    _disable(_TRACE)
-
-
-def disable_metrics() -> None:
-    _disable(_METRICS)
-
-
-def disable_profiling() -> None:
-    _disable(_PROFILE)
 
 
 def reset() -> None:

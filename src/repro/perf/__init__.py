@@ -1,12 +1,15 @@
 """repro.perf: the columnar trace engine and the batched detailed core.
 
-Every figure in the reproduction walks dynamic traces; the rest of the
-library stores them as lists of :class:`~repro.trace.record.TraceRecord`
-objects and pays Python-interpreter overhead per instruction. This
-package is the performance layer on top of that representation:
+Every figure in the reproduction walks dynamic traces. A generated
+trace is held as columns and builds
+:class:`~repro.trace.record.TraceRecord` objects only for the callers
+that want them (the scalar and in-order cores, the test oracles), so the
+figure path never pays Python-interpreter overhead per instruction.
+This package holds that column store and what runs on it:
 
-* :mod:`repro.perf.packed` — :class:`PackedTrace`, a lossless columnar
-  (NumPy structured array + CSR dependence) form of a trace;
+* :mod:`repro.perf.packed` — :class:`PackedTrace`, the lossless columnar
+  (NumPy structured array + CSR dependence) form of a trace, and the
+  column folds behind ``Trace``'s queries;
 * :mod:`repro.perf.annotate_fast` — the packed-array oracle-annotation
   fast path the detailed core reads on its hot path;
 * :mod:`repro.perf.batchcore` — the batched structure-of-arrays
@@ -16,9 +19,10 @@ package is the performance layer on top of that representation:
 * :mod:`repro.perf.bench` — the ``repro bench`` throughput harness and
   the ``BENCH_simulator.json`` regression baseline format.
 
-The lint rule PERF001 polices this package: vectorized modules must
-stay vectorized — no per-record Python loops over ``trace.records``
-outside the explicitly marked pack/unpack boundary.
+The lint rule PERF001 polices this package and the other column
+consumers (``interval``, ``harness``): no per-record Python loops over
+``trace.records`` outside the explicitly marked pack boundary and the
+scalar baselines.
 """
 
 from repro.perf.batchcore import (

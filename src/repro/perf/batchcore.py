@@ -147,10 +147,7 @@ class TraceColumns:
         is_load = op == LOAD_CODE
         misp, il1, dcode = oracle_miss_columns(packed)
         is_long = is_load & (dcode == DCODE_LONG)
-        counts = np.diff(packed.dep_indptr)
-        owners = np.repeat(np.arange(n, dtype=np.int64), counts)
-        producers = owners - packed.dep_data.astype(np.int64)
-        indptr, data = cls._producer_csr(owners, producers, n)
+        indptr, data = packed.producer_csr()
         return cls(
             n=n,
             op=op.tolist(),
@@ -163,17 +160,6 @@ class TraceColumns:
             prod_indptr=indptr,
             prod_data=data,
         )
-
-    @staticmethod
-    def _producer_csr(
-        owners: np.ndarray, producers: np.ndarray, n: int
-    ) -> Tuple[List[int], List[int]]:
-        """CSR (indptr, data) of the producers inside the trace."""
-        keep = producers >= 0
-        counts = np.bincount(owners[keep], minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return indptr.tolist(), producers[keep].tolist()
 
 
 class _CacheColumns:

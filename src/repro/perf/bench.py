@@ -2,7 +2,8 @@
 
 Measures instruction throughput (instr/sec) of the simulator's main
 paths — the detailed core (scalar and batched), interval simulation,
-scalar predictor replay, pack/unpack, trace statistics and a cold
+scalar predictor replay, pack/unpack, trace statistics, cold trace
+generation, the interval model's prediction and a cold
 generate-then-estimate pipeline — and writes the results to
 ``BENCH_simulator.json``.
 
@@ -27,6 +28,7 @@ from repro.frontend.bimodal import BimodalPredictor
 from repro.frontend.gshare import GSharePredictor
 from repro.frontend.local import LocalPredictor
 from repro.interval.fast_sim import FastIntervalSimulator
+from repro.interval.model import IntervalModel
 from repro.perf.batchcore import BatchedSuperscalarCore
 from repro.perf.packed import PackedTrace
 from repro.pipeline.annotate import OracleAnnotator
@@ -34,6 +36,7 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.resilience.atomic import atomic_write_json
 from repro.trace.profiles import WorkloadProfile
+from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.timing import Stopwatch
 
@@ -163,7 +166,7 @@ def run_benchmarks(
     profile = _bench_profile()
     config = CoreConfig(record_timeline=False)
     trace = generate_trace(profile, length, BENCH_SEED)
-    packed = PackedTrace.pack(trace)
+    packed = trace.pack()
     branch_count = trace.statistics().branch_count
     n = len(trace)
 
@@ -214,10 +217,23 @@ def run_benchmarks(
     for name in ("bimodal", "gshare", "local"):
         spec(f"replay_{name}_scalar", scalar_replay(name), branch_count)
 
-    # Columnar conversions and statistics.
-    spec("pack", lambda: PackedTrace.pack(trace), n)
+    # Columnar conversions and statistics. A generated trace is already
+    # columns, so ``pack`` times the records -> columns conversion on a
+    # trace built from records.
+    record_trace = Trace(trace.records, name=trace.name)
+    spec("pack", lambda: PackedTrace.pack(record_trace), n)
     spec("unpack", lambda: packed.unpack(), n)
     spec("statistics_scalar", lambda: trace._compute_statistics(), n)
+
+    # The two layers the figure workloads spend most in after the core:
+    # cold generation of the columns, and the interval model's
+    # prediction with its ILP fit.
+    spec(
+        "trace_generate",
+        lambda: generate_trace(profile, length, BENCH_SEED),
+        n,
+    )
+    spec("interval_predict", lambda: IntervalModel(config).predict(trace), n)
 
     # End to end: cold columnar generation, then F16's interval estimate.
     spec(

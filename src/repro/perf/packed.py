@@ -4,9 +4,14 @@ A :class:`PackedTrace` holds the same information as a
 :class:`~repro.trace.stream.Trace` — losslessly, round-trip tested —
 but in columns: one structured array with a field per
 :class:`~repro.trace.record.TraceRecord` attribute, plus the dynamic
-dependence lists flattened into a CSR-style (indptr, data) pair. The
-vectorized kernels in this package operate on these columns instead of
-walking Python objects.
+dependence lists flattened into a CSR-style (indptr, data) pair.
+
+It is the canonical form of a generated trace: the synthetic generator
+writes these columns directly, and :class:`~repro.trace.stream.Trace`
+builds record objects from them only when a caller asks for
+``trace.records``. The column queries a trace answers (statistics,
+miss-event masks, dataflow critical path, validation) live here so that
+``repro.trace.stream`` never imports NumPy.
 
 Encoding notes:
 
@@ -24,13 +29,14 @@ Encoding notes:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.isa.opcodes import OpClass
 from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from repro.trace.stream import Trace, TraceStatistics
+from repro.util.stats import Histogram
 
 #: Op classes in enum definition order; ``op`` column values index this.
 OP_CLASSES: Tuple[OpClass, ...] = tuple(OpClass)
@@ -64,6 +70,9 @@ RECORD_DTYPE = np.dtype(
 #: access, L1 hit, short (L2-hit) miss, long (memory) miss.
 DCODE_NONE, DCODE_L1_HIT, DCODE_SHORT, DCODE_LONG = 0, 1, 2, 3
 
+#: Tri-state decode table, indexed by ``code + 1``.
+_TRI_VALUES = np.array([None, False, True], dtype=object)
+
 
 def _tri(value) -> int:
     """Tri-state encode: None -> -1, False -> 0, True -> 1."""
@@ -72,11 +81,16 @@ def _tri(value) -> int:
     return 1 if value else 0
 
 
-def _untri(code: int):
-    """Inverse of :func:`_tri`."""
-    if code < 0:
-        return None
-    return bool(code)
+def _tri_list(codes: np.ndarray) -> list:
+    """Tri-state decode of a whole column to Python None/False/True."""
+    return _TRI_VALUES[codes + 1].tolist()
+
+
+def _optional_list(values: np.ndarray, present: np.ndarray) -> list:
+    """``values`` as Python ints, None where ``present`` is False."""
+    boxed = values.astype(object)
+    boxed[~present] = None
+    return boxed.tolist()
 
 
 class PackedTrace:
@@ -148,11 +162,41 @@ class PackedTrace:
         lo, hi = int(self.dep_indptr[seq]), int(self.dep_indptr[seq + 1])
         return tuple(int(d) for d in self.dep_data[lo:hi])
 
+    def producer_csr(self) -> Tuple[List[int], List[int]]:
+        """The dependence CSR with each distance turned into the index of
+        its producer, producers before record 0 dropped, as Python lists
+        ``(indptr, producers)``."""
+        n = len(self)
+        owners = np.repeat(
+            np.arange(n, dtype=np.int64), np.diff(self.dep_indptr)
+        )
+        producers = owners - self.dep_data.astype(np.int64)
+        keep = producers >= 0
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners[keep], minlength=n), out=indptr[1:])
+        return indptr.tolist(), producers[keep].tolist()
+
+    def window_deps(
+        self, start: int, stop: int
+    ) -> Tuple[List[int], List[int]]:
+        """The dependence CSR of records ``[start, stop)`` as Python lists.
+
+        Returns ``(offsets, distances)``: record ``seq`` depends on
+        ``distances[offsets[seq - start]:offsets[seq - start + 1]]``.
+        Slice walks read these instead of the whole trace's CSR.
+        """
+        bounds = self.dep_indptr[start:stop + 1]
+        lo = bounds[0]
+        return (
+            (bounds - lo).tolist(),
+            self.dep_data[lo:bounds[-1]].tolist(),
+        )
+
     # -- conversion --------------------------------------------------------
 
     @classmethod
     def pack(cls, trace: Trace) -> "PackedTrace":
-        """Pack a record-list trace into columns (lossless)."""
+        """Pack a trace's records into columns (lossless)."""
         records = trace.records
         n = len(records)
         columns = np.zeros(n, dtype=RECORD_DTYPE)
@@ -193,38 +237,50 @@ class PackedTrace:
             name=trace.name,
         )
 
+    def to_records(self) -> List[TraceRecord]:
+        """One :class:`TraceRecord` per row, fields as Python values.
+
+        Every column is converted once (``tolist`` and object-table
+        lookups), then one ``map`` builds the records, so the
+        constructor's checks still run on each.
+        """
+        cols = self.columns
+        bounds = self.dep_indptr.tolist()
+        flat = self.dep_data.tolist()
+        deps = map(tuple, map(flat.__getitem__, map(slice, bounds, bounds[1:])))
+        return list(
+            map(
+                TraceRecord,
+                map(OP_CLASSES.__getitem__, cols["op"].tolist()),
+                cols["pc"].tolist(),
+                deps,
+                _optional_list(cols["mem_addr"], cols["has_mem_addr"]),
+                cols["taken"].tolist(),
+                _optional_list(cols["target"], cols["has_target"]),
+                _tri_list(cols["mispredict"]),
+                _tri_list(cols["il1_miss"]),
+                _tri_list(cols["dl1_miss"]),
+                _tri_list(cols["dl2_miss"]),
+            )
+        )
+
     def unpack(self) -> Trace:
         """Reconstruct the record-list trace (inverse of :meth:`pack`)."""
-        cols = self.columns
-        op = cols["op"].tolist()
-        pc = cols["pc"].tolist()
-        mem = cols["mem_addr"].tolist()
-        has_mem = cols["has_mem_addr"].tolist()
-        taken = cols["taken"].tolist()
-        target = cols["target"].tolist()
-        has_target = cols["has_target"].tolist()
-        misp = cols["mispredict"].tolist()
-        il1 = cols["il1_miss"].tolist()
-        dl1 = cols["dl1_miss"].tolist()
-        dl2 = cols["dl2_miss"].tolist()
-        indptr = self.dep_indptr.tolist()
-        dep_data = self.dep_data.tolist()
-        records = [
-            TraceRecord(
-                op_class=OP_CLASSES[op[i]],
-                pc=pc[i],
-                deps=tuple(dep_data[indptr[i]:indptr[i + 1]]),
-                mem_addr=mem[i] if has_mem[i] else None,
-                taken=taken[i],
-                target=target[i] if has_target[i] else None,
-                mispredict=_untri(misp[i]),
-                il1_miss=_untri(il1[i]),
-                dl1_miss=_untri(dl1[i]),
-                dl2_miss=_untri(dl2[i]),
-            )
-            for i in range(len(cols))
-        ]
-        return Trace(records, name=self.name)
+        return Trace(self.to_records(), name=self.name)
+
+    def slice(self, start: int, stop: int, name: str) -> "PackedTrace":
+        """Rows ``[start, stop)`` (non-negative, ``start <= stop``).
+
+        Distances are kept as they are, so a dependence that reaches
+        before ``start`` names a producer before row 0 of the slice.
+        """
+        lo = self.dep_indptr[start]
+        return PackedTrace(
+            self.columns[start:stop],
+            self.dep_indptr[start:stop + 1] - lo,
+            self.dep_data[lo:self.dep_indptr[stop]],
+            name=name,
+        )
 
     def equals(self, other: "PackedTrace") -> bool:
         """Exact column equality (name included)."""
@@ -240,6 +296,131 @@ class PackedTrace:
             f"PackedTrace({self.name!r}, n={len(self)}, "
             f"deps={len(self.dep_data)}, {self.nbytes} bytes)"
         )
+
+    # -- trace queries (the folds behind :class:`Trace`'s methods) ---------
+
+    def validate(self) -> None:
+        """The record constructor's checks over whole columns: every
+        distance is >= 1 and every memory op has an address. Raises
+        ValueError naming the first offending record."""
+        bad_dep = np.flatnonzero(self.dep_data < 1)
+        op = self.op
+        bad_mem = np.flatnonzero(
+            ((op == LOAD_CODE) | (op == STORE_CODE))
+            & ~self.columns["has_mem_addr"]
+        )
+        dep_at = (
+            int(np.searchsorted(self.dep_indptr, bad_dep[0], side="right")) - 1
+            if len(bad_dep)
+            else len(self)
+        )
+        mem_at = int(bad_mem[0]) if len(bad_mem) else len(self)
+        if dep_at < len(self) and dep_at <= mem_at:
+            raise ValueError(
+                f"record {dep_at}: non-positive dependence distance"
+            )
+        if mem_at < len(self):
+            raise ValueError(f"record {mem_at}: memory op without address")
+
+    def is_annotated(self) -> bool:
+        """True when every branch carries an oracle mispredict flag."""
+        return not np.any((self.op == BRANCH_CODE) & (self.mispredict < 0))
+
+    def branch_indices(self) -> List[int]:
+        return np.flatnonzero(self.op == BRANCH_CODE).tolist()
+
+    def mispredicted_indices(self) -> List[int]:
+        return np.flatnonzero(
+            (self.op == BRANCH_CODE) & (self.mispredict == 1)
+        ).tolist()
+
+    def statistics(self) -> TraceStatistics:
+        """:class:`TraceStatistics` as bincount folds over the columns."""
+        n = len(self)
+        op = self.op
+        is_branch = op == BRANCH_CODE
+        is_load = op == LOAD_CODE
+        branch_count = int(np.count_nonzero(is_branch))
+        taken_count = int(np.count_nonzero(is_branch & self.taken))
+        mispredict_count = int(
+            np.count_nonzero(is_branch & (self.mispredict == 1))
+        )
+        il1_count = int(np.count_nonzero(self.il1_miss == 1))
+        load_count = int(np.count_nonzero(is_load))
+        dl1_count = int(np.count_nonzero(is_load & (self.dl1_miss == 1)))
+        dl2_count = int(np.count_nonzero(is_load & (self.dl2_miss == 1)))
+        # The mix keeps the order in which each class first appears.
+        codes, first = np.unique(op, return_index=True)
+        counts = np.bincount(op, minlength=len(OP_CLASSES))
+        mix = {
+            OP_CLASSES[code].value: int(counts[code]) / n
+            for code in codes[np.argsort(first)].tolist()
+        }
+        dep_hist = Histogram()
+        if len(self.dep_data):
+            values = np.bincount(self.dep_data)
+            for dist in np.flatnonzero(values).tolist():
+                dep_hist.add(dist, int(values[dist]))
+        per_ki = 1000.0 / n if n else 0.0
+        return TraceStatistics(
+            instruction_count=n,
+            mix=mix,
+            branch_count=branch_count,
+            taken_fraction=taken_count / branch_count if branch_count else 0.0,
+            mispredict_count=mispredict_count,
+            mispredictions_per_ki=mispredict_count * per_ki,
+            il1_misses_per_ki=il1_count * per_ki,
+            dl1_miss_rate=dl1_count / load_count if load_count else 0.0,
+            dl2_miss_rate=dl2_count / load_count if load_count else 0.0,
+            mean_dependence_distance=dep_hist.mean,
+            dependence_histogram=dep_hist,
+        )
+
+    def critical_path_length(
+        self, latency_of: Optional[Callable[[OpClass], int]] = None
+    ) -> int:
+        """Dataflow critical path over the columns; see
+        :meth:`Trace.critical_path_length`."""
+        n = len(self)
+        if not n:
+            return 0
+        op = self.op
+        if latency_of is None:
+            latencies = [1] * n
+        else:
+            table = [0] * len(OP_CLASSES)
+            present = np.bincount(op, minlength=len(OP_CLASSES))
+            for code in np.flatnonzero(present).tolist():
+                table[code] = latency_of(OP_CLASSES[code])
+            latencies = list(map(table.__getitem__, op.tolist()))
+        indptr, producers = self.producer_csr()
+        finish = [0] * n
+        # Each finish time needs its producers' finish times: a
+        # recurrence in record order, walked once over the CSR lists.
+        for i, lo, hi, latency in zip(range(n), indptr, indptr[1:], latencies):
+            start = 0
+            for producer in producers[lo:hi]:
+                if finish[producer] > start:
+                    start = finish[producer]
+            finish[i] = start + latency
+        return max(0, max(finish))
+
+
+def miss_event_masks(
+    packed: PackedTrace,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-record miss-event masks ``(bpred, icache, long, short)``:
+    mispredicted conditional branches, I-cache misses, loads that miss
+    to memory, and loads that miss L1 only. Unannotated (-1) flags read
+    as no event."""
+    op = packed.op
+    is_load = op == LOAD_CODE
+    return (
+        (op == BRANCH_CODE) & (packed.mispredict == 1),
+        packed.il1_miss == 1,
+        is_load & (packed.dl2_miss == 1),
+        is_load & (packed.dl1_miss == 1),
+    )
 
 
 def oracle_miss_columns(

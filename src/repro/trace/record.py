@@ -57,9 +57,9 @@ class TraceRecord:
         dl1_miss: Optional[bool] = None,
         dl2_miss: Optional[bool] = None,
     ):
-        if any(d < 1 for d in deps):
+        if deps and min(deps) < 1:
             raise ValueError(f"dependence distances must be >= 1, got {deps}")
-        if op_class.is_memory and mem_addr is None:
+        if mem_addr is None and op_class.is_memory:
             raise ValueError(f"{op_class.value} record requires mem_addr")
         self.op_class = op_class
         self.pc = pc

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.isa.opcodes import OpClass
 from repro.trace.record import TraceRecord
 from repro.util.stats import Histogram
 
@@ -40,18 +39,47 @@ class TraceStatistics:
 
 
 class Trace:
-    """An ordered sequence of :class:`TraceRecord` with metadata."""
+    """An ordered sequence of :class:`TraceRecord` with metadata.
+
+    A trace is held in one of two forms. A *record-built* trace keeps
+    the records it was given and packs them into columns
+    (:class:`repro.perf.packed.PackedTrace`) on the first :meth:`pack`.
+    A *column-backed* trace (:meth:`from_columns`, which the synthetic
+    generator uses) keeps only the columns; :attr:`records` builds the
+    record objects from them on first access and caches them. Every
+    query below is a fold over the columns, so it never builds records.
+    :meth:`append` / :meth:`extend` work on records and drop the
+    columns, which the next :meth:`pack` rebuilds.
+    """
 
     def __init__(
         self,
         records: Optional[Sequence[TraceRecord]] = None,
         name: str = "trace",
     ):
-        self.records: List[TraceRecord] = list(records) if records else []
+        self._records: Optional[List[TraceRecord]] = (
+            list(records) if records else []
+        )
+        self._columns = None
         self.name = name
         self._version = 0
         self._stats_cache: Optional[TraceStatistics] = None
-        self._packed_cache = None
+
+    @classmethod
+    def from_columns(cls, packed) -> "Trace":
+        """A column-backed trace over ``packed`` (not copied); its name
+        is the columns' name."""
+        trace = cls(name=packed.name)
+        trace._records = None
+        trace._columns = packed
+        return trace
+
+    @property
+    def records(self) -> List[TraceRecord]:
+        """The records, built from the columns on first access."""
+        if self._records is None:
+            self._records = self._columns.to_records()
+        return self._records
 
     @property
     def version(self) -> int:
@@ -65,10 +93,12 @@ class Trace:
     def _invalidate(self) -> None:
         self._version += 1
         self._stats_cache = None
-        self._packed_cache = None
+        self._columns = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is None:
+            return len(self._columns)
+        return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -85,27 +115,30 @@ class Trace:
         self._invalidate()
 
     def slice(self, start: int, stop: int) -> "Trace":
-        """Return a sub-trace. Dependences reaching before ``start`` are
-        clipped to distance ``start`` offsets (treated as already
-        complete by the simulator), so slicing is always safe."""
-        return Trace(self.records[start:stop], name=f"{self.name}[{start}:{stop}]")
+        """Return the sub-trace ``[start:stop]``.
+
+        Dependence distances are kept as they are: one that reaches
+        before ``start`` names a producer before the sub-trace's first
+        record, which the simulators treat as already complete, so
+        slicing is always safe. A column-backed trace slices its
+        columns.
+        """
+        name = f"{self.name}[{start}:{stop}]"
+        if self._records is None:
+            lo, hi, _ = slice(start, stop).indices(len(self))
+            return Trace.from_columns(
+                self._columns.slice(lo, max(lo, hi), name)
+            )
+        return Trace(self._records[start:stop], name=name)
 
     @property
     def is_annotated(self) -> bool:
         """True when branch records carry oracle mispredict flags."""
-        return all(
-            record.mispredict is not None
-            for record in self.records
-            if record.is_branch
-        )
+        return self.pack().is_annotated()
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
-        for i, record in enumerate(self.records):
-            if any(d < 1 for d in record.deps):
-                raise ValueError(f"record {i}: non-positive dependence distance")
-            if record.is_memory and record.mem_addr is None:
-                raise ValueError(f"record {i}: memory op without address")
+        self.pack().validate()
 
     def statistics(self) -> TraceStatistics:
         """Descriptive statistics over the whole trace.
@@ -121,64 +154,25 @@ class Trace:
 
     def pack(self):
         """This trace in columnar form (:class:`repro.perf.packed.
-        PackedTrace`), memoized with the same invalidation as
-        :meth:`statistics`."""
-        if self._packed_cache is None:
+        PackedTrace`). A column-backed trace returns its columns as
+        they are; a record-built one packs its records once, memoized
+        with the same invalidation as :meth:`statistics`."""
+        if self._columns is None:
             from repro.perf.packed import PackedTrace
 
-            self._packed_cache = PackedTrace.pack(self)
-        return self._packed_cache
+            self._columns = PackedTrace.pack(self)
+        return self._columns
 
     def _compute_statistics(self) -> TraceStatistics:
-        mix_counts: Dict[str, int] = {}
-        branch_count = 0
-        taken_count = 0
-        mispredict_count = 0
-        il1_count = 0
-        load_count = 0
-        dl1_count = 0
-        dl2_count = 0
-        dep_hist = Histogram()
-        for record in self.records:
-            key = record.op_class.value
-            mix_counts[key] = mix_counts.get(key, 0) + 1
-            for dist in record.deps:
-                dep_hist.add(dist)
-            if record.is_branch:
-                branch_count += 1
-                taken_count += int(record.taken)
-                mispredict_count += int(bool(record.mispredict))
-            if record.il1_miss:
-                il1_count += 1
-            if record.is_load:
-                load_count += 1
-                dl1_count += int(bool(record.dl1_miss))
-                dl2_count += int(bool(record.dl2_miss))
-        n = len(self.records)
-        per_ki = 1000.0 / n if n else 0.0
-        return TraceStatistics(
-            instruction_count=n,
-            mix={k: v / n for k, v in mix_counts.items()} if n else {},
-            branch_count=branch_count,
-            taken_fraction=taken_count / branch_count if branch_count else 0.0,
-            mispredict_count=mispredict_count,
-            mispredictions_per_ki=mispredict_count * per_ki,
-            il1_misses_per_ki=il1_count * per_ki,
-            dl1_miss_rate=dl1_count / load_count if load_count else 0.0,
-            dl2_miss_rate=dl2_count / load_count if load_count else 0.0,
-            mean_dependence_distance=dep_hist.mean,
-            dependence_histogram=dep_hist,
-        )
+        return self.pack().statistics()
 
     def branch_indices(self) -> List[int]:
         """Indices of conditional branches."""
-        return [i for i, r in enumerate(self.records) if r.is_branch]
+        return self.pack().branch_indices()
 
     def mispredicted_indices(self) -> List[int]:
         """Indices of annotated mispredicted branches."""
-        return [
-            i for i, r in enumerate(self.records) if r.is_branch and r.mispredict
-        ]
+        return self.pack().mispredicted_indices()
 
     def critical_path_length(self, latency_of=None) -> int:
         """Dataflow critical path length of the whole trace, in cycles.
@@ -187,24 +181,12 @@ class Trace:
         the default charges one cycle per instruction, which yields the
         classic dataflow-limit measure of inherent ILP.
         """
-        if latency_of is None:
-            latency_of = lambda op_class: 1  # noqa: E731 - tiny default
-        finish: List[int] = []
-        longest = 0
-        for i, record in enumerate(self.records):
-            start = 0
-            for dist in record.deps:
-                producer = i - dist
-                if producer >= 0:
-                    start = max(start, finish[producer])
-            done = start + latency_of(record.op_class)
-            finish.append(done)
-            longest = max(longest, done)
-        return longest
+        return self.pack().critical_path_length(latency_of)
 
     def dataflow_ipc(self, latency_of=None) -> float:
         """Instructions per cycle at the dataflow limit (infinite window)."""
-        if not self.records:
+        n = len(self)
+        if not n:
             return 0.0
         length = self.critical_path_length(latency_of)
-        return len(self.records) / length if length else float(len(self.records))
+        return n / length if length else float(n)

@@ -16,7 +16,9 @@ streams take a data-dependent number of draws per record (a Bernoulli
 with p <= 0 or p >= 1 takes none, a geometric takes one per trial), so
 each runs as one integer loop over Python lists precomputed from its
 block: the unit floats, the ``randint`` offsets and, for the geometric,
-the position of the next success. The records are equal, field for
+the position of the next success. The output is the columns of a
+:class:`~repro.perf.packed.PackedTrace`; the trace builds record objects
+from them only when asked, and those records are equal, field for
 field, to drawing one value at a time.
 """
 
@@ -26,7 +28,6 @@ from typing import List, Optional, Tuple
 
 from repro.isa.opcodes import OpClass
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.util.rng import SplitMix, unit_floats
 
@@ -223,59 +224,71 @@ class SyntheticTraceGenerator:
         self._emitted = 0
 
     def generate(self, count: int) -> Trace:
-        """Generate a trace of ``count`` instructions."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count}")
-        records: List[TraceRecord] = []
-        for done in range(0, count, _BLOCK):
-            records.extend(self._block(min(_BLOCK, count - done)))
-        return Trace(records, name=self.profile.name)
-
-    def _block(self, size: int) -> List[TraceRecord]:
-        """The next ``size`` records."""
+        """Generate a column-backed trace of ``count`` instructions."""
         import numpy as np
 
+        from repro.perf.packed import RECORD_DTYPE, PackedTrace
+
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
+        columns = np.zeros(count, dtype=RECORD_DTYPE)
+        # Absent annotations read as None, absent addresses as 0.
+        for name in ("mispredict", "dl1_miss", "dl2_miss"):
+            columns[name] = -1
+        counts = []
+        distances = []
+        for done in range(0, count, _BLOCK):
+            size = min(_BLOCK, count - done)
+            block_counts, block_distances = self._block(
+                columns[done:done + size]
+            )
+            counts.append(np.asarray(block_counts, dtype=np.int64))
+            distances.append(np.asarray(block_distances, dtype=np.int32))
+        indptr = np.zeros(count + 1, dtype=np.int64)
+        if count:
+            np.cumsum(np.concatenate(counts), out=indptr[1:])
+        packed = PackedTrace(
+            columns,
+            indptr,
+            np.concatenate(distances) if distances else np.zeros(0, np.int32),
+            name=self.profile.name,
+        )
+        packed.validate()
+        return Trace.from_columns(packed)
+
+    def _block(self, columns) -> Tuple[List[int], List[int]]:
+        """Fill ``columns`` (the next records' rows) and return their
+        dependences as per-record counts and flat distances."""
+        import numpy as np
+
+        from repro.perf.packed import OP_CODE
+
+        size = len(columns)
         ops = self._op_column(size)
         kinds = np.asarray(self._kinds)[ops]
-        ops = ops.tolist()
-        deps = self._deps_column(ops)
-        il1 = self._icache_column(size)
+        columns["op"] = np.asarray([OP_CODE[c] for c in self._classes])[ops]
+        deps = self._deps_column(ops.tolist())
+        columns["il1_miss"] = self._icache_column(size)
 
-        taken = [False] * size
-        target: List[Optional[int]] = [None] * size
-        mispredict: List[Optional[bool]] = [None] * size
         control = np.flatnonzero((kinds == _BRANCH) | (kinds == _JUMP))
-        self._control_columns(
-            control.tolist(),
-            (kinds[control] == _BRANCH).tolist(),
-            taken,
-            target,
-            mispredict,
+        taken, target, mispredict = self._control_columns(
+            (kinds[control] == _BRANCH).tolist()
         )
-        addr: List[Optional[int]] = [None] * size
-        dl1: List[Optional[bool]] = [None] * size
-        dl2: List[Optional[bool]] = [None] * size
+        columns["taken"][control] = taken
+        columns["target"][control] = target
+        columns["has_target"][control] = True
+        columns["mispredict"][control] = mispredict
         memory = np.flatnonzero((kinds == _LOAD) | (kinds == _STORE))
-        self._memory_columns(
-            memory.tolist(), (kinds[memory] == _LOAD).tolist(), addr, dl1, dl2
+        addr, dl1, dl2 = self._memory_columns(
+            (kinds[memory] == _LOAD).tolist()
         )
-        pcs = self._pc_column(taken, target)
+        columns["mem_addr"][memory] = addr
+        columns["has_mem_addr"][memory] = True
+        columns["dl1_miss"][memory] = dl1
+        columns["dl2_miss"][memory] = dl2
+        columns["pc"] = self._pc_column(columns["taken"], columns["target"])
         self._emitted += size
-        return list(
-            map(
-                TraceRecord,
-                map(self._classes.__getitem__, ops),
-                pcs,
-                deps,
-                addr,
-                taken,
-                target,
-                mispredict,
-                il1,
-                dl1,
-                dl2,
-            )
-        )
+        return deps
 
     def _op_column(self, size: int):
         """Class indices of the next ``size`` records: one
@@ -289,15 +302,18 @@ class SyntheticTraceGenerator:
         )
         return np.minimum(picks, len(self._classes) - 1)
 
-    def _icache_column(self, size: int) -> List[bool]:
+    def _icache_column(self, size: int):
+        """I-cache misses of the next ``size`` records: a bool array,
+        or one bool for all of them when the rate takes no draw."""
         p = self.profile.il1_mpki / 1000.0
         fixed = _fixed_outcome(p)
         if fixed is not None:
-            return [fixed] * size
-        return (unit_floats(self._icache_rng.next_u64_array(size)) < p).tolist()
+            return fixed
+        return unit_floats(self._icache_rng.next_u64_array(size)) < p
 
-    def _deps_column(self, ops: List[int]) -> List[Tuple[int, ...]]:
-        """Dependence distances of records ``ops`` (class indices)."""
+    def _deps_column(self, ops: List[int]) -> Tuple[List[int], List[int]]:
+        """Dependences of records ``ops`` (class indices): how many each
+        record has, and all their distances in record order."""
         profile = self.profile
         chains = self._chains
         shapes = self._shapes
@@ -309,14 +325,15 @@ class SyntheticTraceGenerator:
         geometric = window.p is not None
         u, mod, nxt, pos = window.u, window.mod, window.nxt, window.pos
         size = len(u)
-        column: List[Tuple[int, ...]] = []
+        counts: List[int] = []
+        flat: List[int] = []
         for index, cls in enumerate(ops, self._emitted):
             minimum, may_extend, produces = shapes[cls]
             if index == 0:
                 if produces:
                     # Seed a chain with this producer even without sources.
                     chains[0] = 0
-                column.append(())
+                counts.append(0)
                 continue
             if pos + _DEPS_DRAWS > size:
                 window.refill(pos, _DEPS_DRAWS)
@@ -329,7 +346,7 @@ class SyntheticTraceGenerator:
                     pos += 1
                 elif second_fixed:
                     count += 1
-            deps: List[int] = []
+            counts.append(count)
             for position in range(count):
                 if chain_fixed is None:
                     chained = u[pos] < p_chain
@@ -346,7 +363,7 @@ class SyntheticTraceGenerator:
                     if produces and position == 0:
                         chains[chain] = index
                     if tail is not None and tail != index:
-                        deps.append(index - tail)
+                        flat.append(index - tail)
                         continue
                 distance = 1
                 if geometric:
@@ -358,21 +375,15 @@ class SyntheticTraceGenerator:
                         distance += window.geometric(pos, _DEP_DRAWS)
                         u, mod, nxt, pos = window.u, window.mod, window.nxt, window.pos
                         size = len(u)
-                deps.append(distance if distance < index else index)
-            column.append(tuple(deps))
+                flat.append(distance if distance < index else index)
         window.pos = pos
-        return column
+        return counts, flat
 
     def _control_columns(
-        self,
-        positions: List[int],
-        is_branch: List[bool],
-        taken: list,
-        target: list,
-        mispredict: list,
-    ) -> None:
-        """Fill the control fields of the branches and jumps at
-        ``positions``.
+        self, is_branch: List[bool]
+    ) -> Tuple[List[bool], List[int], List[bool]]:
+        """The taken, target and mispredict fields of the next branches
+        and jumps (``is_branch`` tells them apart), one entry each.
 
         Branches walk a two-state Markov chain whose dwell times put a
         fraction ``profile.burst_fraction`` of them in the bursty state
@@ -402,7 +413,10 @@ class SyntheticTraceGenerator:
         window = self._branches
         u, mod, pos = window.u, window.mod, window.pos
         size = len(u)
-        for at, branch in zip(positions, is_branch):
+        taken: List[bool] = []
+        target: List[int] = []
+        mispredict: List[bool] = []
+        for branch in is_branch:
             if pos + _BRANCH_DRAWS > size:
                 window.refill(pos, _BRANCH_DRAWS)
                 u, mod, pos = window.u, window.mod, 0
@@ -425,38 +439,34 @@ class SyntheticTraceGenerator:
                     if flip:
                         in_burst = True
                 if taken_fixed is None:
-                    taken[at] = u[pos] < p_taken
+                    taken.append(u[pos] < p_taken)
                     pos += 1
                 else:
-                    taken[at] = taken_fixed
+                    taken.append(taken_fixed)
                 if in_burst:
                     fixed, rate = rate_in_fixed, rate_in
                 else:
                     fixed, rate = rate_out_fixed, rate_out
                 if fixed is None:
-                    mispredict[at] = u[pos] < rate
+                    mispredict.append(u[pos] < rate)
                     pos += 1
                 else:
-                    mispredict[at] = fixed
+                    mispredict.append(fixed)
             else:
-                taken[at] = True
-                mispredict[at] = False
-            target[at] = 0x1000 + _INSTRUCTION_BYTES * mod[pos]
+                taken.append(True)
+                mispredict.append(False)
+            target.append(0x1000 + _INSTRUCTION_BYTES * mod[pos])
             pos += 1
         window.pos = pos
         self._in_burst = in_burst
+        return taken, target, mispredict
 
     def _memory_columns(
-        self,
-        positions: List[int],
-        is_load: List[bool],
-        addr: list,
-        dl1: list,
-        dl2: list,
-    ) -> None:
-        """Fill the address and D-cache fields of the loads and stores
-        at ``positions``. Short (dl1) and long (dl2) misses are mutually
-        exclusive; stores carry neither."""
+        self, is_load: List[bool]
+    ) -> Tuple[List[int], List[bool], List[bool]]:
+        """The address, dl1 and dl2 fields of the next loads and stores
+        (``is_load`` tells them apart), one entry each. Short (dl1) and
+        long (dl2) misses are mutually exclusive; stores carry neither."""
         profile = self.profile
         p_stride = profile.stride_fraction
         stride_fixed = _fixed_outcome(p_stride)
@@ -468,7 +478,10 @@ class SyntheticTraceGenerator:
         window = self._memory
         u, mod, pos = window.u, window.mod, window.pos
         size = len(u)
-        for at, load in zip(positions, is_load):
+        addr: List[int] = []
+        dl1: List[bool] = []
+        dl2: List[bool] = []
+        for load in is_load:
             if pos + _MEMORY_DRAWS > size:
                 window.refill(pos, _MEMORY_DRAWS)
                 u, mod, pos = window.u, window.mod, 0
@@ -482,36 +495,53 @@ class SyntheticTraceGenerator:
                 stream_addr += stride_bytes
                 if stream_addr >= limit:
                     stream_addr = 0x10000
-                addr[at] = stream_addr
+                addr.append(stream_addr)
             else:
-                addr[at] = 0x10000 + 8 * mod[pos]
+                addr.append(0x10000 + 8 * mod[pos])
                 pos += 1
             if load:
                 roll = u[pos]
                 pos += 1
-                dl1[at] = long_rate <= roll < any_rate
-                dl2[at] = roll < long_rate
+                dl1.append(long_rate <= roll < any_rate)
+                dl2.append(roll < long_rate)
             else:
-                dl1[at] = dl2[at] = False
+                dl1.append(False)
+                dl2.append(False)
         window.pos = pos
         self._stream_addr = stream_addr
+        return addr, dl1, dl2
 
-    def _pc_column(self, taken: List[bool], target: list) -> List[int]:
+    def _pc_column(self, taken, target):
         """Sequential PCs that wrap at the code footprint, redirected
-        by taken branches and jumps."""
-        pc = self._pc
-        end = 0x1000 + self.profile.code_footprint_bytes
-        column = []
-        for redirect, to in zip(taken, target):
-            column.append(pc)
-            if redirect:
-                pc = to
-            else:
-                pc += _INSTRUCTION_BYTES
-                if pc >= end:
-                    pc = 0x1000
-        self._pc = pc
-        return column
+        by taken branches and jumps (``taken``/``target`` columns).
+
+        Every PC is ``0x1000 + 4 * slot`` with ``slot`` below
+        ``slots = ceil(footprint / 4)``: stepping past the last slot
+        wraps to slot 0, and every target is a slot. So record ``i``
+        sits ``i - anchor`` slots (mod ``slots``) after its anchor: the
+        record after the last redirect before it, which starts at the
+        redirect's target, or the block's first record, which starts at
+        the carried-over PC.
+        """
+        import numpy as np
+
+        slots = -(-self.profile.code_footprint_bytes // _INSTRUCTION_BYTES)
+        steps = np.arange(len(taken) + 1)
+        redirects = np.flatnonzero(taken)
+        # How many redirects precede each record (and the next block).
+        before = np.searchsorted(redirects, steps)
+        anchor = np.zeros(len(steps), dtype=np.int64)
+        anchor_slot = np.full(len(steps), self._pc - 0x1000, dtype=np.int64)
+        anchor_slot //= _INSTRUCTION_BYTES
+        redirected = before > 0
+        last = redirects[before[redirected] - 1]
+        anchor[redirected] = last + 1
+        anchor_slot[redirected] = (target[last] - 0x1000) // _INSTRUCTION_BYTES
+        pcs = 0x1000 + _INSTRUCTION_BYTES * (
+            (anchor_slot + steps - anchor) % slots
+        )
+        self._pc = int(pcs[-1])
+        return pcs[:-1]
 
 
 def generate_trace(profile: WorkloadProfile, count: int, seed: int = 0) -> Trace:

@@ -286,10 +286,12 @@ def test_perf_flags_enumerate_and_comprehension():
     assert "PERF001" in rules_hit(comp, "src/repro/perf/x.py")
 
 
-def test_perf_only_scoped_to_perf_package():
+def test_perf_scoped_to_column_consumers():
     source = "def f(trace):\n    for r in trace.records:\n        pass\n"
-    assert "PERF001" not in rules_hit(source, "src/repro/interval/x.py")
+    for package in ("perf", "interval", "harness"):
+        assert "PERF001" in rules_hit(source, f"src/repro/{package}/x.py")
     assert "PERF001" not in rules_hit(source, "src/repro/trace/x.py")
+    assert "PERF001" not in rules_hit(source, "src/repro/pipeline/x.py")
 
 
 def test_perf_allows_columnar_code():

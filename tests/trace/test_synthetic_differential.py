@@ -1,9 +1,11 @@
 """The columnar generator against the scalar oracle, field for field.
 
 ``SyntheticTraceGenerator`` draws its SplitMix child streams in NumPy
-blocks; ``scalar_generator`` draws one value at a time. Every record
-must agree on every field, including the Python type of the value (a
-``numpy.bool_`` would compare equal but serialize differently).
+blocks and writes columns; ``scalar_generator`` draws one value at a
+time and builds records. The columns must equal a pack of the oracle's
+records, and the record view built from them must agree on every field,
+including the Python type of the value (a ``numpy.bool_`` would compare
+equal but serialize differently).
 """
 
 from operator import attrgetter
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.harness.runner import DEFAULT_LENGTH, DEFAULT_SEED
 from repro.isa.opcodes import OpClass
+from repro.perf.packed import PackedTrace
 from repro.trace import synthetic
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.record import TraceRecord
@@ -44,6 +47,14 @@ def assert_same_records(got, want):
                 f"record {index} differs in {slot}: "
                 f"{got_values[index]!r} != {want_values[index]!r}"
             )
+
+
+def assert_same_trace(got, want):
+    """``got`` is column-backed, its columns are a pack of ``want``'s
+    records, and its record view equals them."""
+    assert got._records is None
+    assert got.pack().equals(PackedTrace.pack(want))
+    assert_same_records(got, want)
 
 
 def probability():
@@ -105,14 +116,14 @@ class TestColumnarMatchesScalar:
         # Small blocks force window refills at every possible draw.
         with mock.patch.object(synthetic, "_BLOCK", block):
             got = generate_trace(profile, length, seed=seed)
-        assert_same_records(got, scalar_generate_trace(profile, length, seed))
+        assert_same_trace(got, scalar_generate_trace(profile, length, seed))
 
     @settings(max_examples=8, deadline=None)
     @given(profile=profiles(), seed=st.integers(0, (1 << 64) - 1))
     def test_longer_than_one_block(self, profile, seed):
         length = synthetic._BLOCK + 1500
         got = generate_trace(profile, length, seed=seed)
-        assert_same_records(got, scalar_generate_trace(profile, length, seed))
+        assert_same_trace(got, scalar_generate_trace(profile, length, seed))
 
     def test_degenerate_profile(self):
         # Every no-draw case at once: certain coins everywhere.
@@ -128,14 +139,14 @@ class TestColumnarMatchesScalar:
         )
         assert profile.scaled_mispredict_rate(True) >= 1.0
         got = generate_trace(profile, 3000, seed=5)
-        assert_same_records(got, scalar_generate_trace(profile, 3000, 5))
+        assert_same_trace(got, scalar_generate_trace(profile, 3000, 5))
 
     @pytest.mark.parametrize("name", sorted(SPEC_PROFILES))
     def test_suite_workloads_at_harness_length(self, name):
         seed = derive_seed(DEFAULT_SEED, name)
         profile = SPEC_PROFILES[name]
         got = generate_trace(profile, DEFAULT_LENGTH, seed=seed)
-        assert_same_records(
+        assert_same_trace(
             got, scalar_generate_trace(profile, DEFAULT_LENGTH, seed)
         )
 
