@@ -769,10 +769,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if report is None:
         console.result("(no phases recorded)")
         return 0
-    console.info(
-        "note: cli.simulate wraps the core.* phases, so the core rows "
-        "are a breakdown of it, not additional time"
-    )
     console.result(report.render().rstrip("\n"))
     return 0
 
@@ -825,10 +821,10 @@ def _sweep_value(text: str):
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One-dimensional CoreConfig sweep through the lab pool.
 
-    ``--batch`` chunks the points into lockstep batches routed through
-    ``repro.perf.batchcore`` — results are field-exact equal to the
-    scalar path and land in the same content-addressed store entries,
-    so the two modes share caches point by point.
+    ``--batch`` chunks the points into batches that each build their
+    trace once (``BatchSimJob``). Results are field-exact equal to the
+    per-point run's, but each batch is one ``sim-batch`` store entry,
+    so batched and per-point sweeps do not share cached points.
     """
     from repro.lab.jobs import SweepJob
     from repro.lab.pool import run_jobs

@@ -38,17 +38,6 @@ _SWEEP_LENGTH = 40_000
 _SLICE_CAP = 120  # mispredictions sliced per workload in decompositions
 
 
-def _simulate_trace(trace, config):
-    """One detailed-core run of a trace outside the suite's cache.
-
-    Runs on the batched core, which falls back to the scalar oracle on
-    its own; callers that need an annotator use ``simulate``.
-    """
-    from repro.perf.batchcore import run_batch
-
-    return run_batch(trace, [config])[0]
-
-
 def _sweep_means(names, configs) -> List[List[float]]:
     """Per config, the mean resolution, penalty and IPC over ``names``.
 
@@ -296,7 +285,7 @@ def run_f6() -> ExperimentResult:
         trace = generate_trace(
             profile, _SWEEP_LENGTH, seed=derive_seed(DEFAULT_SEED, "f6", distance)
         )
-        result = _simulate_trace(trace, baseline_config())
+        result = simulate(trace, baseline_config())
         report = measure_penalties(result)
         rows.append(
             [
@@ -361,7 +350,7 @@ def run_f8() -> ExperimentResult:
                 _SWEEP_LENGTH,
                 seed=derive_seed(DEFAULT_SEED, "f8", rate, rep),
             )
-            result = _simulate_trace(trace, baseline_config())
+            result = simulate(trace, baseline_config())
             report = measure_penalties(result)
             resolution += report.mean_resolution
             penalty += report.mean_penalty
@@ -934,7 +923,7 @@ def run_f21() -> ExperimentResult:
             profile, _SWEEP_LENGTH, seed=derive_seed(DEFAULT_SEED, "f21",
                                                      profile.name)
         )
-        result = _simulate_trace(trace, config)
+        result = simulate(trace, config)
         return measure_penalties(result).mean_penalty
 
     knobs = [

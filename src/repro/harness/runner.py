@@ -15,8 +15,9 @@ Every miss runs on the structure-of-arrays detailed core
 (:func:`repro.perf.batchcore.run_batch`), which is field-exact against
 :class:`~repro.pipeline.core.SuperscalarCore`. The scalar core stays
 the oracle: ``run_batch`` hands it the configs the kernel does not
-model (wrong-path dispatch, random issue) and every run under an
-ambient tracer, metrics registry, profiler or sanitizer.
+model (wrong-path dispatch, random issue) and every run under the
+ambient sanitizer. Traced and metered runs stay on the kernel, since
+their spans and ``core.*`` metrics are read from the finished results.
 :func:`simulate_workload` is the one-config case of
 :func:`simulate_workload_batch`, so there is one lookup-and-persist
 path. A sweep passes all its configs for a workload in one call, so

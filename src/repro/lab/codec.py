@@ -56,7 +56,7 @@ _EVENT_KINDS = {
 
 def _event_to_payload(event: MissEvent) -> Dict[str, Any]:
     if isinstance(event, BranchMispredictEvent):
-        return {
+        payload = {
             "k": "bpred",
             "seq": event.seq,
             "cycle": event.cycle,
@@ -64,6 +64,11 @@ def _event_to_payload(event: MissEvent) -> Dict[str, Any]:
             "refill_cycles": event.refill_cycles,
             "window_occupancy": event.window_occupancy,
         }
+        # Only wrong-path dispatch sets it: leaving the 0 out keeps
+        # every other result's bytes as they were.
+        if event.wrong_path_instructions:
+            payload["wrong_path_instructions"] = event.wrong_path_instructions
+        return payload
     if isinstance(event, ICacheMissEvent):
         return {
             "k": "icache",

@@ -24,7 +24,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.lab import codec
@@ -41,6 +41,9 @@ from repro.resilience.watchdog import (
 )
 from repro.util.rng import jittered_backoff_s
 from repro.util.timing import Stopwatch
+
+if TYPE_CHECKING:
+    from repro.trace.stream import Trace
 
 #: Job lifecycle states recorded in results and manifests.
 class JobStatus:
@@ -86,6 +89,21 @@ class JobSpec:
         return codec.value_from_payload(payload)
 
 
+def _workload_trace(workload: str, length: int, seed: int) -> "Trace":
+    """The suite trace a simulation job runs (generated, never stored)."""
+    # Imported lazily so job specs stay cheap to pickle and the
+    # simulator is only loaded inside the process that runs them.
+    from repro.trace.synthetic import generate_trace
+    from repro.util.rng import derive_seed
+    from repro.workloads.spec_profiles import ALL_PROFILES
+
+    try:
+        profile = ALL_PROFILES[workload]
+    except KeyError:
+        raise ValueError(f"unknown workload {workload!r}") from None
+    return generate_trace(profile, length, seed=derive_seed(seed, workload))
+
+
 @dataclass(frozen=True)
 class SimJob(JobSpec):
     """Simulate one suite workload under one configuration."""
@@ -116,38 +134,27 @@ class SimJob(JobSpec):
         )
 
     def execute(self) -> Any:
-        # Imported lazily so job specs stay cheap to pickle and the
-        # simulator is only loaded inside the process that runs them.
-        from repro.pipeline.core import simulate
-        from repro.trace.synthetic import generate_trace
-        from repro.util.rng import derive_seed
-        from repro.workloads.spec_profiles import ALL_PROFILES
-
-        try:
-            profile = ALL_PROFILES[self.workload]
-        except KeyError:
-            raise ValueError(f"unknown workload {self.workload!r}") from None
-        trace = generate_trace(
-            profile, self.length, seed=derive_seed(self.seed, self.workload)
-        )
+        trace = _workload_trace(self.workload, self.length, self.seed)
         if self.core == "inorder":
             from repro.pipeline.inorder import simulate_inorder
 
             return simulate_inorder(trace, self.config)
+        from repro.pipeline.core import simulate
+
         return simulate(trace, self.config)
 
 
 @dataclass(frozen=True)
 class BatchSimJob(JobSpec):
-    """Simulate one workload under N lockstep configurations at once.
+    """Simulate one workload under N configurations at once.
 
-    One job, one trace decode, N :class:`SimulationResult`s — routed
-    through :class:`repro.perf.batchcore.BatchedSuperscalarCore`, whose
-    results are field-exact equal to running each config through the
-    scalar core (configs the batched kernel cannot model fall back to
-    the scalar oracle inside ``run_batch`` transparently). The job key
-    hashes every config digest so reordering or editing any point
-    re-addresses the whole batch.
+    One job, one trace, N :class:`SimulationResult`s from
+    :func:`repro.perf.batchcore.run_batch`, each field-exact equal to a
+    :class:`SimJob` of the same point. The key is its own
+    (``sim-batch``, hashing every config digest, so reordering or
+    editing any point re-addresses the whole batch) and the N results
+    are stored as one ``simulation_batch`` payload: batched and
+    per-point runs do not share store entries.
     """
 
     workload: str = ""
@@ -180,17 +187,8 @@ class BatchSimJob(JobSpec):
 
     def execute(self) -> Any:
         from repro.perf.batchcore import run_batch
-        from repro.trace.synthetic import generate_trace
-        from repro.util.rng import derive_seed
-        from repro.workloads.spec_profiles import ALL_PROFILES
 
-        try:
-            profile = ALL_PROFILES[self.workload]
-        except KeyError:
-            raise ValueError(f"unknown workload {self.workload!r}") from None
-        trace = generate_trace(
-            profile, self.length, seed=derive_seed(self.seed, self.workload)
-        )
+        trace = _workload_trace(self.workload, self.length, self.seed)
         return run_batch(trace, list(self.configs))
 
 

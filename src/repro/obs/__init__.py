@@ -6,8 +6,8 @@ Three pillars, all off by default:
   instants, exportable to Perfetto (Chrome trace JSON) and JSONL.
 * :mod:`repro.obs.metrics` — named counters/gauges/histograms whose
   snapshots merge across lab pool workers into run manifests.
-* :mod:`repro.obs.phases` — wall-time phase timers for the simulator
-  hot loops, surfaced by ``repro profile``.
+* :mod:`repro.obs.phases` — wall-time phase timers, surfaced by
+  ``repro profile``.
 
 Activation is ambient (:mod:`repro.obs.runtime`): CLI flags or the
 ``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_PROFILE`` environment

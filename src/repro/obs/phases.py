@@ -1,10 +1,10 @@
 """Phase timers: where does the wall time go?
 
 The third pillar of ``repro.obs``. A :class:`PhaseProfiler` accumulates
-wall-time per named phase (``core.dispatch``, ``fast_sim.estimate``,
-``cli.trace_gen`` ...). Hot loops read the profiler's clock directly —
-two clock reads and an ``add`` per phase — while coarser call sites can
-use the :meth:`PhaseProfiler.phase` context manager.
+wall-time per named phase (``cli.trace_gen``, ``cli.simulate``,
+``fast_sim.estimate`` ...). Call sites either ``add`` a measured
+duration or wrap the work in the :meth:`PhaseProfiler.phase` context
+manager. The detailed cores have no phases of their own.
 
 Built on the same clock doorway as :class:`repro.util.timing.Stopwatch`
 so the CLK001/OBS001 lint rules keep raw ``time.*`` calls out of the

@@ -6,11 +6,12 @@ profiling — has a forced flag (set by CLI switches / tests) that wins
 over an environment variable (``REPRO_TRACE`` / ``REPRO_METRICS`` /
 ``REPRO_PROFILE``, inherited by lab worker processes).
 
-Hot paths call ``current_tracer()`` / ``current_metrics()`` /
-``current_profiler()`` once per run and branch on ``None``, so a
-disabled pillar costs one environment lookup per simulation and a few
-``is not None`` checks per loop iteration — the <3% overhead budget
-guarded by ``benchmarks/bench_obs_overhead.py``.
+Instrumented code calls ``current_tracer()`` / ``current_metrics()`` /
+``current_profiler()`` and branches on ``None``. The detailed cores
+call none of them: a finished run is reported once, from its result
+(:func:`repro.pipeline.result.observe_run`), so a disabled pillar
+costs one environment lookup per simulated config — well inside the
+<3% overhead budget guarded by ``benchmarks/bench_obs_overhead.py``.
 
 ``drain_*`` returns the collected data and opens a fresh window; the
 lab's ``execute_job`` drains per job so worker snapshots stay separate

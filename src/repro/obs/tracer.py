@@ -1,14 +1,17 @@
 """Structured event tracing for the simulators.
 
-The first pillar of ``repro.obs``. The simulators emit one
+The first pillar of ``repro.obs``. Every detailed-core run yields one
 :class:`MissSpan` per miss event — for a branch mispredict, the span
 runs from dispatch through resolution to the end of the frontend
 refill, so its duration *is* the penalty the paper decomposes — plus
-:class:`InstantEvent` markers at interval boundaries.
+:class:`InstantEvent` markers at interval boundaries. The spans are
+read from the finished result
+(:meth:`repro.pipeline.result.SimulationResult.miss_spans`), not
+recorded inside the cores, so every core reports a run the same way.
 
-``Tracer`` is the no-op default: every hook is a ``pass``, and hot
-paths additionally guard on ``runtime.current_tracer() is None`` so a
-disabled run pays nothing but a handful of ``is not None`` checks.
+``Tracer`` is the no-op default: every hook is a ``pass``, and callers
+guard on ``runtime.current_tracer() is None`` so a disabled run pays
+nothing but a handful of ``is not None`` checks.
 ``RecordingTracer`` buffers everything in memory for export
 (:mod:`repro.obs.export`) or direct inspection in tests.
 

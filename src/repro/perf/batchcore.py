@@ -28,8 +28,13 @@ machinery, in three layers:
   field-for-field equal to the scalar core's, events and timelines
   included. The scalar core remains the oracle: configurations the
   kernel does not model (wrong-path ghost dispatch, the random-issue
-  ablation) and runs under ambient observability or sanitizing fall
-  back to it per config, keeping observable behavior identical.
+  ablation) and runs under the ambient sanitizer, whose checks live in
+  the scalar loop, fall back to it per config.
+
+The kernel has no tracer or metrics hooks, and needs none: every run,
+whichever core it took, is reported from its finished result by
+:func:`repro.pipeline.core._run_cores`, the entry behind
+:func:`run_batch` and :func:`repro.pipeline.core.simulate`.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.obs import runtime as _obs
 from repro.perf.packed import (
     DCODE_LONG,
     LOAD_CODE,
@@ -50,7 +54,7 @@ from repro.perf.packed import (
     oracle_miss_columns,
 )
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import SuperscalarCore
+from repro.pipeline.core import SuperscalarCore, _run_cores
 from repro.pipeline.events import (
     BranchMispredictEvent,
     ICacheMissEvent,
@@ -70,16 +74,6 @@ def batch_supported(config: CoreConfig) -> bool:
     core's ready-pool ordering.
     """
     return config.issue_policy == "oldest" and not config.dispatch_wrong_path
-
-
-def _observability_active() -> bool:
-    """Ambient tracer/metrics/profiler/sanitizer force the oracle path."""
-    return (
-        _obs.current_tracer() is not None
-        or _obs.current_metrics() is not None
-        or _obs.current_profiler() is not None
-        or _sanitizer.current() is not None
-    )
 
 
 class TraceColumns:
@@ -634,8 +628,9 @@ class BatchedSuperscalarCore:
     to get one :class:`SimulationResult` per configuration, in config
     order. Trace columns are shared across all points, derived columns
     across each divergence group; configurations the kernel cannot
-    model exactly (see :func:`batch_supported`) silently use the scalar
-    oracle so a mixed sweep still returns uniformly exact results.
+    model exactly (see :func:`batch_supported`), and every config under
+    an ambient sanitizer, silently use the scalar oracle so a mixed
+    sweep still returns uniformly exact results.
     """
 
     def __init__(self, configs: Sequence[CoreConfig]):
@@ -664,7 +659,7 @@ class BatchedSuperscalarCore:
             return [
                 SimulationResult(instructions=0, cycles=0) for _ in configs
             ]
-        oracle_all = _observability_active()
+        oracle_all = _sanitizer.current() is not None
         plan: Optional[BatchPlan] = None
         results: List[Optional[SimulationResult]] = [None] * len(configs)
         for index, config in enumerate(configs):
@@ -688,7 +683,7 @@ def run_batch(
     trace: Trace, configs: Sequence[CoreConfig]
 ) -> List[SimulationResult]:
     """Simulate ``trace`` under every config in one batched call."""
-    return BatchedSuperscalarCore(configs).run(trace)
+    return _run_cores(trace, configs)
 
 
 __all__ = [

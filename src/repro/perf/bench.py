@@ -33,7 +33,7 @@ from repro.perf.batchcore import BatchedSuperscalarCore
 from repro.perf.packed import PackedTrace
 from repro.pipeline.annotate import OracleAnnotator
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import simulate
+from repro.pipeline.core import SuperscalarCore
 from repro.resilience.atomic import atomic_write_json
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.stream import Trace
@@ -175,11 +175,15 @@ def run_benchmarks(
     def spec(name: str, fn: Callable[[], Any], items: int) -> None:
         specs.append((name, fn, items))
 
-    # Detailed core: packed-annotation fast path vs per-record annotator.
-    spec("detailed_core", lambda: simulate(trace, config), n)
+    # Scalar detailed core (the oracle ``simulate`` falls back to):
+    # packed-annotation fast path vs per-record annotator. The kernel
+    # that ``simulate`` prefers is timed by ``detailed_core_batched``.
+    spec("detailed_core", lambda: SuperscalarCore(config).run(trace), n)
     spec(
         "detailed_core_scalar_annotate",
-        lambda: simulate(trace, config, annotator=OracleAnnotator(config)),
+        lambda: SuperscalarCore(config).run(
+            trace, annotator=OracleAnnotator(config)
+        ),
         n,
     )
 

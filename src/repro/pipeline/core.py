@@ -23,17 +23,21 @@ that occupy window and issue slots until the flush.
 
 The main loop skips idle cycles (e.g. during a long memory stall), so
 simulated time is O(events), not O(cycles).
+
+:class:`SuperscalarCore` is the reference model. :func:`simulate` runs
+its field-exact structure-of-arrays twin (:mod:`repro.perf.batchcore`)
+whenever the twin models the run, and this core otherwise. Neither
+core reports to the tracer or the metrics while it runs: the finished
+result does (:func:`repro.pipeline.result.observe_run`).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.isa.opcodes import OpClass
-from repro.obs import runtime as _obs
-from repro.obs.tracer import KIND_BPRED, KIND_ICACHE, KIND_LONG_DMISS, MissSpan
 from repro.memory.hierarchy import MissClass
 from repro.pipeline.annotate import Annotation, Annotator, OracleAnnotator
 from repro.pipeline.config import CoreConfig
@@ -43,7 +47,7 @@ from repro.pipeline.events import (
     LongDMissEvent,
 )
 from repro.pipeline.functional_units import FunctionalUnits
-from repro.pipeline.result import SimulationResult, cycle_column
+from repro.pipeline.result import SimulationResult, cycle_column, observe_run
 from repro.pipeline.rob import ReorderBuffer
 from repro.trace.stream import Trace
 from repro.util.rng import SplitMix, derive_seed
@@ -90,17 +94,6 @@ class SuperscalarCore:
         san = _sanitizer.current()
         if san is not None:
             san.begin_run()
-        tracer = _obs.current_tracer()
-        metrics = _obs.current_metrics()
-        prof = _obs.current_profiler()
-        clock = prof.clock if prof is not None else None
-        if metrics is not None:
-            # Hoist the handles so the hot loop never touches the registry.
-            m_mispredicts = metrics.counter("core.mispredicts_total")
-            m_resolution = metrics.histogram("core.resolution_cycles")
-            m_penalty = metrics.histogram("core.penalty_cycles")
-            m_icache = metrics.counter("core.icache_misses_total")
-            m_long_dmiss = metrics.counter("core.long_dmisses_total")
         fus = FunctionalUnits(config.fu_specs)
         rob = ReorderBuffer(config.rob_size, sanitizer=san)
         issue_rng = (
@@ -192,17 +185,6 @@ class SuperscalarCore:
                             seq=seq, cycle=dispatch_of[seq], complete_cycle=done
                         )
                     )
-                    if tracer is not None:
-                        tracer.miss_span(
-                            MissSpan(
-                                kind=KIND_LONG_DMISS,
-                                seq=seq,
-                                dispatch_cycle=dispatch_of[seq],
-                                resolve_cycle=done,
-                            )
-                        )
-                    if metrics is not None:
-                        m_long_dmiss.inc()
                 if stall_branch == seq:
                     # The mispredicted control instruction resolves at
                     # ``done``: log the event, start the refill.
@@ -213,26 +195,9 @@ class SuperscalarCore:
                             resolve_cycle=done,
                             refill_cycles=config.frontend_depth,
                             window_occupancy=window_occ_at[seq],
+                            wrong_path_instructions=ghosts_since_stall,
                         )
                     )
-                    if tracer is not None:
-                        tracer.miss_span(
-                            MissSpan(
-                                kind=KIND_BPRED,
-                                seq=seq,
-                                dispatch_cycle=dispatch_of[seq],
-                                resolve_cycle=done,
-                                refill_cycles=config.frontend_depth,
-                                window_occupancy=window_occ_at[seq],
-                                wrong_path_instructions=ghosts_since_stall,
-                            )
-                        )
-                    if metrics is not None:
-                        m_mispredicts.inc()
-                        m_resolution.add(done - dispatch_of[seq])
-                        m_penalty.add(
-                            done - dispatch_of[seq] + config.frontend_depth
-                        )
                     frontend_ready = done + config.frontend_depth
                     stall_branch = None
                     if config.dispatch_wrong_path:
@@ -240,8 +205,6 @@ class SuperscalarCore:
             heapq.heappush(completions, (done, ticket, seq))
 
         while committed < n:
-            if clock is not None:
-                t_mark = clock()
             # --- completions ---------------------------------------------
             while completions and completions[0][0] <= cycle:
                 _, ticket, seq = heapq.heappop(completions)
@@ -255,10 +218,6 @@ class SuperscalarCore:
                     squashed_tickets.add(victim)
                     squashed_ghost_count += 1
 
-            if clock is not None:
-                t_now = clock()
-                prof.add("core.complete", t_now - t_mark)
-                t_mark = t_now
             # --- commit ---------------------------------------------------
             commits = 0
             while commits < config.commit_width and rob.head_completed():
@@ -277,10 +236,6 @@ class SuperscalarCore:
                 if record_timeline:
                     commit_cycle[seq] = cycle
 
-            if clock is not None:
-                t_now = clock()
-                prof.add("core.commit", t_now - t_mark)
-                t_mark = t_now
             # --- dispatch -------------------------------------------------
             dispatched = 0
             while (
@@ -303,17 +258,6 @@ class SuperscalarCore:
                             long_miss=ann.icache_long,
                         )
                     )
-                    if tracer is not None:
-                        tracer.miss_span(
-                            MissSpan(
-                                kind=KIND_ICACHE,
-                                seq=seq,
-                                dispatch_cycle=cycle,
-                                resolve_cycle=cycle + ann.icache_latency,
-                            )
-                        )
-                    if metrics is not None:
-                        m_icache.inc()
                     break
                 record = records[seq]
                 occupancy_before = len(rob)
@@ -371,10 +315,6 @@ class SuperscalarCore:
                     dispatched += 1
                     ghosts_since_stall += 1
 
-            if clock is not None:
-                t_now = clock()
-                prof.add("core.dispatch", t_now - t_mark)
-                t_mark = t_now
             # --- wakeup ----------------------------------------------------
             while ready_events and ready_events[0][0] <= cycle:
                 _, ticket, seq = heapq.heappop(ready_events)
@@ -423,8 +363,6 @@ class SuperscalarCore:
                         deferred.append((ticket, seq))
             for item in deferred:
                 heapq.heappush(ready_now, item)
-            if clock is not None:
-                prof.add("core.issue", clock() - t_mark)
 
             # --- advance time ----------------------------------------------
             next_cycles = []
@@ -471,16 +409,40 @@ class SuperscalarCore:
             rob_peak_occupancy=rob.peak_occupancy,
             squashed_ghosts=squashed_ghost_count,
         )
-        if metrics is not None:
-            metrics.counter("core.instructions_total").inc(n)
-            metrics.counter("core.cycles_total").inc(total_cycles)
-            metrics.counter("core.wrongpath_squashed_total").inc(
-                squashed_ghost_count
-            )
-            metrics.gauge("core.rob_occupancy_peak").set_max(rob.peak_occupancy)
         if san is not None:
             san.seal_run(result, config)
         return result
+
+
+def _run_cores(
+    trace: Trace,
+    configs: Sequence[CoreConfig],
+    annotator: Optional[Annotator] = None,
+    core: type = SuperscalarCore,
+) -> List[SimulationResult]:
+    """Run ``trace`` under each config; the one detailed-core entry.
+
+    :func:`simulate`, :func:`repro.perf.batchcore.run_batch` and
+    :func:`repro.pipeline.inorder.simulate_inorder` are thin names over
+    this function, so none of them calls another. Out-of-order runs
+    without an explicit annotator go through
+    :class:`~repro.perf.batchcore.BatchedSuperscalarCore`, which runs
+    the SoA kernel and keeps this scalar core for what the kernel does
+    not model (wrong-path dispatch, random issue, sanitized runs).
+    ``core`` runs everything else. Each result is then reported to the
+    ambient tracer and metrics (:func:`observe_run`), once per config.
+    """
+    if core is SuperscalarCore and annotator is None:
+        from repro.perf.batchcore import BatchedSuperscalarCore
+
+        results = BatchedSuperscalarCore(configs).run(trace)
+    else:
+        results = [
+            core(config).run(trace, annotator=annotator) for config in configs
+        ]
+    for result in results:
+        observe_run(result, out_of_order=core is SuperscalarCore)
+    return results
 
 
 def simulate(
@@ -488,5 +450,11 @@ def simulate(
     config: Optional[CoreConfig] = None,
     annotator: Optional[Annotator] = None,
 ) -> SimulationResult:
-    """Convenience wrapper: run ``trace`` on a fresh core."""
-    return SuperscalarCore(config).run(trace, annotator=annotator)
+    """Run ``trace`` under ``config`` (the baseline when None).
+
+    Runs on the SoA kernel when it models the config exactly and no
+    annotator is given, else on :class:`SuperscalarCore`; the result is
+    the same either way (see :func:`_run_cores`).
+    """
+    config = config if config is not None else CoreConfig()
+    return _run_cores(trace, [config], annotator)[0]

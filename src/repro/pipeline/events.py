@@ -40,11 +40,15 @@ class BranchMispredictEvent(MissEvent):
     misprediction penalty. ``window_occupancy`` is the number of
     instructions in the ROB when the branch dispatched — the quantity
     contributor C2 (instructions since last miss event) controls.
+    ``wrong_path_instructions`` counts the ghost instructions dispatched
+    while the branch was unresolved; only the wrong-path dispatch mode
+    has any, so it is 0 everywhere else.
     """
 
     resolve_cycle: int = 0
     refill_cycles: int = 0
     window_occupancy: int = 0
+    wrong_path_instructions: int = 0
 
     @property
     def kind(self) -> MissEventKind:

@@ -25,10 +25,9 @@ from typing import List, Optional
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.memory.hierarchy import MissClass
-from repro.obs import runtime as _obs
-from repro.obs.tracer import KIND_BPRED, KIND_ICACHE, KIND_LONG_DMISS, MissSpan
 from repro.pipeline.annotate import Annotator, OracleAnnotator
 from repro.pipeline.config import CoreConfig
+from repro.pipeline.core import _run_cores
 from repro.pipeline.events import (
     BranchMispredictEvent,
     ICacheMissEvent,
@@ -61,16 +60,6 @@ class InOrderCore:
         san = _sanitizer.current()
         if san is not None:
             san.begin_run()
-        tracer = _obs.current_tracer()
-        metrics = _obs.current_metrics()
-        prof = _obs.current_profiler()
-        t_start = prof.clock() if prof is not None else 0.0
-        if metrics is not None:
-            m_mispredicts = metrics.counter("core.mispredicts_total")
-            m_resolution = metrics.histogram("core.resolution_cycles")
-            m_penalty = metrics.histogram("core.penalty_cycles")
-            m_icache = metrics.counter("core.icache_misses_total")
-            m_long_dmiss = metrics.counter("core.long_dmisses_total")
         fus = FunctionalUnits(config.fu_specs)
         comp: List[int] = [0] * n
         retire: List[int] = [0] * n  # in-order retirement times
@@ -100,17 +89,6 @@ class InOrderCore:
                         long_miss=annotation.icache_long,
                     )
                 )
-                if tracer is not None:
-                    tracer.miss_span(
-                        MissSpan(
-                            kind=KIND_ICACHE,
-                            seq=seq,
-                            dispatch_cycle=stall_from,
-                            resolve_cycle=frontend_ready,
-                        )
-                    )
-                if metrics is not None:
-                    m_icache.inc()
 
             earliest = max(issue_time, frontend_ready)
             dispatch_cycle[seq] = earliest
@@ -163,17 +141,6 @@ class InOrderCore:
                         seq=seq, cycle=dispatch_cycle[seq], complete_cycle=done
                     )
                 )
-                if tracer is not None:
-                    tracer.miss_span(
-                        MissSpan(
-                            kind=KIND_LONG_DMISS,
-                            seq=seq,
-                            dispatch_cycle=dispatch_cycle[seq],
-                            resolve_cycle=done,
-                        )
-                    )
-                if metrics is not None:
-                    m_long_dmiss.inc()
             if record.is_control and annotation.mispredicted:
                 events.append(
                     BranchMispredictEvent(
@@ -184,22 +151,6 @@ class InOrderCore:
                         window_occupancy=0,
                     )
                 )
-                if tracer is not None:
-                    tracer.miss_span(
-                        MissSpan(
-                            kind=KIND_BPRED,
-                            seq=seq,
-                            dispatch_cycle=dispatch_cycle[seq],
-                            resolve_cycle=done,
-                            refill_cycles=config.frontend_depth,
-                        )
-                    )
-                if metrics is not None:
-                    m_mispredicts.inc()
-                    m_resolution.add(done - dispatch_cycle[seq])
-                    m_penalty.add(
-                        done - dispatch_cycle[seq] + config.frontend_depth
-                    )
                 frontend_ready = done + config.frontend_depth
 
         result = SimulationResult(
@@ -213,11 +164,6 @@ class InOrderCore:
             fu_issue_counts=fus.issue_counts(),
             rob_peak_occupancy=0,
         )
-        if metrics is not None:
-            metrics.counter("core.instructions_total").inc(n)
-            metrics.counter("core.cycles_total").inc(last_commit + 1)
-        if prof is not None:
-            prof.add("core.inorder_loop", prof.clock() - t_start)
         if san is not None:
             san.seal_run(result, config)
         return result
@@ -228,5 +174,6 @@ def simulate_inorder(
     config: CoreConfig = CoreConfig(),
     annotator: Optional[Annotator] = None,
 ) -> SimulationResult:
-    """Convenience wrapper: run ``trace`` on a fresh in-order core."""
-    return InOrderCore(config).run(trace, annotator=annotator)
+    """Run ``trace`` on a fresh in-order core (see
+    :func:`repro.pipeline.core._run_cores`)."""
+    return _run_cores(trace, [config], annotator, core=InOrderCore)[0]

@@ -13,7 +13,7 @@ from repro.lab.codec import (
 from repro.lab.jobs import BatchSimJob, SweepJob, execute_job
 from repro.lab.store import ResultStore
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import simulate
+from repro.pipeline.core import SuperscalarCore
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import ALL_PROFILES
@@ -56,7 +56,7 @@ class TestBatchSimJob:
         results = job.execute()
         trace = reference_trace()
         for config, result in zip(configs, results):
-            assert vars(result) == vars(simulate(trace, config))
+            assert vars(result) == vars(SuperscalarCore(config).run(trace))
 
 
 class TestExpandBatched:
@@ -103,7 +103,8 @@ class TestCodec:
     def test_batch_payload_round_trips_through_json(self):
         trace = reference_trace(length=200)
         results = [
-            simulate(trace, CoreConfig(rob_size=r)) for r in (32, 128)
+            SuperscalarCore(CoreConfig(rob_size=r)).run(trace)
+            for r in (32, 128)
         ]
         payload, _ = decode_payload(encode_payload(batch_to_payload(results)))
         decoded = batch_from_payload(payload)
@@ -112,12 +113,12 @@ class TestCodec:
 
     def test_dispatch_by_value_type(self):
         trace = reference_trace(length=200)
-        results = [simulate(trace, CoreConfig())]
+        results = [SuperscalarCore(CoreConfig()).run(trace)]
         assert payload_from_value(results)["type"] == "simulation_batch"
 
     def test_value_from_payload_inverts_dispatch(self):
         trace = reference_trace(length=200)
-        results = [simulate(trace, CoreConfig())]
+        results = [SuperscalarCore(CoreConfig()).run(trace)]
         decoded = value_from_payload(payload_from_value(results))
         assert vars(decoded[0]) == vars(results[0])
 

@@ -59,6 +59,10 @@ class TestRetries:
         The job can never finish inside 1 ms, so every attempt times
         out — the failure must record retries+1 attempts, proving the
         timeout went through the retry budget instead of bypassing it.
+        The pool checks timeouts once per watchdog poll and keeps a
+        result that arrives before the check, so each attempt is also
+        delayed past that poll by an injected fault: the simulation
+        alone can finish inside one poll.
         Caching is off because an abandoned attempt that completes in
         the background would otherwise store its result and let a later
         retry come back ``cached`` (legitimate salvage, but not the
@@ -66,7 +70,8 @@ class TestRetries:
         """
         job = SimJob(workload="twolf", length=60_000, seed=9,
                      timeout_s=0.001, retries=2, backoff_s=0.01)
-        results, _ = run_jobs([job], workers=2, use_cache=False)
+        with faults.injected("job.execute:delay(1.0)@1x*"):
+            results, _ = run_jobs([job], workers=2, use_cache=False)
         assert results[0].status == JobStatus.FAILED
         assert results[0].attempts == 3
         assert "Timeout" in results[0].error

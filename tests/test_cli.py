@@ -256,7 +256,6 @@ class TestProfile:
                      "--length", "2000", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "cli.simulate" in out
-        assert "core.dispatch" in out
         assert "fast_sim.estimate" in out
         assert "share" in out
 
