@@ -537,10 +537,10 @@ class TraceContextPropagationRule(ProgramRule):
     A ``SpanCollector.start(trace_id=...)`` or ``add_complete(...)``
     call that omits ``parent_id=`` creates a span that shares the
     request's trace id but hangs off nothing — Perfetto renders it as
-    a second root, and :func:`fold_latency_stack` cannot attribute its
-    time, silently breaking the sum-to-wall identity. Only the one
-    request-root span per trace may be parentless, and that is the
-    service's job; every other recording site must thread
+    a second root, and :func:`fold_latency_stack_records` cannot
+    attribute its time, silently breaking the sum-to-wall identity.
+    Only the one request-root span per trace may be parentless, and
+    that is the service's job; every other recording site must thread
     ``parent_id`` from the ambient :func:`current_context`.
 
     Runs at extraction time (it only needs the call expression), self-

@@ -404,10 +404,11 @@ class PrintInLibraryRule(Rule):
 class DirectPhaseTimingRule(Rule):
     """Harness-side wall timing must go through the obs layer.
 
-    The lab and harness measure phases with ``repro.util.timing`` /
-    ``repro.obs.phases`` so every measurement shares one clock and
-    lands in the profiler's report. Ad-hoc ``time.perf_counter()``
-    pairs drift out of the report and get copy-pasted wrong
+    The lab and harness measure phases with a
+    ``repro.util.timing.Stopwatch`` or a ``repro.obs.spans`` span so
+    every measurement shares one clock, and a span lands in the tree
+    whose fold sums to wall time. Ad-hoc ``time.perf_counter()`` pairs
+    drift out of that tree and get copy-pasted wrong
     (``time.time`` and ``time.sleep`` are unaffected — they are
     timestamps and pacing, not phase timing).
     """
@@ -416,11 +417,11 @@ class DirectPhaseTimingRule(Rule):
     name = "direct-phase-timing"
     description = (
         "no direct time.perf_counter/monotonic/process_time phase "
-        "timing in lab/ or harness/; use util.timing.Stopwatch or "
-        "obs.phases"
+        "timing in lab/ or harness/; use util.timing.Stopwatch or a "
+        "span"
     )
     scope = ("lab", "harness")
-    exempt = ("util/timing.py", "obs/phases.py")
+    exempt = ("util/timing.py",)
 
     _TIMERS = {
         "perf_counter",
@@ -441,8 +442,8 @@ class DirectPhaseTimingRule(Rule):
                         yield self.violation(
                             ctx, node,
                             f"direct import of time.{alias.name}; time "
-                            "phases with util.timing.Stopwatch or "
-                            "obs.phases.PhaseProfiler",
+                            "phases with util.timing.Stopwatch or an "
+                            "obs.spans span",
                         )
             elif isinstance(node, ast.Attribute):
                 dotted = _dotted(node)
@@ -452,7 +453,7 @@ class DirectPhaseTimingRule(Rule):
                     yield self.violation(
                         ctx, node,
                         f"direct {dotted}() phase timing; use "
-                        "util.timing.Stopwatch or obs.phases.PhaseProfiler",
+                        "util.timing.Stopwatch or an obs.spans span",
                     )
 
 

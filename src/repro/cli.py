@@ -740,36 +740,66 @@ def cmd_obs_flame(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seconds(ns: int) -> str:
+    """Integer nanoseconds as exact decimal seconds."""
+    return f"{ns // 1_000_000_000}.{ns % 1_000_000_000:09d}"
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one simulate+analyze pass and report phase wall times."""
-    from repro.obs import runtime as obs_runtime
+    """Profile one simulate+analyze pass and fold its spans into stages.
+
+    Each stage is a child span of one root span; the rows are the
+    collapsed-stack fold :func:`repro.obs.spans.collapse_stacks` (the
+    fold ``repro obs flame`` prints), with the root's self time as its
+    own row, so they sum exactly to the root's duration in integer ns.
+    """
+    from contextlib import contextmanager
+
+    from repro.obs.spans import SpanCollector, collapse_stacks
 
     console = _console(args)
     config = _config_from(args)
-    obs_runtime.enable_profiling()
-    prof = obs_runtime.current_profiler()
-    with prof.phase("cli.trace_gen"):
+    spans = SpanCollector(process="cli")
+    root = spans.start(
+        "cli.profile", trace_id=spans.new_trace_id(), parent_id=None
+    )
+
+    @contextmanager
+    def stage(name: str):
+        span = spans.start(name, trace_id=root.trace_id, parent_id=root.span_id)
+        try:
+            yield
+        finally:
+            spans.finish(span)
+
+    with stage("cli.trace_gen"):
         trace = _trace_from(args)
-    with prof.phase("cli.simulate"):
+    with stage("cli.simulate"):
         if args.inorder:
             from repro.pipeline.inorder import simulate_inorder
 
             result = simulate_inorder(trace, config)
         else:
             result = simulate(trace, config)
-    with prof.phase("cli.analyze"):
+    with stage("cli.analyze"):
         measure_penalties(result)
         build_cpi_stack(result, config.dispatch_width)
     if args.fast:
         from repro.interval.fast_sim import FastIntervalSimulator
 
-        FastIntervalSimulator(config).estimate(trace)
-    report = obs_runtime.drain_profile()
-    obs_runtime.reset()
-    if report is None:
-        console.result("(no phases recorded)")
-        return 0
-    console.result(report.render().rstrip("\n"))
+        with stage("fast_sim.estimate"):
+            FastIntervalSimulator(config).estimate(trace)
+    spans.finish(root)
+
+    rows = []
+    for line in collapse_stacks(spans.drain()):
+        path, ns = line.rsplit(" ", 1)
+        rows.append((path.rsplit(";", 1)[-1], int(ns)))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    total = root.duration_ns
+    table = [(name, _seconds(ns), f"{ns / total:.1%}") for name, ns in rows]
+    table.append(("total", _seconds(total), "100.0%"))
+    console.result(format_table(("stage", "seconds", "share"), table))
     return 0
 
 

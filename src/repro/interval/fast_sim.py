@@ -239,9 +239,6 @@ class FastIntervalSimulator:
             resolutions=resolutions,
             wall_seconds=watch.elapsed,
         )
-        prof = _obs.current_profiler()
-        if prof is not None:
-            prof.add("fast_sim.estimate", estimate.wall_seconds)
         metrics = _obs.current_metrics()
         if metrics is not None:
             metrics.counter("fast_sim.estimates_total").inc()

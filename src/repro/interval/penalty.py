@@ -154,19 +154,3 @@ def bucket_resolution_by_gap(
         lower = edge + 1
     rows.append((f">{edges[-1]}", buckets[-1].count, buckets[-1].mean))
     return rows
-
-
-def mean_resolution_by_occupancy(
-    report: PenaltyReport, edges: Sequence[int] = DEFAULT_GAP_EDGES
-) -> List[Tuple[str, int, float]]:
-    """Average resolution per window-occupancy-at-dispatch bucket."""
-    buckets: List[OnlineStats] = [OnlineStats() for _ in range(len(edges) + 1)]
-    for item in report.decompositions:
-        buckets[bucketize(item.window_occupancy, edges)].add(item.resolution)
-    rows = []
-    lower = 0
-    for i, edge in enumerate(edges):
-        rows.append((f"{lower}-{edge}", buckets[i].count, buckets[i].mean))
-        lower = edge + 1
-    rows.append((f">{edges[-1]}", buckets[-1].count, buckets[-1].mean))
-    return rows

@@ -14,18 +14,15 @@ bytes       field  meaning
 ==========  =====  ==========================================
 
 Label names are not preserved — targets are resolved indices, which is
-all the simulator needs. Round-tripping a resolved program is lossless
-modulo label names.
+all the simulator needs.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List
 
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
-from repro.isa.program import Program
 from repro.isa.registers import Register
 
 ENCODED_SIZE = 12
@@ -70,23 +67,3 @@ def decode_instruction(data: bytes) -> Instruction:
         imm=imm,
         target=target if target >= 0 else None,
     )
-
-
-def encode_program(program: Program) -> bytes:
-    """Encode a resolved program to a flat byte string."""
-    return b"".join(encode_instruction(inst) for inst in program.instructions)
-
-
-def decode_program(data: bytes, name: str = "program") -> Program:
-    """Decode a flat byte string back into a program (labels are lost)."""
-    if len(data) % ENCODED_SIZE:
-        raise DecodeError(
-            f"byte length {len(data)} is not a multiple of {ENCODED_SIZE}"
-        )
-    instructions: List[Instruction] = [
-        decode_instruction(data[i : i + ENCODED_SIZE])
-        for i in range(0, len(data), ENCODED_SIZE)
-    ]
-    program = Program(instructions=instructions, name=name)
-    program.validate()
-    return program

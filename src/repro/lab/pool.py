@@ -11,7 +11,9 @@ with the operational behaviors a long characterization run needs:
 - **per-job timeouts with retry** — jobs with ``timeout_s`` are
   dispatched individually; the timeout clock starts when the job is
   first observed *executing*, so time spent queued behind a busy pool
-  never counts against the budget; a timeout consumes one attempt from
+  never counts against the budget, and a result whose worker-measured
+  wall time exceeds the budget counts as a timeout even when it arrives
+  before the watchdog's next poll; a timeout consumes one attempt from
   the spec's retry budget (resubmitted after seeded jittered backoff)
   and only degrades to a recorded failure once the budget is spent;
 - **write-ahead journal** — every store-backed run appends per-job
@@ -203,7 +205,7 @@ def _obs_setup(
     """
     if not (collect_metrics or trace):
         return lambda: None
-    watched = (_obs.ENV_METRICS, _obs.ENV_TRACE, _obs.ENV_PROFILE, _obs.ENV_TRACE_DIR)
+    watched = (_obs.ENV_METRICS, _obs.ENV_TRACE, _obs.ENV_TRACE_DIR)
     previous = {key: os.environ.get(key) for key in watched}
     _obs.enable_metrics()
     if trace:
@@ -450,6 +452,39 @@ def _run_parallel(
     hb_root = Path(tempfile.mkdtemp(prefix="repro-heartbeats-"))
     supervisor = Supervisor(max_workers, hb_root, policy)
     flights: Dict[Any, _Flight] = {}
+
+    def time_out(flight: _Flight) -> None:
+        """Charge one timeout to a timed flight already out of ``flights``.
+
+        The timeout consumes one attempt from the retry budget: while
+        budget remains the job is resubmitted after seeded jittered
+        backoff, otherwise it is recorded as a timeout failure.
+        """
+        spec = flight.specs[0]
+        index = flight.indices[0]
+        _count("resilience.job_timeouts_total")
+        flight.timeouts += 1
+        if flight.timeouts > spec.retries or drain.stopped:
+            result = _timeout_failure(spec, spec.key(), flight.timeouts)
+            results[index] = result
+            _journal_result(journal, index, result)
+            return
+        _count("resilience.timeout_retries_total")
+        time.sleep(
+            jittered_backoff_s(
+                spec.backoff_s, flight.timeouts - 1, spec.key(), "timeout"
+            )
+        )
+        if journal is not None:
+            journal.started(index, spec.key())
+        # Drop the abandoned attempt's stamp so the retry's clock arms
+        # from *its* execution start, not this one's.
+        supervisor.heartbeats.clear_start(spec.key())
+        retry, _ = supervisor.submit(execute_job, spec, store_root, use_cache)
+        flights[retry] = _Flight(
+            indices=[index], specs=[spec], timed=True, timeouts=flight.timeouts
+        )
+
     try:
         for chunk in _chunked(without_timeout, max_workers * _CHUNKS_PER_WORKER):
             specs = [spec for _, spec in chunk]
@@ -488,6 +523,11 @@ def _run_parallel(
                     ) from exc
                 if flight.timed:
                     result = outcome
+                    if result.wall_s > flight.specs[0].timeout_s:
+                        # Finished, but past its budget: the sweep only
+                        # looks once per poll, so a result can beat it.
+                        time_out(flight)
+                        continue
                     result.attempts += flight.timeouts
                     results[flight.indices[0]] = result
                     _journal_result(journal, flight.indices[0], result)
@@ -509,11 +549,10 @@ def _run_parallel(
                     continue
                 if future.done():
                     # Completed between the wait() sweep and this check;
-                    # the next wait() returns it immediately and its
-                    # result is harvested, never discarded as a timeout.
+                    # the next wait() harvests it and judges it by its
+                    # worker-measured wall time.
                     continue
                 spec = flight.specs[0]
-                index = flight.indices[0]
                 if flight.started_at is None:
                     flight.started_at = supervisor.heartbeats.job_started_at(spec.key())
                     if flight.started_at is None:
@@ -525,36 +564,7 @@ def _run_parallel(
                 # abandoned, and the supervisor kills its worker at
                 # teardown instead of blocking on it.
                 future.cancel()
-                _count("resilience.job_timeouts_total")
-                flight.timeouts += 1
-                if flight.timeouts <= spec.retries and not drain.stopped:
-                    # The timeout consumed one attempt from the retry
-                    # budget; resubmit after seeded jittered backoff.
-                    _count("resilience.timeout_retries_total")
-                    time.sleep(
-                        jittered_backoff_s(
-                            spec.backoff_s, flight.timeouts - 1,
-                            spec.key(), "timeout",
-                        )
-                    )
-                    if journal is not None:
-                        journal.started(index, spec.key())
-                    # Drop the abandoned attempt's stamp so the retry's
-                    # clock arms from *its* execution start, not this one's.
-                    supervisor.heartbeats.clear_start(spec.key())
-                    retry, _ = supervisor.submit(
-                        execute_job, spec, store_root, use_cache
-                    )
-                    flights[retry] = _Flight(
-                        indices=[index],
-                        specs=[spec],
-                        timed=True,
-                        timeouts=flight.timeouts,
-                    )
-                else:
-                    result = _timeout_failure(spec, spec.key(), flight.timeouts)
-                    results[index] = result
-                    _journal_result(journal, index, result)
+                time_out(flight)
     except BrokenProcessPool as exc:
         if supervisor.hangs:
             _count("resilience.hung_workers_total", supervisor.workers)

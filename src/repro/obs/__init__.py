@@ -1,18 +1,24 @@
 """repro.obs — zero-cost-when-disabled observability.
 
-Three pillars, all off by default:
+Two time axes, one span shape each:
 
-* :mod:`repro.obs.tracer` — per-miss-event spans and interval-boundary
-  instants, exportable to Perfetto (Chrome trace JSON) and JSONL.
-* :mod:`repro.obs.metrics` — named counters/gauges/histograms whose
-  snapshots merge across lab pool workers into run manifests.
-* :mod:`repro.obs.phases` — wall-time phase timers, surfaced by
-  ``repro profile``.
+* :mod:`repro.obs.tracer` — *simulated* time: per-miss-event spans and
+  interval-boundary instants, exportable to Perfetto (Chrome trace
+  JSON) and JSONL.
+* :mod:`repro.obs.spans` — *wall* time: integer-nanosecond span trees
+  whose fold sums exactly to wall time. Serve requests fold them into
+  latency stacks, ``repro profile`` and ``repro obs flame`` into
+  collapsed stacks.
 
-Activation is ambient (:mod:`repro.obs.runtime`): CLI flags or the
-``REPRO_TRACE`` / ``REPRO_METRICS`` / ``REPRO_PROFILE`` environment
-variables, which lab worker processes inherit. See
-``docs/observability.md`` for the trace schema and naming conventions.
+Beside them, :mod:`repro.obs.metrics` keeps named
+counters/gauges/histograms whose snapshots merge across lab pool
+workers into run manifests.
+
+Tracing and metrics are off by default. Activation is ambient
+(:mod:`repro.obs.runtime`): CLI flags or the ``REPRO_TRACE`` /
+``REPRO_METRICS`` environment variables, which lab worker processes
+inherit. See ``docs/observability.md`` for the trace schema and naming
+conventions.
 """
 
 from __future__ import annotations
@@ -38,14 +44,12 @@ from repro.obs.metrics import (
     render_snapshot,
     validate_metric_name,
 )
-from repro.obs.phases import PhaseProfiler, PhaseReport, PhaseRow
 from repro.obs.spans import (
     SPAN_STATUSES,
     STACK_COMPONENTS,
     SpanCollector,
     SpanRecord,
     collapse_stacks,
-    fold_latency_stack,
     fold_latency_stack_records,
     merge_span_snapshots,
     span_from_dict,
@@ -72,7 +76,6 @@ __all__ = [
     "collapse_stacks",
     "current_collector",
     "current_context",
-    "fold_latency_stack",
     "fold_latency_stack_records",
     "histogram_quantile",
     "histogram_quantiles",
@@ -88,9 +91,6 @@ __all__ = [
     "merge_snapshots",
     "render_snapshot",
     "validate_metric_name",
-    "PhaseProfiler",
-    "PhaseReport",
-    "PhaseRow",
     "KIND_BPRED",
     "KIND_ICACHE",
     "KIND_LONG_DMISS",

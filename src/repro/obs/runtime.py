@@ -1,14 +1,14 @@
 """Ambient activation for the observability pillars.
 
 Mirrors the sanitizer's ambient-state pattern
-(:mod:`repro.analysis.sanitizer`): each pillar — tracing, metrics,
-profiling — has a forced flag (set by CLI switches / tests) that wins
-over an environment variable (``REPRO_TRACE`` / ``REPRO_METRICS`` /
-``REPRO_PROFILE``, inherited by lab worker processes).
+(:mod:`repro.analysis.sanitizer`): each pillar — tracing and metrics
+— has a forced flag (set by CLI switches / tests) that wins over an
+environment variable (``REPRO_TRACE`` / ``REPRO_METRICS``, inherited
+by lab worker processes).
 
-Instrumented code calls ``current_tracer()`` / ``current_metrics()`` /
-``current_profiler()`` and branches on ``None``. The detailed cores
-call none of them: a finished run is reported once, from its result
+Instrumented code calls ``current_tracer()`` / ``current_metrics()``
+and branches on ``None``. The detailed cores call none of them: a
+finished run is reported once, from its result
 (:func:`repro.pipeline.result.observe_run`), so a disabled pillar
 costs one environment lookup per simulated config — well inside the
 <3% overhead budget guarded by ``benchmarks/bench_obs_overhead.py``.
@@ -25,26 +25,22 @@ from typing import Dict, Optional
 
 from repro.obs import context as obs_context
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.phases import PhaseProfiler, PhaseReport
 from repro.obs.tracer import RecordingTracer
 
 ENV_TRACE = "REPRO_TRACE"
 ENV_METRICS = "REPRO_METRICS"
-ENV_PROFILE = "REPRO_PROFILE"
 #: Optional directory where lab workers write per-job JSONL traces.
 ENV_TRACE_DIR = "REPRO_TRACE_DIR"
 
 _TRACE = "trace"
 _METRICS = "metrics"
-_PROFILE = "profile"
 
-_ENV_BY_PILLAR = {_TRACE: ENV_TRACE, _METRICS: ENV_METRICS, _PROFILE: ENV_PROFILE}
+_ENV_BY_PILLAR = {_TRACE: ENV_TRACE, _METRICS: ENV_METRICS}
 
-_forced: Dict[str, Optional[bool]] = {_TRACE: None, _METRICS: None, _PROFILE: None}
+_forced: Dict[str, Optional[bool]] = {_TRACE: None, _METRICS: None}
 
 _ambient_tracer: Optional[RecordingTracer] = None
 _ambient_metrics: Optional[MetricsRegistry] = None
-_ambient_profiler: Optional[PhaseProfiler] = None
 
 
 def _enabled(pillar: str) -> bool:
@@ -77,17 +73,13 @@ def enable_metrics() -> None:
     _enable(_METRICS)
 
 
-def enable_profiling() -> None:
-    _enable(_PROFILE)
-
-
 def reset() -> None:
     """Drop forced flags, ambient collectors, and the env switches.
 
     Tests call this (directly or via the autouse fixture) so one test's
     tracing session cannot leak into the next.
     """
-    global _ambient_tracer, _ambient_metrics, _ambient_profiler
+    global _ambient_tracer, _ambient_metrics
     for pillar in _forced:
         _forced[pillar] = None
         os.environ.pop(_ENV_BY_PILLAR[pillar], None)
@@ -95,7 +87,6 @@ def reset() -> None:
     obs_context.clear_env()
     _ambient_tracer = None
     _ambient_metrics = None
-    _ambient_profiler = None
 
 
 def current_tracer() -> Optional[RecordingTracer]:
@@ -116,16 +107,6 @@ def current_metrics() -> Optional[MetricsRegistry]:
     if _ambient_metrics is None:
         _ambient_metrics = MetricsRegistry()
     return _ambient_metrics
-
-
-def current_profiler() -> Optional[PhaseProfiler]:
-    """The ambient phase profiler, or None when profiling is inactive."""
-    global _ambient_profiler
-    if not _enabled(_PROFILE):
-        return None
-    if _ambient_profiler is None:
-        _ambient_profiler = PhaseProfiler()
-    return _ambient_profiler
 
 
 def drain_trace() -> Optional[RecordingTracer]:
@@ -149,19 +130,6 @@ def drain_metrics() -> Optional[dict]:
     if not any(snapshot.values()):
         return None
     return snapshot
-
-
-def drain_profile() -> Optional[PhaseReport]:
-    """Return the ambient phase report and start fresh."""
-    global _ambient_profiler
-    profiler = _ambient_profiler
-    _ambient_profiler = None
-    if profiler is None:
-        return None
-    report = profiler.report()
-    if not report.rows:
-        return None
-    return report
 
 
 def trace_dir() -> Optional[str]:

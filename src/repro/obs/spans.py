@@ -166,7 +166,7 @@ class SpanCollector:
                 self._head = 0
 
     def mark(self) -> int:
-        """A position token for :meth:`since` (count of appends so far)."""
+        """A position token for :meth:`since_records` (appends so far)."""
         return self._appended
 
     def since_records(
@@ -183,15 +183,6 @@ class SpanCollector:
         if trace_id is not None:
             spans = [s for s in spans if s.trace_id == trace_id]
         return spans
-
-    def since(
-        self, mark: int, trace_id: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
-        """Closed spans appended after *mark*, as dicts (see
-        :meth:`since_records` for the copy-free variant)."""
-        return [
-            span.as_dict() for span in self.since_records(mark, trace_id)
-        ]
 
     def now(self) -> int:
         return self._clock_ns()
@@ -355,12 +346,8 @@ def _intervals_union_ns(intervals: List[Tuple[int, int]]) -> int:
 def _fold_intervals(
     wall_ns: int, intervals: List[Tuple[int, int, str]]
 ) -> Dict[str, int]:
-    """Shared fold core over clipped ``(start, end, name)`` intervals.
-
-    Per component the interval *union* is charged (sweep fan-out
-    overlaps); the residue is ``queue_wait``, which makes
-    ``sum(stack.values()) == wall_ns`` an exact integer identity.
-    """
+    """Fold clipped ``(start, end, name)`` intervals into a stack
+    (see :func:`fold_latency_stack_records`)."""
     intervals.sort()
     totals: Dict[str, int] = {}
     disjoint = True
@@ -423,8 +410,8 @@ def _fold_intervals(
     return {name: stack[name] for name in STACK_COMPONENTS if name in stack}
 
 
-def fold_latency_stack(
-    root: Dict[str, Any], spans: Sequence[Dict[str, Any]]
+def fold_latency_stack_records(
+    root: SpanRecord, records: Sequence[SpanRecord]
 ) -> Dict[str, int]:
     """Fold a request's span tree into its latency stack (int ns).
 
@@ -436,41 +423,11 @@ def fold_latency_stack(
     interval *union* is charged (sweep fan-out overlaps); the residue
     is ``queue_wait``, which makes ``sum(stack.values()) == wall_ns``
     an exact integer identity.
-    """
-    root_id = root["span_id"]
-    trace_id = root["trace_id"]
-    root_start = int(root["start_ns"])
-    root_end = int(root["end_ns"] if root.get("end_ns") is not None else root_start)
-    wall_ns = max(0, root_end - root_start)
-
-    intervals: List[Tuple[int, int, str]] = []
-    for record in spans:
-        if record.get("trace_id") != trace_id:
-            continue
-        name = record.get("name")
-        if name not in STACK_COMPONENTS:
-            continue
-        if record.get("parent_id") != root_id and name != "coalesce_wait":
-            continue
-        end_ns = record.get("end_ns")
-        if end_ns is None:
-            continue
-        start = max(root_start, int(record["start_ns"]))
-        end = min(root_end, int(end_ns))
-        if end > start:
-            intervals.append((start, end, name))
-    return _fold_intervals(wall_ns, intervals)
-
-
-def fold_latency_stack_records(
-    root: SpanRecord, records: Sequence[SpanRecord]
-) -> Dict[str, int]:
-    """Attribute-access twin of :func:`fold_latency_stack`.
 
     The serve hot path folds live :class:`SpanRecord` objects straight
-    out of :meth:`SpanCollector.since_records`; skipping the per-span
-    dict conversion is worth several microseconds per traced request,
-    which the enabled-overhead benchmark budget actually notices.
+    out of :meth:`SpanCollector.since_records`, with no per-span dict
+    conversion: that is worth several microseconds per traced request,
+    which the enabled-overhead benchmark budget notices.
     """
     root_start = root.start_ns
     root_end = root.end_ns if root.end_ns is not None else root_start
@@ -555,7 +512,7 @@ __all__ = [
     "SpanCollector",
     "SpanRecord",
     "collapse_stacks",
-    "fold_latency_stack",
+    "fold_latency_stack_records",
     "merge_span_snapshots",
     "span_from_dict",
 ]

@@ -217,23 +217,10 @@ def load_journal(
     return path, JournalState.load(path)
 
 
-def list_journals(runs_dir: Union[str, os.PathLike]) -> List[Path]:
-    """Journals under ``runs_dir``, newest first."""
-    base = Path(runs_dir)
-    if not base.is_dir():
-        return []
-    return sorted(
-        base.glob(f"*{JOURNAL_SUFFIX}"),
-        key=lambda p: p.stat().st_mtime,
-        reverse=True,
-    )
-
-
 __all__ = [
     "JOURNAL_SUFFIX",
     "JournalState",
     "RunJournal",
     "journal_path",
-    "list_journals",
     "load_journal",
 ]

@@ -5,7 +5,6 @@ import pytest
 from repro.interval.penalty import (
     bucket_resolution_by_gap,
     measure_penalties,
-    mean_resolution_by_occupancy,
 )
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
@@ -87,6 +86,3 @@ class TestGapBuckets:
         assert rows[0][1] > 0 and rows[2][1] > 0
         assert long_mean > short_mean
 
-    def test_occupancy_buckets_cover_all(self, measured):
-        rows = mean_resolution_by_occupancy(measured)
-        assert sum(count for _, count, _ in rows) == measured.count

@@ -7,9 +7,7 @@ from repro.isa.encoding import (
     ENCODED_SIZE,
     DecodeError,
     decode_instruction,
-    decode_program,
     encode_instruction,
-    encode_program,
 )
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Opcode
@@ -69,33 +67,6 @@ class TestDecodeErrors:
 
 
 class TestProgramRoundTrip:
-    def test_program_round_trip(self):
-        source = """
-            li r2, 0
-            li r5, 80
-        loop:
-            ld r3, 0(r2)
-            addi r2, r2, 8
-            add r4, r4, r3
-            bne r2, r5, loop
-            halt
-        """
-        program = assemble(source)
-        data = encode_program(program)
-        assert len(data) == ENCODED_SIZE * len(program)
-        decoded = decode_program(data)
-        assert len(decoded) == len(program)
-        for a, b in zip(program, decoded):
-            assert a.opcode is b.opcode
-            assert a.dest == b.dest
-            assert a.sources == b.sources
-            assert a.imm == b.imm
-            assert a.target == b.target
-
-    def test_truncated_program_raises(self):
-        with pytest.raises(DecodeError):
-            decode_program(b"\x00" * (ENCODED_SIZE + 1))
-
     def test_too_many_sources_rejected(self):
         inst = Instruction(
             opcode=Opcode.ADD,

@@ -17,7 +17,7 @@ from repro.obs.spans import (
     STACK_COMPONENTS,
     SpanCollector,
     collapse_stacks,
-    fold_latency_stack,
+    fold_latency_stack_records,
     merge_span_snapshots,
     span_from_dict,
 )
@@ -87,8 +87,8 @@ class TestCollector:
             c.add_complete(
                 "serialize", trace_id="fill", parent_id="root", start_ns=i
             )
-        since = c.since(mark, trace_id="new")
-        assert [r["trace_id"] for r in since] in ([], ["new"])
+        since = c.since_records(mark, trace_id="new")
+        assert [r.trace_id for r in since] in ([], ["new"])
         # The buffer itself stays bounded.
         assert len(c.snapshot()) == 4
 
@@ -143,10 +143,17 @@ def _request_tree(trace="t1"):
     return root, spans
 
 
+def fold_records(root, spans):
+    """The production fold, over records built from span dicts."""
+    return fold_latency_stack_records(
+        span_from_dict(root), [span_from_dict(s) for s in spans]
+    )
+
+
 class TestFolding:
     def test_stack_sums_exactly_to_wall(self):
         root, spans = _request_tree()
-        stack = fold_latency_stack(root, spans)
+        stack = fold_records(root, spans)
         assert sum(stack.values()) == 1000
         assert stack["queue_wait"] == 1000 - 970
         assert stack["pool_execute"] == 600
@@ -166,7 +173,7 @@ class TestFolding:
             {"trace_id": "t2", "span_id": "sz", "parent_id": "r2",
              "name": "serialize", "start_ns": 850, "end_ns": 880},
         ]
-        stack = fold_latency_stack(root, spans)
+        stack = fold_records(root, spans)
         assert sum(stack.values()) == 800
         assert stack["coalesce_wait"] == 700
 
@@ -183,7 +190,7 @@ class TestFolding:
             {"trace_id": "t3", "span_id": "cw", "parent_id": "x",
              "name": "coalesce_wait", "start_ns": 0, "end_ns": 500},
         ]
-        stack = fold_latency_stack(root, spans)
+        stack = fold_records(root, spans)
         assert sum(stack.values()) == 500
         assert stack["pool_execute"] == 500  # union, charged as work
 
@@ -193,7 +200,7 @@ class TestFolding:
                       "name": "serialize", "start_ns": 0, "end_ns": None})
         spans.append({"trace_id": "OTHER", "span_id": "y", "parent_id": "root",
                       "name": "pool_execute", "start_ns": 0, "end_ns": 999})
-        stack = fold_latency_stack(root, spans)
+        stack = fold_records(root, spans)
         assert sum(stack.values()) == 1000
 
 

@@ -65,10 +65,8 @@ class TestRuntime:
     def test_disabled_by_default(self):
         assert runtime.current_tracer() is None
         assert runtime.current_metrics() is None
-        assert runtime.current_profiler() is None
         assert runtime.drain_trace() is None
         assert runtime.drain_metrics() is None
-        assert runtime.drain_profile() is None
 
     def test_enable_exports_env_for_workers(self):
         runtime.enable_tracing()

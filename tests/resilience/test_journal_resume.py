@@ -13,7 +13,6 @@ from repro.resilience.journal import (
     JournalState,
     RunJournal,
     journal_path,
-    list_journals,
     load_journal,
 )
 
@@ -69,12 +68,6 @@ class TestJournal:
     def test_load_journal_missing_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_journal(tmp_path, "nope")
-
-    def test_list_journals(self, tmp_path):
-        RunJournal(tmp_path, "a").run_start(0, "s", resumed=False)
-        RunJournal(tmp_path, "b").run_start(0, "s", resumed=False)
-        names = {p.name for p in list_journals(tmp_path)}
-        assert names == {"a.journal.jsonl", "b.journal.jsonl"}
 
 
 class TestResume:

@@ -59,10 +59,10 @@ class TestRetries:
         The job can never finish inside 1 ms, so every attempt times
         out — the failure must record retries+1 attempts, proving the
         timeout went through the retry budget instead of bypassing it.
-        The pool checks timeouts once per watchdog poll and keeps a
-        result that arrives before the check, so each attempt is also
-        delayed past that poll by an injected fault: the simulation
-        alone can finish inside one poll.
+        Each attempt is also delayed past the watchdog poll by an
+        injected fault, so this pins the sweep's path, which cancels a
+        still-running attempt (the harvest-time wall check is pinned by
+        the test below).
         Caching is off because an abandoned attempt that completes in
         the background would otherwise store its result and let a later
         retry come back ``cached`` (legitimate salvage, but not the
@@ -72,6 +72,18 @@ class TestRetries:
                      timeout_s=0.001, retries=2, backoff_s=0.01)
         with faults.injected("job.execute:delay(1.0)@1x*"):
             results, _ = run_jobs([job], workers=2, use_cache=False)
+        assert results[0].status == JobStatus.FAILED
+        assert results[0].attempts == 3
+        assert "Timeout" in results[0].error
+
+    def test_result_past_its_budget_is_a_timeout(self):
+        """Regression: a timed job whose result beats the watchdog's
+        poll still times out when its worker-measured wall time is over
+        budget; with no injected delay the simulation finishes well
+        inside one poll, yet every attempt exceeds 1 ms."""
+        job = SimJob(workload="twolf", length=60_000, seed=9,
+                     timeout_s=0.001, retries=2, backoff_s=0.01)
+        results, _ = run_jobs([job], workers=2, use_cache=False)
         assert results[0].status == JobStatus.FAILED
         assert results[0].attempts == 3
         assert "Timeout" in results[0].error

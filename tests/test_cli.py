@@ -260,6 +260,23 @@ class TestProfile:
         assert "share" in out
 
 
+class TestProfileSpanFold:
+    def test_rows_sum_exactly_to_the_root_span(self, capsys):
+        """The stage rows are a span fold: their integer nanoseconds
+        (the exact decimal seconds column) sum to the total row, which
+        is the root span's duration."""
+        assert main(["profile", "--workload", "gzip", "--length", "2000"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].split() == ["stage", "seconds", "share"]
+        rows = {}
+        for line in lines[2:]:
+            name, seconds, _share = line.split()
+            rows[name] = int(seconds.replace(".", ""))
+        total = rows.pop("total")
+        assert {"cli.trace_gen", "cli.simulate", "cli.analyze"} <= set(rows)
+        assert sum(rows.values()) == total > 0
+
+
 class TestLabFsck:
     def _seed_store(self, tmp_path, capsys):
         assert main(["lab", "run", "f1", "-q", "--workers", "1",
