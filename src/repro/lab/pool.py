@@ -390,6 +390,26 @@ def run_jobs(
     return ordered, telemetry
 
 
+def _charge_timeout(
+    spec: JobSpec, timeouts: int, drain: _GracefulDrain
+) -> Optional[JobResult]:
+    """Charge a job its ``timeouts``-th timeout.
+
+    The timeout consumes one attempt from the retry budget: while
+    budget remains this sleeps a seeded jittered backoff and returns
+    None (the caller retries), otherwise it returns the timeout
+    failure to record.
+    """
+    _count("resilience.job_timeouts_total")
+    if timeouts > spec.retries or drain.stopped:
+        return _timeout_failure(spec, spec.key(), timeouts)
+    _count("resilience.timeout_retries_total")
+    time.sleep(
+        jittered_backoff_s(spec.backoff_s, timeouts - 1, spec.key(), "timeout")
+    )
+    return None
+
+
 def _run_serial(
     pending: List[Tuple[int, JobSpec]],
     store_root: Optional[str],
@@ -398,15 +418,30 @@ def _run_serial(
     drain: _GracefulDrain,
     journal: Optional[RunJournal],
 ) -> None:
-    """Run jobs in-process, honoring the drain flag between jobs."""
+    """Run jobs in-process, honoring the drain flag between jobs.
+
+    An in-process job cannot be cut short, so a timed job is judged
+    after the fact, as the pool judges a result that beat its sweep: a
+    worker-measured ``wall_s`` past ``timeout_s`` is a timeout.
+    """
     for index, spec in pending:
         if drain.stopped:
             return
         if index in results:
             continue
-        if journal is not None:
-            journal.started(index, spec.key())
-        result = execute_job(spec, store_root, use_cache)
+        timeouts = 0
+        while True:
+            if journal is not None:
+                journal.started(index, spec.key())
+            result = execute_job(spec, store_root, use_cache)
+            if spec.timeout_s is None or result.wall_s <= spec.timeout_s:
+                result.attempts += timeouts
+                break
+            timeouts += 1
+            failure = _charge_timeout(spec, timeouts, drain)
+            if failure is not None:
+                result = failure
+                break
         results[index] = result
         _journal_result(journal, index, result)
 
@@ -456,25 +491,16 @@ def _run_parallel(
     def time_out(flight: _Flight) -> None:
         """Charge one timeout to a timed flight already out of ``flights``.
 
-        The timeout consumes one attempt from the retry budget: while
-        budget remains the job is resubmitted after seeded jittered
-        backoff, otherwise it is recorded as a timeout failure.
+        See :func:`_charge_timeout`; a retry is resubmitted to the pool.
         """
         spec = flight.specs[0]
         index = flight.indices[0]
-        _count("resilience.job_timeouts_total")
         flight.timeouts += 1
-        if flight.timeouts > spec.retries or drain.stopped:
-            result = _timeout_failure(spec, spec.key(), flight.timeouts)
-            results[index] = result
-            _journal_result(journal, index, result)
+        failure = _charge_timeout(spec, flight.timeouts, drain)
+        if failure is not None:
+            results[index] = failure
+            _journal_result(journal, index, failure)
             return
-        _count("resilience.timeout_retries_total")
-        time.sleep(
-            jittered_backoff_s(
-                spec.backoff_s, flight.timeouts - 1, spec.key(), "timeout"
-            )
-        )
         if journal is not None:
             journal.started(index, spec.key())
         # Drop the abandoned attempt's stamp so the retry's clock arms

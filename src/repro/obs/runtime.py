@@ -21,7 +21,8 @@ until :func:`repro.obs.metrics.merge_snapshots` folds them together.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.obs import context as obs_context
 from repro.obs.metrics import MetricsRegistry
@@ -41,6 +42,9 @@ _forced: Dict[str, Optional[bool]] = {_TRACE: None, _METRICS: None}
 
 _ambient_tracer: Optional[RecordingTracer] = None
 _ambient_metrics: Optional[MetricsRegistry] = None
+#: The registry ``metrics_resolved`` fixed for its block, boxed so a
+#: resolved None (metrics off) differs from "not resolved".
+_resolved_metrics: Optional[Tuple[Optional[MetricsRegistry]]] = None
 
 
 def _enabled(pillar: str) -> bool:
@@ -102,11 +106,31 @@ def current_tracer() -> Optional[RecordingTracer]:
 def current_metrics() -> Optional[MetricsRegistry]:
     """The ambient metrics registry, or None when metrics are inactive."""
     global _ambient_metrics
+    if _resolved_metrics is not None:
+        return _resolved_metrics[0]
     if not _enabled(_METRICS):
         return None
     if _ambient_metrics is None:
         _ambient_metrics = MetricsRegistry()
     return _ambient_metrics
+
+
+@contextmanager
+def metrics_resolved() -> Iterator[None]:
+    """Resolve the ambient registry once for the block.
+
+    Inside the block ``current_metrics()`` returns the registry (or
+    None) resolved on entry without reading the environment again. An
+    annotation pass, whose predictor and cache substrates count every
+    access, wraps its record walk in this.
+    """
+    global _resolved_metrics
+    outer = _resolved_metrics
+    _resolved_metrics = (current_metrics(),)
+    try:
+        yield
+    finally:
+        _resolved_metrics = outer
 
 
 def drain_trace() -> Optional[RecordingTracer]:

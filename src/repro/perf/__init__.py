@@ -13,9 +13,9 @@ This package holds that column store and what runs on it:
 * :mod:`repro.perf.annotate_fast` — the packed-array oracle-annotation
   fast path the detailed core reads on its hot path;
 * :mod:`repro.perf.batchcore` — the batched structure-of-arrays
-  detailed core: lockstep multi-config simulation over shared trace
-  columns, bit-exact against the scalar
-  :class:`~repro.pipeline.core.SuperscalarCore` oracle;
+  detailed core that runs every out-of-order configuration: lockstep
+  multi-config simulation over shared trace columns, bit-exact against
+  the scalar :class:`~repro.pipeline.core.SuperscalarCore` oracle;
 * :mod:`repro.perf.bench` — the ``repro bench`` throughput harness and
   the ``BENCH_simulator.json`` regression baseline format.
 
@@ -28,7 +28,6 @@ scalar baselines.
 from repro.perf.batchcore import (
     BatchedSuperscalarCore,
     TraceColumns,
-    batch_supported,
     run_batch,
 )
 from repro.perf.packed import PackedTrace
@@ -37,6 +36,5 @@ __all__ = [
     "BatchedSuperscalarCore",
     "PackedTrace",
     "TraceColumns",
-    "batch_supported",
     "run_batch",
 ]

@@ -22,14 +22,19 @@ machinery, in three layers:
   whose cache or FU parameters agree share the same column objects, so
   a ROB/width/frontend sweep derives its columns exactly once.
 * **Bit-exactness by construction** — the kernel replays the scalar
-  core's scheduling decisions in the same order (oldest-first issue,
-  in-order commit, identical time-advance candidates), so the
-  :class:`~repro.pipeline.result.SimulationResult` it produces is
-  field-for-field equal to the scalar core's, events and timelines
-  included. The scalar core remains the oracle: configurations the
-  kernel does not model (wrong-path ghost dispatch, the random-issue
-  ablation) and runs under the ambient sanitizer, whose checks live in
-  the scalar loop, fall back to it per config.
+  core's scheduling decisions in the same order (oldest-first or
+  seeded random issue, in-order commit, identical time-advance
+  candidates), so the :class:`~repro.pipeline.result.SimulationResult`
+  it produces is field-for-field equal to the scalar core's, events and
+  timelines included.
+
+Every out-of-order configuration runs here: wrong-path ghost dispatch
+and random issue are kernel modes, and a structural annotator runs
+first, once per config over the whole trace in program order
+(:func:`~repro.pipeline.annotate.annotate_in_order`), because a core
+consults it exactly so; the kernel then reads those outcomes as
+:class:`MissColumns`. The scalar core remains the oracle and the core
+for runs under the ambient sanitizer, whose checks live in its loop.
 
 The kernel has no tracer or metrics hooks, and needs none: every run,
 whichever core it took, is reported from its finished result by
@@ -53,6 +58,7 @@ from repro.perf.packed import (
     PackedTrace,
     oracle_miss_columns,
 )
+from repro.pipeline.annotate import Annotator, annotate_in_order
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import SuperscalarCore, _run_cores
 from repro.pipeline.events import (
@@ -63,17 +69,7 @@ from repro.pipeline.events import (
 )
 from repro.pipeline.result import SimulationResult, cycle_column
 from repro.trace.stream import Trace
-
-
-def batch_supported(config: CoreConfig) -> bool:
-    """True when the SoA kernel models ``config`` exactly.
-
-    Wrong-path ghost dispatch and the random-issue ablation stay on the
-    scalar oracle: ghosts break the consecutive-seq ROB encoding, and
-    the random policy's SplitMix shuffle is defined over the scalar
-    core's ready-pool ordering.
-    """
-    return config.issue_policy == "oldest" and not config.dispatch_wrong_path
+from repro.util.rng import SplitMix, derive_seed
 
 
 class TraceColumns:
@@ -156,12 +152,29 @@ class TraceColumns:
         )
 
 
-class _CacheColumns:
-    """Per-seq latency columns derived from one cache-latency group."""
+class MissColumns:
+    """Per-seq miss outcomes of one run, the columns the kernel reads.
 
-    __slots__ = ("exec_extra", "icache_lat")
+    ``misp`` flags mispredicted control transfers, ``is_long`` loads
+    that miss to memory, ``icache_lat`` the refill stall of each
+    I-cache miss (0 on a hit) and ``icache_long`` whether that line came
+    from memory; ``exec_extra`` is what a load adds to its FU latency.
+    :meth:`oracle` reads them off the trace's flags; an in-order
+    annotation pass (:func:`annotate_in_order`) yields them directly.
+    """
 
-    def __init__(self, cols: TraceColumns, config: CoreConfig):
+    __slots__ = ("misp", "is_long", "icache_lat", "icache_long", "exec_extra")
+
+    def __init__(self, misp, is_long, icache_lat, icache_long, exec_extra):
+        self.misp: List[bool] = misp
+        self.is_long: List[bool] = is_long
+        self.icache_lat: List[int] = icache_lat
+        self.icache_long: Sequence[bool] = icache_long
+        self.exec_extra: List[int] = exec_extra
+
+    @classmethod
+    def oracle(cls, cols: TraceColumns, config: CoreConfig) -> "MissColumns":
+        """The trace's oracle flags priced at ``config``'s latencies."""
         # Indexed by the DCODE_* miss-class code.
         dtable = np.array(
             [0, config.l1_latency, config.l2_latency, config.memory_latency],
@@ -169,12 +182,13 @@ class _CacheColumns:
         )
         # Loads pay their miss class on top of the FU latency; stores
         # and non-memory ops pay nothing (matches OracleAnnotator).
-        self.exec_extra: List[int] = np.where(
-            cols.is_load, dtable[cols.dcode], 0
-        ).tolist()
-        self.icache_lat: List[int] = np.where(
-            cols.il1, config.l2_latency, 0
-        ).tolist()
+        return cls(
+            misp=cols.misp,
+            is_long=cols.is_long,
+            icache_lat=np.where(cols.il1, config.l2_latency, 0).tolist(),
+            icache_long=bytes(cols.n),
+            exec_extra=np.where(cols.is_load, dtable[cols.dcode], 0).tolist(),
+        )
 
 
 class _FUTables:
@@ -189,12 +203,12 @@ class _FUTables:
 
 
 def _combined_latency(
-    cols: TraceColumns, cache_cols: "_CacheColumns", fu: "_FUTables"
+    cols: TraceColumns, miss: MissColumns, fu: "_FUTables"
 ) -> List[int]:
     """Per-seq total execute latency: FU latency + D-cache extra."""
     return (
         np.asarray(fu.latency, dtype=np.int64)[cols.op_np]
-        + np.asarray(cache_cols.exec_extra, dtype=np.int64)
+        + np.asarray(miss.exec_extra, dtype=np.int64)
     ).tolist()
 
 
@@ -212,43 +226,46 @@ def _fu_group_key(config: CoreConfig) -> Tuple:
 class BatchPlan:
     """Divergence bookkeeping for one batch of configs.
 
-    Derived columns are deduplicated by group key; two configs in the
-    same cache group share the *same* column lists.
+    Derived columns are deduplicated by group key and built on first
+    use; two configs in the same cache group share the *same* oracle
+    miss columns, and a batch that only runs annotated configs builds
+    none.
     """
 
     def __init__(self, cols: TraceColumns, configs: Sequence[CoreConfig]):
         self.cols = cols
         self.configs = list(configs)
-        self._cache_groups: Dict[Tuple, _CacheColumns] = {}
+        self._miss_groups: Dict[Tuple, MissColumns] = {}
         self._fu_groups: Dict[Tuple, _FUTables] = {}
         self._lat_groups: Dict[Tuple, List[int]] = {}
-        self.cache_group_of: List[Tuple] = []
-        self.fu_group_of: List[Tuple] = []
-        for config in self.configs:
-            ckey = _cache_group_key(config)
-            if ckey not in self._cache_groups:
-                self._cache_groups[ckey] = _CacheColumns(cols, config)
-            self.cache_group_of.append(ckey)
-            fkey = _fu_group_key(config)
-            if fkey not in self._fu_groups:
-                self._fu_groups[fkey] = _FUTables(config)
-            self.fu_group_of.append(fkey)
-            pair = (ckey, fkey)
-            if pair not in self._lat_groups:
-                self._lat_groups[pair] = _combined_latency(
-                    cols, self._cache_groups[ckey], self._fu_groups[fkey]
-                )
+        self.cache_group_of = [_cache_group_key(c) for c in self.configs]
+        self.fu_group_of = [_fu_group_key(c) for c in self.configs]
 
-    def cache_columns(self, index: int) -> _CacheColumns:
-        return self._cache_groups[self.cache_group_of[index]]
+    def miss_columns(self, index: int) -> MissColumns:
+        key = self.cache_group_of[index]
+        miss = self._miss_groups.get(key)
+        if miss is None:
+            miss = MissColumns.oracle(self.cols, self.configs[index])
+            self._miss_groups[key] = miss
+        return miss
 
     def fu_tables(self, index: int) -> _FUTables:
-        return self._fu_groups[self.fu_group_of[index]]
+        key = self.fu_group_of[index]
+        fu = self._fu_groups.get(key)
+        if fu is None:
+            fu = _FUTables(self.configs[index])
+            self._fu_groups[key] = fu
+        return fu
 
     def lat_column(self, index: int) -> List[int]:
-        return self._lat_groups[
-            (self.cache_group_of[index], self.fu_group_of[index])
-        ]
+        key = (self.cache_group_of[index], self.fu_group_of[index])
+        lat = self._lat_groups.get(key)
+        if lat is None:
+            lat = _combined_latency(
+                self.cols, self.miss_columns(index), self.fu_tables(index)
+            )
+            self._lat_groups[key] = lat
+        return lat
 
 
 class KernelOutput:
@@ -263,6 +280,7 @@ class KernelOutput:
         "fu_issued",
         "rob_peak",
         "last_commit_cycle",
+        "ghosts",
     )
 
     def __init__(self, **fields):
@@ -270,9 +288,13 @@ class KernelOutput:
             setattr(self, name, value)
 
 
+#: ``squash_at`` while no wrong-path squash is pending.
+_NO_SQUASH = 1 << 62
+
+
 def _simulate_columns(
     cols: TraceColumns,
-    cache_cols: _CacheColumns,
+    miss: MissColumns,
     fu: _FUTables,
     config: CoreConfig,
     lat_total: Optional[List[int]] = None,
@@ -280,9 +302,9 @@ def _simulate_columns(
     """The SoA kernel: one config over one column set, scalar-exact.
 
     Mirrors ``SuperscalarCore.run`` phase for phase (completions,
-    commit, dispatch, wakeup, issue, time advance) with identical
-    ordering rules, so every produced field is equal to the scalar
-    core's. See that module's docstring for the machine model.
+    squash, commit, dispatch, wakeup, issue, time advance) with
+    identical ordering rules, so every produced field is equal to the
+    scalar core's. See that module's docstring for the machine model.
 
     Instead of materializing completion events, commit reads the
     completion column directly (an instruction with ``comp[seq] <=
@@ -290,15 +312,27 @@ def _simulate_columns(
     core's completion drain at this point), so the completion queue
     degenerates to a lazily stale-dropped heap of cycles that exists
     only to feed the time-advance candidate set.
+
+    Wrong-path ghosts are keyed ``n + g`` for the run's ``g``-th ghost,
+    which takes record ``g % n``'s op class: every real seq in flight
+    during a stall is older than the stalled branch, so the keys order
+    exactly as the scalar core's tickets do. Ghosts sit behind the
+    branch and are squashed at its completion cycle, before it can
+    commit, so they never reach the ROB head. A ghost is squashed once
+    the cycle reaches ``squash_at`` or a later stall has begun (its key
+    is below ``ghost_floor``); squashed keys drop out wherever they are
+    met. Their window slots matter only to ghost dispatch, which ends
+    when the branch issues, so they are released at the next stall.
     """
     n = cols.n
     op = cols.op
-    misp = cols.misp
-    is_long = cols.is_long
-    icache_lat = cache_cols.icache_lat
+    misp = miss.misp
+    is_long = miss.is_long
+    icache_lat = miss.icache_lat
+    icache_long = miss.icache_long
     prod_lists = cols.prod_lists
     if lat_total is None:
-        lat_total = _combined_latency(cols, cache_cols, fu)
+        lat_total = _combined_latency(cols, miss, fu)
     fu_interval = fu.interval
 
     dispatch_width = config.dispatch_width
@@ -307,6 +341,13 @@ def _simulate_columns(
     rob_size = config.rob_size
     frontend_depth = config.frontend_depth
     record_timeline = config.record_timeline
+    wrong_path = config.dispatch_wrong_path
+    # Random issue shuffles the ready pool in heap-array order, as the
+    # scalar core does; see the wakeup phase.
+    ordered = config.issue_policy == "oldest"
+    shuffle = None
+    if not ordered:
+        shuffle = SplitMix(derive_seed(config.seed, "issue")).shuffle
 
     fu_free: List[List[int]] = [[0] * c for c in fu.count]
     fu_scan = [range(c) for c in fu.count]
@@ -348,13 +389,16 @@ def _simulate_columns(
     ready_keys: List[int] = []
     ready_now: List[int] = []  # min-heap of ready, un-issued seqs
     nr_list: List[int] = []  # the cycle+1 ready bucket, drained next iter
+    due: List[int] = []  # random issue: the seqs waking this cycle
     deferred: List[int] = []
     heappush_ = heappush  # locals: the loop below runs per cycle
     heappop_ = heappop
     heapify_ = heapify
+    take = heappop if ordered else list.pop
 
     events: List[MissEvent] = []
-    rob_head = 0  # oldest in-flight seq; occupancy = next_dispatch - rob_head
+    rob_head = 0  # oldest in-flight seq
+    # Real occupancy is next_dispatch - rob_head; live ghosts add to it.
     rob_peak = 0
     next_dispatch = 0
     frontend_ready = frontend_depth
@@ -362,6 +406,13 @@ def _simulate_columns(
     stall_branch = -1  # seq of the blocking mispredict, -1 = none
     window_occ = 0
     last_commit_cycle = 0
+
+    ghost_count = 0  # ghosts dispatched so far; every one is squashed
+    ghost_floor = n  # key of the live stall's first ghost
+    rob_ghosts = 0  # the live stall's ghosts in the window
+    ghost_room = 0  # dispatch slots the stall's own cycle left for ghosts
+    squash_at = _NO_SQUASH  # the live stall's squash cycle, once known
+    ghost_issued = [0] * len(fu.count)
 
     while rob_head < n:
         nxt = cycle + 1
@@ -371,9 +422,13 @@ def _simulate_columns(
         # current cycle, so they are always due here; moving them into
         # the issue pool at the iteration top (the scalar core does it
         # in its wakeup phase) is equivalent because nothing in between
-        # reads the pool.
+        # reads the pool. Random issue keeps them for its wakeup phase,
+        # where their push order is observable.
         if nr_list:
-            if ready_now:
+            if not ordered:
+                due = nr_list
+                nr_list = []
+            elif ready_now:
                 for seq in nr_list:
                     heappush_(ready_now, seq)
                 nr_list = []
@@ -419,7 +474,10 @@ def _simulate_columns(
                     frontend_ready = cycle + lat
                     events.append(
                         ICacheMissEvent(
-                            seq=seq, cycle=cycle, latency=lat, long_miss=False
+                            seq=seq,
+                            cycle=cycle,
+                            latency=lat,
+                            long_miss=bool(icache_long[seq]),
                         )
                     )
                     next_dispatch = seq
@@ -458,6 +516,10 @@ def _simulate_columns(
                 if misp[seq]:
                     stall_branch = seq
                     window_occ = seq - rob_head
+                    ghost_floor = n + ghost_count
+                    rob_ghosts = 0
+                    squash_at = _NO_SQUASH
+                    ghost_room = dispatch_width - (seq + 1 - next_dispatch)
                     next_dispatch = seq + 1
                     break
             else:
@@ -466,20 +528,81 @@ def _simulate_columns(
             if occupancy > rob_peak:
                 rob_peak = occupancy
 
-        # --- wakeup ------------------------------------------------------
-        while ready_keys and ready_keys[0] <= cycle:
-            bucket = ready_buckets.pop(heappop_(ready_keys))
-            if ready_now:
-                for seq in bucket:
-                    heappush_(ready_now, seq)
-            else:
-                ready_now = bucket
-                heapify_(ready_now)
+        # --- wrong-path ghost dispatch -----------------------------------
+        # The stall's own cycle fills the slots its real dispatch left;
+        # later cycles get the full width. Ghosts wake next cycle.
+        if wrong_path and stall_branch >= 0:
+            room = rob_size - (next_dispatch - rob_head) - rob_ghosts
+            if room > ghost_room:
+                room = ghost_room
+            ghost_room = dispatch_width
+            if room > 0:
+                key = n + ghost_count
+                nr_list.extend(range(key, key + room))
+                ghost_count += room
+                rob_ghosts += room
+                occupancy = next_dispatch - rob_head + rob_ghosts
+                if occupancy > rob_peak:
+                    rob_peak = occupancy
 
-        # --- issue (oldest-first) ----------------------------------------
+        # --- wakeup ------------------------------------------------------
+        if ordered:
+            while ready_keys and ready_keys[0] <= cycle:
+                bucket = ready_buckets.pop(heappop_(ready_keys))
+                if ready_now:
+                    for seq in bucket:
+                        heappush_(ready_now, seq)
+                else:
+                    ready_now = bucket
+                    heapify_(ready_now)
+        else:
+            # The scalar core pushes this cycle's wakeups one by one in
+            # ticket order onto the heap its deferrals left, then
+            # shuffles the live entries in heap-array order: rebuild
+            # that exact array (no heapify), then reverse the shuffled
+            # pool so the issue loop pops it front to back.
+            while ready_keys and ready_keys[0] <= cycle:
+                due += ready_buckets.pop(heappop_(ready_keys))
+            if due:
+                due.sort()
+                for seq in due:
+                    if seq < n or (
+                        seq >= ghost_floor and cycle < squash_at
+                    ):
+                        heappush_(ready_now, seq)
+                due = []
+            if ready_now:
+                if wrong_path:
+                    ready_now = [
+                        s
+                        for s in ready_now
+                        if s < n or (s >= ghost_floor and cycle < squash_at)
+                    ]
+                shuffle(ready_now)
+                ready_now.reverse()
+
+        # --- issue ---------------------------------------------------------
         issued = 0
         while ready_now and issued < issue_width:
-            seq = heappop_(ready_now)
+            seq = take(ready_now)
+            if seq >= n:
+                # A wrong-path ghost: a squashed one drops out; a live
+                # one takes an issue slot and a unit of its op class.
+                if seq < ghost_floor or cycle >= squash_at:
+                    continue
+                code = op[(seq - n) % n]
+                if fu_bind[code]:
+                    free = fu_free[code]
+                    for unit in fu_scan[code]:
+                        if free[unit] <= cycle:
+                            free[unit] = cycle + fu_interval[code]
+                            break
+                    else:
+                        deferred.append(seq)
+                        continue
+                issued += 1
+                ghost_issued[code] += 1
+                continue
             if op_bind[seq]:
                 code = op[seq]
                 free = fu_free[code]
@@ -532,11 +655,25 @@ def _simulate_columns(
                         resolve_cycle=done,
                         refill_cycles=frontend_depth,
                         window_occupancy=window_occ,
+                        wrong_path_instructions=(
+                            n + ghost_count - ghost_floor
+                        ),
                     )
                 )
                 frontend_ready = done + frontend_depth
                 stall_branch = -1
-        if deferred:
+                squash_at = done
+        if not ordered:
+            # The scalar core defers in pool order: the unit-bound
+            # entries, then every entry left once the width filled.
+            untried = ready_now
+            ready_now = []
+            for seq in deferred:
+                heappush_(ready_now, seq)
+            for seq in reversed(untried):
+                heappush_(ready_now, seq)
+            del deferred[:]
+        elif deferred:
             for seq in deferred:
                 heappush_(ready_now, seq)
             del deferred[:]
@@ -544,15 +681,24 @@ def _simulate_columns(
         # --- advance time ------------------------------------------------
         # After the wakeup drain every candidate is >= cycle + 1, so
         # pending ready work makes cycle + 1 the minimum outright — the
-        # common case exits here. The scalar core also wakes at
-        # completions of non-head instructions, but those cycles are
+        # common case exits here, as does a stall that can still
+        # dispatch ghosts. The scalar core also wakes at completions of
+        # non-head instructions and at squashes, but those cycles are
         # provably inert (consumer wakeups were scheduled into the
         # ready queues at producer issue; FU retries ride the
         # ready_now -> cycle+1 candidate; commit only ever waits on the
-        # head), so the completion candidate collapses to the head's
+        # head; a ghost's squash is checked wherever the ghost is read),
+        # so the completion candidate collapses to the head's
         # completion cycle and every *acting* cycle — hence every
         # result field — is unchanged.
         if ready_now or nr_list:
+            cycle = nxt
+            continue
+        if (
+            wrong_path
+            and stall_branch >= 0
+            and next_dispatch - rob_head + rob_ghosts < rob_size
+        ):
             cycle = nxt
             continue
         best = ready_keys[0] if ready_keys else -1
@@ -580,10 +726,11 @@ def _simulate_columns(
         cycle = nxt if nxt > best else best
 
     # Every dispatched instruction issues exactly once, so the per-FU
-    # issue counts are just the op-code histogram of the trace — no
-    # per-issue counter needed in the loop.
-    fu_issued = np.bincount(
-        cols.op_np, minlength=len(fu.count)
+    # issue counts are the op-code histogram of the trace plus the
+    # ghosts that issued before their squash.
+    fu_issued = (
+        np.bincount(cols.op_np, minlength=len(fu.count))
+        + np.asarray(ghost_issued, dtype=np.int64)
     ).tolist()
     # The timeline columns are the kernel's own state lists;
     # _assemble_result types them.
@@ -596,6 +743,7 @@ def _simulate_columns(
         fu_issued=fu_issued,
         rob_peak=rob_peak,
         last_commit_cycle=last_commit_cycle,
+        ghosts=ghost_count,
     )
 
 
@@ -617,7 +765,7 @@ def _assemble_result(
         commit_cycle=cycle_column(output.commit_cycle),
         fu_issue_counts=fu_counts,
         rob_peak_occupancy=output.rob_peak,
-        squashed_ghosts=0,
+        squashed_ghosts=output.ghosts,
     )
 
 
@@ -627,10 +775,9 @@ class BatchedSuperscalarCore:
     Construct with the sweep's configurations, then :meth:`run` a trace
     to get one :class:`SimulationResult` per configuration, in config
     order. Trace columns are shared across all points, derived columns
-    across each divergence group; configurations the kernel cannot
-    model exactly (see :func:`batch_supported`), and every config under
-    an ambient sanitizer, silently use the scalar oracle so a mixed
-    sweep still returns uniformly exact results.
+    across each divergence group. Every configuration runs on the
+    kernel; only a run under the ambient sanitizer, whose checks live in
+    the scalar loop, uses the scalar oracle.
     """
 
     def __init__(self, configs: Sequence[CoreConfig]):
@@ -650,7 +797,17 @@ class BatchedSuperscalarCore:
         self._last = (weakref.ref(trace), trace.version, plan)
         return plan
 
-    def run(self, trace: Trace) -> List[SimulationResult]:
+    def run(
+        self, trace: Trace, annotator: Optional[Annotator] = None
+    ) -> List[SimulationResult]:
+        """One result per config, in config order.
+
+        With an ``annotator``, each config first annotates the whole
+        trace in program order (:func:`annotate_in_order`) — the walk
+        the scalar core's dispatch makes, so a stateful annotator
+        reaches each config in the state that core would leave it in —
+        and the kernel runs on those outcomes.
+        """
         configs = self.configs
         if not configs:
             return []
@@ -659,24 +816,25 @@ class BatchedSuperscalarCore:
             return [
                 SimulationResult(instructions=0, cycles=0) for _ in configs
             ]
-        oracle_all = _sanitizer.current() is not None
-        plan: Optional[BatchPlan] = None
-        results: List[Optional[SimulationResult]] = [None] * len(configs)
+        if _sanitizer.current() is not None:
+            return [
+                SuperscalarCore(config).run(trace, annotator=annotator)
+                for config in configs
+            ]
+        plan = self._plan_for(trace)
+        results: List[SimulationResult] = []
         for index, config in enumerate(configs):
-            if oracle_all or not batch_supported(config):
-                results[index] = SuperscalarCore(config).run(trace)
-                continue
-            if plan is None:
-                plan = self._plan_for(trace)
-            output = _simulate_columns(
-                plan.cols,
-                plan.cache_columns(index),
-                plan.fu_tables(index),
-                config,
-                lat_total=plan.lat_column(index),
-            )
-            results[index] = _assemble_result(output, config, n)
-        return results  # type: ignore[return-value]
+            fu = plan.fu_tables(index)
+            if annotator is None:
+                miss = plan.miss_columns(index)
+                lat_total = plan.lat_column(index)
+            else:
+                annotations = annotate_in_order(annotator, trace.records)
+                miss = MissColumns(*annotations)
+                lat_total = _combined_latency(plan.cols, miss, fu)
+            output = _simulate_columns(plan.cols, miss, fu, config, lat_total)
+            results.append(_assemble_result(output, config, n))
+        return results
 
 
 def run_batch(
@@ -689,7 +847,7 @@ def run_batch(
 __all__ = [
     "BatchPlan",
     "BatchedSuperscalarCore",
+    "MissColumns",
     "TraceColumns",
-    "batch_supported",
     "run_batch",
 ]

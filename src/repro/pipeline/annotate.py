@@ -8,16 +8,22 @@ fetch of this instruction missed the I-cache and for how long, and
 ``OracleAnnotator`` reads the flags already carried by synthetic
 (annotated) traces; ``StructuralAnnotator`` drives the real branch
 predictor and cache hierarchy substrates.
+
+A core asks once per record, in program order, whatever its timing
+(wrong-path ghosts never ask), so a stateful annotator's outcomes
+depend on program order only: :func:`annotate_in_order` runs that same
+walk ahead of a run, and the SoA kernel reads its columns.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from repro.frontend.base import BranchUnit
 from repro.memory.hierarchy import CacheHierarchy, MissClass
+from repro.obs import runtime as _obs
 from repro.pipeline.config import CoreConfig
 from repro.trace.record import TraceRecord
 
@@ -138,3 +144,58 @@ class StructuralAnnotator(Annotator):
             dcache_class=dcache_class,
             dcache_latency=dcache_latency,
         )
+
+
+class AnnotationColumns(NamedTuple):
+    """One in-order annotation pass as the per-seq columns a core reads.
+
+    The scalar core's rules are already applied: a misprediction counts
+    only on a control transfer, and only a load's data-cache latency
+    and long miss reach the timing.
+    """
+
+    misp: List[bool]
+    is_long: List[bool]  # a load that missed to memory
+    icache_lat: List[int]  # 0 when the fetch hit
+    icache_long: List[bool]
+    exec_extra: List[int]  # what a load adds to its FU latency
+
+
+def annotate_in_order(
+    annotator: Annotator, records: Iterable[TraceRecord]
+) -> AnnotationColumns:
+    """Annotate every record once, in program order, as columns.
+
+    This is the walk a detailed core's dispatch makes, so the columns
+    hold exactly the outcomes a core would see, and the annotator is
+    left in the state that run would leave it in. The ambient metrics
+    registry the substrates count into is resolved once for the pass.
+    """
+    misp: List[bool] = []
+    is_long: List[bool] = []
+    icache_lat: List[int] = []
+    icache_long: List[bool] = []
+    exec_extra: List[int] = []
+    long_class = MissClass.LONG
+    with _obs.metrics_resolved():
+        for record in records:
+            ann = annotator.annotate(record)
+            misp.append(ann.mispredicted and record.is_control)
+            latency = ann.icache_latency
+            if latency is None:
+                latency = 0
+            elif latency <= 0:
+                raise ValueError(
+                    f"I-cache miss of record {len(icache_lat)} stalls "
+                    f"{latency} cycles; a miss must stall at least one"
+                )
+            icache_lat.append(latency)
+            icache_long.append(ann.icache_long)
+            dcache_class = ann.dcache_class
+            if dcache_class is None or not record.is_load:
+                exec_extra.append(0)
+                is_long.append(False)
+            else:
+                exec_extra.append(ann.dcache_latency)
+                is_long.append(dcache_class is long_class)
+    return AnnotationColumns(misp, is_long, icache_lat, icache_long, exec_extra)

@@ -25,10 +25,14 @@ The main loop skips idle cycles (e.g. during a long memory stall), so
 simulated time is O(events), not O(cycles).
 
 :class:`SuperscalarCore` is the reference model. :func:`simulate` runs
-its field-exact structure-of-arrays twin (:mod:`repro.perf.batchcore`)
-whenever the twin models the run, and this core otherwise. Neither
-core reports to the tracer or the metrics while it runs: the finished
-result does (:func:`repro.pipeline.result.observe_run`).
+every out-of-order configuration on its field-exact structure-of-arrays
+twin (:mod:`repro.perf.batchcore`): wrong-path ghosts and random issue
+are kernel modes, and an explicit annotator is run over the trace in
+program order first, which is how this core consults it too. This core
+runs sanitized runs, and the callers that name it on purpose as the
+cycle-loop baseline. Neither core reports to the tracer or the metrics
+while it runs: the finished result does
+(:func:`repro.pipeline.result.observe_run`).
 """
 
 from __future__ import annotations
@@ -424,18 +428,17 @@ def _run_cores(
 
     :func:`simulate`, :func:`repro.perf.batchcore.run_batch` and
     :func:`repro.pipeline.inorder.simulate_inorder` are thin names over
-    this function, so none of them calls another. Out-of-order runs
-    without an explicit annotator go through
+    this function, so none of them calls another. Every out-of-order
+    run goes through
     :class:`~repro.perf.batchcore.BatchedSuperscalarCore`, which runs
-    the SoA kernel and keeps this scalar core for what the kernel does
-    not model (wrong-path dispatch, random issue, sanitized runs).
+    the SoA kernel and keeps this scalar core for sanitized runs only.
     ``core`` runs everything else. Each result is then reported to the
     ambient tracer and metrics (:func:`observe_run`), once per config.
     """
-    if core is SuperscalarCore and annotator is None:
+    if core is SuperscalarCore:
         from repro.perf.batchcore import BatchedSuperscalarCore
 
-        results = BatchedSuperscalarCore(configs).run(trace)
+        results = BatchedSuperscalarCore(configs).run(trace, annotator)
     else:
         results = [
             core(config).run(trace, annotator=annotator) for config in configs
@@ -452,9 +455,9 @@ def simulate(
 ) -> SimulationResult:
     """Run ``trace`` under ``config`` (the baseline when None).
 
-    Runs on the SoA kernel when it models the config exactly and no
-    annotator is given, else on :class:`SuperscalarCore`; the result is
-    the same either way (see :func:`_run_cores`).
+    Runs on the SoA kernel (on :class:`SuperscalarCore` under the
+    sanitizer); the result is the same either way (see
+    :func:`_run_cores`).
     """
     config = config if config is not None else CoreConfig()
     return _run_cores(trace, [config], annotator)[0]

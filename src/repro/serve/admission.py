@@ -53,7 +53,7 @@ already are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience import faults
@@ -133,6 +133,8 @@ class AdmissionController:
         self.ewma_ms: Dict[int, float] = {i: 0.0 for i in range(n_shards)}
         #: Total sheds so far — the jitter stream's sequence number.
         self.sheds = 0
+        # The inputs and result of the last max_pressure call.
+        self._last_pressure: Optional[Tuple] = None
 
     # -- decisions ----------------------------------------------------
 
@@ -234,6 +236,35 @@ class AdmissionController:
             else 0.0
         )
         return max(depth_frac, bytes_frac, drain_frac)
+
+    def max_pressure(self, depths: List[int]) -> float:
+        """The worst shard's :meth:`pressure`, given each shard's depth.
+
+        Sampled at every request milestone, mostly with nothing changed
+        since the last call, so the last answer is kept and reused
+        while the depths, byte and EWMA tables and policy are equal.
+        """
+        last = self._last_pressure
+        if (
+            last is not None
+            and last[0] == depths
+            and last[1] == self.queued_bytes
+            and last[2] == self.ewma_ms
+            and last[3] is self.policy
+        ):
+            return last[4]
+        worst = max(
+            (self.pressure(index, depth) for index, depth in enumerate(depths)),
+            default=0.0,
+        )
+        self._last_pressure = (
+            list(depths),
+            dict(self.queued_bytes),
+            dict(self.ewma_ms),
+            self.policy,
+            worst,
+        )
+        return worst
 
     def describe(self) -> Dict[str, object]:
         return {

@@ -192,9 +192,11 @@ class ExperimentService:
         # serve.queue_depth stays the lifetime high-watermark
         # (set_max); serve.queue_depth_current is the live sampled
         # depth the admission controller and `repro serve top` act on.
-        self.metrics.gauge("serve.queue_depth")
-        self.metrics.gauge("serve.queue_depth_current")
-        self.metrics.gauge("serve.inflight_requests")
+        self._queue_depth_gauge = self.metrics.gauge("serve.queue_depth")
+        self._queue_depth_current_gauge = self.metrics.gauge(
+            "serve.queue_depth_current"
+        )
+        self._inflight_gauge = self.metrics.gauge("serve.inflight_requests")
         self.metrics.gauge("serve.brownout_level")
         # Per-shard current-depth gauges; the f-string names follow
         # the same subsystem.noun_unit grammar the registry enforces
@@ -203,6 +205,7 @@ class ExperimentService:
             self.metrics.gauge(f"serve.shard{i}_queue_depth")
             for i in range(n_shards)
         ]
+        self._shard_depths_written: Optional[List[int]] = None
         self.metrics.histogram(
             "serve.simulate_latency_milliseconds", edges=LATENCY_EDGES_MS
         )
@@ -280,18 +283,15 @@ class ExperimentService:
         per_shard = [len(shard.pending) for shard in self.shards]
         depth = sum(per_shard)
         inflight = len(self._inflight)
-        self.metrics.gauge("serve.queue_depth").set_max(depth)
-        self.metrics.gauge("serve.queue_depth_current").set(depth)
-        self.metrics.gauge("serve.inflight_requests").set_max(inflight)
-        for gauge, shard_depth in zip(self._shard_depth_gauges, per_shard):
-            gauge.set(shard_depth)
-        pressure = max(
-            (
-                self.admission.pressure(index, shard_depth)
-                for index, shard_depth in enumerate(per_shard)
-            ),
-            default=0.0,
-        )
+        self._queue_depth_gauge.set_max(depth)
+        self._queue_depth_current_gauge.set(depth)
+        self._inflight_gauge.set_max(inflight)
+        if per_shard != self._shard_depths_written:
+            # Only this sample writes the per-shard gauges.
+            for gauge, shard_depth in zip(self._shard_depth_gauges, per_shard):
+                gauge.set(shard_depth)
+            self._shard_depths_written = per_shard
+        pressure = self.admission.max_pressure(per_shard)
         level = self.brownout.observe(pressure)
         self.cache.tier0_admit_bytes = self.brownout.tier0_admit_bytes()
         self._telemetry_seq += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import sanitizer
 from repro.obs import runtime as obs_runtime
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
@@ -26,6 +27,15 @@ def _faults_isolated():
     faults.reset()
     yield
     faults.reset()
+
+
+@pytest.fixture
+def kernel_path(monkeypatch):
+    """No ambient sanitizer, so every out-of-order run takes the kernel."""
+    monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
+    sanitizer.reset()
+    yield
+    sanitizer.reset()
 
 
 @pytest.fixture(scope="session")

@@ -16,11 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import sanitizer
 from repro.perf.batchcore import (
     BatchedSuperscalarCore,
     TraceColumns,
-    batch_supported,
     run_batch,
 )
 from repro.pipeline.config import CoreConfig
@@ -28,6 +26,8 @@ from repro.pipeline.core import SuperscalarCore
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
+from repro.util.rng import derive_seed
+from repro.workloads.spec_profiles import SPEC_PROFILES
 
 
 def profile(**overrides):
@@ -54,15 +54,67 @@ def assert_batch_matches_oracle(trace, configs):
         assert_result_equal(result, oracle, f"config={config}")
 
 
-class TestBatchSupported:
-    def test_default_config_is_supported(self):
-        assert batch_supported(CoreConfig())
+def _width(width, **overrides):
+    return CoreConfig(
+        dispatch_width=width,
+        issue_width=width,
+        commit_width=width,
+        **overrides,
+    )
 
-    def test_random_issue_falls_back(self):
-        assert not batch_supported(CoreConfig(issue_policy="random"))
 
-    def test_wrong_path_dispatch_falls_back(self):
-        assert not batch_supported(CoreConfig(dispatch_wrong_path=True))
+# Wrong-path ghosts, random issue and both, run over every suite profile.
+MODE_CONFIGS = (
+    [
+        _width(width, rob_size=rob, dispatch_wrong_path=True)
+        for rob in (32, 128, 256)
+        for width in (1, 4, 8)
+    ]
+    + [CoreConfig(issue_policy="random", seed=s) for s in (0, 1, 7)]
+    + [
+        CoreConfig(issue_policy="random", seed=3, dispatch_wrong_path=True),
+        _width(8, rob_size=32, issue_policy="random", seed=4,
+               dispatch_wrong_path=True),
+        _width(1, rob_size=32, issue_policy="random", seed=5,
+               dispatch_wrong_path=True),
+    ]
+)
+
+
+def suite_trace(name, length=1_500):
+    return generate_trace(
+        SPEC_PROFILES[name], length, seed=derive_seed(2006, name)
+    )
+
+
+class TestKernelModes:
+    """Every out-of-order mode runs on the kernel, never the scalar core."""
+
+    def assert_runs_on_kernel(self, monkeypatch, config):
+        trace = generate_trace(profile(), 600, seed=19)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an out-of-order run took the scalar core")
+
+        monkeypatch.setattr(SuperscalarCore, "run", refuse)
+        [result] = run_batch(trace, [config])
+        monkeypatch.undo()
+        assert_result_equal(result, SuperscalarCore(config).run(trace))
+
+    def test_default_config_runs_on_the_kernel(self, monkeypatch, kernel_path):
+        self.assert_runs_on_kernel(monkeypatch, CoreConfig())
+
+    def test_random_issue_runs_on_the_kernel(self, monkeypatch, kernel_path):
+        self.assert_runs_on_kernel(
+            monkeypatch, CoreConfig(issue_policy="random", seed=5)
+        )
+
+    def test_wrong_path_dispatch_runs_on_the_kernel(
+        self, monkeypatch, kernel_path
+    ):
+        self.assert_runs_on_kernel(
+            monkeypatch, CoreConfig(dispatch_wrong_path=True)
+        )
 
 
 class TestEdgeCases:
@@ -132,6 +184,24 @@ class TestOracleEquality:
         ]
         assert_batch_matches_oracle(trace, configs)
 
+    @pytest.mark.parametrize("name", sorted(SPEC_PROFILES))
+    def test_kernel_modes_on_suite_profiles(self, name, kernel_path):
+        """Ghosts and random issue equal the scalar core field for field:
+        events with their wrong-path counts, FU issue counts (issued
+        ghosts included), the ROB peak and the squashed-ghost count."""
+        trace = suite_trace(name)
+        results = run_batch(trace, MODE_CONFIGS)
+        for config, result in zip(MODE_CONFIGS, results):
+            oracle = SuperscalarCore(config).run(trace)
+            assert_result_equal(result, oracle, f"config={config}")
+            wrong_path = sum(
+                e.wrong_path_instructions for e in result.mispredict_events
+            )
+            if config.dispatch_wrong_path:
+                assert result.squashed_ghosts == wrong_path > 0
+            else:
+                assert result.squashed_ghosts == wrong_path == 0
+
     def test_memory_heavy_profile(self):
         heavy = profile(dl1_miss_rate=0.25, dl2_miss_rate=0.4, il1_mpki=12.0)
         trace = generate_trace(heavy, 1000, seed=31)
@@ -147,13 +217,32 @@ class TestOracleEquality:
         )
 
 
-@pytest.fixture
-def kernel_path(monkeypatch):
-    """No ambient sanitizer, so supported configs run on the kernel."""
-    monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
-    sanitizer.reset()
-    yield
-    sanitizer.reset()
+class TestWrongPathGhosts:
+    def test_ghosts_fill_a_small_window(self, kernel_path):
+        """A small ROB behind a wide stall caps ghost dispatch.
+
+        Ghosts dispatch at every cycle from the stall to the branch's
+        issue (its completion minus the one-cycle branch latency), a
+        full width per cycle after the first, unless the window is full;
+        fewer ghosts than that means a full window held them back.
+        """
+        config = _width(8, rob_size=32, dispatch_wrong_path=True)
+        trace = suite_trace("gcc")
+        [result] = run_batch(trace, [config])
+        assert_result_equal(result, SuperscalarCore(config).run(trace))
+        assert result.rob_peak_occupancy == config.rob_size
+        assert any(
+            e.wrong_path_instructions < 8 * (e.resolve_cycle - 1 - e.cycle)
+            for e in result.mispredict_events
+        ), "no stall filled the window"
+
+    def test_issued_ghosts_count_as_fu_issues(self, kernel_path):
+        trace = suite_trace("twolf")
+        plain, ghost = run_batch(
+            trace, [CoreConfig(), CoreConfig(dispatch_wrong_path=True)]
+        )
+        assert sum(plain.fu_issue_counts.values()) == len(trace)
+        assert sum(ghost.fu_issue_counts.values()) > len(trace)
 
 
 class TestTraceColumns:
@@ -214,7 +303,9 @@ CONFIG_STRATEGY = st.builds(
     commit_width=st.sampled_from([1, 2, 4]),
     frontend_depth=st.integers(min_value=1, max_value=12),
     issue_policy=st.sampled_from(["oldest", "random"]),
+    dispatch_wrong_path=st.booleans(),
     record_timeline=st.booleans(),
+    seed=st.integers(min_value=0, max_value=1000),
 )
 
 

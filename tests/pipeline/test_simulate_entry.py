@@ -81,15 +81,15 @@ def test_traced_kernel_run_equals_the_scalar_run(name, no_sanitizer):
     kernel, kernel_spans, kernel_metrics = _observed(
         lambda: simulate(trace, config)
     )
-    # An explicit annotator keeps the run on the scalar core.
-    scalar, scalar_spans, scalar_metrics = _observed(
+    # An explicit annotator takes the annotate-first path.
+    annotated, annotated_spans, annotated_metrics = _observed(
         lambda: simulate(trace, config, annotator=OracleAnnotator(config))
     )
     assert vars(kernel) == vars(SuperscalarCore(config).run(trace))
-    assert vars(kernel) == vars(scalar)
-    assert kernel_spans == scalar_spans == kernel.miss_spans()
+    assert vars(kernel) == vars(annotated)
+    assert kernel_spans == annotated_spans == kernel.miss_spans()
     assert len(kernel_spans) == len(kernel.events)
-    assert kernel_metrics == scalar_metrics
+    assert kernel_metrics == annotated_metrics
     assert kernel_metrics["counters"]["core.cycles_total"] == kernel.cycles
 
 

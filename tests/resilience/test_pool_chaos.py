@@ -88,6 +88,24 @@ class TestRetries:
         assert results[0].attempts == 3
         assert "Timeout" in results[0].error
 
+    def test_serial_result_past_its_budget_is_a_timeout(self):
+        """The in-process path (``workers=1``, or a degraded pool)
+        judges a timed job by the same rule: every attempt of this job
+        exceeds 1 ms, so it fails after 1 + retries attempts."""
+        job = SimJob(workload="twolf", length=60_000, seed=9,
+                     timeout_s=0.001, retries=2, backoff_s=0.01)
+        results, telemetry = run_jobs([job], workers=1, use_cache=False)
+        assert results[0].status == JobStatus.FAILED
+        assert results[0].attempts == 3
+        assert "Timeout" in results[0].error
+        assert telemetry.failed == 1
+
+    def test_serial_job_inside_its_budget_passes(self):
+        job = SimJob(workload="gzip", length=400, timeout_s=30.0, retries=2)
+        results, _ = run_jobs([job], workers=1, use_cache=False)
+        assert results[0].status == JobStatus.OK
+        assert results[0].attempts == 1
+
     def test_timeout_retry_can_succeed(self, tmp_path):
         """A generous timeout on retry lets the job complete."""
         # First attempt gets an impossible budget only if we injected a

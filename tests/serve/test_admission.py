@@ -101,6 +101,25 @@ class TestAdmissionController:
         ctl.ewma_ms[0] = 500.0  # drain = 500ms * 4 = 2.0 of target
         assert ctl.pressure(0, depth=4) == pytest.approx(2.0)
 
+    def test_max_pressure_follows_every_input(self):
+        """The reused answer tracks direct writes to the byte and EWMA
+        tables and the depths, not only admits and releases."""
+        ctl, _ = make_controller(
+            max_depth=10, max_bytes=1000, drain_target_ms=1000.0
+        )
+        depths = [0, 0]
+        assert ctl.max_pressure(depths) == 0.0
+        ctl.queued_bytes[1] = 900
+        assert ctl.max_pressure(depths) == pytest.approx(0.9)
+        ctl.ewma_ms[0] = 500.0
+        assert ctl.max_pressure(depths) == pytest.approx(0.9)
+        depths[0] = 4  # drain = 500ms * 4 = 2.0 of target
+        assert ctl.max_pressure(depths) == pytest.approx(2.0)
+        ctl.queued_bytes[1] = 0
+        ctl.ewma_ms[0] = 0.0
+        assert ctl.max_pressure(depths) == pytest.approx(0.4)
+        assert ctl.max_pressure([]) == 0.0
+
     def test_injected_fault_forces_a_shed(self):
         ctl, _ = make_controller()
         faults.enable("serve.admit:raise@1")
@@ -315,6 +334,28 @@ class TestServiceIntegration:
             asyncio.run(svc.handle(dict(REQUEST)))
             sample = list(svc._telemetry)[-1]
             assert "pressure" in sample and "brownout" in sample
+        finally:
+            svc.close()
+
+    def test_sampled_pressure_follows_admission_state(self, tmp_path):
+        """A sample reuses the last pressure only while the depths and
+        the admission state are unchanged: bytes admitted or released
+        between samples show in the next one."""
+        svc = ExperimentService(
+            store_root=tmp_path / "cache", n_shards=2,
+            service_id="serve-admit-h",
+        )
+        svc.start()
+        try:
+            svc._sample_queues()
+            assert svc._telemetry[-1]["pressure"] == pytest.approx(0.0)
+            cost = svc.admission_policy.max_bytes // 2
+            assert svc.admission.try_admit(1, depth=0, cost_bytes=cost) is None
+            svc._sample_queues()
+            assert svc._telemetry[-1]["pressure"] == pytest.approx(0.5)
+            svc.admission.release(1, cost)
+            svc._sample_queues()
+            assert svc._telemetry[-1]["pressure"] == pytest.approx(0.0)
         finally:
             svc.close()
 
