@@ -9,7 +9,7 @@ their rendered output; the examples call them directly.
 """
 
 from repro.harness.experiment import ExperimentResult
-from repro.harness.figures import ascii_bar_chart, ascii_series
+from repro.harness.figures import ascii_bar_chart
 from repro.harness.sweep import Sweep, sweep_values
 from repro.harness.replication import Replicated, replicate
 from repro.harness.runner import (
@@ -23,7 +23,6 @@ from repro.harness import experiments
 __all__ = [
     "ExperimentResult",
     "ascii_bar_chart",
-    "ascii_series",
     "Sweep",
     "sweep_values",
     "Replicated",

@@ -1,4 +1,4 @@
-"""ASCII rendering of figure-shaped results (bars and series)."""
+"""ASCII rendering of figure-shaped results (bars and stacked bars)."""
 
 from __future__ import annotations
 
@@ -21,27 +21,6 @@ def ascii_bar_chart(
         lines.append(
             f"{label.rjust(label_width)} | {bar} {value:.2f}{unit}"
         )
-    return "\n".join(lines)
-
-
-def ascii_series(
-    xs: Sequence[float],
-    series: Dict[str, List[float]],
-    width: int = 50,
-    x_label: str = "x",
-) -> str:
-    """Tabular rendering of one or more y-series over shared x values."""
-    names = list(series)
-    header = [x_label] + names
-    lines = ["  ".join(h.rjust(12) for h in header)]
-    for i, x in enumerate(xs):
-        cells = [f"{x:.6g}".rjust(12)]
-        for name in names:
-            ys = series[name]
-            cells.append(
-                f"{ys[i]:.3f}".rjust(12) if i < len(ys) else "-".rjust(12)
-            )
-        lines.append("  ".join(cells))
     return "\n".join(lines)
 
 

@@ -71,10 +71,8 @@ from repro.interval.visualize import (
     render_timeline,
 )
 from repro.interval.occupancy import (
-    OccupancySummary,
     occupancy_at_dispatch,
     occupancy_trace,
-    summarize_occupancy,
 )
 
 __all__ = [
@@ -102,8 +100,6 @@ __all__ = [
     "interval_timeline",
     "pick_illustrative_event",
     "render_timeline",
-    "OccupancySummary",
     "occupancy_at_dispatch",
     "occupancy_trace",
-    "summarize_occupancy",
 ]

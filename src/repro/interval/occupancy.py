@@ -9,31 +9,9 @@ correlation with resolution times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.pipeline.result import SimulationResult
-from repro.util.stats import OnlineStats
-
-
-@dataclass(frozen=True)
-class OccupancySummary:
-    """Distribution summary of window occupancy over time."""
-
-    mean: float
-    peak: int
-    p50: int
-    p90: int
-    full_fraction: float  # fraction of cycles at >= capacity
-
-    def rows(self) -> List[Tuple[str, float]]:
-        return [
-            ("mean occupancy", self.mean),
-            ("median occupancy", float(self.p50)),
-            ("p90 occupancy", float(self.p90)),
-            ("peak occupancy", float(self.peak)),
-            ("fraction of cycles window-full", self.full_fraction),
-        ]
 
 
 def occupancy_events(result: SimulationResult) -> List[Tuple[int, int]]:
@@ -65,49 +43,6 @@ def occupancy_trace(result: SimulationResult) -> List[Tuple[int, int]]:
         else:
             points.append((cycle, occupancy))
     return points
-
-
-def summarize_occupancy(
-    result: SimulationResult, capacity: int
-) -> OccupancySummary:
-    """Time-weighted occupancy distribution over the whole run."""
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    points = occupancy_trace(result)
-    if not points:
-        return OccupancySummary(0.0, 0, 0, 0, 0.0)
-    # Time-weighted accumulation between change points.
-    weights: dict = {}
-    total_cycles = 0
-    stats = OnlineStats()
-    for (cycle, occupancy), nxt in zip(points, points[1:] + [(result.cycles, 0)]):
-        span = max(nxt[0] - cycle, 0)
-        if span == 0:
-            continue
-        weights[occupancy] = weights.get(occupancy, 0) + span
-        total_cycles += span
-    if not total_cycles:
-        return OccupancySummary(0.0, result.rob_peak_occupancy, 0, 0, 0.0)
-    mean = sum(occ * span for occ, span in weights.items()) / total_cycles
-    full = sum(span for occ, span in weights.items() if occ >= capacity)
-
-    def percentile(q: float) -> int:
-        threshold = q * total_cycles
-        acc = 0
-        for occ in sorted(weights):
-            acc += weights[occ]
-            if acc >= threshold:
-                return occ
-        return max(weights)
-
-    del stats  # OnlineStats not needed for the weighted path
-    return OccupancySummary(
-        mean=mean,
-        peak=max(weights),
-        p50=percentile(0.5),
-        p90=percentile(0.9),
-        full_fraction=full / total_cycles,
-    )
 
 
 def occupancy_at_dispatch(result: SimulationResult) -> List[int]:

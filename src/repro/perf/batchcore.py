@@ -35,6 +35,8 @@ first, once per config over the whole trace in program order
 consults it exactly so; the kernel then reads those outcomes as
 :class:`MissColumns`. The scalar core remains the oracle and the core
 for runs under the ambient sanitizer, whose checks live in its loop.
+The in-order core (:mod:`repro.pipeline.inorder`) reads the same
+:class:`TraceColumns`, :class:`MissColumns` and FU tables.
 
 The kernel has no tracer or metrics hooks, and needs none: every run,
 whichever core it took, is reported from its finished result by
@@ -94,7 +96,7 @@ class TraceColumns:
         "dcode",
         "prod_indptr",
         "prod_data",
-        "prod_lists",
+        "_prod_lists",
         "__weakref__",
     )
 
@@ -121,14 +123,22 @@ class TraceColumns:
         self.dcode = dcode
         self.prod_indptr = prod_indptr
         self.prod_data = prod_data
-        # Per-seq producer tuples, materialized once per trace and
-        # shared by every config in a batch — the kernel's dispatch walk
-        # then skips CSR slicing entirely (tuples iterate faster than
-        # list slices and are safely shareable).
-        self.prod_lists: List[Tuple[int, ...]] = [
-            tuple(prod_data[prod_indptr[i]:prod_indptr[i + 1]])
-            for i in range(n)
-        ]
+        self._prod_lists: Optional[List[Tuple[int, ...]]] = None
+
+    @property
+    def prod_lists(self) -> List[Tuple[int, ...]]:
+        """Per-seq producer tuples, materialized on first use and shared
+        by every config in a batch — the kernel's dispatch walk then
+        skips CSR slicing entirely (tuples iterate faster than list
+        slices and are safely shareable). The in-order core walks the
+        CSR once and never builds them."""
+        if self._prod_lists is None:
+            indptr = self.prod_indptr
+            data = self.prod_data
+            self._prod_lists = [
+                tuple(data[indptr[i]:indptr[i + 1]]) for i in range(self.n)
+            ]
+        return self._prod_lists
 
     @classmethod
     def from_packed(cls, packed: PackedTrace) -> "TraceColumns":
@@ -200,6 +210,21 @@ class _FUTables:
         self.latency = [config.fu_specs[c].latency for c in OP_CLASSES]
         self.interval = [config.fu_specs[c].issue_interval for c in OP_CLASSES]
         self.count = [config.fu_specs[c].count for c in OP_CLASSES]
+
+    def binding(self, issue_width: int) -> List[int]:
+        """Per op code, 0 when the class can never be the binding
+        constraint, else 1.
+
+        A single-cycle-interval class with at least ``issue_width``
+        units always has a unit free: at most ``issue_width - 1``
+        same-cycle reservations exist when a unit is sought, and every
+        earlier reservation (made at c' < cycle, free at c' + 1) has
+        already expired. Those codes skip the reservation bookkeeping.
+        """
+        return [
+            0 if (interval == 1 and count >= issue_width) else 1
+            for interval, count in zip(self.interval, self.count)
+        ]
 
 
 def _combined_latency(
@@ -351,18 +376,11 @@ def _simulate_columns(
 
     fu_free: List[List[int]] = [[0] * c for c in fu.count]
     fu_scan = [range(c) for c in fu.count]
-    # A single-cycle-interval FU group with at least issue_width units
-    # can never be the binding constraint: at most issue_width - 1
-    # same-cycle reservations exist when a unit is sought, and every
-    # earlier reservation (made at c' < cycle, free at c' + 1) has
-    # already expired — the scan always succeeds. Those codes skip the
-    # reservation bookkeeping entirely. ``op_bind`` is the complement
-    # of that property mapped per seq, so the issue loop pays one
-    # truthy column read instead of two table lookups.
-    fu_bind = [
-        0 if (fu_interval[i] == 1 and c >= issue_width) else 1
-        for i, c in enumerate(fu.count)
-    ]
+    # Codes that can never bind skip the reservation scan
+    # (_FUTables.binding); ``op_bind`` maps that flag per seq, so the
+    # issue loop pays one truthy column read instead of two table
+    # lookups.
+    fu_bind = fu.binding(issue_width)
     op_bind = np.asarray(fu_bind, dtype=np.uint8)[cols.op_np].tolist()
 
     comp = [-1] * n  # completion cycle; -1 = not issued yet

@@ -432,8 +432,11 @@ def _run_cores(
     run goes through
     :class:`~repro.perf.batchcore.BatchedSuperscalarCore`, which runs
     the SoA kernel and keeps this scalar core for sanitized runs only.
-    ``core`` runs everything else. Each result is then reported to the
-    ambient tracer and metrics (:func:`observe_run`), once per config.
+    ``core`` runs everything else: in practice the in-order core
+    (:class:`~repro.pipeline.inorder.InOrderCore`), which reads the
+    same trace and miss columns as the kernel. Each result is then
+    reported to the ambient tracer and metrics (:func:`observe_run`),
+    once per config.
     """
     if core is SuperscalarCore:
         from repro.perf.batchcore import BatchedSuperscalarCore

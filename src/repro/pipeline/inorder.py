@@ -17,23 +17,34 @@ in order), so outstanding long misses buffer exactly as much work as
 the out-of-order machine's window, not infinitely. Miss events are
 logged with the same types as the OoO core, so the entire
 interval-analysis layer works unchanged.
+
+The core reads what the SoA kernel (:mod:`repro.perf.batchcore`)
+reads: the trace's :class:`~repro.perf.batchcore.TraceColumns` (op
+codes and the producer CSR, built from ``trace.pack()``), one
+:class:`~repro.perf.batchcore.MissColumns` set (the trace's oracle
+flags priced at the config's latencies, or an annotator's outcomes from
+one in-order pass, :func:`~repro.pipeline.annotate.annotate_in_order`)
+and per-op-code FU tables. Because issue is in order, the recurrence
+is one integer loop over those lists. Without an annotator no record,
+annotation or unit heap is built, so a generated trace keeps only its
+columns.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.memory.hierarchy import MissClass
-from repro.pipeline.annotate import Annotator, OracleAnnotator
+from repro.pipeline.annotate import Annotator, annotate_in_order
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import _run_cores
 from repro.pipeline.events import (
     BranchMispredictEvent,
     ICacheMissEvent,
     LongDMissEvent,
+    MissEvent,
 )
-from repro.pipeline.functional_units import FunctionalUnits
 from repro.pipeline.result import SimulationResult, cycle_column
 from repro.trace.stream import Trace
 
@@ -48,120 +59,174 @@ class InOrderCore:
         self, trace: Trace, annotator: Optional[Annotator] = None
     ) -> SimulationResult:
         """Simulate the trace; returns the same result type as the
-        out-of-order core (ROB fields read as the in-flight count)."""
+        out-of-order core (ROB fields read as the in-flight count).
+
+        With an ``annotator``, the whole trace is annotated first, in
+        program order (:func:`annotate_in_order`), the order this core
+        issues in.
+        """
         config = self.config
-        records = trace.records
-        n = len(records)
-        if annotator is None:
-            annotator = OracleAnnotator(config)
+        n = len(trace)
         if n == 0:
             return SimulationResult(instructions=0, cycles=0)
+        # repro.perf sits above the pipeline layer, so the column types
+        # are imported at run time (as _run_cores does).
+        from repro.perf.batchcore import (
+            MissColumns,
+            TraceColumns,
+            _combined_latency,
+            _FUTables,
+        )
+        from repro.perf.packed import OP_CODE
+
+        cols = TraceColumns.from_packed(trace.pack())
+        if annotator is None:
+            miss = MissColumns.oracle(cols, config)
+        else:
+            miss = MissColumns(*annotate_in_order(annotator, trace.records))
+        fu = _FUTables(config)
+        lat_total = _combined_latency(cols, miss, fu)
 
         san = _sanitizer.current()
         if san is not None:
             san.begin_run()
-        fus = FunctionalUnits(config.fu_specs)
-        comp: List[int] = [0] * n
-        retire: List[int] = [0] * n  # in-order retirement times
-        record_timeline = config.record_timeline
-        dispatch_cycle = [0] * n
-        issue_cycle = [0] * n if record_timeline else None
-        commit_cycle = [0] * n if record_timeline else None
+        op = cols.op
+        indptr = cols.prod_indptr
+        producers = cols.prod_data
+        misp = miss.misp
+        is_long = miss.is_long
+        icache_lat = miss.icache_lat
+        icache_long = miss.icache_long
+        fu_interval = fu.interval
+        issue_width = config.issue_width
+        rob_size = config.rob_size
+        frontend_depth = config.frontend_depth
 
-        events = []
-        frontend_ready = config.frontend_depth
+        # Each unit is the cycle it next accepts an op. Issue times never
+        # decrease, so a unit free now stays free and any free one may
+        # take the op. Classes that can never bind are skipped
+        # (_FUTables.binding). At most issue_width ops issue per cycle,
+        # but two at width 1: the issue-width step below closes a cycle
+        # only from its second issue on.
+        fu_free = [[0] * count for count in fu.count]
+        fu_scan = [range(count) for count in fu.count]
+        per_cycle = issue_width if issue_width > 1 else 2
+        op_bind = list(map(fu.binding(per_cycle).__getitem__, op))
+
+        comp: List[int] = [0] * n
+        dispatch_cycle: List[int] = [0] * n
+        issue_cycle: List[int] = [0] * n
+        # retired[seq + rob_size] is seq's in-order retirement time, so
+        # retired[seq] is that of the instruction rob_size older (0
+        # before the trace start).
+        retired: List[int] = [0] * (rob_size + n)
+        events: List[MissEvent] = []
+        frontend_ready = frontend_depth
         issue_time = frontend_ready  # earliest issue for the next instr
         issued_this_cycle = 0
-        last_commit = 0
+        retire = 0
+        hi = 0
 
-        for seq, record in enumerate(records):
-            annotation = annotator.annotate(record)
-
+        for seq in range(n):
             # Frontend: I-cache misses stall delivery.
-            if annotation.icache_latency is not None:
-                stall_from = max(issue_time, frontend_ready)
-                frontend_ready = stall_from + annotation.icache_latency
+            stall = icache_lat[seq]
+            if stall:
+                stall_from = (
+                    issue_time if issue_time > frontend_ready else frontend_ready
+                )
+                frontend_ready = stall_from + stall
                 events.append(
                     ICacheMissEvent(
                         seq=seq,
                         cycle=stall_from,
-                        latency=annotation.icache_latency,
-                        long_miss=annotation.icache_long,
+                        latency=stall,
+                        long_miss=bool(icache_long[seq]),
                     )
                 )
+            start = issue_time if issue_time > frontend_ready else frontend_ready
+            dispatch_cycle[seq] = start
 
-            earliest = max(issue_time, frontend_ready)
-            dispatch_cycle[seq] = earliest
-
-            # Operand readiness (full bypass: ready at producer completion).
-            ready = earliest
             # Scoreboard capacity: at most rob_size in flight, so the
-            # oldest-but-rob_size instruction must have retired.
-            if seq >= config.rob_size:
-                ready = max(ready, retire[seq - config.rob_size])
-            for dist in record.deps:
-                producer = seq - dist
-                if producer >= 0:
-                    ready = max(ready, comp[producer])
+            # instruction rob_size older must have retired.
+            ready = retired[seq]
+            if ready > start:
+                start = ready
+            # Operand readiness (full bypass: ready at producer completion).
+            lo = hi
+            hi = indptr[seq + 1]
+            for producer in producers[lo:hi]:
+                ready = comp[producer]
+                if ready > start:
+                    start = ready
 
             # Structural: a unit of the class must be free.
-            start = ready
-            while not fus.can_issue(record.op_class, start):
-                start += 1
-            done = fus.issue(record.op_class, start)
-            if record.is_load and annotation.dcache_class is not None:
-                done += annotation.dcache_latency
+            if op_bind[seq]:
+                code = op[seq]
+                free = fu_free[code]
+                for unit in fu_scan[code]:
+                    if free[unit] <= start:
+                        break
+                else:
+                    start = min(free)
+                    unit = free.index(start)
+                free[unit] = start + fu_interval[code]
+            done = start + lat_total[seq]
             comp[seq] = done
-            retire[seq] = done if seq == 0 else max(retire[seq - 1], done)
+            if done > retire:
+                retire = done
+            retired[seq + rob_size] = retire
             if san is not None:
                 # Retirement is the in-order commit point; the window of
                 # issued-but-unretired instructions is bounded by rob_size.
-                san.check_commit(retire[seq], seq=seq)
+                san.check_commit(retire, seq=seq)
 
             # In-order issue bandwidth: width per cycle, no younger
             # instruction issues earlier.
             if start == issue_time:
                 issued_this_cycle += 1
-                if issued_this_cycle >= config.issue_width:
+                if issued_this_cycle >= issue_width:
                     issue_time = start + 1
                     issued_this_cycle = 0
             else:
                 issue_time = start
                 issued_this_cycle = 1
-
-            if record_timeline:
-                issue_cycle[seq] = start
-                commit_cycle[seq] = done
-            last_commit = max(last_commit, done)
+            issue_cycle[seq] = start
 
             # Miss events.
-            if record.is_load and annotation.dcache_class is MissClass.LONG:
+            if is_long[seq]:
                 events.append(
                     LongDMissEvent(
                         seq=seq, cycle=dispatch_cycle[seq], complete_cycle=done
                     )
                 )
-            if record.is_control and annotation.mispredicted:
+            if misp[seq]:
                 events.append(
                     BranchMispredictEvent(
                         seq=seq,
                         cycle=dispatch_cycle[seq],
                         resolve_cycle=done,
-                        refill_cycles=config.frontend_depth,
+                        refill_cycles=frontend_depth,
                         window_occupancy=0,
                     )
                 )
-                frontend_ready = done + config.frontend_depth
+                frontend_ready = done + frontend_depth
 
+        # Every instruction issues exactly once, on a unit of its class.
+        issued = Counter(op)
+        timeline = config.record_timeline
         result = SimulationResult(
             instructions=n,
-            cycles=last_commit + 1,
+            cycles=retire + 1,
             events=events,
             dispatch_cycle=cycle_column(dispatch_cycle),
-            issue_cycle=cycle_column(issue_cycle),
-            complete_cycle=cycle_column(comp) if record_timeline else None,
-            commit_cycle=cycle_column(commit_cycle),
-            fu_issue_counts=fus.issue_counts(),
+            issue_cycle=cycle_column(issue_cycle) if timeline else None,
+            complete_cycle=cycle_column(comp) if timeline else None,
+            # Completion times: in-order retirement is not kept per seq.
+            commit_cycle=cycle_column(comp) if timeline else None,
+            fu_issue_counts={
+                op_class.value: issued[OP_CODE[op_class]]
+                for op_class in config.fu_specs
+            },
             rob_peak_occupancy=0,
         )
         if san is not None:

@@ -1,6 +1,6 @@
 """Unit tests for ASCII figure rendering."""
 
-from repro.harness.figures import ascii_bar_chart, ascii_series, ascii_stacked_bars
+from repro.harness.figures import ascii_bar_chart, ascii_stacked_bars
 
 
 class TestBarChart:
@@ -23,18 +23,6 @@ class TestBarChart:
     def test_zero_values_no_crash(self):
         text = ascii_bar_chart([("a", 0.0)])
         assert "a" in text
-
-
-class TestSeries:
-    def test_header_and_rows(self):
-        text = ascii_series([1, 2], {"ipc": [1.0, 2.0]}, x_label="rob")
-        lines = text.splitlines()
-        assert "rob" in lines[0] and "ipc" in lines[0]
-        assert len(lines) == 3
-
-    def test_short_series_padded(self):
-        text = ascii_series([1, 2], {"y": [1.0]})
-        assert "-" in text.splitlines()[2]
 
 
 class TestStackedBars:

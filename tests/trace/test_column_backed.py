@@ -1,9 +1,9 @@
 """A generated trace is held as columns and builds records only on demand.
 
 The figure path (statistics, the interval model, the ILP fit, the
-contributor decomposition, the batched core) must read the columns and
-never build the record view; appending to a column-backed trace must
-leave it packing to the same columns as a record-built one.
+contributor decomposition, the batched and in-order cores) must read the
+columns and never build the record view; appending to a column-backed
+trace must leave it packing to the same columns as a record-built one.
 """
 
 import pytest
@@ -16,6 +16,7 @@ from repro.perf.batchcore import run_batch
 from repro.perf.packed import PackedTrace
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
+from repro.pipeline.inorder import simulate_inorder
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
@@ -50,6 +51,7 @@ def test_figure_path_never_builds_records(monkeypatch):
     fit_ilp_profile(trace)
     result = run_batch(trace, [config])[0]
     decompose_contributors(trace, result, config)
+    simulate_inorder(trace, config)
     trace.slice(100, 900).statistics()
     assert trace._records is None
 
