@@ -53,7 +53,6 @@ from repro.pipeline import (
     OracleAnnotator,
     SimulationResult,
     StructuralAnnotator,
-    SuperscalarCore,
     simulate,
     simulate_inorder,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "OracleAnnotator",
     "SimulationResult",
     "StructuralAnnotator",
-    "SuperscalarCore",
     "simulate",
     "simulate_inorder",
     # interval analysis

@@ -12,12 +12,10 @@ caching keep the table/figure suite fast:
   disable it, ``REPRO_CACHE_DIR`` to relocate it.
 
 Every miss runs on the structure-of-arrays detailed core
-(:func:`repro.perf.batchcore.run_batch`), which is field-exact against
-:class:`~repro.pipeline.core.SuperscalarCore`, wrong-path dispatch
-and random issue included. The scalar core stays the oracle:
-``run_batch`` hands it only runs under the ambient sanitizer. Traced
-and metered runs stay on the kernel, since
-their spans and ``core.*`` metrics are read from the finished results.
+(:func:`repro.perf.batchcore.run_batch`), the one out-of-order core,
+wrong-path dispatch and random issue included. Traced, metered and
+sanitized runs take it too: spans and ``core.*`` metrics are read from
+the finished results, and the sanitizer's checks run in its loop.
 :func:`simulate_workload` is the one-config case of
 :func:`simulate_workload_batch`, so there is one lookup-and-persist
 path. A sweep passes all its configs for a workload in one call, so

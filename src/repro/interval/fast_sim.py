@@ -19,24 +19,28 @@ This module implements that idea over our annotated traces:
 
 Compared with :class:`~repro.interval.model.IntervalModel` (which uses
 the fitted power law K(w)), interval simulation evaluates each branch's
-*actual* slice, trading a little speed for per-event fidelity — it is
-typically 10-50x faster than the cycle-level core at a few percent CPI
-error.
+*actual* slice, trading a little speed for per-event fidelity. It reads
+the same packed columns as the model (the event rule, the dependence
+CSR) and is several times faster than the SoA detailed core
+(:func:`~repro.pipeline.core.simulate`) at a few percent CPI error.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.interval.ilp import backward_slice_latency, load_latencies
+from repro.interval.ilp import depends_on, load_latencies
+from repro.interval.model import IntervalModel
 from repro.obs import runtime as _obs
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimulationResult
 from repro.trace.stream import Trace
 from repro.util.timing import Stopwatch
+
+if TYPE_CHECKING:
+    from repro.perf.packed import PackedTrace
 
 
 @dataclass
@@ -94,101 +98,52 @@ class FastEstimate:
         return detailed_seconds / self.wall_seconds
 
 
+def _window_depth(
+    packed: PackedTrace, latency: List[int], window_start: int, branch_seq: int
+) -> int:
+    """Critical-path length of the chain ending at ``branch_seq`` within
+    ``[window_start, branch_seq]``.
+
+    Equal to :func:`~repro.interval.ilp.backward_slice_latency` over the
+    same window: finishing every instruction of the window in program
+    order, dependences before the window satisfied, gives each one the
+    depth of its own slice. The estimate's windows are whole gaps
+    between events, so one forward walk beats collecting the slice.
+    """
+    offsets, distances = packed.window_deps(window_start, branch_seq + 1)
+    finish: List[int] = []
+    append = finish.append
+    lo = 0
+    for at, hi in enumerate(offsets[1:]):
+        begin = 0
+        for dist in distances[lo:hi]:
+            if dist <= at:
+                done = finish[at - dist]
+                if done > begin:
+                    begin = done
+        append(begin + latency[window_start + at])
+        lo = hi
+    return finish[-1]
+
+
 class FastIntervalSimulator:
     """One-pass interval simulation over an annotated trace."""
 
     def __init__(self, config: CoreConfig = CoreConfig()):
         self.config = config
-        # trace -> (trace.version, {consumer seq -> upstream reach set}).
-        # Weak keys so discarded traces don't pin their reach sets.
-        self._reach_cache: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
-
-    @staticmethod
-    def _event_stream(trace: Trace) -> List[Tuple[int, str]]:
-        """(seq, kind) pairs in dynamic order; bpred shadows co-located
-        events, mirroring the segmentation priority."""
-        events = []
-        # F16 measures this one-pass walk over the record objects
-        # against the detailed core, so it stays a record walk.
-        for seq, record in enumerate(trace.records):  # repro: noqa[PERF001]
-            if record.is_branch and record.mispredict:
-                events.append((seq, "bpred"))
-            elif record.il1_miss:
-                events.append((seq, "icache"))
-            elif record.is_load and record.dl2_miss:
-                events.append((seq, "long"))
-        return events
-
-    def _depends_on(self, trace: Trace, consumer: int, producer: int) -> bool:
-        """True when ``consumer`` transitively depends on ``producer``.
-
-        Dependence paths walk strictly upstream, so ``consumer`` reaches
-        ``producer`` iff ``producer`` is in the set of sequence numbers
-        reachable from ``consumer`` down to ``consumer - rob_size`` —
-        a set that is a property of the trace alone. That set is
-        memoized per consumer (weakly keyed by trace, invalidated by
-        :attr:`Trace.version`), so sweeps that re-estimate one trace
-        under many configurations pay each BFS once.
-        """
-        floor = consumer - self.config.rob_size
-        if producer < floor:
-            # Outside the window the overlap logic ever asks about;
-            # answer exactly without polluting the bounded cache.
-            return self._bfs_depends_on(trace, consumer, producer)
-        per_trace = self._reach_cache.get(trace)
-        version = getattr(trace, "version", 0)
-        if per_trace is None or per_trace[0] != version:
-            per_trace = (version, {})
-            self._reach_cache[trace] = per_trace
-        reach = per_trace[1].get(consumer)
-        if reach is None:
-            reach = self._reachable_upstream(trace, consumer, floor)
-            per_trace[1][consumer] = reach
-        return producer in reach
-
-    def _reachable_upstream(
-        self, trace: Trace, consumer: int, floor: int
-    ) -> Set[int]:
-        """All seqs in ``[floor, consumer)`` reachable from ``consumer``."""
-        records = trace.records
-        frontier = [consumer]
-        reach: Set[int] = set()
-        while frontier:
-            seq = frontier.pop()
-            for dist in records[seq].deps:
-                upstream = seq - dist
-                if upstream >= floor and upstream not in reach:
-                    reach.add(upstream)
-                    frontier.append(upstream)
-        return reach
-
-    @staticmethod
-    def _bfs_depends_on(trace: Trace, consumer: int, producer: int) -> bool:
-        records = trace.records
-        frontier = [consumer]
-        seen = set()
-        while frontier:
-            seq = frontier.pop()
-            for dist in records[seq].deps:
-                upstream = seq - dist
-                if upstream == producer:
-                    return True
-                if upstream > producer and upstream not in seen:
-                    seen.add(upstream)
-                    frontier.append(upstream)
-        return False
 
     def estimate(self, trace: Trace) -> FastEstimate:
         """Run the one-pass estimate; returns cycles and components."""
         watch = Stopwatch()
         config = self.config
-        n = len(trace.records)
+        n = len(trace)
+        packed = trace.pack()
         latency = load_latencies(
             trace, config.fu_specs, config.l1_latency, config.l2_latency
-        )
-        events = self._event_stream(trace)
+        ).column.tolist()
+        # Events in dynamic order; a mispredict shadows events on the
+        # same record, mirroring the segmentation priority.
+        events = IntervalModel.event_positions(trace)
 
         base_cycles = n / config.dispatch_width
         mispredict_cycles = 0.0
@@ -206,9 +161,7 @@ class FastIntervalSimulator:
                 gap = seq - last_event - 1
                 occupancy = min(gap, config.rob_size)
                 window_start = max(0, seq - occupancy)
-                resolution = backward_slice_latency(
-                    trace, seq, window_start, latency
-                )
+                resolution = _window_depth(packed, latency, window_start, seq)
                 resolutions.append(resolution)
                 mispredict_cycles += resolution + config.frontend_depth
                 mispredict_count += 1
@@ -220,7 +173,7 @@ class FastIntervalSimulator:
                 independent = (
                     previous_long is None
                     or seq - previous_long > config.rob_size
-                    or self._depends_on(trace, seq, previous_long)
+                    or depends_on(trace, seq, previous_long)
                 )
                 if independent:
                     long_cycles += config.memory_latency
@@ -259,14 +212,11 @@ def compare_with_detailed(
     ``speedup``, ``detailed_penalty``, ``fast_penalty``.
     """
     from repro.interval.penalty import measure_penalties
-    from repro.pipeline.core import SuperscalarCore
+    from repro.pipeline.core import simulate
 
-    # The speedup is quoted against the cycle-by-cycle scalar core, the
-    # reference detailed simulator, not the SoA kernel that ``simulate``
-    # runs: F16's speedup column and its benchmark bound are stated
-    # against that loop, and the kernel's result is the same anyway.
+    # The speedup is quoted against the detailed core the figures run.
     watch = Stopwatch()
-    detailed = SuperscalarCore(config).run(trace)
+    detailed = simulate(trace, config)
     detailed_seconds = watch.elapsed
 
     fast = FastIntervalSimulator(config).estimate(trace)

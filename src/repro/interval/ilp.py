@@ -286,6 +286,29 @@ def fit_ilp_profile(
     )
 
 
+def depends_on(trace: Trace, consumer: int, producer: int) -> bool:
+    """True when ``consumer`` transitively depends on ``producer``
+    through dependences that stay at or after ``producer``.
+
+    Walks the dependence CSR of ``[producer, consumer]`` back from the
+    consumer, pruned at the producer (nothing older can lead to it).
+    """
+    offsets, distances = trace.pack().window_deps(producer, consumer + 1)
+    frontier = [consumer]
+    seen = set()
+    while frontier:
+        seq = frontier.pop()
+        at = seq - producer
+        for dist in distances[offsets[at]:offsets[at + 1]]:
+            upstream = seq - dist
+            if upstream == producer:
+                return True
+            if upstream > producer and upstream not in seen:
+                seen.add(upstream)
+                frontier.append(upstream)
+    return False
+
+
 def backward_slice_latency(
     trace: Trace,
     branch_seq: int,

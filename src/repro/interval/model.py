@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.interval.ilp import (
     ILPFit,
     LatencyColumn,
+    depends_on,
     fit_ilp_profile,
     load_latencies,
 )
@@ -132,24 +133,6 @@ class IntervalModel:
             )
         return self.ilp_fit
 
-    def _depends_on(self, trace: Trace, consumer: int, producer: int) -> bool:
-        """True when ``consumer`` transitively depends on ``producer``
-        through dependences that stay at or after ``producer``."""
-        offsets, distances = trace.pack().window_deps(producer, consumer + 1)
-        frontier = [consumer]
-        seen = set()
-        while frontier:
-            seq = frontier.pop()
-            at = seq - producer
-            for dist in distances[offsets[at]:offsets[at + 1]]:
-                upstream = seq - dist
-                if upstream == producer:
-                    return True
-                if upstream > producer and upstream not in seen:
-                    seen.add(upstream)
-                    frontier.append(upstream)
-        return False
-
     def predict(self, trace: Trace) -> ModelPrediction:
         """Predict total cycles for an annotated trace."""
         config = self.config
@@ -188,7 +171,7 @@ class IntervalModel:
         previous = None
         for seq in long_positions:
             independent = previous is None or seq - previous > config.rob_size
-            if not independent and self._depends_on(trace, seq, previous):
+            if not independent and depends_on(trace, seq, previous):
                 independent = True
             if independent:
                 long_dmiss_cycles += config.memory_latency

@@ -3,19 +3,17 @@
 Every figure in the reproduction walks dynamic traces. A generated
 trace is held as columns and builds
 :class:`~repro.trace.record.TraceRecord` objects only for the callers
-that want them (the scalar and in-order cores, the test oracles), so the
+that want them (structural annotation passes, the test oracles), so the
 figure path never pays Python-interpreter overhead per instruction.
 This package holds that column store and what runs on it:
 
 * :mod:`repro.perf.packed` — :class:`PackedTrace`, the lossless columnar
   (NumPy structured array + CSR dependence) form of a trace, and the
   column folds behind ``Trace``'s queries;
-* :mod:`repro.perf.annotate_fast` — the packed-array oracle-annotation
-  fast path the detailed core reads on its hot path;
 * :mod:`repro.perf.batchcore` — the batched structure-of-arrays
   detailed core that runs every out-of-order configuration: lockstep
   multi-config simulation over shared trace columns, bit-exact against
-  the scalar :class:`~repro.pipeline.core.SuperscalarCore` oracle;
+  the scalar oracle core kept under ``tests/pipeline/``;
 * :mod:`repro.perf.bench` — the ``repro bench`` throughput harness and
   the ``BENCH_simulator.json`` regression baseline format.
 

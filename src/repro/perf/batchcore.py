@@ -1,10 +1,9 @@
 """Batched structure-of-arrays detailed core.
 
-:class:`~repro.pipeline.core.SuperscalarCore` walks one Python object
-per dynamic instruction and pays heap/tuple/attribute overhead for
-every scheduling decision. This module is the columnar rewrite of that
-hot loop, built on the :class:`~repro.perf.packed.PackedTrace`
-machinery, in three layers:
+This is the one out-of-order core: it runs the machine model described
+in :mod:`repro.pipeline.core` over the columns of a
+:class:`~repro.perf.packed.PackedTrace` instead of one Python object
+per dynamic instruction, in three layers:
 
 * **Structure-of-arrays pipeline state** — completion, base-ready,
   pending-producer, and dispatch columns live in flat arrays indexed by
@@ -21,21 +20,25 @@ machinery, in three layers:
   are deduplicated across configs by **divergence group** — configs
   whose cache or FU parameters agree share the same column objects, so
   a ROB/width/frontend sweep derives its columns exactly once.
-* **Bit-exactness by construction** — the kernel replays the scalar
-  core's scheduling decisions in the same order (oldest-first or
+* **Bit-exactness by construction** — the kernel replays the
+  scheduling decisions of a structure-per-object core (a ROB deque,
+  unit heaps, per-event queues) in the same order (oldest-first or
   seeded random issue, in-order commit, identical time-advance
   candidates), so the :class:`~repro.pipeline.result.SimulationResult`
-  it produces is field-for-field equal to the scalar core's, events and
-  timelines included.
+  it produces is field-for-field equal to that core's, events and
+  timelines included. That core is kept as the test oracle
+  (``tests/pipeline/scalar_core.py``).
 
 Every out-of-order configuration runs here: wrong-path ghost dispatch
 and random issue are kernel modes, and a structural annotator runs
 first, once per config over the whole trace in program order
 (:func:`~repro.pipeline.annotate.annotate_in_order`), because a core
 consults it exactly so; the kernel then reads those outcomes as
-:class:`MissColumns`. The scalar core remains the oracle and the core
-for runs under the ambient sanitizer, whose checks live in its loop.
-The in-order core (:mod:`repro.pipeline.inorder`) reads the same
+:class:`MissColumns`. Under the ambient sanitizer the kernel makes the
+oracle's cycle-level checks (window occupancy at each dispatch, commit
+order at each commit) and seals each run; with it off, they cost a
+``None`` test in each cycle that commits or dispatches. The in-order
+core (:mod:`repro.pipeline.inorder`) reads the same
 :class:`TraceColumns`, :class:`MissColumns` and FU tables.
 
 The kernel has no tracer or metrics hooks, and needs none: every run,
@@ -62,7 +65,7 @@ from repro.perf.packed import (
 )
 from repro.pipeline.annotate import Annotator, annotate_in_order
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import SuperscalarCore, _run_cores
+from repro.pipeline.core import _run_cores
 from repro.pipeline.events import (
     BranchMispredictEvent,
     ICacheMissEvent,
@@ -323,13 +326,17 @@ def _simulate_columns(
     fu: _FUTables,
     config: CoreConfig,
     lat_total: Optional[List[int]] = None,
+    san: Optional[_sanitizer.Sanitizer] = None,
 ) -> KernelOutput:
     """The SoA kernel: one config over one column set, scalar-exact.
 
-    Mirrors ``SuperscalarCore.run`` phase for phase (completions,
+    Mirrors the scalar oracle's ``run`` phase for phase (completions,
     squash, commit, dispatch, wakeup, issue, time advance) with
     identical ordering rules, so every produced field is equal to the
-    scalar core's. See that module's docstring for the machine model.
+    scalar core's. See :mod:`repro.pipeline.core` for the machine
+    model. A sanitizer ``san`` gets the oracle's cycle-level checks, in
+    its order: each commit, then the window after each real and each
+    ghost dispatch.
 
     Instead of materializing completion events, commit reads the
     completion column directly (an instruction with ``comp[seq] <=
@@ -473,11 +480,15 @@ def _simulate_columns(
             if record_timeline:
                 for seq in range(rob_head, head):
                     commit_cycle[seq] = cycle
+            if san is not None:
+                for seq in range(rob_head, head):
+                    san.check_commit(cycle, seq=seq)
             rob_head = head
             last_commit_cycle = cycle
 
         # --- dispatch ----------------------------------------------------
         if stall_branch < 0 and frontend_ready <= cycle:
+            first = next_dispatch
             burst = rob_size - (next_dispatch - rob_head)
             if burst > dispatch_width:
                 burst = dispatch_width
@@ -545,6 +556,10 @@ def _simulate_columns(
             occupancy = next_dispatch - rob_head
             if occupancy > rob_peak:
                 rob_peak = occupancy
+            if san is not None:
+                # The window after each of this cycle's dispatches.
+                for held in range(first - rob_head + 1, occupancy + 1):
+                    san.check_occupancy(cycle, held, rob_size)
 
         # --- wrong-path ghost dispatch -----------------------------------
         # The stall's own cycle fills the slots its real dispatch left;
@@ -558,8 +573,12 @@ def _simulate_columns(
                 key = n + ghost_count
                 nr_list.extend(range(key, key + room))
                 ghost_count += room
-                rob_ghosts += room
                 occupancy = next_dispatch - rob_head + rob_ghosts
+                if san is not None:
+                    for held in range(occupancy + 1, occupancy + room + 1):
+                        san.check_occupancy(cycle, held, rob_size)
+                rob_ghosts += room
+                occupancy += room
                 if occupancy > rob_peak:
                     rob_peak = occupancy
 
@@ -794,8 +813,8 @@ class BatchedSuperscalarCore:
     to get one :class:`SimulationResult` per configuration, in config
     order. Trace columns are shared across all points, derived columns
     across each divergence group. Every configuration runs on the
-    kernel; only a run under the ambient sanitizer, whose checks live in
-    the scalar loop, uses the scalar oracle.
+    kernel; under the ambient sanitizer each one is a sanitized run
+    (``begin_run``, the kernel's checks, ``seal_run``).
     """
 
     def __init__(self, configs: Sequence[CoreConfig]):
@@ -822,7 +841,7 @@ class BatchedSuperscalarCore:
 
         With an ``annotator``, each config first annotates the whole
         trace in program order (:func:`annotate_in_order`) — the walk
-        the scalar core's dispatch makes, so a stateful annotator
+        a per-record core's dispatch makes, so a stateful annotator
         reaches each config in the state that core would leave it in —
         and the kernel runs on those outcomes.
         """
@@ -834,11 +853,7 @@ class BatchedSuperscalarCore:
             return [
                 SimulationResult(instructions=0, cycles=0) for _ in configs
             ]
-        if _sanitizer.current() is not None:
-            return [
-                SuperscalarCore(config).run(trace, annotator=annotator)
-                for config in configs
-            ]
+        san = _sanitizer.current()
         plan = self._plan_for(trace)
         results: List[SimulationResult] = []
         for index, config in enumerate(configs):
@@ -850,8 +865,15 @@ class BatchedSuperscalarCore:
                 annotations = annotate_in_order(annotator, trace.records)
                 miss = MissColumns(*annotations)
                 lat_total = _combined_latency(plan.cols, miss, fu)
-            output = _simulate_columns(plan.cols, miss, fu, config, lat_total)
-            results.append(_assemble_result(output, config, n))
+            if san is not None:
+                san.begin_run()
+            output = _simulate_columns(
+                plan.cols, miss, fu, config, lat_total, san
+            )
+            result = _assemble_result(output, config, n)
+            if san is not None:
+                san.seal_run(result, config)
+            results.append(result)
         return results
 
 

@@ -1,7 +1,7 @@
 """The ``repro bench`` throughput harness and its regression baseline.
 
 Measures instruction throughput (instr/sec) of the simulator's main
-paths — the detailed core (scalar and batched), interval simulation,
+paths — the batched detailed core, interval simulation,
 scalar predictor replay, pack/unpack, trace statistics, cold trace
 generation, the interval model's prediction and a cold
 generate-then-estimate pipeline — and writes the results to
@@ -14,9 +14,6 @@ values are comparable across machines of different speeds (to first
 order) and are what the ``--compare`` regression gate judges: a
 benchmark regresses when its normalized throughput falls more than
 ``REGRESSION_THRESHOLD`` below the committed baseline.
-
-Speedups (one path over another, measured in the same process on the
-same trace) are machine-independent and recorded alongside.
 """
 
 from __future__ import annotations
@@ -31,9 +28,7 @@ from repro.interval.fast_sim import FastIntervalSimulator
 from repro.interval.model import IntervalModel
 from repro.perf.batchcore import BatchedSuperscalarCore
 from repro.perf.packed import PackedTrace
-from repro.pipeline.annotate import OracleAnnotator
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import SuperscalarCore
 from repro.resilience.atomic import atomic_write_json
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.stream import Trace
@@ -175,18 +170,6 @@ def run_benchmarks(
     def spec(name: str, fn: Callable[[], Any], items: int) -> None:
         specs.append((name, fn, items))
 
-    # Scalar detailed core (the oracle ``simulate`` falls back to):
-    # packed-annotation fast path vs per-record annotator. The kernel
-    # that ``simulate`` prefers is timed by ``detailed_core_batched``.
-    spec("detailed_core", lambda: SuperscalarCore(config).run(trace), n)
-    spec(
-        "detailed_core_scalar_annotate",
-        lambda: SuperscalarCore(config).run(
-            trace, annotator=OracleAnnotator(config)
-        ),
-        n,
-    )
-
     # Lockstep batched detailed core: 8 ROB sweep points per call, so
     # per-point throughput counts n instructions per config. The core
     # is built once (a sweep reuses it the same way) and its column/
@@ -276,18 +259,6 @@ def run_benchmarks(
     scores.sort()
     score = scores[len(scores) // 2]  # median of the local calibrations
 
-    def ratio(fast: str, slow: str) -> float:
-        # Judged on the drift-cancelled normalized values: the two
-        # variants run minutes apart in a full suite.
-        return (
-            benchmarks[fast]["normalized"] / benchmarks[slow]["normalized"]
-        )
-
-    speedups = {
-        "detailed_core": ratio("detailed_core", "detailed_core_scalar_annotate"),
-        "detailed_core_batched": ratio("detailed_core_batched", "detailed_core"),
-    }
-
     return {
         "schema": BENCH_SCHEMA_VERSION,
         "mode": "quick" if quick else "full",
@@ -296,7 +267,6 @@ def run_benchmarks(
         "repeats": repeats,
         "machine_score": score,
         "benchmarks": benchmarks,
-        "speedups": speedups,
     }
 
 
@@ -391,7 +361,4 @@ def render(payload: Dict[str, Any]) -> str:
             f"{name:<32} {entry['items_per_sec']:>14.0f} "
             f"{entry['normalized']:>12.3f}"
         )
-    lines.append("speedups:")
-    for name, value in sorted(payload["speedups"].items()):
-        lines.append(f"  {name:<30} {value:6.2f}x")
     return "\n".join(lines)

@@ -1,10 +1,12 @@
 """Out-of-order superscalar timing simulator.
 
-The :class:`SuperscalarCore` is a dependence-driven, cycle-accurate
-model of the machine the paper characterizes: a configurable frontend
-pipeline (fetch through dispatch), a unified issue window/ROB, width-
-limited dispatch/issue/commit, functional-unit pools with per-class
-latencies, and a memory hierarchy reached by loads and stores.
+:func:`simulate` runs a dependence-driven, cycle-accurate model of the
+machine the paper characterizes: a configurable frontend pipeline
+(fetch through dispatch), a unified issue window/ROB, width-limited
+dispatch/issue/commit, functional-unit pools with per-class latencies,
+and a memory hierarchy reached by loads and stores (see
+:mod:`repro.pipeline.core`). :func:`simulate_inorder` runs the
+scoreboarded in-order contrast core.
 
 Miss events — branch mispredictions, I-cache misses and long D-cache
 misses — are logged with full timing (dispatch cycle, resolve cycle,
@@ -19,7 +21,6 @@ cache substrates.
 """
 
 from repro.pipeline.config import CoreConfig, FUSpec, DEFAULT_FU_SPECS
-from repro.pipeline.functional_units import FunctionalUnitPool, FunctionalUnits
 from repro.pipeline.events import (
     BranchMispredictEvent,
     ICacheMissEvent,
@@ -33,17 +34,14 @@ from repro.pipeline.annotate import (
     OracleAnnotator,
     StructuralAnnotator,
 )
-from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.result import SimulationResult
-from repro.pipeline.core import SuperscalarCore, simulate
+from repro.pipeline.core import simulate
 from repro.pipeline.inorder import InOrderCore, simulate_inorder
 
 __all__ = [
     "CoreConfig",
     "FUSpec",
     "DEFAULT_FU_SPECS",
-    "FunctionalUnitPool",
-    "FunctionalUnits",
     "MissEvent",
     "MissEventKind",
     "BranchMispredictEvent",
@@ -53,9 +51,7 @@ __all__ = [
     "Annotator",
     "OracleAnnotator",
     "StructuralAnnotator",
-    "ReorderBuffer",
     "SimulationResult",
-    "SuperscalarCore",
     "simulate",
     "InOrderCore",
     "simulate_inorder",

@@ -105,13 +105,10 @@ class InOrderCore:
         # Each unit is the cycle it next accepts an op. Issue times never
         # decrease, so a unit free now stays free and any free one may
         # take the op. Classes that can never bind are skipped
-        # (_FUTables.binding). At most issue_width ops issue per cycle,
-        # but two at width 1: the issue-width step below closes a cycle
-        # only from its second issue on.
+        # (_FUTables.binding): at most issue_width ops issue per cycle.
         fu_free = [[0] * count for count in fu.count]
         fu_scan = [range(count) for count in fu.count]
-        per_cycle = issue_width if issue_width > 1 else 2
-        op_bind = list(map(fu.binding(per_cycle).__getitem__, op))
+        op_bind = list(map(fu.binding(issue_width).__getitem__, op))
 
         comp: List[int] = [0] * n
         dispatch_cycle: List[int] = [0] * n
@@ -182,14 +179,13 @@ class InOrderCore:
 
             # In-order issue bandwidth: width per cycle, no younger
             # instruction issues earlier.
-            if start == issue_time:
-                issued_this_cycle += 1
-                if issued_this_cycle >= issue_width:
-                    issue_time = start + 1
-                    issued_this_cycle = 0
-            else:
+            if start != issue_time:
                 issue_time = start
-                issued_this_cycle = 1
+                issued_this_cycle = 0
+            issued_this_cycle += 1
+            if issued_this_cycle >= issue_width:
+                issue_time = start + 1
+                issued_this_cycle = 0
             issue_cycle[seq] = start
 
             # Miss events.

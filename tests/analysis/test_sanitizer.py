@@ -9,9 +9,10 @@ from repro.interval.cpi_stack import CPIStack, build_cpi_stack
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
-from repro.pipeline.rob import ReorderBuffer
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
+
+from tests.pipeline.rob import ReorderBuffer
 
 
 @pytest.fixture(autouse=True)
@@ -157,14 +158,20 @@ def test_report_payload_round_trips_to_json():
 
 
 def test_sanitized_simulation_matches_unsanitized(monkeypatch):
-    """The sanitizer observes; it must never change simulated results."""
+    """The sanitizer observes; it must never change simulated results,
+    wrong-path ghosts and random issue included."""
     from repro.lab.codec import result_to_payload
 
     trace = generate_trace(WorkloadProfile(name="same"), 5_000, seed=3)
-    config = CoreConfig()
-    monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
-    plain = result_to_payload(simulate(trace, config))
-    monkeypatch.setenv(sanitizer.ENV_VAR, "1")
-    sanitized = result_to_payload(simulate(trace, config))
-    sanitizer.drain_report()
-    assert plain == sanitized
+    for config in (
+        CoreConfig(),
+        CoreConfig(rob_size=32, dispatch_wrong_path=True),
+        CoreConfig(issue_policy="random", seed=5),
+    ):
+        monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
+        plain = result_to_payload(simulate(trace, config))
+        monkeypatch.setenv(sanitizer.ENV_VAR, "1")
+        sanitized = result_to_payload(simulate(trace, config))
+        report = sanitizer.drain_report()
+        assert plain == sanitized, config
+        assert report is not None and report.ok, config

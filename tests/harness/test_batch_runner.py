@@ -12,7 +12,8 @@ from repro.harness.runner import (
     workload_trace,
 )
 from repro.perf import batchcore
-from repro.pipeline.core import SuperscalarCore
+
+from tests.pipeline.scalar_core import SuperscalarCore
 
 _LENGTH = 600
 
@@ -153,12 +154,12 @@ class TestMissPath:
         simulate_workload("gzip", length=400)
         assert len(calls) == 1
 
-    def test_ambient_sanitizer_takes_the_oracle_path(self, monkeypatch):
+    def test_ambient_sanitizer_runs_on_the_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         monkeypatch.setenv(sanitizer.ENV_VAR, "1")
         calls = self._count_kernel_runs(monkeypatch)
         result = simulate_workload("gzip", length=400)
-        assert calls == []
+        assert len(calls) == 1
         report = sanitizer.drain_report()
         assert report is not None and report.checks_run > 0
         assert not report.violations

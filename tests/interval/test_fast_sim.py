@@ -3,6 +3,12 @@
 import pytest
 
 from repro.interval.fast_sim import FastIntervalSimulator, compare_with_detailed
+from repro.interval.ilp import (
+    backward_slice_latency,
+    depends_on,
+    load_latencies,
+)
+from repro.interval.model import IntervalModel
 from repro.interval.penalty import measure_penalties
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
@@ -11,6 +17,10 @@ from repro.trace.profiles import WorkloadProfile
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
+from repro.util.rng import derive_seed
+from repro.workloads.spec_profiles import SPEC_PROFILES
+
+from tests.interval.scalar_model import scalar_depends_on
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +94,32 @@ class TestAccuracy:
         assert comparison["speedup"] > 1.0
 
 
+@pytest.mark.parametrize("name", ["gzip", "mcf", "twolf", "eon"])
+@pytest.mark.parametrize("rob_size", [32, 128])
+def test_resolutions_are_backward_slices(name, rob_size):
+    """Each window's forward walk equals the slice collected back from
+    the branch over the same window."""
+    trace = generate_trace(
+        SPEC_PROFILES[name], 4_000, seed=derive_seed(2006, name)
+    )
+    config = CoreConfig(rob_size=rob_size)
+    latency = load_latencies(
+        trace, config.fu_specs, config.l1_latency, config.l2_latency
+    )
+    expected = []
+    last_event = -1
+    for seq, kind in IntervalModel.event_positions(trace):
+        if kind == "bpred":
+            occupancy = min(seq - last_event - 1, rob_size)
+            expected.append(
+                backward_slice_latency(trace, seq, seq - occupancy, latency)
+            )
+        last_event = seq
+    estimate = FastIntervalSimulator(config).estimate(trace)
+    assert estimate.resolutions == expected
+    assert expected
+
+
 class TestEventHandling:
     def test_bpred_shadows_colocated_icache(self, base_config):
         records = [TraceRecord(OpClass.IALU) for _ in range(10)]
@@ -120,6 +156,10 @@ class TestEventHandling:
 
 
 class TestReachabilityCache:
+    """Long-miss overlap asks whether one miss depends on an earlier
+    one; the answer is walked afresh from the dependence columns on
+    every estimate, so nothing can go stale."""
+
     def _chain_trace(self, n=40):
         """Loads where each depends on the previous; all long misses."""
         records = [TraceRecord(OpClass.LOAD, mem_addr=8 * i, dl2_miss=True,
@@ -127,38 +167,29 @@ class TestReachabilityCache:
                    for i in range(n)]
         return Trace(records)
 
-    def test_cached_answers_match_bfs(self, base_config):
+    def test_depends_on_matches_record_bfs(self):
         trace = generate_trace(
             WorkloadProfile(name="reach", dl2_miss_rate=0.1), 600, seed=4
         )
-        sim = FastIntervalSimulator(base_config)
+        oracle = Trace(trace.records)
         for consumer in range(50, 600, 97):
             for producer in range(max(0, consumer - 150), consumer):
-                assert sim._depends_on(trace, consumer, producer) == \
-                    FastIntervalSimulator._bfs_depends_on(
-                        trace, consumer, producer
-                    )
-
-    def test_cache_reused_across_estimates(self, base_config):
-        trace = self._chain_trace()
-        sim = FastIntervalSimulator(base_config)
-        sim.estimate(trace)
-        cached = sim._reach_cache.get(trace)
-        assert cached is not None and cached[1]
-        first = dict(cached[1])
-        sim.estimate(trace)  # sweep-style reuse: no recomputation needed
-        assert sim._reach_cache.get(trace)[1] == first
+                assert depends_on(trace, consumer, producer) == \
+                    scalar_depends_on(oracle, consumer, producer)
 
     def test_cache_invalidated_by_trace_mutation(self, base_config):
         trace = self._chain_trace()
         sim = FastIntervalSimulator(base_config)
-        sim.estimate(trace)
+        before = sim.estimate(trace)
         version_before = trace.version
         trace.append(TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True,
                                  deps=(1,)))
         assert trace.version != version_before
-        sim.estimate(trace)  # must not reuse stale reach sets
-        assert sim._reach_cache.get(trace)[0] == trace.version
+        after = sim.estimate(trace)  # sees the appended dependent miss
+        assert after.long_dmiss_count == before.long_dmiss_count + 1
+        assert after.long_dmiss_cycles == pytest.approx(
+            before.long_dmiss_cycles + base_config.memory_latency
+        )
 
     def test_estimates_identical_with_cold_and_warm_cache(self, base_config):
         trace = generate_trace(

@@ -12,6 +12,7 @@ import pytest
 from repro.interval.ilp import (
     backward_slice_latencies,
     backward_slice_latency,
+    depends_on,
     fu_latency,
     full_latency,
     unit_latency,
@@ -60,7 +61,7 @@ def test_depends_on_matches_record_walk(name):
         consumer, producer = max(consumer, producer), min(consumer, producer)
         if producer < 0 or producer == consumer:
             continue
-        assert model._depends_on(trace, consumer, producer) == scalar_depends_on(
+        assert depends_on(trace, consumer, producer) == scalar_depends_on(
             oracle, consumer, producer
         )
 

@@ -13,10 +13,11 @@ from repro.lab.codec import (
 from repro.lab.jobs import BatchSimJob, SweepJob, execute_job
 from repro.lab.store import ResultStore
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import SuperscalarCore
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import ALL_PROFILES
+
+from tests.pipeline.scalar_core import SuperscalarCore
 
 WORKLOAD = sorted(ALL_PROFILES)[0]
 

@@ -16,18 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import sanitizer
 from repro.perf.batchcore import (
     BatchedSuperscalarCore,
     TraceColumns,
     run_batch,
 )
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import SuperscalarCore
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
+
+from tests.pipeline.scalar_core import SuperscalarCore
 
 
 def profile(**overrides):
@@ -307,6 +309,74 @@ CONFIG_STRATEGY = st.builds(
     record_timeline=st.booleans(),
     seed=st.integers(min_value=0, max_value=1000),
 )
+
+
+def sanitized_report(run):
+    """``run()`` under a fresh ambient sanitizer; returns its report."""
+    sanitizer.reset()
+    sanitizer.enable()
+    try:
+        run()
+        return sanitizer.drain_report()
+    finally:
+        sanitizer.disable()
+        sanitizer.reset()
+
+
+def assert_reports_equal(got, want, context=""):
+    assert (got.runs, got.checks_run, got.ok, got.violations) == (
+        want.runs, want.checks_run, want.ok, want.violations
+    ), context
+
+
+# The baseline, ghosts in a small and a large window, random issue, and
+# the narrowest and widest machines.
+SANITIZED_CONFIGS = [
+    CoreConfig(),
+    CoreConfig(rob_size=32, dispatch_wrong_path=True),
+    CoreConfig(rob_size=128, dispatch_wrong_path=True),
+    CoreConfig(issue_policy="random", seed=3),
+    _width(1),
+    _width(8),
+]
+
+
+class TestSanitizedKernel:
+    """The kernel makes the oracle's sanitizer checks: equal reports."""
+
+    @pytest.mark.parametrize("name", sorted(SPEC_PROFILES))
+    def test_report_matches_the_oracle_on_suite_profiles(self, name):
+        trace = suite_trace(name)
+        for config in SANITIZED_CONFIGS:
+            got = sanitized_report(lambda: run_batch(trace, [config]))
+            want = sanitized_report(lambda: SuperscalarCore(config).run(trace))
+            assert_reports_equal(got, want, f"config={config}")
+            assert got.runs == 1 and got.ok, got.render()
+            # A commit and a dispatch check per instruction at least.
+            assert got.checks_run > 2 * len(trace)
+
+    def test_one_report_over_a_batch(self):
+        trace = suite_trace("mcf")
+        got = sanitized_report(lambda: run_batch(trace, SANITIZED_CONFIGS))
+        want = sanitized_report(
+            lambda: [SuperscalarCore(c).run(trace) for c in SANITIZED_CONFIGS]
+        )
+        assert_reports_equal(got, want)
+        assert got.runs == len(SANITIZED_CONFIGS)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        configs=st.lists(CONFIG_STRATEGY, min_size=1, max_size=3),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_report_matches_the_oracle_on_random_configs(self, seed, configs):
+        trace = generate_trace(profile(), 300, seed=seed)
+        got = sanitized_report(lambda: run_batch(trace, configs))
+        want = sanitized_report(
+            lambda: [SuperscalarCore(c).run(trace) for c in configs]
+        )
+        assert_reports_equal(got, want, f"seed={seed}")
+        assert got.ok, got.render()
 
 
 class TestBatchProperties:

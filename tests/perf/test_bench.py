@@ -31,7 +31,6 @@ def run_payload(**overrides):
                 "normalized": 1.0,
             },
         },
-        "speedups": {"detailed_core_batched": 5.0},
     }
     payload.update(overrides)
     return payload
@@ -125,16 +124,16 @@ def test_write_payload_merges_modes(tmp_path):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-def test_render_mentions_mode_and_speedups():
+def test_render_mentions_mode_and_benchmarks():
     text = bench.render(run_payload())
     assert "bench[quick]" in text
     assert "detailed_core_batched" in text
-    assert "5.00x" in text
+    assert "5.000" in text  # its normalized throughput
 
 
 @pytest.mark.slow
 def test_run_benchmarks_smoke(monkeypatch):
-    """One tiny real run: schema fields, normalization, speedup keys."""
+    """One tiny real run: schema fields, normalization, the entry list."""
     monkeypatch.setattr(bench, "QUICK_LENGTH", 800)
     monkeypatch.setattr(bench, "_MIN_SAMPLE_SECONDS", 0.001)
     monkeypatch.setattr(bench, "_MAX_REPEATS", 1)
@@ -144,7 +143,16 @@ def test_run_benchmarks_smoke(monkeypatch):
     assert payload["machine_score"] > 0
     for entry in payload["benchmarks"].values():
         assert entry["normalized"] > 0
-    assert set(payload["speedups"]) >= {
-        "detailed_core",
+    assert set(payload["benchmarks"]) == {
         "detailed_core_batched",
+        "fast_sim_scalar",
+        "replay_bimodal_scalar",
+        "replay_gshare_scalar",
+        "replay_local_scalar",
+        "pack",
+        "unpack",
+        "statistics_scalar",
+        "trace_generate",
+        "interval_predict",
+        "end_to_end_scalar",
     }

@@ -4,7 +4,7 @@
 recurrence as one integer loop over the trace's columns; this module
 keeps the per-record implementation it replaced, which asks an
 :class:`~repro.pipeline.annotate.Annotator` once per record and
-reserves units through :class:`~repro.pipeline.functional_units.
+reserves units through :class:`~tests.pipeline.functional_units.
 FunctionalUnits` heaps. Differential tests require the two to produce
 equal :class:`~repro.pipeline.result.SimulationResult` objects, events
 and timelines included.
@@ -23,9 +23,10 @@ from repro.pipeline.events import (
     ICacheMissEvent,
     LongDMissEvent,
 )
-from repro.pipeline.functional_units import FunctionalUnits
 from repro.pipeline.result import SimulationResult, cycle_column
 from repro.trace.stream import Trace
+
+from tests.pipeline.functional_units import FunctionalUnits
 
 
 class ScalarInOrderCore:
@@ -110,14 +111,13 @@ class ScalarInOrderCore:
 
             # In-order issue bandwidth: width per cycle, no younger
             # instruction issues earlier.
-            if start == issue_time:
-                issued_this_cycle += 1
-                if issued_this_cycle >= config.issue_width:
-                    issue_time = start + 1
-                    issued_this_cycle = 0
-            else:
+            if start != issue_time:
                 issue_time = start
-                issued_this_cycle = 1
+                issued_this_cycle = 0
+            issued_this_cycle += 1
+            if issued_this_cycle >= config.issue_width:
+                issue_time = start + 1
+                issued_this_cycle = 0
 
             if record_timeline:
                 issue_cycle[seq] = start

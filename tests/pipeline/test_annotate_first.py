@@ -31,11 +31,13 @@ from repro.pipeline.annotate import (
     annotate_in_order,
 )
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import SuperscalarCore, _run_cores, simulate
+from repro.pipeline.core import _run_cores, simulate
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.kernels import kernel_trace, stride_sum
 from repro.workloads.spec_profiles import SPEC_PROFILES
+
+from tests.pipeline.scalar_core import SuperscalarCore
 
 CONFIG = CoreConfig()
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import DEFAULT_FU_SPECS, FUSpec
-from repro.pipeline.functional_units import FunctionalUnitPool, FunctionalUnits
+
+from tests.pipeline.functional_units import FunctionalUnitPool, FunctionalUnits
 
 
 class TestPool:

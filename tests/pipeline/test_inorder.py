@@ -1,5 +1,7 @@
 """Unit tests for the in-order core."""
 
+from collections import Counter
+
 import pytest
 
 from repro.interval.penalty import measure_penalties
@@ -11,6 +13,8 @@ from repro.trace.profiles import WorkloadProfile
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
+from repro.util.rng import derive_seed
+from repro.workloads.spec_profiles import SPEC_PROFILES
 
 
 def ialu(deps=()):
@@ -70,6 +74,17 @@ class TestBasics:
         for cycle in result.issue_cycle:
             per_cycle[cycle] = per_cycle.get(cycle, 0) + 1
         assert max(per_cycle.values()) <= config.issue_width
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_issue_width_respected_on_the_suite(self, width):
+        config = CoreConfig(
+            dispatch_width=width, issue_width=width, commit_width=width
+        )
+        for name, profile in sorted(SPEC_PROFILES.items()):
+            trace = generate_trace(profile, 3_000, seed=derive_seed(0, name))
+            result = simulate_inorder(trace, config)
+            per_cycle = Counter(result.issue_cycle)
+            assert max(per_cycle.values()) <= width, name
 
 
 class TestMissEvents:

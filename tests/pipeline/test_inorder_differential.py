@@ -19,7 +19,6 @@ from repro.frontend.tournament import TournamentPredictor
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.memory.prefetch import PrefetchingHierarchyAdapter, StridePrefetcher
-from repro.pipeline import functional_units
 from repro.pipeline.annotate import Annotation, Annotator
 from repro.pipeline.config import DEFAULT_FU_SPECS, CoreConfig, FUSpec
 from repro.pipeline.inorder import InOrderCore, simulate_inorder
@@ -31,6 +30,7 @@ from repro.util.rng import derive_seed
 from repro.workloads.kernels import kernel_trace, stride_sum
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
+from tests.pipeline import functional_units
 from tests.pipeline.scalar_inorder import ScalarInOrderCore
 from tests.pipeline.test_annotate_first import (
     PREDICTORS,
@@ -95,8 +95,8 @@ CONFIGS = {
     "binding-fus": CoreConfig(fu_specs=BINDING_FUS),
     "binding-fus-narrow": _width(2, rob_size=8, fu_specs=BINDING_FUS),
     "no-timeline": CoreConfig(record_timeline=False),
-    # One pipelined load unit at width 1: binds, because a width-1 cycle
-    # can issue two ops (its first issue does not close the cycle).
+    # One pipelined load unit at width 1: never binds, because a width-1
+    # cycle issues one op; the core skips its reservation scan.
     "width-1-one-load-unit": _width(
         1,
         rob_size=4,

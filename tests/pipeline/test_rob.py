@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.pipeline.rob import ReorderBuffer
+from tests.pipeline.rob import ReorderBuffer
+
 
 
 class TestROB:

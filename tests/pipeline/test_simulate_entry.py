@@ -1,9 +1,9 @@
 """``simulate`` runs the SoA kernel, and a run reports from its result.
 
-Traced, metered and plain runs take the same core; the spans and the
-``core.*`` metrics are read from the finished ``SimulationResult``, so
-they are the same whichever core produced it. The scalar
-``SuperscalarCore`` stays the oracle and the core for sanitized runs.
+Traced, metered, sanitized and plain runs take the same core; the
+spans and the ``core.*`` metrics are read from the finished
+``SimulationResult``, so they are the same whichever core produced it.
+The scalar ``SuperscalarCore`` is the test oracle.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ from repro.perf import batchcore
 from repro.pipeline import core as core_module
 from repro.pipeline.annotate import OracleAnnotator
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import SuperscalarCore, simulate
+from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
+
+from tests.pipeline.scalar_core import SuperscalarCore
 
 LENGTH = 1_500
 
@@ -103,7 +105,7 @@ def test_traced_metered_run_stays_on_the_columns(no_sanitizer, kernel_calls):
     assert len(spans) == len(result.events)
 
 
-def test_sanitized_run_takes_the_scalar_core(monkeypatch, kernel_calls):
+def test_sanitized_run_takes_the_kernel(monkeypatch, kernel_calls):
     trace = _trace("mcf")
     monkeypatch.setenv(sanitizer.ENV_VAR, "1")
     sanitizer.reset()
@@ -113,7 +115,7 @@ def test_sanitized_run_takes_the_scalar_core(monkeypatch, kernel_calls):
     finally:
         monkeypatch.delenv(sanitizer.ENV_VAR)
         sanitizer.reset()
-    assert kernel_calls == []
+    assert kernel_calls == [1]
     assert report is not None and report.checks_run > 0
     assert not report.violations
     assert vars(result) == vars(SuperscalarCore(CoreConfig()).run(trace))
