@@ -50,7 +50,6 @@ from repro.pipeline import (
     CoreConfig,
     FUSpec,
     InOrderCore,
-    OracleAnnotator,
     SimulationResult,
     StructuralAnnotator,
     simulate,
@@ -116,7 +115,6 @@ __all__ = [
     "CoreConfig",
     "FUSpec",
     "InOrderCore",
-    "OracleAnnotator",
     "SimulationResult",
     "StructuralAnnotator",
     "simulate",

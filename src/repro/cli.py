@@ -1316,7 +1316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=8,
                    help="lockstep configs per batched job (default 8)")
     p.add_argument("--workers", type=int, default=None,
-                   help="pool worker processes (default: serial)")
+                   help="pool worker processes (default: all cores; "
+                   "1 = serial)")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the persistent result store")
     p.add_argument("--cache-dir",

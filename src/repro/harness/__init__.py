@@ -10,7 +10,6 @@ their rendered output; the examples call them directly.
 
 from repro.harness.experiment import ExperimentResult
 from repro.harness.figures import ascii_bar_chart
-from repro.harness.sweep import Sweep, sweep_values
 from repro.harness.replication import Replicated, replicate
 from repro.harness.runner import (
     baseline_config,
@@ -23,8 +22,6 @@ from repro.harness import experiments
 __all__ = [
     "ExperimentResult",
     "ascii_bar_chart",
-    "Sweep",
-    "sweep_values",
     "Replicated",
     "replicate",
     "baseline_config",

@@ -49,13 +49,15 @@ def load_latencies(
     """FU latency of every record, plus a D-cache latency for loads.
 
     A load adds ``long`` when it misses to memory (only when ``long``
-    is given), else ``short`` when it misses L1, else ``hit``. The FU
-    latency is a lookup by op code, made for the classes the trace
-    holds.
+    is given), else ``short`` when it misses L1, else ``hit``, priced
+    by :func:`repro.pipeline.annotate.price_loads` as the detailed
+    core's oracle prices it. The FU latency is a lookup by op code,
+    made for the classes the trace holds.
     """
     import numpy as np
 
-    from repro.perf.packed import LOAD_CODE, OP_CLASSES
+    from repro.perf.packed import OP_CLASSES, load_classes
+    from repro.pipeline.annotate import price_loads
 
     packed = trace.pack()
     op = packed.op
@@ -66,12 +68,9 @@ def load_latencies(
             for cls, here in zip(OP_CLASSES, present.tolist())
         ]
     )
-    column = table[op]
-    loads = np.flatnonzero(op == LOAD_CODE)
-    extra = np.where(packed.dl1_miss[loads] == 1, short, hit)
-    if long is not None:
-        extra = np.where(packed.dl2_miss[loads] == 1, long, extra)
-    column[loads] += extra
+    column = table.take(op)
+    classes = load_classes(packed, long_misses=long is not None)
+    column += price_loads(classes, hit, short, 0 if long is None else long)
     return LatencyColumn(column)
 
 

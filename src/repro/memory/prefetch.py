@@ -124,8 +124,11 @@ class PrefetchingHierarchyAdapter:
     """Wraps a :class:`~repro.memory.hierarchy.CacheHierarchy` with an
     optional next-line I-prefetcher and stride D-prefetcher.
 
-    Exposes the same ``access_instruction`` / ``access_data`` interface
-    so it drops into :class:`~repro.pipeline.annotate.StructuralAnnotator`.
+    Exposes the same ``config``, ``access_instruction`` and
+    ``access_data`` interface, so it drops into
+    :class:`~repro.pipeline.annotate.StructuralAnnotator`, whose
+    annotation pass asks it once per new fetch line and once per load
+    or store, in program order.
     """
 
     def __init__(

@@ -30,16 +30,19 @@ per dynamic instruction, in three layers:
   (``tests/pipeline/scalar_core.py``).
 
 Every out-of-order configuration runs here: wrong-path ghost dispatch
-and random issue are kernel modes, and a structural annotator runs
-first, once per config over the whole trace in program order
-(:func:`~repro.pipeline.annotate.annotate_in_order`), because a core
-consults it exactly so; the kernel then reads those outcomes as
-:class:`MissColumns`. Under the ambient sanitizer the kernel makes the
-oracle's cycle-level checks (window occupancy at each dispatch, commit
-order at each commit) and seals each run; with it off, they cost a
-``None`` test in each cycle that commits or dispatches. The in-order
-core (:mod:`repro.pipeline.inorder`) reads the same
-:class:`TraceColumns`, :class:`MissColumns` and FU tables.
+and random issue are kernel modes. The kernel reads its miss outcomes
+as one :class:`~repro.pipeline.annotate.MissColumns` set per config:
+the trace's oracle flags priced at the config's latencies
+(:meth:`~repro.pipeline.annotate.MissColumns.oracle`, shared per cache
+group), or a structural annotator's one program-order pass over the
+trace (:meth:`~repro.pipeline.annotate.StructuralAnnotator.miss_columns`),
+run first, once per config, because a core consumes outcomes exactly
+so. Under the ambient sanitizer the kernel makes the oracle's
+cycle-level checks (window occupancy at each dispatch, commit order at
+each commit) and seals each run; with it off, they cost a ``None`` test
+in each cycle that commits or dispatches. The in-order core
+(:mod:`repro.pipeline.inorder`) reads the same :class:`TraceColumns`,
+miss columns and FU tables.
 
 The kernel has no tracer or metrics hooks, and needs none: every run,
 whichever core it took, is reported from its finished result by
@@ -58,12 +61,11 @@ import numpy as np
 from repro.analysis import sanitizer as _sanitizer
 from repro.perf.packed import (
     DCODE_LONG,
-    LOAD_CODE,
     OP_CLASSES,
     PackedTrace,
     oracle_miss_columns,
 )
-from repro.pipeline.annotate import Annotator, annotate_in_order
+from repro.pipeline.annotate import MissColumns, StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import _run_cores
 from repro.pipeline.events import (
@@ -82,8 +84,8 @@ class TraceColumns:
 
     Built from the trace's :class:`PackedTrace` form by the
     :class:`BatchedSuperscalarCore` that runs it, which keeps only its
-    last trace's columns: op codes, the oracle miss flags, the D-cache
-    miss-class code per record, and the dependence CSR rewritten from
+    last trace's columns: op codes, the oracle miss flags, each load's
+    D-cache miss-class code, and the dependence CSR rewritten from
     *distances* to absolute *producer indices* (negative producers —
     before the trace start — already filtered out).
     """
@@ -94,9 +96,8 @@ class TraceColumns:
         "op_np",
         "misp",
         "il1",
-        "is_load",
         "is_long",
-        "dcode",
+        "load_class",
         "prod_indptr",
         "prod_data",
         "_prod_lists",
@@ -110,9 +111,8 @@ class TraceColumns:
         op_np: np.ndarray,
         misp: List[bool],
         il1: np.ndarray,
-        is_load: np.ndarray,
         is_long: List[bool],
-        dcode: np.ndarray,
+        load_class: np.ndarray,
         prod_indptr: List[int],
         prod_data: List[int],
     ):
@@ -121,9 +121,8 @@ class TraceColumns:
         self.op_np = op_np
         self.misp = misp
         self.il1 = il1
-        self.is_load = is_load
         self.is_long = is_long
-        self.dcode = dcode
+        self.load_class = load_class
         self.prod_indptr = prod_indptr
         self.prod_data = prod_data
         self._prod_lists: Optional[List[Tuple[int, ...]]] = None
@@ -147,9 +146,7 @@ class TraceColumns:
     def from_packed(cls, packed: PackedTrace) -> "TraceColumns":
         n = len(packed)
         op = packed.op
-        is_load = op == LOAD_CODE
-        misp, il1, dcode = oracle_miss_columns(packed)
-        is_long = is_load & (dcode == DCODE_LONG)
+        misp, il1, load_class = oracle_miss_columns(packed)
         indptr, data = packed.producer_csr()
         return cls(
             n=n,
@@ -157,50 +154,10 @@ class TraceColumns:
             op_np=op,
             misp=misp.tolist(),
             il1=il1,
-            is_load=is_load,
-            is_long=is_long.tolist(),
-            dcode=dcode,
+            is_long=(load_class == DCODE_LONG).tolist(),
+            load_class=load_class,
             prod_indptr=indptr,
             prod_data=data,
-        )
-
-
-class MissColumns:
-    """Per-seq miss outcomes of one run, the columns the kernel reads.
-
-    ``misp`` flags mispredicted control transfers, ``is_long`` loads
-    that miss to memory, ``icache_lat`` the refill stall of each
-    I-cache miss (0 on a hit) and ``icache_long`` whether that line came
-    from memory; ``exec_extra`` is what a load adds to its FU latency.
-    :meth:`oracle` reads them off the trace's flags; an in-order
-    annotation pass (:func:`annotate_in_order`) yields them directly.
-    """
-
-    __slots__ = ("misp", "is_long", "icache_lat", "icache_long", "exec_extra")
-
-    def __init__(self, misp, is_long, icache_lat, icache_long, exec_extra):
-        self.misp: List[bool] = misp
-        self.is_long: List[bool] = is_long
-        self.icache_lat: List[int] = icache_lat
-        self.icache_long: Sequence[bool] = icache_long
-        self.exec_extra: List[int] = exec_extra
-
-    @classmethod
-    def oracle(cls, cols: TraceColumns, config: CoreConfig) -> "MissColumns":
-        """The trace's oracle flags priced at ``config``'s latencies."""
-        # Indexed by the DCODE_* miss-class code.
-        dtable = np.array(
-            [0, config.l1_latency, config.l2_latency, config.memory_latency],
-            dtype=np.int64,
-        )
-        # Loads pay their miss class on top of the FU latency; stores
-        # and non-memory ops pay nothing (matches OracleAnnotator).
-        return cls(
-            misp=cols.misp,
-            is_long=cols.is_long,
-            icache_lat=np.where(cols.il1, config.l2_latency, 0).tolist(),
-            icache_long=bytes(cols.n),
-            exec_extra=np.where(cols.is_load, dtable[cols.dcode], 0).tolist(),
         )
 
 
@@ -835,15 +792,15 @@ class BatchedSuperscalarCore:
         return plan
 
     def run(
-        self, trace: Trace, annotator: Optional[Annotator] = None
+        self, trace: Trace, annotator: Optional[StructuralAnnotator] = None
     ) -> List[SimulationResult]:
         """One result per config, in config order.
 
         With an ``annotator``, each config first annotates the whole
-        trace in program order (:func:`annotate_in_order`) — the walk
-        a per-record core's dispatch makes, so a stateful annotator
-        reaches each config in the state that core would leave it in —
-        and the kernel runs on those outcomes.
+        trace in program order (:meth:`StructuralAnnotator.miss_columns`),
+        so a stateful annotator reaches each config in the state the
+        previous config's run left it in, and the kernel runs on those
+        outcomes.
         """
         configs = self.configs
         if not configs:
@@ -862,8 +819,7 @@ class BatchedSuperscalarCore:
                 miss = plan.miss_columns(index)
                 lat_total = plan.lat_column(index)
             else:
-                annotations = annotate_in_order(annotator, trace.records)
-                miss = MissColumns(*annotations)
+                miss = annotator.miss_columns(trace)
                 lat_total = _combined_latency(plan.cols, miss, fu)
             if san is not None:
                 san.begin_run()
@@ -887,7 +843,6 @@ def run_batch(
 __all__ = [
     "BatchPlan",
     "BatchedSuperscalarCore",
-    "MissColumns",
     "TraceColumns",
     "run_batch",
 ]

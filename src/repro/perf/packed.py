@@ -66,8 +66,8 @@ RECORD_DTYPE = np.dtype(
     ]
 )
 
-#: D-cache miss-class codes of :func:`oracle_miss_columns`: no memory
-#: access, L1 hit, short (L2-hit) miss, long (memory) miss.
+#: D-cache miss-class codes of :func:`load_classes`: not a load, L1
+#: hit, short (L2-hit) miss, long (memory) miss.
 DCODE_NONE, DCODE_L1_HIT, DCODE_SHORT, DCODE_LONG = 0, 1, 2, 3
 
 #: Tri-state decode table, indexed by ``code + 1``.
@@ -423,28 +423,34 @@ def miss_event_masks(
     )
 
 
+def load_classes(packed: PackedTrace, long_misses: bool = True) -> np.ndarray:
+    """The D-cache miss-class code (``DCODE_*``) of every load,
+    ``DCODE_NONE`` for every other record.
+
+    A load flagged as missing to memory is long whatever its L1 flag;
+    with ``long_misses`` off the memory flag is not read, and a load is
+    short or a hit on its L1 flag alone. Unannotated (-1) flags read as
+    a hit.
+    """
+    is_load = packed.op == LOAD_CODE
+    # DCODE_L1_HIT for every load, one more for an L1 miss.
+    code = is_load.astype(np.int8)
+    code += is_load & (packed.dl1_miss == 1)
+    if long_misses:
+        code[is_load & (packed.dl2_miss == 1)] = DCODE_LONG
+    return code
+
+
 def oracle_miss_columns(
     packed: PackedTrace,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The oracle miss columns the detailed core reads, one row per record.
 
-    Returns ``(mispredicted, il1_miss, dcode)``: mispredicted control
-    transfers, I-cache misses, and the D-cache miss-class code
-    (``DCODE_*``) of every memory access, ``DCODE_NONE`` elsewhere.
-    Unannotated (-1) flags read as no miss, as ``OracleAnnotator`` does.
+    Returns ``(mispredicted, il1_miss, load_class)``: mispredicted
+    control transfers, I-cache misses, and :func:`load_classes`.
+    Unannotated (-1) flags read as no miss.
     """
     op = packed.op
     is_control = (op == BRANCH_CODE) | (op == JUMP_CODE)
-    is_memory = (op == LOAD_CODE) | (op == STORE_CODE)
     mispredicted = is_control & (packed.mispredict == 1)
-    il1_miss = packed.il1_miss == 1
-    dcode = np.where(
-        is_memory,
-        np.where(
-            packed.dl2_miss == 1,
-            DCODE_LONG,
-            np.where(packed.dl1_miss == 1, DCODE_SHORT, DCODE_L1_HIT),
-        ),
-        DCODE_NONE,
-    )
-    return mispredicted, il1_miss, dcode
+    return mispredicted, packed.il1_miss == 1, load_classes(packed)

@@ -14,10 +14,11 @@ window occupancy) so that :mod:`repro.interval` can segment execution
 into inter-miss intervals and decompose every branch misprediction
 penalty.
 
-Two annotation sources are supported: :class:`OracleAnnotator` honours
-the miss flags carried by synthetic traces, while
-:class:`StructuralAnnotator` derives them from the branch-predictor and
-cache substrates.
+Both cores read a run's miss outcomes as one
+:class:`~repro.pipeline.annotate.MissColumns` set: by default the miss
+flags carried by synthetic traces, priced at the config's latencies; with
+a :class:`StructuralAnnotator`, the outcomes of one program-order pass
+through the branch-predictor and cache substrates.
 """
 
 from repro.pipeline.config import CoreConfig, FUSpec, DEFAULT_FU_SPECS
@@ -28,12 +29,7 @@ from repro.pipeline.events import (
     MissEvent,
     MissEventKind,
 )
-from repro.pipeline.annotate import (
-    Annotation,
-    Annotator,
-    OracleAnnotator,
-    StructuralAnnotator,
-)
+from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.result import SimulationResult
 from repro.pipeline.core import simulate
 from repro.pipeline.inorder import InOrderCore, simulate_inorder
@@ -47,9 +43,6 @@ __all__ = [
     "BranchMispredictEvent",
     "ICacheMissEvent",
     "LongDMissEvent",
-    "Annotation",
-    "Annotator",
-    "OracleAnnotator",
     "StructuralAnnotator",
     "SimulationResult",
     "simulate",

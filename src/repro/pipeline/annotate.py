@@ -1,101 +1,107 @@
-"""Annotation sources: where miss outcomes come from.
+"""Miss outcomes: the per-seq columns a core reads, and where they come from.
 
-The core consults an :class:`Annotator` once per dispatched record to
-learn (a) whether a control instruction mispredicted, (b) whether the
-fetch of this instruction missed the I-cache and for how long, and
-(c) the data-cache outcome of a load or store.
+A core needs five outcomes per dynamic instruction: whether a control
+transfer mispredicted, whether its fetch missed the I-cache (the refill
+stall, and whether the line came from memory), and what a load's
+D-cache access adds to its execute latency (and whether it missed to
+memory). :class:`MissColumns` holds them as one list per outcome; it is
+the one form both cores read.
 
-``OracleAnnotator`` reads the flags already carried by synthetic
-(annotated) traces; ``StructuralAnnotator`` drives the real branch
-predictor and cache hierarchy substrates.
+They come from one of two sources:
 
-A core asks once per record, in program order, whatever its timing
-(wrong-path ghosts never ask), so a stateful annotator's outcomes
-depend on program order only: :func:`annotate_in_order` runs that same
-walk ahead of a run, and the SoA kernel reads its columns.
+* :meth:`MissColumns.oracle` prices the oracle flags a synthetic trace
+  carries at a config's latencies. :func:`price_loads` is the one
+  pricing of a load by miss class; the ILP latency columns of
+  :mod:`repro.interval.ilp` are priced by it too.
+* :meth:`StructuralAnnotator.miss_columns` drives the real branch
+  predictor and cache hierarchy substrates in one program-order pass
+  over the trace's columns.
+
+A core consumes the outcomes once per record, in program order,
+whatever its timing (wrong-path ghosts consume none), so a stateful
+annotator's outcomes depend on program order only, and one pass ahead
+of the run yields exactly what the core sees.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
-from typing import Iterable, List, NamedTuple, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.frontend.base import BranchUnit
 from repro.memory.hierarchy import CacheHierarchy, MissClass
 from repro.obs import runtime as _obs
 from repro.pipeline.config import CoreConfig
-from repro.trace.record import TraceRecord
+from repro.trace.stream import Trace
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.perf.batchcore import TraceColumns
 
 
-@dataclass(frozen=True)
-class Annotation:
-    """Resolved miss outcomes for one dynamic instruction.
+def price_loads(load_class: "np.ndarray", l1: int, l2: int, memory: int):
+    """What each record's D-cache access adds to its execute latency.
 
-    ``icache_latency`` is None when the fetch hit; ``dcache_class`` is
-    None for non-memory instructions.
+    ``load_class`` holds a ``DCODE_*`` miss-class code per record
+    (:func:`repro.perf.packed.load_classes`): a load pays ``l1`` on a
+    hit, ``l2`` when it misses L1 only and ``memory`` when it misses to
+    memory; every other record pays 0. Returns an int64 array.
+    """
+    import numpy as np
+
+    return np.array([0, l1, l2, memory], dtype=np.int64).take(load_class)
+
+
+class MissColumns:
+    """Per-seq miss outcomes of one run, the columns a core reads.
+
+    ``misp`` flags mispredicted control transfers, ``is_long`` loads
+    that miss to memory, ``icache_lat`` the refill stall of each
+    I-cache miss (0 on a hit) and ``icache_long`` whether that line came
+    from memory; ``exec_extra`` is what a load adds to its FU latency.
     """
 
-    mispredicted: bool = False
-    icache_latency: Optional[int] = None
-    icache_long: bool = False
-    dcache_class: Optional[MissClass] = None
-    dcache_latency: int = 0
+    __slots__ = ("misp", "is_long", "icache_lat", "icache_long", "exec_extra")
 
+    def __init__(self, misp, is_long, icache_lat, icache_long, exec_extra):
+        self.misp: List[bool] = misp
+        self.is_long: List[bool] = is_long
+        self.icache_lat: List[int] = icache_lat
+        self.icache_long: Sequence[bool] = icache_long
+        self.exec_extra: List[int] = exec_extra
 
-class Annotator(abc.ABC):
-    """Produces an :class:`Annotation` per dispatched record."""
+    @classmethod
+    def oracle(cls, cols: "TraceColumns", config: CoreConfig) -> "MissColumns":
+        """The trace's oracle flags priced at ``config``'s latencies.
 
-    @abc.abstractmethod
-    def annotate(self, record: TraceRecord) -> Annotation:
-        """Resolve miss outcomes for ``record``."""
+        An I-cache miss stalls for the L2 latency; unannotated flags
+        read as hits and correct predictions.
+        """
+        import numpy as np
 
-
-class OracleAnnotator(Annotator):
-    """Honours the oracle flags carried by annotated (synthetic) traces.
-
-    Records without flags (None) are treated as hits / correct
-    predictions — an un-annotated trace run through this annotator
-    executes with a perfect frontend and memory system.
-    """
-
-    def __init__(self, config: CoreConfig):
-        self.config = config
-
-    def annotate(self, record: TraceRecord) -> Annotation:
-        config = self.config
-        icache_latency = None
-        if record.il1_miss:
-            icache_latency = config.l2_latency
-        dcache_class: Optional[MissClass] = None
-        dcache_latency = 0
-        if record.is_memory:
-            if record.dl2_miss:
-                dcache_class = MissClass.LONG
-            elif record.dl1_miss:
-                dcache_class = MissClass.SHORT
-            else:
-                dcache_class = MissClass.L1_HIT
-            dcache_latency = config.load_latency(dcache_class.value)
-        # Any control instruction can mispredict: conditional branches
-        # on direction, jumps on target (BTB miss) — both flush.
-        mispredicted = bool(record.mispredict) and record.op_class.is_control
-        return Annotation(
-            mispredicted=mispredicted,
-            icache_latency=icache_latency,
-            icache_long=False,
-            dcache_class=dcache_class,
-            dcache_latency=dcache_latency,
+        return cls(
+            misp=cols.misp,
+            is_long=cols.is_long,
+            icache_lat=np.where(cols.il1, config.l2_latency, 0).tolist(),
+            icache_long=bytes(cols.n),
+            exec_extra=price_loads(
+                cols.load_class,
+                config.l1_latency,
+                config.l2_latency,
+                config.memory_latency,
+            ).tolist(),
         )
 
 
-class StructuralAnnotator(Annotator):
+class StructuralAnnotator:
     """Derives miss outcomes from predictor and cache substrates.
 
     The I-cache is consulted once per fetched cache line (consecutive
     records on the same line share the fetch). Conditional branches go
     through the branch unit (direction predictor + BTB); unconditional
-    jumps only check the BTB.
+    jumps only check the BTB. Loads and stores access the D-side, and a
+    load keeps the latency and the long-miss flag. The substrates, and
+    the last fetched line, keep their state from one pass to the next.
     """
 
     def __init__(
@@ -109,93 +115,84 @@ class StructuralAnnotator(Annotator):
         self.hierarchy = hierarchy
         self._last_fetch_line: Optional[int] = None
 
-    def annotate(self, record: TraceRecord) -> Annotation:
-        line_bytes = self.hierarchy.config.line_bytes
-        fetch_line = record.pc // line_bytes
-        icache_latency = None
-        icache_long = False
-        if fetch_line != self._last_fetch_line:
-            outcome = self.hierarchy.access_instruction(record.pc)
-            self._last_fetch_line = fetch_line
-            if outcome.miss_class is not MissClass.L1_HIT:
-                icache_latency = outcome.latency
-                icache_long = outcome.miss_class is MissClass.LONG
+    def miss_columns(self, trace: Trace) -> MissColumns:
+        """Annotate every record of ``trace`` once, in program order.
 
-        mispredicted = False
-        if record.is_branch:
-            mispredicted = self.branch_unit.resolve_branch(
-                record.pc, record.taken, record.target
-            )
-        elif record.op_class.is_control:
-            mispredicted = self.branch_unit.resolve_jump(record.pc, record.target)
+        This is the order a core consumes outcomes in, so the columns
+        hold exactly what a run sees, and the substrates are left in the
+        state that run leaves them in. The walk visits only the records
+        that consult a substrate, and the ambient metrics registry the
+        substrates count into is resolved once for the pass.
+        """
+        import numpy as np
 
-        dcache_class: Optional[MissClass] = None
-        dcache_latency = 0
-        if record.is_memory:
-            outcome = self.hierarchy.access_data(
-                record.mem_addr, is_write=record.is_store, pc=record.pc
-            )
-            dcache_class = outcome.miss_class
-            dcache_latency = outcome.latency
-        return Annotation(
-            mispredicted=mispredicted,
-            icache_latency=icache_latency,
-            icache_long=icache_long,
-            dcache_class=dcache_class,
-            dcache_latency=dcache_latency,
+        from repro.perf.packed import (
+            BRANCH_CODE,
+            JUMP_CODE,
+            LOAD_CODE,
+            STORE_CODE,
         )
 
-
-class AnnotationColumns(NamedTuple):
-    """One in-order annotation pass as the per-seq columns a core reads.
-
-    The scalar core's rules are already applied: a misprediction counts
-    only on a control transfer, and only a load's data-cache latency
-    and long miss reach the timing.
-    """
-
-    misp: List[bool]
-    is_long: List[bool]  # a load that missed to memory
-    icache_lat: List[int]  # 0 when the fetch hit
-    icache_long: List[bool]
-    exec_extra: List[int]  # what a load adds to its FU latency
-
-
-def annotate_in_order(
-    annotator: Annotator, records: Iterable[TraceRecord]
-) -> AnnotationColumns:
-    """Annotate every record once, in program order, as columns.
-
-    This is the walk a detailed core's dispatch makes, so the columns
-    hold exactly the outcomes a core would see, and the annotator is
-    left in the state that run would leave it in. The ambient metrics
-    registry the substrates count into is resolved once for the pass.
-    """
-    misp: List[bool] = []
-    is_long: List[bool] = []
-    icache_lat: List[int] = []
-    icache_long: List[bool] = []
-    exec_extra: List[int] = []
-    long_class = MissClass.LONG
-    with _obs.metrics_resolved():
-        for record in records:
-            ann = annotator.annotate(record)
-            misp.append(ann.mispredicted and record.is_control)
-            latency = ann.icache_latency
-            if latency is None:
-                latency = 0
-            elif latency <= 0:
-                raise ValueError(
-                    f"I-cache miss of record {len(icache_lat)} stalls "
-                    f"{latency} cycles; a miss must stall at least one"
-                )
-            icache_lat.append(latency)
-            icache_long.append(ann.icache_long)
-            dcache_class = ann.dcache_class
-            if dcache_class is None or not record.is_load:
-                exec_extra.append(0)
-                is_long.append(False)
-            else:
-                exec_extra.append(ann.dcache_latency)
-                is_long.append(dcache_class is long_class)
-    return AnnotationColumns(misp, is_long, icache_lat, icache_long, exec_extra)
+        packed = trace.pack()
+        n = len(packed)
+        misp = [False] * n
+        is_long = [False] * n
+        icache_lat = [0] * n
+        icache_long = [False] * n
+        exec_extra = [0] * n
+        if n:
+            cols = packed.columns
+            op = cols["op"]
+            pc = cols["pc"]
+            line = pc // self.hierarchy.config.line_bytes
+            fetch = np.empty(n, dtype=bool)
+            fetch[0] = int(line[0]) != self._last_fetch_line
+            np.not_equal(line[1:], line[:-1], out=fetch[1:])
+            self._last_fetch_line = int(line[-1])
+            at = np.flatnonzero(
+                fetch
+                | (op == BRANCH_CODE)
+                | (op == JUMP_CODE)
+                | (op == LOAD_CODE)
+                | (op == STORE_CODE)
+            )
+            target = cols["target"][at].astype(object)
+            target[~cols["has_target"][at]] = None
+            access_instruction = self.hierarchy.access_instruction
+            access_data = self.hierarchy.access_data
+            resolve_branch = self.branch_unit.resolve_branch
+            resolve_jump = self.branch_unit.resolve_jump
+            l1_hit = MissClass.L1_HIT
+            long_class = MissClass.LONG
+            with _obs.metrics_resolved():
+                for seq, code, addr, new_line, mem_addr, taken, dest in zip(
+                    at.tolist(),
+                    op[at].tolist(),
+                    pc[at].tolist(),
+                    fetch[at].tolist(),
+                    cols["mem_addr"][at].tolist(),
+                    cols["taken"][at].tolist(),
+                    target.tolist(),
+                ):
+                    if new_line:
+                        outcome = access_instruction(addr)
+                        if outcome.miss_class is not l1_hit:
+                            if outcome.latency <= 0:
+                                raise ValueError(
+                                    f"I-cache miss of record {seq} stalls "
+                                    f"{outcome.latency} cycles; a miss must "
+                                    "stall at least one"
+                                )
+                            icache_lat[seq] = outcome.latency
+                            icache_long[seq] = outcome.miss_class is long_class
+                    if code == BRANCH_CODE:
+                        misp[seq] = resolve_branch(addr, taken, dest)
+                    elif code == JUMP_CODE:
+                        misp[seq] = resolve_jump(addr, dest)
+                    elif code == LOAD_CODE:
+                        outcome = access_data(mem_addr, is_write=False, pc=addr)
+                        exec_extra[seq] = outcome.latency
+                        is_long[seq] = outcome.miss_class is long_class
+                    elif code == STORE_CODE:
+                        access_data(mem_addr, is_write=True, pc=addr)
+        return MissColumns(misp, is_long, icache_lat, icache_long, exec_extra)

@@ -113,16 +113,6 @@ class CoreConfig:
         }
         return self.with_overrides(fu_specs=scaled)
 
-    def load_latency(self, miss_class: str) -> int:
-        """Total cache latency of a load by miss class name."""
-        if miss_class == "l1_hit":
-            return self.l1_latency
-        if miss_class == "short":
-            return self.l2_latency
-        if miss_class == "long":
-            return self.memory_latency
-        raise ValueError(f"unknown miss class {miss_class!r}")
-
     def describe(self) -> List[Tuple[str, str]]:
         """Rows for the configuration table (bench T1)."""
         rows = [

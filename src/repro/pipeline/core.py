@@ -26,9 +26,9 @@ time is O(events), not O(cycles).
 
 One core runs this model: the structure-of-arrays kernel of
 :mod:`repro.perf.batchcore`. Wrong-path ghosts and random issue are
-kernel modes, an explicit annotator is run over the trace in program
-order first, and the ambient sanitizer's cycle-level checks run inside
-the kernel's loop. :func:`simulate` and
+kernel modes, a structural annotator makes its one program-order pass
+over the trace first, and the ambient sanitizer's cycle-level checks
+run inside the kernel's loop. :func:`simulate` and
 :func:`repro.perf.batchcore.run_batch` reach it through
 :func:`_run_cores`; the in-order core
 (:mod:`repro.pipeline.inorder`) is the only other core. Neither core
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.pipeline.annotate import Annotator
+from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimulationResult, observe_run
 from repro.trace.stream import Trace
@@ -49,7 +49,7 @@ from repro.trace.stream import Trace
 def _run_cores(
     trace: Trace,
     configs: Sequence[CoreConfig],
-    annotator: Optional[Annotator] = None,
+    annotator: Optional[StructuralAnnotator] = None,
     core: Optional[type] = None,
 ) -> List[SimulationResult]:
     """Run ``trace`` under each config; the one detailed-core entry.
@@ -81,7 +81,7 @@ def _run_cores(
 def simulate(
     trace: Trace,
     config: Optional[CoreConfig] = None,
-    annotator: Optional[Annotator] = None,
+    annotator: Optional[StructuralAnnotator] = None,
 ) -> SimulationResult:
     """Run ``trace`` under ``config`` (the baseline when None), on the
     SoA kernel (see :func:`_run_cores`)."""

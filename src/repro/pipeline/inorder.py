@@ -21,9 +21,10 @@ interval-analysis layer works unchanged.
 The core reads what the SoA kernel (:mod:`repro.perf.batchcore`)
 reads: the trace's :class:`~repro.perf.batchcore.TraceColumns` (op
 codes and the producer CSR, built from ``trace.pack()``), one
-:class:`~repro.perf.batchcore.MissColumns` set (the trace's oracle
-flags priced at the config's latencies, or an annotator's outcomes from
-one in-order pass, :func:`~repro.pipeline.annotate.annotate_in_order`)
+:class:`~repro.pipeline.annotate.MissColumns` set (the trace's oracle
+flags priced at the config's latencies, or a structural annotator's
+one program-order pass,
+:meth:`~repro.pipeline.annotate.StructuralAnnotator.miss_columns`)
 and per-op-code FU tables. Because issue is in order, the recurrence
 is one integer loop over those lists. Without an annotator no record,
 annotation or unit heap is built, so a generated trace keeps only its
@@ -36,7 +37,7 @@ from collections import Counter
 from typing import List, Optional
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.pipeline.annotate import Annotator, annotate_in_order
+from repro.pipeline.annotate import MissColumns, StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import _run_cores
 from repro.pipeline.events import (
@@ -56,14 +57,14 @@ class InOrderCore:
         self.config = config
 
     def run(
-        self, trace: Trace, annotator: Optional[Annotator] = None
+        self, trace: Trace, annotator: Optional[StructuralAnnotator] = None
     ) -> SimulationResult:
         """Simulate the trace; returns the same result type as the
         out-of-order core (ROB fields read as the in-flight count).
 
         With an ``annotator``, the whole trace is annotated first, in
-        program order (:func:`annotate_in_order`), the order this core
-        issues in.
+        program order (:meth:`StructuralAnnotator.miss_columns`), the
+        order this core issues in.
         """
         config = self.config
         n = len(trace)
@@ -72,7 +73,6 @@ class InOrderCore:
         # repro.perf sits above the pipeline layer, so the column types
         # are imported at run time (as _run_cores does).
         from repro.perf.batchcore import (
-            MissColumns,
             TraceColumns,
             _combined_latency,
             _FUTables,
@@ -83,7 +83,7 @@ class InOrderCore:
         if annotator is None:
             miss = MissColumns.oracle(cols, config)
         else:
-            miss = MissColumns(*annotate_in_order(annotator, trace.records))
+            miss = annotator.miss_columns(trace)
         fu = _FUTables(config)
         lat_total = _combined_latency(cols, miss, fu)
 
@@ -233,7 +233,7 @@ class InOrderCore:
 def simulate_inorder(
     trace: Trace,
     config: CoreConfig = CoreConfig(),
-    annotator: Optional[Annotator] = None,
+    annotator: Optional[StructuralAnnotator] = None,
 ) -> SimulationResult:
     """Run ``trace`` on a fresh in-order core (see
     :func:`repro.pipeline.core._run_cores`)."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.interval import fast_sim
 from repro.interval.fast_sim import FastIntervalSimulator, compare_with_detailed
 from repro.interval.ilp import (
     backward_slice_latency,
@@ -92,6 +93,27 @@ class TestAccuracy:
         assert comparison["detailed_cycles"] > 0
         assert comparison["fast_cycles"] > 0
         assert comparison["speedup"] > 1.0
+
+    def test_speedup_times_each_side_by_its_best_round(
+        self, base_config, monkeypatch
+    ):
+        """Both sides run in interleaved rounds; one slow round of
+        either side does not move the quoted times or the speedup."""
+        # Elapsed seconds in call order: detailed, fast, per round.
+        readings = iter([4.0, 2.0, 1.0, 0.25, 3.0, 1.0])
+
+        class FakeStopwatch:
+            @property
+            def elapsed(self):
+                return next(readings)
+
+        monkeypatch.setattr(fast_sim, "Stopwatch", FakeStopwatch)
+        trace = generate_trace(WorkloadProfile(), 1000, seed=7)
+        comparison = compare_with_detailed(trace, base_config)
+        assert comparison["detailed_seconds"] == 1.0
+        assert comparison["fast_seconds"] == 0.25
+        assert comparison["speedup"] == 4.0
+        assert next(readings, None) is None
 
 
 @pytest.mark.parametrize("name", ["gzip", "mcf", "twolf", "eon"])

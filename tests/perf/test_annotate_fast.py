@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.lab.codec import encode_payload, result_to_payload
-from repro.pipeline.annotate import OracleAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
 
 from tests.pipeline.annotate_fast import annotation_table, oracle_annotations
+from tests.pipeline.record_annotate import OracleAnnotator
 
 
 def make(seed=21, length=1500):

@@ -171,12 +171,12 @@ class TestOracleEquality:
         assert result.complete_cycle is None
         assert result.commit_cycle is None
 
-    def test_unsupported_config_uses_oracle(self):
+    def test_random_issue_kernel_equals_oracle(self):
         trace = generate_trace(profile(), 800, seed=23)
         config = CoreConfig(issue_policy="random")
         assert_batch_matches_oracle(trace, [config])
 
-    def test_mixed_batch_supported_and_fallback(self):
+    def test_mixed_mode_batch_kernel_equals_oracle(self):
         trace = generate_trace(profile(), 800, seed=29)
         configs = [
             CoreConfig(),

@@ -1,13 +1,13 @@
 """Packed-array oracle annotation for the scalar core's hot path.
 
-``OracleAnnotator.annotate`` is called once per dispatched record and
+``OracleAnnotator.annotate`` (:mod:`tests.pipeline.record_annotate`) is called once per dispatched record and
 builds a fresh frozen dataclass each time, even though — for a given
 configuration — an oracle annotation is fully determined by four bits
 of the record: mispredicted-control, I-cache miss, and the two-bit
 D-cache miss class. :func:`oracle_annotations` exploits that: it
 computes the 4-bit key for every record as one column expression over
 the trace's packed form and gathers from a table of 16 canonical
-:class:`~repro.pipeline.annotate.Annotation` instances.
+:class:`~tests.pipeline.record_annotate.Annotation` instances.
 
 The returned annotations are equal (``==``, frozen-dataclass equality)
 to what ``OracleAnnotator`` would produce record by record — the
@@ -26,12 +26,16 @@ from repro.memory.hierarchy import MissClass
 from repro.perf.packed import (
     DCODE_L1_HIT,
     DCODE_LONG,
+    DCODE_NONE,
     DCODE_SHORT,
+    LOAD_CODE,
+    STORE_CODE,
     oracle_miss_columns,
 )
-from repro.pipeline.annotate import Annotation
 from repro.pipeline.config import CoreConfig
 from repro.trace.stream import Trace
+
+from tests.pipeline.record_annotate import Annotation, load_latency
 
 _DCODE_CLASS = {
     DCODE_L1_HIT: MissClass.L1_HIT,
@@ -56,7 +60,7 @@ def annotation_table(config: CoreConfig) -> List[Annotation]:
                 icache_long=False,
                 dcache_class=dcache_class,
                 dcache_latency=(
-                    config.load_latency(dcache_class.value)
+                    load_latency(config, dcache_class)
                     if dcache_class is not None
                     else 0
                 ),
@@ -71,7 +75,19 @@ def oracle_annotations(trace: Trace, config: CoreConfig) -> List[Annotation]:
     Equal, record for record, to calling
     ``OracleAnnotator(config).annotate`` on each record.
     """
-    mispredicted, il1_miss, dcode = oracle_miss_columns(trace.pack())
+    packed = trace.pack()
+    mispredicted, il1_miss, _ = oracle_miss_columns(packed)
+    # Stores carry a D-cache class too (the timing ignores it).
+    op = packed.op
+    dcode = np.where(
+        (op == LOAD_CODE) | (op == STORE_CODE),
+        np.where(
+            packed.dl2_miss == 1,
+            DCODE_LONG,
+            np.where(packed.dl1_miss == 1, DCODE_SHORT, DCODE_L1_HIT),
+        ),
+        DCODE_NONE,
+    )
     keys = (
         (mispredicted.astype(np.int64) << 3)
         | (il1_miss.astype(np.int64) << 2)

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.analysis import sanitizer as _sanitizer
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import MissClass
-from repro.pipeline.annotate import Annotation, Annotator, OracleAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.events import (
     BranchMispredictEvent,
@@ -36,6 +35,7 @@ from repro.util.rng import SplitMix, derive_seed
 
 from tests.pipeline.annotate_fast import oracle_annotations
 from tests.pipeline.functional_units import FunctionalUnits
+from tests.pipeline.record_annotate import Annotation, Annotator, OracleAnnotator
 from tests.pipeline.rob import ReorderBuffer
 
 _GHOST = -1  # seq marker for wrong-path ghost instructions

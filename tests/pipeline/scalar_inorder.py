@@ -3,7 +3,7 @@
 :class:`repro.pipeline.inorder.InOrderCore` runs its scoreboard
 recurrence as one integer loop over the trace's columns; this module
 keeps the per-record implementation it replaced, which asks an
-:class:`~repro.pipeline.annotate.Annotator` once per record and
+:class:`~tests.pipeline.record_annotate.Annotator` once per record and
 reserves units through :class:`~tests.pipeline.functional_units.
 FunctionalUnits` heaps. Differential tests require the two to produce
 equal :class:`~repro.pipeline.result.SimulationResult` objects, events
@@ -16,7 +16,6 @@ from typing import List, Optional
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.memory.hierarchy import MissClass
-from repro.pipeline.annotate import Annotator, OracleAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.events import (
     BranchMispredictEvent,
@@ -27,6 +26,7 @@ from repro.pipeline.result import SimulationResult, cycle_column
 from repro.trace.stream import Trace
 
 from tests.pipeline.functional_units import FunctionalUnits
+from tests.pipeline.record_annotate import Annotator, OracleAnnotator
 
 
 class ScalarInOrderCore:

@@ -1,26 +1,66 @@
-"""Unit tests for annotation sources."""
+"""Unit tests for annotation sources.
+
+Each record goes through the production column pass on its own
+one-record trace (the structural annotator keeps its state from pass to
+pass); :func:`outcome` reads the one row back. A load's miss class shows
+as its long-miss flag and the latency it adds.
+"""
+
+from typing import NamedTuple, Optional
 
 from repro.frontend.base import BranchUnit
 from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.perfect import PerfectPredictor
 from repro.frontend.static import StaticPredictor
 from repro.isa.opcodes import OpClass
-from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig, MissClass
-from repro.pipeline.annotate import OracleAnnotator, StructuralAnnotator
+from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.perf.batchcore import TraceColumns
+from repro.pipeline.annotate import MissColumns, StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.trace.record import TraceRecord
+from repro.trace.stream import Trace
+
+
+class Outcome(NamedTuple):
+    """One row of a :class:`MissColumns` set."""
+
+    mispredicted: bool
+    icache_latency: Optional[int]  # None when the fetch hit
+    long_miss: bool
+    dcache_latency: int  # what a load adds to its FU latency
+
+
+def outcome(miss: MissColumns) -> Outcome:
+    assert len(miss.misp) == 1
+    return Outcome(
+        mispredicted=miss.misp[0],
+        icache_latency=miss.icache_lat[0] or None,
+        long_miss=miss.is_long[0],
+        dcache_latency=miss.exec_extra[0],
+    )
+
+
+class OracleColumns:
+    """The oracle pricing, asked one record at a time."""
+
+    def __init__(self, config: CoreConfig):
+        self.config = config
+
+    def annotate(self, record: TraceRecord) -> Outcome:
+        cols = TraceColumns.from_packed(Trace([record]).pack())
+        return outcome(MissColumns.oracle(cols, self.config))
 
 
 class TestOracleAnnotator:
     def setup_method(self):
         self.config = CoreConfig()
-        self.annotator = OracleAnnotator(self.config)
+        self.annotator = OracleColumns(self.config)
 
     def test_clean_record(self):
         ann = self.annotator.annotate(TraceRecord(OpClass.IALU))
         assert not ann.mispredicted
         assert ann.icache_latency is None
-        assert ann.dcache_class is None
+        assert not ann.long_miss and ann.dcache_latency == 0
 
     def test_mispredicted_branch(self):
         record = TraceRecord(OpClass.BRANCH, mispredict=True)
@@ -43,20 +83,30 @@ class TestOracleAnnotator:
     def test_load_hit_latency(self):
         record = TraceRecord(OpClass.LOAD, mem_addr=0)
         ann = self.annotator.annotate(record)
-        assert ann.dcache_class is MissClass.L1_HIT
+        assert not ann.long_miss
         assert ann.dcache_latency == self.config.l1_latency
 
     def test_load_short_miss(self):
         record = TraceRecord(OpClass.LOAD, mem_addr=0, dl1_miss=True)
         ann = self.annotator.annotate(record)
-        assert ann.dcache_class is MissClass.SHORT
+        assert not ann.long_miss
         assert ann.dcache_latency == self.config.l2_latency
 
     def test_load_long_miss(self):
         record = TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True)
         ann = self.annotator.annotate(record)
-        assert ann.dcache_class is MissClass.LONG
+        assert ann.long_miss
         assert ann.dcache_latency == self.config.memory_latency
+
+
+class OnePass:
+    """A structural annotator asked one record (one pass) at a time."""
+
+    def __init__(self, annotator: StructuralAnnotator):
+        self.annotator = annotator
+
+    def annotate(self, record: TraceRecord) -> Outcome:
+        return outcome(self.annotator.miss_columns(Trace([record])))
 
 
 class TestStructuralAnnotator:
@@ -69,7 +119,7 @@ class TestStructuralAnnotator:
             HierarchyConfig(l1i_size=1024, l1i_ways=2, l1d_size=1024,
                             l1d_ways=2, l2_size=8192, l2_ways=4)
         )
-        return StructuralAnnotator(config, unit, hierarchy), hierarchy
+        return OnePass(StructuralAnnotator(config, unit, hierarchy)), hierarchy
 
     def test_first_fetch_misses_icache(self):
         annotator, _ = self.make()
@@ -101,9 +151,10 @@ class TestStructuralAnnotator:
         annotator, hierarchy = self.make()
         record = TraceRecord(OpClass.LOAD, pc=0x1000, mem_addr=0x9000)
         ann = annotator.annotate(record)
-        assert ann.dcache_class is MissClass.LONG
+        assert ann.long_miss
         ann2 = annotator.annotate(record)
-        assert ann2.dcache_class is MissClass.L1_HIT
+        assert not ann2.long_miss
+        assert ann2.dcache_latency == hierarchy.config.l1_latency
         assert hierarchy.l1d.stats.accesses == 2
 
     def test_jump_uses_btb(self):

@@ -2,10 +2,13 @@
 
 The premise: a detailed core asks its annotator exactly once per
 record, in program order, whatever the timing (wrong-path ghosts never
-ask), so an annotator's outcomes depend on program order only and an
-in-order pass ahead of the run sees what the core would. The F17
-predictors and the F18 hierarchies then give results, and leave
-predictor, cache and prefetcher state, equal to the scalar core's.
+ask), so an annotator's outcomes depend on program order only and one
+program-order pass ahead of the run
+(``StructuralAnnotator.miss_columns``) sees what the core would. The
+F17 predictors and the F18 hierarchies then give results, and leave
+predictor, cache and prefetcher state, equal to the scalar core's,
+which asks the record-level annotator of
+:mod:`tests.pipeline.record_annotate` once per dispatched record.
 """
 
 from __future__ import annotations
@@ -19,17 +22,16 @@ from repro.frontend.gshare import GSharePredictor
 from repro.frontend.static import StaticPredictor
 from repro.frontend.tage import TAGEPredictor
 from repro.frontend.tournament import TournamentPredictor
-from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
+from repro.memory.hierarchy import (
+    CacheHierarchy,
+    DataAccessOutcome,
+    HierarchyConfig,
+    MissClass,
+)
 from repro.memory.prefetch import PrefetchingHierarchyAdapter, StridePrefetcher
 from repro.obs import runtime
 from repro.perf import batchcore
-from repro.pipeline.annotate import (
-    Annotation,
-    Annotator,
-    OracleAnnotator,
-    StructuralAnnotator,
-    annotate_in_order,
-)
+from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import _run_cores, simulate
 from repro.trace.synthetic import generate_trace
@@ -37,6 +39,11 @@ from repro.util.rng import derive_seed
 from repro.workloads.kernels import kernel_trace, stride_sum
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
+from tests.pipeline.record_annotate import (
+    Annotator,
+    OracleAnnotator,
+    RecordStructuralAnnotator,
+)
 from tests.pipeline.scalar_core import SuperscalarCore
 
 CONFIG = CoreConfig()
@@ -83,12 +90,23 @@ def _cache_stats(hierarchy):
     return [vars(c.stats) for c in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)]
 
 
-def _structural(make_direction, hierarchy):
-    return StructuralAnnotator(
+def _structural(make_direction, hierarchy, kind=StructuralAnnotator):
+    """A structural annotator: the column pass by default, or
+    ``RecordStructuralAnnotator`` for the scalar oracle cores."""
+    return kind(
         CONFIG,
         BranchUnit(direction=make_direction(), btb=BranchTargetBuffer()),
         hierarchy,
     )
+
+
+def _zero_stall():
+    """A structural annotator whose I-side misses in zero cycles."""
+    hierarchy = CacheHierarchy(HierarchyConfig())
+    hierarchy.access_instruction = lambda pc: DataAccessOutcome(
+        MissClass.SHORT, 0
+    )
+    return _structural(GSharePredictor, hierarchy)
 
 
 @pytest.mark.parametrize(
@@ -114,7 +132,11 @@ def test_scalar_core_asks_each_record_once_in_program_order(config):
 
     kernel = kernel_trace("branchy_search")
     structural = Recording(
-        _structural(GSharePredictor, CacheHierarchy(HierarchyConfig())),
+        _structural(
+            GSharePredictor,
+            CacheHierarchy(HierarchyConfig()),
+            RecordStructuralAnnotator,
+        ),
         kernel.records,
     )
     SuperscalarCore(config).run(kernel, annotator=structural)
@@ -125,12 +147,15 @@ def test_scalar_core_asks_each_record_once_in_program_order(config):
 def test_f17_predictors_match_the_scalar_core(name, kernel_calls):
     trace = kernel_trace("branchy_search")
     runs = []
-    for run in (
-        lambda a: simulate(trace, CONFIG, annotator=a),
-        lambda a: SuperscalarCore(CONFIG).run(trace, annotator=a),
+    for run, kind in (
+        (lambda a: simulate(trace, CONFIG, annotator=a), StructuralAnnotator),
+        (
+            lambda a: SuperscalarCore(CONFIG).run(trace, annotator=a),
+            RecordStructuralAnnotator,
+        ),
     ):
         hierarchy = CacheHierarchy(HierarchyConfig())
-        annotator = _structural(PREDICTORS[name], hierarchy)
+        annotator = _structural(PREDICTORS[name], hierarchy, kind)
         result = run(annotator)
         unit = annotator.branch_unit
         runs.append(
@@ -150,9 +175,12 @@ def test_f17_predictors_match_the_scalar_core(name, kernel_calls):
 def test_f18_hierarchies_match_the_scalar_core(prefetch, kernel_calls):
     trace = stride_sum(elements=6_144, stride=1).run()
     runs = []
-    for run in (
-        lambda a: simulate(trace, CONFIG, annotator=a),
-        lambda a: SuperscalarCore(CONFIG).run(trace, annotator=a),
+    for run, kind in (
+        (lambda a: simulate(trace, CONFIG, annotator=a), StructuralAnnotator),
+        (
+            lambda a: SuperscalarCore(CONFIG).run(trace, annotator=a),
+            RecordStructuralAnnotator,
+        ),
     ):
         hierarchy = CacheHierarchy(HierarchyConfig())
         memory_system, prefetcher = hierarchy, None
@@ -161,7 +189,7 @@ def test_f18_hierarchies_match_the_scalar_core(prefetch, kernel_calls):
             memory_system = PrefetchingHierarchyAdapter(
                 hierarchy, data_prefetcher=prefetcher
             )
-        result = run(_structural(TournamentPredictor, memory_system))
+        result = run(_structural(TournamentPredictor, memory_system, kind))
         runs.append(
             (
                 vars(result),
@@ -184,7 +212,9 @@ def test_one_annotator_runs_each_config_in_turn(kernel_calls):
     shared = _structural(BimodalPredictor, CacheHierarchy(HierarchyConfig()))
     batched = _run_cores(trace, configs, annotator=shared)
     reference = _structural(
-        BimodalPredictor, CacheHierarchy(HierarchyConfig())
+        BimodalPredictor,
+        CacheHierarchy(HierarchyConfig()),
+        RecordStructuralAnnotator,
     )
     scalar = [
         SuperscalarCore(c).run(trace, annotator=reference) for c in configs
@@ -248,17 +278,13 @@ def test_annotation_pass_resolves_the_registry_once(monkeypatch):
         return enabled(pillar)
 
     monkeypatch.setattr(runtime, "_enabled", counting)
-    columns = annotate_in_order(annotator, trace.records)
+    columns = annotator.miss_columns(trace)
     assert len(columns.misp) == len(trace)
     assert annotator.branch_unit.stats.predictions > 0
     assert lookups == ["metrics"]
 
 
 def test_a_zero_cycle_icache_miss_is_rejected():
-    class ZeroStall(Annotator):
-        def annotate(self, record):
-            return Annotation(icache_latency=0)
-
     trace = kernel_trace("branchy_search")
     with pytest.raises(ValueError, match="at least one"):
-        annotate_in_order(ZeroStall(), trace.records)
+        _zero_stall().miss_columns(trace)

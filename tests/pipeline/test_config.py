@@ -1,8 +1,11 @@
 """Unit tests for CoreConfig and FUSpec."""
 
+import numpy as np
 import pytest
 
 from repro.isa.opcodes import OpClass
+from repro.perf.packed import DCODE_L1_HIT, DCODE_LONG, DCODE_NONE, DCODE_SHORT
+from repro.pipeline.annotate import price_loads
 from repro.pipeline.config import DEFAULT_FU_SPECS, CoreConfig, FUSpec
 
 
@@ -85,12 +88,19 @@ class TestCoreConfig:
         assert config.fu_specs[OpClass.IALU].latency == 2
 
     def test_load_latency_by_class(self):
+        """A load is priced by miss class at the config's latencies
+        (``price_loads``, the one pricing of a load)."""
         config = CoreConfig()
-        assert config.load_latency("l1_hit") == config.l1_latency
-        assert config.load_latency("short") == config.l2_latency
-        assert config.load_latency("long") == config.memory_latency
-        with pytest.raises(ValueError):
-            config.load_latency("medium")
+        latencies = (config.l1_latency, config.l2_latency, config.memory_latency)
+        classes = np.array([DCODE_L1_HIT, DCODE_SHORT, DCODE_LONG, DCODE_NONE])
+        assert price_loads(classes, *latencies).tolist() == [
+            config.l1_latency,
+            config.l2_latency,
+            config.memory_latency,
+            0,
+        ]
+        with pytest.raises(IndexError):
+            price_loads(np.array([DCODE_LONG + 1]), *latencies)
 
     def test_describe_has_core_rows(self):
         rows = dict(CoreConfig().describe())

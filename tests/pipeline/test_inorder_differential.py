@@ -19,7 +19,7 @@ from repro.frontend.tournament import TournamentPredictor
 from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.memory.prefetch import PrefetchingHierarchyAdapter, StridePrefetcher
-from repro.pipeline.annotate import Annotation, Annotator
+from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import DEFAULT_FU_SPECS, CoreConfig, FUSpec
 from repro.pipeline.inorder import InOrderCore, simulate_inorder
 from repro.trace.profiles import WorkloadProfile
@@ -31,11 +31,20 @@ from repro.workloads.kernels import kernel_trace, stride_sum
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
 from tests.pipeline import functional_units
+from tests.pipeline.record_annotate import Annotation, RecordStructuralAnnotator
 from tests.pipeline.scalar_inorder import ScalarInOrderCore
 from tests.pipeline.test_annotate_first import (
     PREDICTORS,
     _cache_stats,
     _structural,
+    _zero_stall,
+)
+
+#: Each core with the annotator it asks: the column pass for the
+#: column core, the record walk for the scalar oracle.
+CORES = (
+    (InOrderCore, StructuralAnnotator),
+    (ScalarInOrderCore, RecordStructuralAnnotator),
 )
 
 pytestmark = pytest.mark.usefixtures("kernel_path")
@@ -213,9 +222,9 @@ class TestRandomConfigs:
 def test_f17_predictors_match_the_oracle(name):
     trace = kernel_trace("branchy_search")
     runs = []
-    for core in (InOrderCore, ScalarInOrderCore):
+    for core, kind in CORES:
         hierarchy = CacheHierarchy(HierarchyConfig())
-        annotator = _structural(PREDICTORS[name], hierarchy)
+        annotator = _structural(PREDICTORS[name], hierarchy, kind)
         result = core(CoreConfig()).run(trace, annotator=annotator)
         unit = annotator.branch_unit
         runs.append(
@@ -234,7 +243,7 @@ def test_f17_predictors_match_the_oracle(name):
 def test_f18_hierarchies_match_the_oracle(prefetch):
     trace = stride_sum(elements=6_144, stride=1).run()
     runs = []
-    for core in (InOrderCore, ScalarInOrderCore):
+    for core, kind in CORES:
         hierarchy = CacheHierarchy(HierarchyConfig())
         memory_system, prefetcher = hierarchy, None
         if prefetch:
@@ -242,7 +251,7 @@ def test_f18_hierarchies_match_the_oracle(prefetch):
             memory_system = PrefetchingHierarchyAdapter(
                 hierarchy, data_prefetcher=prefetcher
             )
-        annotator = _structural(TournamentPredictor, memory_system)
+        annotator = _structural(TournamentPredictor, memory_system, kind)
         result = core(CoreConfig()).run(trace, annotator=annotator)
         runs.append(
             (
@@ -262,12 +271,8 @@ def test_zero_cycle_icache_miss_is_rejected():
     """The annotation pass refuses a miss that stalls no cycle, as it
     does for the out-of-order cores."""
 
-    class ZeroStall(Annotator):
-        def annotate(self, record):
-            return Annotation(icache_latency=0)
-
     with pytest.raises(ValueError, match="at least one"):
-        InOrderCore().run(suite_trace("gzip", 50), annotator=ZeroStall())
+        InOrderCore().run(suite_trace("gzip", 50), annotator=_zero_stall())
 
 
 def _sanitized_report(core, traces, config):

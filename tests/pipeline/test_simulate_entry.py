@@ -21,7 +21,6 @@ from repro.obs import runtime
 from repro.obs.tracer import KIND_BPRED
 from repro.perf import batchcore
 from repro.pipeline import core as core_module
-from repro.pipeline.annotate import OracleAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
@@ -29,6 +28,7 @@ from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
+from tests.pipeline.record_annotate import OracleAnnotator
 from tests.pipeline.scalar_core import SuperscalarCore
 
 LENGTH = 1_500

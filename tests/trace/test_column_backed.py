@@ -1,19 +1,24 @@
 """A generated trace is held as columns and builds records only on demand.
 
 The figure path (statistics, the interval model, the ILP fit, the
-contributor decomposition, the batched and in-order cores) must read the
-columns and never build the record view; appending to a column-backed
+contributor decomposition, the batched and in-order cores, structural
+annotation) must read the columns and never build the record view; appending to a column-backed
 trace must leave it packing to the same columns as a record-built one.
 """
 
 import pytest
 
+from repro.frontend.base import BranchUnit
+from repro.frontend.btb import BranchTargetBuffer
+from repro.frontend.gshare import GSharePredictor
 from repro.interval.contributors import decompose_contributors
 from repro.interval.ilp import fit_ilp_profile
 from repro.interval.model import IntervalModel
 from repro.isa.opcodes import OpClass
+from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.perf.batchcore import run_batch
 from repro.perf.packed import PackedTrace
+from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
@@ -52,6 +57,13 @@ def test_figure_path_never_builds_records(monkeypatch):
     result = run_batch(trace, [config])[0]
     decompose_contributors(trace, result, config)
     simulate_inorder(trace, config)
+    structural = StructuralAnnotator(
+        config,
+        BranchUnit(direction=GSharePredictor(), btb=BranchTargetBuffer()),
+        CacheHierarchy(HierarchyConfig()),
+    )
+    assert simulate(trace, config, annotator=structural).events
+    simulate_inorder(trace, config, annotator=structural)
     trace.slice(100, 900).statistics()
     assert trace._records is None
 
