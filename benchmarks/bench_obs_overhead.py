@@ -112,25 +112,48 @@ SERVE_DISABLED_BUDGET = 0.03
 SERVE_ENABLED_BUDGET = 0.08
 
 
-def _min_interleaved_ratio(svc, additions_batch_seconds):
-    """Best per-round ratio of traced-path additions to a warm round trip.
+def _interleaved_pairs(svc, additions_batch_seconds):
+    """``SERVE_ROUNDS`` pairs of (per-request additions, warm round
+    trip), each pair timed back to back.
 
     The two quantities must be measured *back-to-back inside the same
     round*: this box drifts between a fast and a slow regime (the same
     tight loop measures 3us in one phase and 11us minutes later), so
     timing all round trips first and all additions second lets a regime
     flip land between the phases and skew the ratio either way. Pairing
-    them per round makes the drift hit both sides of the division, and
-    the min over rounds picks the cleanest pairing.
+    them per round makes the drift hit both sides of the division.
     """
-    best = None
+    pairs = []
     for _ in range(SERVE_ROUNDS):
         round_trip = _batch_seconds(svc) / SERVE_BATCH
         additions = additions_batch_seconds() / SERVE_ADDITIONS_BATCH
-        ratio = additions / round_trip
-        if best is None or ratio < best[0]:
-            best = (ratio, additions, round_trip)
-    return best
+        pairs.append((additions, round_trip))
+    return pairs
+
+
+def _min_interleaved_ratio(svc, additions_batch_seconds):
+    """Best per-round ratio of the additions to a warm round trip: the
+    min over rounds picks the cleanest pairing."""
+    return min(
+        (additions / round_trip, additions, round_trip)
+        for additions, round_trip in _interleaved_pairs(
+            svc, additions_batch_seconds
+        )
+    )
+
+
+def _median_interleaved_ratio(svc, additions_batch_seconds):
+    """The median of the additions over the median warm round trip.
+
+    One pairing's ratio follows the round trip's host noise (its
+    median alone has swung 2x between runs), so a min over per-round
+    ratios lands wherever the quietest round happened to; each side's
+    median is steady, and their ratio is the per-request cost.
+    """
+    pairs = _interleaved_pairs(svc, additions_batch_seconds)
+    additions = statistics.median(a for a, _ in pairs)
+    round_trip = statistics.median(r for _, r in pairs)
+    return additions / round_trip, additions, round_trip
 
 
 def _warm_service(root, trace_requests):
@@ -257,7 +280,7 @@ def test_serve_enabled_tracing_round_trip_bound(tmp_path, capsys):
                 traced_additions_once()
             return default_clock() - start
 
-        ratio, additions, round_trip = _min_interleaved_ratio(
+        ratio, additions, round_trip = _median_interleaved_ratio(
             svc, additions_batch_seconds
         )
     finally:

@@ -35,7 +35,7 @@ def main() -> None:
             direction=TournamentPredictor(), btb=BranchTargetBuffer()
         )
         hierarchy = CacheHierarchy(HierarchyConfig())
-        annotator = StructuralAnnotator(config, branch_unit, hierarchy)
+        annotator = StructuralAnnotator(branch_unit, hierarchy)
         result = simulate(trace, config, annotator=annotator)
         report = measure_penalties(result)
         rows.append(

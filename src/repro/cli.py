@@ -232,7 +232,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     annotator = None
     if args.structural:
         annotator = StructuralAnnotator(
-            config,
             BranchUnit(direction=TournamentPredictor(),
                        btb=BranchTargetBuffer()),
             CacheHierarchy(HierarchyConfig(

@@ -731,7 +731,6 @@ def run_f17() -> ExperimentResult:
     rows = []
     for name, make in predictors:
         annotator = StructuralAnnotator(
-            config,
             BranchUnit(direction=make(), btb=BranchTargetBuffer()),
             CacheHierarchy(HierarchyConfig()),
         )
@@ -790,7 +789,6 @@ def run_f18() -> ExperimentResult:
                 hierarchy, data_prefetcher=prefetcher
             )
         annotator = StructuralAnnotator(
-            config,
             BranchUnit(direction=TournamentPredictor(),
                        btb=BranchTargetBuffer()),
             memory_system,

@@ -84,16 +84,17 @@ def fp_reg(bank_index: int) -> Register:
 class RegisterFile:
     """Architectural register state for the functional executor.
 
-    Integer registers hold Python ints (wrapped to 64-bit two's
-    complement on write); FP registers hold floats. Reads of ``r0``
-    always return zero and writes to it are discarded.
+    ``values`` is one list indexed by :attr:`Register.index`: integer
+    registers hold Python ints (wrapped to 64-bit two's complement on
+    write), FP registers hold floats. Slot 0 (``r0``) always reads zero
+    and writes to it are discarded. The executor reads and writes the
+    list in place, so it is the state :meth:`read` reports.
     """
 
     _INT_MASK = (1 << 64) - 1
 
     def __init__(self) -> None:
-        self._int = [0] * INT_REGISTER_COUNT
-        self._fp = [0.0] * FP_REGISTER_COUNT
+        self.values = [0] * INT_REGISTER_COUNT + [0.0] * FP_REGISTER_COUNT
 
     @staticmethod
     def _wrap(value: int) -> int:
@@ -103,25 +104,18 @@ class RegisterFile:
         return value
 
     def read(self, reg: Register) -> float:
-        if reg.is_fp:
-            return self._fp[reg.bank_index]
-        if reg.index == 0:
-            return 0
-        return self._int[reg.bank_index]
+        return self.values[reg.index]
 
     def write(self, reg: Register, value: float) -> None:
         if reg.is_fp:
-            self._fp[reg.bank_index] = float(value)
+            self.values[reg.index] = float(value)
         elif reg.index != 0:
-            self._int[reg.bank_index] = self._wrap(int(value))
+            self.values[reg.index] = self._wrap(int(value))
 
     def snapshot(self) -> dict:
         """Return a name->value dict of all non-zero registers."""
-        state = {}
-        for i, value in enumerate(self._int):
-            if value and i != 0:
-                state[f"r{i}"] = value
-        for i, value in enumerate(self._fp):
-            if value:
-                state[f"f{i}"] = value
-        return state
+        return {
+            Register(i).name: value
+            for i, value in enumerate(self.values)
+            if value and i != 0
+        }

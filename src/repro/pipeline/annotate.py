@@ -102,15 +102,13 @@ class StructuralAnnotator:
     jumps only check the BTB. Loads and stores access the D-side, and a
     load keeps the latency and the long-miss flag. The substrates, and
     the last fetched line, keep their state from one pass to the next.
+
+    Every latency comes from the substrates: a cache hierarchy's comes
+    from its :class:`~repro.memory.hierarchy.HierarchyConfig`, never
+    from the :class:`CoreConfig` of the run.
     """
 
-    def __init__(
-        self,
-        config: CoreConfig,
-        branch_unit: BranchUnit,
-        hierarchy: CacheHierarchy,
-    ):
-        self.config = config
+    def __init__(self, branch_unit: BranchUnit, hierarchy: CacheHierarchy):
         self.branch_unit = branch_unit
         self.hierarchy = hierarchy
         self._last_fetch_line: Optional[int] = None

@@ -10,10 +10,7 @@ from repro.util.stats import (
     OnlineStats,
     RunningMean,
     bucketize,
-    geometric_mean,
-    harmonic_mean,
     percentile,
-    weighted_mean,
 )
 from repro.util.tabulate import format_table, format_markdown_table
 from repro.util.validation import (
@@ -30,10 +27,7 @@ __all__ = [
     "OnlineStats",
     "RunningMean",
     "bucketize",
-    "geometric_mean",
-    "harmonic_mean",
     "percentile",
-    "weighted_mean",
     "format_table",
     "format_markdown_table",
     "check_in_range",

@@ -153,34 +153,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[lower] * (1.0 - frac) + ordered[upper] * frac
 
 
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean; every value must be positive."""
-    if not values:
-        raise ValueError("geometric mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def harmonic_mean(values: Sequence[float]) -> float:
-    """Harmonic mean; every value must be positive."""
-    if not values:
-        raise ValueError("harmonic mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("harmonic mean requires positive values")
-    return len(values) / sum(1.0 / v for v in values)
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean."""
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    total_weight = float(sum(weights))
-    if total_weight <= 0.0:
-        raise ValueError("weights must sum to a positive value")
-    return sum(v * w for v, w in zip(values, weights)) / total_weight
-
-
 def bucketize(value: float, edges: Sequence[float]) -> int:
     """Return the index of the bucket containing ``value``.
 

@@ -15,12 +15,12 @@ from repro.trace.io import load_trace, save_trace
 from repro.workloads.kernels import branchy_search, kernel_trace, pointer_chase
 
 
-def structural_annotator(config, predictor=None):
+def structural_annotator(predictor=None):
     unit = BranchUnit(
         direction=predictor or TournamentPredictor(), btb=BranchTargetBuffer()
     )
     hierarchy = CacheHierarchy(HierarchyConfig())
-    return StructuralAnnotator(config, unit, hierarchy), unit, hierarchy
+    return StructuralAnnotator(unit, hierarchy), unit, hierarchy
 
 
 class TestKernelToSimulatorPipeline:
@@ -29,7 +29,7 @@ class TestKernelToSimulatorPipeline:
     def test_branchy_search_mispredicts_structurally(self):
         config = CoreConfig()
         trace = branchy_search(elements=512).run()
-        annotator, unit, _ = structural_annotator(config)
+        annotator, unit, _ = structural_annotator()
         result = simulate(trace, config, annotator=annotator)
         # data-dependent branches: real mispredictions must appear
         assert len(result.mispredict_events) > 50
@@ -41,7 +41,7 @@ class TestKernelToSimulatorPipeline:
         config = CoreConfig()
         trace = branchy_search(elements=256).run()
         annotator, _, _ = structural_annotator(
-            config, predictor=PerfectPredictor()
+            predictor=PerfectPredictor()
         )
         result = simulate(trace, config, annotator=annotator)
         # BTB may still miss targets on first sight; direction is perfect
@@ -52,7 +52,7 @@ class TestKernelToSimulatorPipeline:
     def test_perfect_frontend_is_upper_bound(self):
         config = CoreConfig()
         trace = branchy_search(elements=256).run()
-        structural, _, _ = structural_annotator(config)
+        structural, _, _ = structural_annotator()
         real = simulate(trace, config, annotator=structural)
         ideal = simulate(trace, config)  # unannotated -> no miss events
         assert ideal.cycles < real.cycles
@@ -62,7 +62,7 @@ class TestKernelToSimulatorPipeline:
         config = CoreConfig()
         # large list: 8192 nodes x 16B = 128KB data, 2x the 64KB L1
         trace = pointer_chase(nodes=8192, laps=1).run()
-        annotator, _, hierarchy = structural_annotator(config)
+        annotator, _, hierarchy = structural_annotator()
         result = simulate(trace, config, annotator=annotator)
         assert hierarchy.l1d.stats.miss_rate > 0.1
         assert result.ipc < 1.0  # serialized misses dominate
@@ -89,7 +89,7 @@ class TestStructuralVsOracleConsistency:
 
         config = CoreConfig()
         trace = kernel_trace("branchy_search")
-        annotator, _, _ = structural_annotator(config)
+        annotator, _, _ = structural_annotator()
         structural = simulate(trace, config, annotator=annotator)
         mispredicted = {e.seq for e in structural.mispredict_events}
         il1 = {e.seq for e in structural.icache_events}

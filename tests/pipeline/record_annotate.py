@@ -116,13 +116,7 @@ class RecordStructuralAnnotator(Annotator):
     jumps only check the BTB.
     """
 
-    def __init__(
-        self,
-        config: CoreConfig,
-        branch_unit: BranchUnit,
-        hierarchy: CacheHierarchy,
-    ):
-        self.config = config
+    def __init__(self, branch_unit: BranchUnit, hierarchy: CacheHierarchy):
         self.branch_unit = branch_unit
         self.hierarchy = hierarchy
         self._last_fetch_line: Optional[int] = None

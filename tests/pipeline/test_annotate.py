@@ -111,7 +111,6 @@ class OnePass:
 
 class TestStructuralAnnotator:
     def make(self, predictor=None):
-        config = CoreConfig()
         unit = BranchUnit(
             direction=predictor or PerfectPredictor(), btb=BranchTargetBuffer()
         )
@@ -119,7 +118,7 @@ class TestStructuralAnnotator:
             HierarchyConfig(l1i_size=1024, l1i_ways=2, l1d_size=1024,
                             l1d_ways=2, l2_size=8192, l2_ways=4)
         )
-        return OnePass(StructuralAnnotator(config, unit, hierarchy)), hierarchy
+        return OnePass(StructuralAnnotator(unit, hierarchy)), hierarchy
 
     def test_first_fetch_misses_icache(self):
         annotator, _ = self.make()

@@ -94,7 +94,6 @@ def _structural(make_direction, hierarchy, kind=StructuralAnnotator):
     """A structural annotator: the column pass by default, or
     ``RecordStructuralAnnotator`` for the scalar oracle cores."""
     return kind(
-        CONFIG,
         BranchUnit(direction=make_direction(), btb=BranchTargetBuffer()),
         hierarchy,
     )

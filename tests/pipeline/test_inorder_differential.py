@@ -31,7 +31,7 @@ from repro.workloads.kernels import kernel_trace, stride_sum
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
 from tests.pipeline import functional_units
-from tests.pipeline.record_annotate import Annotation, RecordStructuralAnnotator
+from tests.pipeline.record_annotate import RecordStructuralAnnotator
 from tests.pipeline.scalar_inorder import ScalarInOrderCore
 from tests.pipeline.test_annotate_first import (
     PREDICTORS,
@@ -300,14 +300,13 @@ def test_sanitizer_report_matches_the_oracle():
 
 
 def test_oracle_run_builds_no_record_view(monkeypatch):
-    """A column-backed trace stays columns: no records, no annotations,
-    no unit heaps."""
+    """A column-backed trace stays columns: no records, no unit heaps."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the column core built a per-record object")
 
     monkeypatch.setattr(functional_units.FunctionalUnits, "__init__", refuse)
-    monkeypatch.setattr(Annotation, "__init__", refuse)
+    monkeypatch.setattr(TraceRecord, "__init__", refuse)
     trace = suite_trace("gzip", 3_000)
     assert trace._records is None
     for config in (CoreConfig(), CoreConfig(record_timeline=False)):

@@ -54,7 +54,7 @@ def _setup(make_direction, prefetch, kind):
             hierarchy, data_prefetcher=prefetcher
         )
     unit = BranchUnit(direction=make_direction(), btb=BranchTargetBuffer())
-    annotator = kind(CoreConfig(), unit, memory_system)
+    annotator = kind(unit, memory_system)
 
     def state():
         return (

@@ -58,7 +58,6 @@ def test_figure_path_never_builds_records(monkeypatch):
     decompose_contributors(trace, result, config)
     simulate_inorder(trace, config)
     structural = StructuralAnnotator(
-        config,
         BranchUnit(direction=GSharePredictor(), btb=BranchTargetBuffer()),
         CacheHierarchy(HierarchyConfig()),
     )

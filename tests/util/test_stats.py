@@ -9,10 +9,7 @@ from repro.util.stats import (
     OnlineStats,
     RunningMean,
     bucketize,
-    geometric_mean,
-    harmonic_mean,
     percentile,
-    weighted_mean,
 )
 
 
@@ -148,44 +145,6 @@ class TestPercentile:
     def test_out_of_range_raises(self):
         with pytest.raises(ValueError):
             percentile([1.0], 1.5)
-
-
-class TestMeans:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_geometric_mean_empty_raises(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_harmonic_mean(self):
-        assert harmonic_mean([1.0, 1.0]) == pytest.approx(1.0)
-        assert harmonic_mean([2.0, 6.0]) == pytest.approx(3.0)
-
-    def test_harmonic_mean_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            harmonic_mean([2.0, -1.0])
-
-    def test_weighted_mean(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 3.0]) == pytest.approx(2.5)
-
-    def test_weighted_mean_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [1.0, 2.0])
-
-    def test_weighted_mean_zero_weights(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [0.0])
-
-    def test_means_ordering(self):
-        """HM <= GM <= AM for positive values."""
-        values = [1.0, 2.0, 3.0, 10.0]
-        am = sum(values) / len(values)
-        assert harmonic_mean(values) <= geometric_mean(values) <= am
 
 
 class TestBucketize:
