@@ -9,7 +9,9 @@ caching keep the table/figure suite fast:
 - **persistent** — the :mod:`repro.lab.store` content-addressed store
   under ``.repro-cache/``, so repeated pytest/benchmark invocations
   reuse simulations across processes. Set ``REPRO_NO_CACHE=1`` to
-  disable it, ``REPRO_CACHE_DIR`` to relocate it.
+  disable it, ``REPRO_CACHE_DIR`` to relocate it. A lab job overrides
+  both for its duration (:func:`job_store`): its simulations go to the
+  job's own store, or to none.
 
 Every miss runs on the structure-of-arrays detailed core
 (:func:`repro.perf.batchcore.run_batch`), the one out-of-order core,
@@ -30,8 +32,9 @@ double the store's footprint for no reuse win.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.lab.codec import result_from_payload, result_to_payload
 from repro.lab.store import (
@@ -51,18 +54,23 @@ from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.lru import LRUCache
 from repro.util.rng import derive_seed
-from repro.workloads.spec_profiles import SPEC_PROFILES
+from repro.workloads.spec_profiles import ALL_PROFILES
 
 DEFAULT_LENGTH = 60_000
 DEFAULT_SEED = 2006
 
-#: In-memory cache bounds (override via environment for big sweeps).
-TRACE_CACHE_CAPACITY = int(os.environ.get("REPRO_TRACE_CACHE_CAP", "64"))
-SIM_CACHE_CAPACITY = int(os.environ.get("REPRO_SIM_CACHE_CAP", "256"))
+#: In-memory cache bounds.
+TRACE_CACHE_CAPACITY = 64
+SIM_CACHE_CAPACITY = 256
 
 _trace_cache: LRUCache = LRUCache(TRACE_CACHE_CAPACITY)
 _sim_cache: LRUCache = LRUCache(SIM_CACHE_CAPACITY)
 _store: Optional[ResultStore] = None
+
+#: The store root a lab job's simulations use (:func:`job_store`), or
+#: None for no store; :data:`_FROM_ENVIRONMENT` outside a job.
+_FROM_ENVIRONMENT = object()
+_job_root: object = _FROM_ENVIRONMENT
 
 
 def baseline_config() -> CoreConfig:
@@ -75,30 +83,64 @@ def _config_key(config: CoreConfig) -> str:
     return config_digest(config)
 
 
+@contextmanager
+def job_store(root: Optional[Union[str, Path]]) -> Iterator[None]:
+    """Within the block, simulations read and write the store at
+    ``root`` (no store when None), whatever the environment says.
+
+    :func:`repro.lab.jobs.execute_job` holds this for a job's duration,
+    so a lab run's simulations go to the run's store and a ``--no-cache``
+    run reads and writes none.
+    """
+    global _job_root
+    previous = _job_root
+    _job_root = None if root is None else Path(root)
+    try:
+        yield
+    finally:
+        _job_root = previous
+
+
 def _persistent_store() -> Optional[ResultStore]:
     """The process-wide result store, or None when caching is off.
 
-    Re-resolved when ``REPRO_CACHE_DIR`` changes so tests can redirect
+    Inside :func:`job_store` it is the job's store. Outside, it is
+    re-resolved when ``REPRO_CACHE_DIR`` changes so tests can redirect
     the store without reloading the module.
     """
     global _store
-    if caching_disabled():
+    if _job_root is _FROM_ENVIRONMENT:
+        root = None if caching_disabled() else default_store_root()
+    else:
+        root = _job_root
+    if root is None:
         return None
-    root = default_store_root()
     if _store is None or _store.root != root:
         _store = ResultStore(root=root)
     return _store
 
 
+def build_workload_trace(
+    name: str, length: int = DEFAULT_LENGTH, seed: int = DEFAULT_SEED
+) -> Trace:
+    """Deterministic synthetic trace for one suite workload, generated
+    on every call (lab simulation jobs use this, so workers hold no
+    traces between jobs)."""
+    try:
+        profile = ALL_PROFILES[name]
+    except KeyError:
+        raise ValueError(f"unknown workload {name!r}") from None
+    return generate_trace(profile, length, seed=derive_seed(seed, name))
+
+
 def workload_trace(
     name: str, length: int = DEFAULT_LENGTH, seed: int = DEFAULT_SEED
 ) -> Trace:
-    """Deterministic synthetic trace for one suite workload (cached)."""
+    """:func:`build_workload_trace`, cached in the in-process LRU."""
     key = (name, length, seed)
     trace = _trace_cache.get(key)
     if trace is None:
-        profile = SPEC_PROFILES[name]
-        trace = generate_trace(profile, length, seed=derive_seed(seed, name))
+        trace = build_workload_trace(name, length, seed)
         _trace_cache[key] = trace
     return trace
 

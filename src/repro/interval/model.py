@@ -84,7 +84,11 @@ class ModelPrediction:
 
 
 class IntervalModel:
-    """First-order model over an annotated trace."""
+    """First-order model over an annotated trace.
+
+    ``ilp_fit``, when given, is the drain profile for every trace;
+    otherwise each :meth:`predict` fits the trace it is given.
+    """
 
     def __init__(
         self,
@@ -101,8 +105,11 @@ class IntervalModel:
         """Miss-event positions visible in an annotated trace.
 
         Returns (seq, kind) with kind in {"bpred", "icache", "long"}.
-        A single instruction can carry several events; bpred wins for
-        interval-cutting purposes (mirrors the segmentation rule).
+        A single instruction can carry several events and keeps one:
+        bpred, then icache, then long. This does not mirror
+        :func:`repro.interval.segmentation.segment_intervals`, which
+        ranks a long D-miss above an I-cache miss, so a record with
+        both drops its long miss here.
         """
         import numpy as np
 
@@ -126,18 +133,18 @@ class IntervalModel:
             trace, config.fu_specs, config.l1_latency, config.l2_latency
         )
 
-    def _fit(self, trace: Trace) -> ILPFit:
-        if self.ilp_fit is None:
-            self.ilp_fit = fit_ilp_profile(
-                trace, latency_of=self._steady_latency(trace)
-            )
-        return self.ilp_fit
+    def fit(self, trace: Trace) -> ILPFit:
+        """The drain profile :meth:`predict` uses for ``trace``: the fit
+        given to the constructor, else one fitted to ``trace``."""
+        if self.ilp_fit is not None:
+            return self.ilp_fit
+        return fit_ilp_profile(trace, latency_of=self._steady_latency(trace))
 
     def predict(self, trace: Trace) -> ModelPrediction:
         """Predict total cycles for an annotated trace."""
         config = self.config
         n = len(trace)
-        fit = self._fit(trace)
+        fit = self.fit(trace)
         positions = self.event_positions(trace)
 
         base_cycles = n / config.dispatch_width

@@ -24,7 +24,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.lab import codec
@@ -41,9 +41,6 @@ from repro.resilience.watchdog import (
 )
 from repro.util.rng import jittered_backoff_s
 from repro.util.timing import Stopwatch
-
-if TYPE_CHECKING:
-    from repro.trace.stream import Trace
 
 #: Job lifecycle states recorded in results and manifests.
 class JobStatus:
@@ -89,21 +86,6 @@ class JobSpec:
         return codec.value_from_payload(payload)
 
 
-def _workload_trace(workload: str, length: int, seed: int) -> "Trace":
-    """The suite trace a simulation job runs (generated, never stored)."""
-    # Imported lazily so job specs stay cheap to pickle and the
-    # simulator is only loaded inside the process that runs them.
-    from repro.trace.synthetic import generate_trace
-    from repro.util.rng import derive_seed
-    from repro.workloads.spec_profiles import ALL_PROFILES
-
-    try:
-        profile = ALL_PROFILES[workload]
-    except KeyError:
-        raise ValueError(f"unknown workload {workload!r}") from None
-    return generate_trace(profile, length, seed=derive_seed(seed, workload))
-
-
 @dataclass(frozen=True)
 class SimJob(JobSpec):
     """Simulate one suite workload under one configuration."""
@@ -134,7 +116,11 @@ class SimJob(JobSpec):
         )
 
     def execute(self) -> Any:
-        trace = _workload_trace(self.workload, self.length, self.seed)
+        # Imported here so job specs stay cheap to pickle and the
+        # simulator is only loaded inside the process that runs them.
+        from repro.harness.runner import build_workload_trace
+
+        trace = build_workload_trace(self.workload, self.length, self.seed)
         if self.core == "inorder":
             from repro.pipeline.inorder import simulate_inorder
 
@@ -186,9 +172,10 @@ class BatchSimJob(JobSpec):
         )
 
     def execute(self) -> Any:
+        from repro.harness.runner import build_workload_trace
         from repro.perf.batchcore import run_batch
 
-        trace = _workload_trace(self.workload, self.length, self.seed)
+        trace = build_workload_trace(self.workload, self.length, self.seed)
         return run_batch(trace, list(self.configs))
 
 
@@ -544,8 +531,12 @@ def _execute_claimed_job(
     _sanitizer.drain_report()
     _obs.drain_metrics()
     _obs.drain_trace()
+    from repro.harness.runner import job_store
+
     try:
-        value, attempts = _attempt_with_retries(spec)
+        # The harness's simulations go to this job's store (or none).
+        with job_store(store.root if store is not None else None):
+            value, attempts = _attempt_with_retries(spec)
     except Exception:
         report = _sanitizer.drain_report()
         snapshot = _obs.drain_metrics()

@@ -52,7 +52,6 @@ whichever core it took, is reported from its finished result by
 
 from __future__ import annotations
 
-import weakref
 from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,12 +81,12 @@ from repro.util.rng import SplitMix, derive_seed
 class TraceColumns:
     """Config-independent columns of one trace, shared across a batch.
 
-    Built from the trace's :class:`PackedTrace` form by the
-    :class:`BatchedSuperscalarCore` that runs it, which keeps only its
-    last trace's columns: op codes, the oracle miss flags, each load's
-    D-cache miss-class code, and the dependence CSR rewritten from
-    *distances* to absolute *producer indices* (negative producers —
-    before the trace start — already filtered out).
+    Built from the trace's :class:`PackedTrace` form by each
+    :meth:`BatchedSuperscalarCore.run` and freed with its plan: op
+    codes, the oracle miss flags, each load's D-cache miss-class code,
+    and the dependence CSR rewritten from *distances* to absolute
+    *producer indices* (negative producers — before the trace start —
+    already filtered out).
     """
 
     __slots__ = (
@@ -776,20 +775,6 @@ class BatchedSuperscalarCore:
 
     def __init__(self, configs: Sequence[CoreConfig]):
         self.configs = list(configs)
-        # The last trace's plan (and so its columns), keyed on that
-        # trace, held weakly, and its mutation version: a core reused
-        # over one trace stays warm, and a discarded core frees them.
-        self._last: Optional[Tuple[weakref.ref, int, BatchPlan]] = None
-
-    def _plan_for(self, trace: Trace) -> BatchPlan:
-        last = self._last
-        if last is not None:
-            ref, version, plan = last
-            if ref() is trace and version == trace.version:
-                return plan
-        plan = BatchPlan(TraceColumns.from_packed(trace.pack()), self.configs)
-        self._last = (weakref.ref(trace), trace.version, plan)
-        return plan
 
     def run(
         self, trace: Trace, annotator: Optional[StructuralAnnotator] = None
@@ -811,7 +796,7 @@ class BatchedSuperscalarCore:
                 SimulationResult(instructions=0, cycles=0) for _ in configs
             ]
         san = _sanitizer.current()
-        plan = self._plan_for(trace)
+        plan = BatchPlan(TraceColumns.from_packed(trace.pack()), self.configs)
         results: List[SimulationResult] = []
         for index, config in enumerate(configs):
             fu = plan.fu_tables(index)

@@ -171,10 +171,9 @@ def run_benchmarks(
         specs.append((name, fn, items))
 
     # Lockstep batched detailed core: 8 ROB sweep points per call, so
-    # per-point throughput counts n instructions per config. The core
-    # is built once (a sweep reuses it the same way) and its column/
-    # plan caches warm on the first timed call, matching steady-state
-    # sweep behaviour.
+    # per-point throughput counts n instructions per config. Each call
+    # builds its plan (trace columns and per-group derived columns), as
+    # every sweep does.
     batch_configs = [
         config.with_overrides(rob_size=r)
         for r in (32, 48, 64, 96, 128, 160, 192, 256)

@@ -265,8 +265,9 @@ class PackedTrace:
         )
 
     def unpack(self) -> Trace:
-        """Reconstruct the record-list trace (inverse of :meth:`pack`)."""
-        return Trace(self.to_records(), name=self.name)
+        """The trace over these columns with its records built (inverse
+        of :meth:`pack`)."""
+        return Trace.from_columns(self, self.to_records())
 
     def slice(self, start: int, stop: int, name: str) -> "PackedTrace":
         """Rows ``[start, stop)`` (non-negative, ``start <= stop``).

@@ -27,11 +27,7 @@ from repro.trace.synthetic import SyntheticTraceGenerator, generate_trace
 from repro.trace.functional import FunctionalSimulator, ExecutionLimitExceeded
 from repro.trace.io import load_trace, save_trace
 from repro.trace.transforms import (
-    interleave,
-    truncate,
     with_perfect_branches,
-    with_perfect_dcache,
-    with_perfect_frontend,
     with_perfect_icache,
     without_short_misses,
 )
@@ -49,9 +45,5 @@ __all__ = [
     "save_trace",
     "with_perfect_branches",
     "with_perfect_icache",
-    "with_perfect_dcache",
-    "with_perfect_frontend",
     "without_short_misses",
-    "truncate",
-    "interleave",
 ]

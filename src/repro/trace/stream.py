@@ -41,37 +41,38 @@ class TraceStatistics:
 class Trace:
     """An ordered sequence of :class:`TraceRecord` with metadata.
 
-    A trace is held in one of two forms. A *record-built* trace keeps
-    the records it was given and packs them into columns
-    (:class:`repro.perf.packed.PackedTrace`) on the first :meth:`pack`.
-    A *column-backed* trace (:meth:`from_columns`, which the synthetic
-    generator uses) keeps only the columns; :attr:`records` builds the
-    record objects from them on first access and caches them. Every
-    query below is a fold over the columns, so it never builds records.
-    :meth:`append` / :meth:`extend` work on records and drop the
-    columns, which the next :meth:`pack` rebuilds.
+    A trace is one immutable set of columns
+    (:class:`repro.perf.packed.PackedTrace`). ``Trace(records, name)``
+    packs its records once, at construction; :meth:`from_columns`
+    (which the synthetic generator and the functional executor use)
+    wraps columns as they are. Every query below is a fold over the
+    columns, so it never builds records. :attr:`records` is a view: the
+    list the trace was built from, or a list built from the columns on
+    first access. Nothing may mutate it.
     """
 
     def __init__(
-        self,
-        records: Optional[Sequence[TraceRecord]] = None,
-        name: str = "trace",
+        self, records: Sequence[TraceRecord] = (), name: str = "trace"
     ):
-        self._records: Optional[List[TraceRecord]] = (
-            list(records) if records else []
-        )
-        self._columns = None
+        from repro.perf.packed import PackedTrace
+
+        self._records: Optional[List[TraceRecord]] = list(records)
         self.name = name
-        self._version = 0
+        self._columns = PackedTrace.pack(self)
         self._stats_cache: Optional[TraceStatistics] = None
 
     @classmethod
-    def from_columns(cls, packed) -> "Trace":
-        """A column-backed trace over ``packed`` (not copied); its name
-        is the columns' name."""
-        trace = cls(name=packed.name)
-        trace._records = None
+    def from_columns(
+        cls, packed, records: Optional[List[TraceRecord]] = None
+    ) -> "Trace":
+        """The trace over ``packed`` (not copied); its name is the
+        columns' name. ``records``, when given, must be the records
+        those columns hold; otherwise :attr:`records` builds them."""
+        trace = cls.__new__(cls)
+        trace._records = records
+        trace.name = packed.name
         trace._columns = packed
+        trace._stats_cache = None
         return trace
 
     @property
@@ -81,24 +82,8 @@ class Trace:
             self._records = self._columns.to_records()
         return self._records
 
-    @property
-    def version(self) -> int:
-        """Mutation counter; bumped by :meth:`append` / :meth:`extend`.
-
-        Derived-value caches (statistics, packed form, reachability
-        sets) key on this to notice when the record list has grown.
-        """
-        return self._version
-
-    def _invalidate(self) -> None:
-        self._version += 1
-        self._stats_cache = None
-        self._columns = None
-
     def __len__(self) -> int:
-        if self._records is None:
-            return len(self._columns)
-        return len(self._records)
+        return len(self._columns)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
@@ -106,30 +91,17 @@ class Trace:
     def __getitem__(self, index: int) -> TraceRecord:
         return self.records[index]
 
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-        self._invalidate()
-
-    def extend(self, records: Sequence[TraceRecord]) -> None:
-        self.records.extend(records)
-        self._invalidate()
-
     def slice(self, start: int, stop: int) -> "Trace":
-        """Return the sub-trace ``[start:stop]``.
+        """Return the sub-trace ``[start:stop]``, a slice of the columns.
 
         Dependence distances are kept as they are: one that reaches
         before ``start`` names a producer before the sub-trace's first
         record, which the simulators treat as already complete, so
-        slicing is always safe. A column-backed trace slices its
-        columns.
+        slicing is always safe.
         """
+        lo, hi, _ = slice(start, stop).indices(len(self))
         name = f"{self.name}[{start}:{stop}]"
-        if self._records is None:
-            lo, hi, _ = slice(start, stop).indices(len(self))
-            return Trace.from_columns(
-                self._columns.slice(lo, max(lo, hi), name)
-            )
-        return Trace(self._records[start:stop], name=name)
+        return Trace.from_columns(self._columns.slice(lo, max(lo, hi), name))
 
     @property
     def is_annotated(self) -> bool:
@@ -143,24 +115,17 @@ class Trace:
     def statistics(self) -> TraceStatistics:
         """Descriptive statistics over the whole trace.
 
-        Memoized: the lab bills this per job, so repeated calls on an
-        unchanged trace return the same object. :meth:`append` /
-        :meth:`extend` invalidate the cache. Treat the result as
-        read-only — it is shared between callers.
+        Memoized: the lab bills this per job, so repeated calls return
+        the same object. Treat the result as read-only — it is shared
+        between callers.
         """
         if self._stats_cache is None:
             self._stats_cache = self._compute_statistics()
         return self._stats_cache
 
     def pack(self):
-        """This trace in columnar form (:class:`repro.perf.packed.
-        PackedTrace`). A column-backed trace returns its columns as
-        they are; a record-built one packs its records once, memoized
-        with the same invalidation as :meth:`statistics`."""
-        if self._columns is None:
-            from repro.perf.packed import PackedTrace
-
-            self._columns = PackedTrace.pack(self)
+        """This trace's columns (:class:`repro.perf.packed.PackedTrace`),
+        as they are."""
         return self._columns
 
     def _compute_statistics(self) -> TraceStatistics:

@@ -5,41 +5,32 @@ perfectly predicted? what if the L1 never missed short? These helpers
 derive modified traces without regenerating them, so the counterfactual
 shares every other event placement with the original (paired
 comparison, no seed noise).
+
+Each transform is one column edit on a copy of the trace's structured
+array; the dependence CSR arrays are shared with the original, which is
+safe because a trace's columns are never written after construction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
-
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 
 
-def _rebuild(
-    trace: Trace,
-    name_suffix: str,
-    transform: Callable[[int, TraceRecord], TraceRecord],
-) -> Trace:
-    records = [transform(i, record) for i, record in enumerate(trace.records)]
-    return Trace(records, name=f"{trace.name}{name_suffix}")
+def _edit(trace: Trace, name_suffix: str, field: str, rows) -> Trace:
+    """A copy of ``trace`` whose ``field`` reads False (0) at ``rows``."""
+    from repro.perf.packed import PackedTrace
 
-
-def _with_flags(record: TraceRecord, **overrides) -> TraceRecord:
-    """Copy a record with some annotation fields replaced."""
-    fields = dict(
-        op_class=record.op_class,
-        pc=record.pc,
-        deps=record.deps,
-        mem_addr=record.mem_addr,
-        taken=record.taken,
-        target=record.target,
-        mispredict=record.mispredict,
-        il1_miss=record.il1_miss,
-        dl1_miss=record.dl1_miss,
-        dl2_miss=record.dl2_miss,
+    packed = trace.pack()
+    columns = packed.columns.copy()
+    columns[field][rows] = 0
+    return Trace.from_columns(
+        PackedTrace(
+            columns,
+            packed.dep_indptr,
+            packed.dep_data,
+            name=f"{trace.name}{name_suffix}",
+        )
     )
-    fields.update(overrides)
-    return TraceRecord(**fields)
 
 
 def with_perfect_branches(trace: Trace) -> Trace:
@@ -48,31 +39,20 @@ def with_perfect_branches(trace: Trace) -> Trace:
     Simulating this against the original isolates the total branch
     misprediction cost of the run (a paired counterfactual).
     """
-    return _rebuild(
+    from repro.perf.packed import BRANCH_CODE, JUMP_CODE
+
+    op = trace.pack().op
+    return _edit(
         trace,
         "+perfect-bp",
-        lambda i, r: _with_flags(r, mispredict=False) if r.is_control else r,
+        "mispredict",
+        (op == BRANCH_CODE) | (op == JUMP_CODE),
     )
 
 
 def with_perfect_icache(trace: Trace) -> Trace:
     """No I-cache misses."""
-    return _rebuild(
-        trace,
-        "+perfect-il1",
-        lambda i, r: _with_flags(r, il1_miss=False) if r.il1_miss else r,
-    )
-
-
-def with_perfect_dcache(trace: Trace) -> Trace:
-    """All loads hit L1: removes both short and long D-cache misses."""
-    return _rebuild(
-        trace,
-        "+perfect-dl1",
-        lambda i, r: (
-            _with_flags(r, dl1_miss=False, dl2_miss=False) if r.is_load else r
-        ),
-    )
+    return _edit(trace, "+perfect-il1", "il1_miss", trace.pack().il1_miss == 1)
 
 
 def without_short_misses(trace: Trace) -> Trace:
@@ -80,47 +60,12 @@ def without_short_misses(trace: Trace) -> Trace:
 
     The direct counterfactual for contributor C5.
     """
-    return _rebuild(
+    from repro.perf.packed import LOAD_CODE
+
+    packed = trace.pack()
+    return _edit(
         trace,
         "-short",
-        lambda i, r: (
-            _with_flags(r, dl1_miss=False) if (r.is_load and r.dl1_miss) else r
-        ),
-    )
-
-
-def with_perfect_frontend(trace: Trace) -> Trace:
-    """Perfect branches and perfect I-cache (the ideal frontend)."""
-    ideal = with_perfect_branches(trace)
-    ideal = with_perfect_icache(ideal)
-    return Trace(ideal.records, name=f"{trace.name}+ideal-frontend")
-
-
-def truncate(trace: Trace, count: int) -> Trace:
-    """The first ``count`` records (a shorter but identical prefix)."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    return Trace(trace.records[:count], name=f"{trace.name}[:{count}]")
-
-
-def interleave(traces: Iterable[Trace], name: Optional[str] = None) -> Trace:
-    """Round-robin interleave several traces (an SMT-flavoured mix).
-
-    Dependence distances are scaled by the number of streams so each
-    stream's dataflow is preserved; the interleave is only meaningful
-    for ILP-style studies (addresses/PCs collide across streams).
-    """
-    streams: List[Trace] = list(traces)
-    if not streams:
-        raise ValueError("need at least one trace to interleave")
-    k = len(streams)
-    length = min(len(t) for t in streams)
-    records: List[TraceRecord] = []
-    for position in range(length):
-        for stream in streams:
-            original = stream.records[position]
-            scaled = tuple(min(d * k, 0xFFFF) for d in original.deps)
-            records.append(_with_flags(original, deps=scaled))
-    return Trace(
-        records, name=name or "+".join(t.name for t in streams)
+        "dl1_miss",
+        (packed.op == LOAD_CODE) & (packed.dl1_miss == 1),
     )

@@ -18,9 +18,8 @@ from repro.pipeline.inorder import simulate_inorder
 from repro.trace.synthetic import generate_trace
 from repro.trace.transforms import (
     with_perfect_branches,
-    with_perfect_dcache,
-    with_perfect_frontend,
     with_perfect_icache,
+    without_short_misses,
 )
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
@@ -81,7 +80,7 @@ class TestCounterfactualOrderings:
             for transform in (
                 with_perfect_branches,
                 with_perfect_icache,
-                with_perfect_dcache,
+                without_short_misses,
             ):
                 ideal_trace = transform(trace)
                 assert simulate(ideal_trace, config).cycles <= detailed.cycles
@@ -93,7 +92,9 @@ class TestCounterfactualOrderings:
     def test_perfect_frontend_dominates_single_transforms(self, bundles):
         config, out = bundles
         for name, (trace, _d, _i, _f, _m) in out.items():
-            both = simulate(with_perfect_frontend(trace), config)
+            both = simulate(
+                with_perfect_icache(with_perfect_branches(trace)), config
+            )
             only_branches = simulate(with_perfect_branches(trace), config)
             only_icache = simulate(with_perfect_icache(trace), config)
             assert both.cycles <= only_branches.cycles

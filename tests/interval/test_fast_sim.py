@@ -203,11 +203,12 @@ class TestReachabilityCache:
         trace = self._chain_trace()
         sim = FastIntervalSimulator(base_config)
         before = sim.estimate(trace)
-        version_before = trace.version
-        trace.append(TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True,
-                                 deps=(1,)))
-        assert trace.version != version_before
-        after = sim.estimate(trace)  # sees the appended dependent miss
+        grown = Trace(
+            trace.records
+            + [TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True, deps=(1,))],
+            name=trace.name,
+        )
+        after = sim.estimate(grown)  # sees the extra dependent miss
         assert after.long_dmiss_count == before.long_dmiss_count + 1
         assert after.long_dmiss_cycles == pytest.approx(
             before.long_dmiss_cycles + base_config.memory_latency

@@ -10,6 +10,7 @@ from repro.trace.profiles import WorkloadProfile
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
+from repro.workloads.spec_profiles import SPEC_PROFILES
 
 
 class TestEventPositions:
@@ -90,8 +91,9 @@ class TestPrediction:
         records = [TraceRecord(OpClass.IALU) for _ in range(5000)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
         model = IntervalModel(config)
-        prediction = model.predict(Trace(records))
-        drain = model.ilp_fit.predict_drain(32)
+        trace = Trace(records)
+        prediction = model.predict(trace)
+        drain = model.fit(trace).predict_drain(32)
         assert prediction.mispredict_cycles == pytest.approx(
             drain + config.frontend_depth
         )
@@ -100,3 +102,27 @@ class TestPrediction:
         prediction = IntervalModel(CoreConfig(), ilp_fit=None)
         trace = generate_trace(WorkloadProfile(), 256, seed=1)
         assert prediction.predict(trace).instructions == 256
+
+
+class TestFitPerTrace:
+    def traces(self):
+        return [
+            generate_trace(SPEC_PROFILES[name], 5000, seed=2006)
+            for name in ("gzip", "mcf")
+        ]
+
+    def test_one_instance_equals_fresh_instances(self):
+        config = CoreConfig()
+        shared = IntervalModel(config)
+        for trace in self.traces():
+            fresh = IntervalModel(config).predict(trace)
+            assert shared.predict(trace) == fresh
+        assert shared.ilp_fit is None
+
+    def test_a_given_fit_serves_every_trace(self):
+        config = CoreConfig()
+        gzip, mcf = self.traces()
+        fit = IntervalModel(config).fit(gzip)
+        model = IntervalModel(config, ilp_fit=fit)
+        assert model.fit(mcf) is fit
+        assert model.predict(mcf) != IntervalModel(config).predict(mcf)

@@ -96,6 +96,61 @@ class TestExperimentJob:
         assert decoded.experiment_id == "t1"
 
 
+class TestJobStore:
+    """A job's simulations go to the job's store, or to none."""
+
+    @pytest.fixture
+    def sanitized(self, monkeypatch):
+        from repro.analysis import sanitizer
+        from repro.harness.runner import clear_caches
+
+        monkeypatch.delenv(sanitizer.ENV_VAR, raising=False)
+        sanitizer.reset()
+        clear_caches()
+        yield sanitizer
+        sanitizer.reset()
+        clear_caches()
+
+    def test_no_cache_job_ignores_a_warm_environment_store(
+        self, tmp_path, monkeypatch, sanitized
+    ):
+        from repro.harness.runner import clear_caches
+
+        warm = tmp_path / "warm"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(warm))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        job = ExperimentJob(experiment_id="f1")
+        assert execute_job(job, str(warm)).ok
+        clear_caches()
+        objects = ResultStore(root=warm).count()
+        assert objects >= 2  # the experiment and its simulation
+
+        sanitized.enable()
+        result = execute_job(job, None, use_cache=False)
+        assert result.status == JobStatus.OK
+        assert result.sanitizer is not None
+        assert result.sanitizer["runs"] >= 1
+        assert ResultStore(root=warm).count() == objects
+
+    def test_simulations_go_to_the_job_store(
+        self, tmp_path, monkeypatch, sanitized
+    ):
+        from repro.harness.runner import DEFAULT_LENGTH, DEFAULT_SEED
+        from repro.lab.store import job_key
+
+        elsewhere = tmp_path / "env"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(elsewhere))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        run_store = tmp_path / "run"
+        job = ExperimentJob(experiment_id="f1")
+        assert execute_job(job, str(run_store)).ok
+        sim_key = job_key(
+            "sim-ooo", "twolf", DEFAULT_LENGTH, DEFAULT_SEED, CoreConfig()
+        )
+        assert ResultStore(root=run_store).get(sim_key) is not None
+        assert ResultStore(root=elsewhere).count() == 0
+
+
 class TestSweepJob:
     def test_expands_to_config_points(self):
         sweep = SweepJob(

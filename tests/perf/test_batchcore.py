@@ -248,18 +248,6 @@ class TestWrongPathGhosts:
 
 
 class TestTraceColumns:
-    def test_columns_are_cached_per_core_instance(self):
-        trace = generate_trace(profile(), 200, seed=41)
-        core = BatchedSuperscalarCore([CoreConfig()])
-        cols = core._plan_for(trace).cols
-        assert core._plan_for(trace).cols is cols
-        other = BatchedSuperscalarCore([CoreConfig()])
-        assert other._plan_for(trace).cols is not cols
-        trace.extend(generate_trace(profile(), 10, seed=43).records)
-        rebuilt = core._plan_for(trace).cols
-        assert rebuilt is not cols
-        assert rebuilt.n == len(trace)
-
     def test_finished_run_batch_frees_the_columns(
         self, monkeypatch, kernel_path
     ):

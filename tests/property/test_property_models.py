@@ -77,7 +77,7 @@ class TestEstimatorProperties:
         trace = generate_trace(profile, 600, seed=seed)
         model = IntervalModel(config)
         base = model.predict(trace)
-        ideal = IntervalModel(config, ilp_fit=model.ilp_fit).predict(
+        ideal = IntervalModel(config, ilp_fit=model.fit(trace)).predict(
             with_perfect_branches(trace)
         )
         assert ideal.cycles <= base.cycles + 1e-9

@@ -110,7 +110,7 @@ class RecordFunctionalSimulator:
 
     def run(self, max_instructions: int = 1_000_000) -> Trace:
         """Execute from the program start until HALT; return the trace."""
-        trace = Trace(name=self.program.name)
+        records = []
         program = self.program
         index = 0  # static instruction index
         dynamic = 0
@@ -166,7 +166,7 @@ class RecordFunctionalSimulator:
                 if target_index is not None
                 else None
             )
-            trace.append(
+            records.append(
                 TraceRecord(
                     op_class=inst.op_class,
                     pc=pc,
@@ -179,5 +179,7 @@ class RecordFunctionalSimulator:
             dynamic += 1
             index = target_index if target_index is not None else index + 1
         else:
-            raise ExecutionLimitExceeded(max_instructions, trace)
-        return trace
+            raise ExecutionLimitExceeded(
+                max_instructions, Trace(records, name=program.name)
+            )
+        return Trace(records, name=program.name)

@@ -2,8 +2,7 @@
 
 The figure path (statistics, the interval model, the ILP fit, the
 contributor decomposition, the batched and in-order cores, structural
-annotation) must read the columns and never build the record view; appending to a column-backed
-trace must leave it packing to the same columns as a record-built one.
+annotation) must read the columns and never build the record view.
 """
 
 import pytest
@@ -14,7 +13,6 @@ from repro.frontend.gshare import GSharePredictor
 from repro.interval.contributors import decompose_contributors
 from repro.interval.ilp import fit_ilp_profile
 from repro.interval.model import IntervalModel
-from repro.isa.opcodes import OpClass
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.perf.batchcore import run_batch
 from repro.perf.packed import PackedTrace
@@ -22,7 +20,6 @@ from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.workloads.spec_profiles import SPEC_PROFILES
@@ -72,28 +69,6 @@ def test_records_are_built_once():
     records = trace.records
     assert trace.records is records
     assert len(records) == len(trace) == 500
-
-
-@pytest.mark.parametrize("grow", ["append", "extend"])
-def test_mutation_repacks_the_records(grow):
-    trace = fresh(800)
-    before = trace.pack()
-    version = trace.version
-    extra = [
-        TraceRecord(OpClass.LOAD, pc=0x40, mem_addr=0x80, deps=(2,), dl1_miss=True),
-        TraceRecord(OpClass.BRANCH, pc=0x44, deps=(1,), taken=True, target=0x10),
-    ]
-    if grow == "append":
-        trace.append(extra[0])
-        extra = extra[:1]
-    else:
-        trace.extend(extra)
-    assert trace.version == version + 1
-    after = trace.pack()
-    assert after is not before
-    assert len(after) == 800 + len(extra)
-    assert after.equals(PackedTrace.pack(Trace(list(trace.records), name=trace.name)))
-    assert trace.statistics().instruction_count == len(trace)
 
 
 @pytest.mark.parametrize(

@@ -88,17 +88,18 @@ class TestRecordBuiltTraces:
     """The same folds over a packed record list, None annotations and
     dependences before record 0 included."""
 
+    def records(self):
+        return [
+            TraceRecord(OpClass.IALU, deps=(3,)),
+            TraceRecord(OpClass.BRANCH, deps=(1,), taken=True),
+            TraceRecord(OpClass.LOAD, mem_addr=8, deps=(2, 1), dl1_miss=None),
+            TraceRecord(OpClass.BRANCH, mispredict=True, il1_miss=True),
+            TraceRecord(OpClass.LOAD, mem_addr=16, dl2_miss=True, deps=(9,)),
+            TraceRecord(OpClass.IDIV, deps=(1, 4)),
+        ]
+
     def trace(self):
-        return Trace(
-            [
-                TraceRecord(OpClass.IALU, deps=(3,)),
-                TraceRecord(OpClass.BRANCH, deps=(1,), taken=True),
-                TraceRecord(OpClass.LOAD, mem_addr=8, deps=(2, 1), dl1_miss=None),
-                TraceRecord(OpClass.BRANCH, mispredict=True, il1_miss=True),
-                TraceRecord(OpClass.LOAD, mem_addr=16, dl2_miss=True, deps=(9,)),
-                TraceRecord(OpClass.IDIV, deps=(1, 4)),
-            ]
-        )
+        return Trace(self.records())
 
     def test_matches_oracle(self):
         trace = self.trace()
@@ -127,8 +128,9 @@ class TestRecordBuiltTraces:
         ],
     )
     def test_validate_names_the_first_bad_record(self, mutate, message):
-        trace = self.trace()
-        mutate(trace.records)
+        records = self.records()
+        mutate(records)
+        trace = Trace(records)
         with pytest.raises(ValueError, match=message):
             scalar_validate(trace)
         with pytest.raises(ValueError, match=message):

@@ -1,22 +1,27 @@
-"""Unit tests for trace transformations."""
+"""Unit tests for trace transformations, and their record oracle."""
 
+import numpy as np
 import pytest
 
 from repro.interval.penalty import measure_penalties
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.stream import Trace
+from repro.trace.record import TraceRecord
 from repro.trace.synthetic import generate_trace
 from repro.trace.transforms import (
-    interleave,
-    truncate,
     with_perfect_branches,
-    with_perfect_dcache,
-    with_perfect_frontend,
     with_perfect_icache,
     without_short_misses,
 )
+from repro.workloads.spec_profiles import SPEC_PROFILES
+from tests.trace import record_transforms
+
+TRANSFORMS = {
+    "with_perfect_branches": with_perfect_branches,
+    "with_perfect_icache": with_perfect_icache,
+    "without_short_misses": without_short_misses,
+}
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +58,6 @@ class TestPerfectCaches:
         ideal = with_perfect_icache(trace)
         assert not any(r.il1_miss for r in ideal.records)
 
-    def test_perfect_dcache_removes_all_miss_classes(self, trace):
-        ideal = with_perfect_dcache(trace)
-        for record in ideal.records:
-            if record.is_load:
-                assert not record.dl1_miss
-                assert not record.dl2_miss
-
     def test_without_short_misses_keeps_long(self, trace):
         thinned = without_short_misses(trace)
         original_long = sum(
@@ -83,51 +81,37 @@ class TestPerfectCaches:
         assert thinned.mean_resolution < base.mean_resolution
 
     def test_perfect_frontend_combines(self, trace):
-        ideal = with_perfect_frontend(trace)
+        ideal = with_perfect_icache(with_perfect_branches(trace))
         assert not ideal.mispredicted_indices()
         assert not any(r.il1_miss for r in ideal.records)
-        assert "ideal-frontend" in ideal.name
+        assert ideal.name == f"{trace.name}+perfect-bp+perfect-il1"
 
 
-class TestStructural:
-    def test_truncate(self, trace):
-        short = truncate(trace, 100)
-        assert len(short) == 100
-        assert short.records == trace.records[:100]
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+@pytest.mark.parametrize("workload", sorted(SPEC_PROFILES))
+def test_column_edit_matches_the_record_oracle(workload, transform):
+    trace = generate_trace(SPEC_PROFILES[workload], 3000, seed=29)
+    got = TRANSFORMS[transform](trace).pack()
+    want = getattr(record_transforms, transform)(trace).pack()
+    assert got.name == want.name
+    assert np.array_equal(got.columns, want.columns)
+    assert got.dep_indptr.dtype == want.dep_indptr.dtype
+    assert got.dep_data.dtype == want.dep_data.dtype
+    assert np.array_equal(got.dep_indptr, want.dep_indptr)
+    assert np.array_equal(got.dep_data, want.dep_data)
 
-    def test_truncate_negative_raises(self, trace):
-        with pytest.raises(ValueError):
-            truncate(trace, -1)
 
-    def test_truncate_beyond_length(self, trace):
-        assert len(truncate(trace, 10**9)) == len(trace)
+@pytest.mark.parametrize("transform", sorted(TRANSFORMS))
+def test_column_edit_builds_no_record_and_leaves_the_original(
+    monkeypatch, trace, transform
+):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a transform built a TraceRecord")
 
-    def test_interleave_preserves_per_stream_dataflow(self):
-        a = generate_trace(WorkloadProfile(name="a"), 2000, seed=1)
-        b = generate_trace(WorkloadProfile(name="b"), 2000, seed=2)
-        mixed = interleave([a, b])
-        assert len(mixed) == 4000
-        mixed.validate()
-        # doubled distances: stream-a record at 2i depends on 2i - 2d
-        for i in (10, 100, 500):
-            assert mixed.records[2 * i].deps == tuple(
-                min(2 * d, 0xFFFF) for d in a.records[i].deps
-            )
-
-    def test_interleave_raises_ilp(self):
-        serial = WorkloadProfile(
-            name="s", mean_dependence_distance=1.0, chain_dep_fraction=1.0
-        )
-        a = generate_trace(serial, 3000, seed=1)
-        b = generate_trace(serial, 3000, seed=2)
-        mixed = interleave([a, b])
-        assert mixed.dataflow_ipc() > 1.5 * a.dataflow_ipc()
-
-    def test_interleave_empty_raises(self):
-        with pytest.raises(ValueError):
-            interleave([])
-
-    def test_interleave_single_stream_identity_lengths(self, trace):
-        mixed = interleave([trace])
-        assert len(mixed) == len(trace)
-        assert mixed.records[5].deps == trace.records[5].deps
+    before = trace.pack().columns.copy()
+    monkeypatch.setattr(TraceRecord, "__init__", refuse)
+    edited = TRANSFORMS[transform](trace)
+    assert edited._records is None
+    assert np.array_equal(trace.pack().columns, before)
+    assert edited.pack().dep_data is trace.pack().dep_data
+    assert edited.pack().dep_indptr is trace.pack().dep_indptr
