@@ -8,7 +8,7 @@ trace generation. Several rounds give real timing distributions.
 
 import pytest
 
-from repro.interval.fast_sim import FastIntervalSimulator
+from repro.interval.model import IntervalModel
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
@@ -61,9 +61,9 @@ def test_throughput_inorder_core(benchmark, trace, config):
 
 
 def test_throughput_interval_simulation(benchmark, trace, config):
-    simulator = FastIntervalSimulator(config)
+    model = IntervalModel(config)
     estimate = benchmark.pedantic(
-        lambda: simulator.estimate(trace), rounds=3, iterations=1
+        lambda: model.estimate(trace), rounds=3, iterations=1
     )
     assert estimate.instructions == N
 

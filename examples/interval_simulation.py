@@ -11,7 +11,7 @@ Run:  python examples/interval_simulation.py
 """
 
 from repro import CoreConfig
-from repro.interval.fast_sim import compare_with_detailed
+from repro.interval.model import compare_with_detailed
 from repro.trace.synthetic import generate_trace
 from repro.util.tabulate import format_table
 from repro.workloads import SPEC_PROFILES

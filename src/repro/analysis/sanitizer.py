@@ -238,8 +238,9 @@ class Sanitizer:
             )
 
     def check_fast_estimate(self, estimate: Any, frontend_depth: int) -> None:
-        """Interval-simulation identity: the misprediction component is
-        the sum of per-branch resolutions plus one refill per branch."""
+        """Interval-simulation identity (``IntervalModel.estimate``): the
+        misprediction component is the sum of per-branch resolutions
+        plus one refill per branch."""
         self.checks_run += 1
         expected = sum(estimate.resolutions) + (
             estimate.mispredict_count * frontend_depth

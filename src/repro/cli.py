@@ -784,10 +784,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         measure_penalties(result)
         build_cpi_stack(result, config.dispatch_width)
     if args.fast:
-        from repro.interval.fast_sim import FastIntervalSimulator
+        from repro.interval.model import IntervalModel
 
         with stage("fast_sim.estimate"):
-            FastIntervalSimulator(config).estimate(trace)
+            IntervalModel(config).estimate(trace)
     spans.finish(root)
 
     rows = []

@@ -22,7 +22,7 @@ from repro.harness.runner import (
 from repro.interval.contributors import decompose_contributors
 from repro.interval.cpi_stack import build_cpi_stack
 from repro.interval.ilp import fit_ilp_profile
-from repro.interval.model import IntervalModel
+from repro.interval.model import IntervalModel, compare_with_detailed
 from repro.interval.penalty import (
     bucket_resolution_by_gap,
     measure_penalties,
@@ -662,8 +662,6 @@ def run_f15() -> ExperimentResult:
 
 def run_f16() -> ExperimentResult:
     """F16 (extension): interval simulation vs cycle-level simulation."""
-    from repro.interval.fast_sim import compare_with_detailed
-
     config = baseline_config()
     rows = []
     for name in SUITE:

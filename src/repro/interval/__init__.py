@@ -25,13 +25,13 @@ Modules
     evaluating the branch's backward slice under incremental latency
     models (unit -> FU -> FU+short-miss) plus the refill.
 ``model``
-    First-order interval CPI model: predicts total CPI and the mean
-    misprediction penalty from trace statistics and the ILP fit, for
-    validation against simulation (T3).
-``fast_sim``
-    Interval *simulation*: the one-pass analytical simulator this
-    paper's analysis later grew into (the Sniper lineage) — per-event
-    backward-slice penalties at a 10-50x speedup over the cycle core.
+    The interval estimator: one walk over the miss events with two
+    drain rules. ``predict`` is the first-order CPI model over the ILP
+    fit, validated against simulation (T3); ``estimate`` is interval
+    *simulation*, the one-pass analytical simulator this paper's
+    analysis later grew into (the Sniper lineage), charging each
+    misprediction its backward slice at a several-fold speedup over
+    the cycle core (F16).
 ``cpi_stack``
     Interval-style CPI stacks (base / bpred / I-cache / long D-cache).
 """
@@ -57,10 +57,9 @@ from repro.interval.contributors import (
     ContributorBreakdown,
     decompose_contributors,
 )
-from repro.interval.model import IntervalModel, ModelPrediction
-from repro.interval.fast_sim import (
-    FastEstimate,
-    FastIntervalSimulator,
+from repro.interval.model import (
+    IntervalModel,
+    ModelPrediction,
     compare_with_detailed,
 )
 from repro.interval.cpi_stack import CPIStack, build_cpi_stack
@@ -91,8 +90,6 @@ __all__ = [
     "decompose_contributors",
     "IntervalModel",
     "ModelPrediction",
-    "FastEstimate",
-    "FastIntervalSimulator",
     "compare_with_detailed",
     "CPIStack",
     "build_cpi_stack",

@@ -1,16 +1,16 @@
-"""First-order interval CPI model.
+"""Interval analysis as an estimator: one event walk, two drain rules.
 
-Predicts total execution time from *trace statistics alone* (no timing
-simulation), in the style the paper's interval analysis enables:
+Predicts total execution time by walking the trace's miss events once,
+in the style the paper's interval analysis enables:
 
 ``cycles = N/D  +  sum over miss events of their penalties``
 
-* each branch misprediction costs ``K(n) + frontend_depth`` where
-  ``K`` is the window-drain profile fitted with *steady-state*
+* between events, instructions cost ``1 / dispatch_width`` cycles;
+* each branch misprediction costs its window drain plus the frontend
+  refill. The window holds the instructions since the previous miss
+  event, bounded by the ROB size (contributor C2), under *steady-state*
   latencies (FU + L1 + short misses; long misses are events of their
-  own and must not leak into the drain profile) and ``n`` the expected
-  window occupancy when the branch dispatches (bounded by the gap to
-  the previous miss event and by the ROB size — contributor C2);
+  own and must not leak into the drain);
 * each I-cache miss costs its fill latency;
 * long D-cache misses cost the memory latency, with overlapping
   (clustered) misses within one window sharing a single latency — the
@@ -18,15 +18,27 @@ simulation), in the style the paper's interval analysis enables:
   the later miss depends on the earlier one (pointer chasing), in
   which case the latencies serialize.
 
-Comparing the prediction against the simulator validates the model
-(experiment T3) exactly as the paper validates interval analysis.
+The two public methods differ only in the drain:
+
+* :meth:`IntervalModel.predict` (the first-order model, experiment T3)
+  charges the fitted power law ``K(occupancy)``;
+* :meth:`IntervalModel.estimate` (interval simulation, the Sniper
+  lineage, experiment F16) charges each branch's *measured backward
+  slice*: the critical path of the dependence chain feeding it within
+  its window. It is several times faster than the SoA detailed core
+  (:func:`~repro.pipeline.core.simulate`) at a few percent CPI error;
+  :func:`compare_with_detailed` times the two.
+
+Comparing either against the simulator validates interval analysis
+exactly as the paper does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.analysis import sanitizer as _sanitizer
 from repro.interval.ilp import (
     ILPFit,
     LatencyColumn,
@@ -34,14 +46,20 @@ from repro.interval.ilp import (
     fit_ilp_profile,
     load_latencies,
 )
+from repro.obs import runtime as _obs
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimulationResult
 from repro.trace.stream import Trace
+from repro.util.timing import Stopwatch
+
+if TYPE_CHECKING:
+    from repro.perf.packed import PackedTrace
 
 
 @dataclass(frozen=True)
 class ModelPrediction:
-    """Predicted cycle budget and its components."""
+    """Predicted cycle budget, its components, and the resolution the
+    drain rule charged each misprediction, in dynamic order."""
 
     instructions: int
     base_cycles: float
@@ -51,7 +69,7 @@ class ModelPrediction:
     mispredict_count: int
     icache_count: int
     long_dmiss_count: int
-    mean_penalty: float
+    resolutions: Tuple[float, ...] = field(repr=False)
 
     @property
     def cycles(self) -> float:
@@ -68,6 +86,18 @@ class ModelPrediction:
             return 0.0
         return self.cycles / self.instructions
 
+    @property
+    def ipc(self) -> float:
+        if not self.cycles:
+            return 0.0
+        return self.instructions / self.cycles
+
+    @property
+    def mean_penalty(self) -> float:
+        if not self.mispredict_count:
+            return 0.0
+        return self.mispredict_cycles / self.mispredict_count
+
     def error_vs(self, result: SimulationResult) -> float:
         """Relative CPI error against a simulation of the same trace."""
         if not result.cycles:
@@ -83,11 +113,40 @@ class ModelPrediction:
         }
 
 
-class IntervalModel:
-    """First-order model over an annotated trace.
+def _window_depth(
+    packed: PackedTrace, latency: List[int], window_start: int, branch_seq: int
+) -> int:
+    """Critical-path length of the chain ending at ``branch_seq`` within
+    ``[window_start, branch_seq]``.
 
-    ``ilp_fit``, when given, is the drain profile for every trace;
-    otherwise each :meth:`predict` fits the trace it is given.
+    Equal to :func:`~repro.interval.ilp.backward_slice_latency` over the
+    same window: finishing every instruction of the window in program
+    order, dependences before the window satisfied, gives each one the
+    depth of its own slice. The estimate's windows are whole gaps
+    between events, so one forward walk beats collecting the slice.
+    """
+    offsets, distances = packed.window_deps(window_start, branch_seq + 1)
+    finish: List[int] = []
+    append = finish.append
+    lo = 0
+    for at, hi in enumerate(offsets[1:]):
+        begin = 0
+        for dist in distances[lo:hi]:
+            if dist <= at:
+                done = finish[at - dist]
+                if done > begin:
+                    begin = done
+        append(begin + latency[window_start + at])
+        lo = hi
+    return finish[-1]
+
+
+class IntervalModel:
+    """Interval estimator over an annotated trace.
+
+    ``ilp_fit``, when given, is the drain profile :meth:`predict` uses
+    for every trace; otherwise each :meth:`predict` fits the trace it
+    is given. :meth:`estimate` needs no fit.
     """
 
     def __init__(
@@ -140,65 +199,130 @@ class IntervalModel:
             return self.ilp_fit
         return fit_ilp_profile(trace, latency_of=self._steady_latency(trace))
 
-    def predict(self, trace: Trace) -> ModelPrediction:
-        """Predict total cycles for an annotated trace."""
+    def _walk(
+        self, trace: Trace, drain: Callable[[int, int], float]
+    ) -> ModelPrediction:
+        """The one event walk behind :meth:`predict` and :meth:`estimate`.
+
+        ``drain(seq, occupancy)`` is the resolution of the misprediction
+        at ``seq`` whose window holds the ``occupancy`` instructions
+        before it.
+        """
         config = self.config
         n = len(trace)
-        fit = self.fit(trace)
-        positions = self.event_positions(trace)
-
-        base_cycles = n / config.dispatch_width
-
         mispredict_cycles = 0.0
         icache_cycles = 0.0
-        mispredict_count = 0
+        long_dmiss_cycles = 0.0
         icache_count = 0
-        last_event_seq = -1
-        long_positions: List[int] = []
-        for seq, kind in positions:
-            gap = seq - last_event_seq - 1
+        long_count = 0
+        resolutions: List[float] = []
+        last_event = -1
+        previous_long: Optional[int] = None
+        for seq, kind in self.event_positions(trace):
             if kind == "bpred":
-                occupancy = min(gap, config.rob_size)
-                resolution = fit.predict_drain(occupancy)
+                occupancy = min(seq - last_event - 1, config.rob_size)
+                resolution = drain(seq, occupancy)
+                resolutions.append(resolution)
                 mispredict_cycles += resolution + config.frontend_depth
-                mispredict_count += 1
             elif kind == "icache":
                 icache_cycles += config.l2_latency
                 icache_count += 1
             else:
-                long_positions.append(seq)
-            last_event_seq = seq
-
-        # Long D-miss MLP correction: misses within one ROB-reach of the
-        # previous long miss overlap and share a single memory latency —
-        # unless the later load depends on the earlier one, in which
-        # case the accesses serialize (pointer chasing).
-        long_dmiss_cycles = 0.0
-        long_count = len(long_positions)
-        previous = None
-        for seq in long_positions:
-            independent = previous is None or seq - previous > config.rob_size
-            if not independent and depends_on(trace, seq, previous):
-                independent = True
-            if independent:
-                long_dmiss_cycles += config.memory_latency
-            previous = seq
-
-        mean_penalty = (
-            mispredict_cycles / mispredict_count if mispredict_count else 0.0
-        )
+                # Long D-miss MLP correction: a miss within one ROB-reach
+                # of the previous long miss overlaps it and shares its
+                # latency, unless it depends on it (pointer chasing).
+                long_count += 1
+                if (
+                    previous_long is None
+                    or seq - previous_long > config.rob_size
+                    or depends_on(trace, seq, previous_long)
+                ):
+                    long_dmiss_cycles += config.memory_latency
+                previous_long = seq
+            last_event = seq
         return ModelPrediction(
             instructions=n,
-            base_cycles=base_cycles,
+            base_cycles=n / config.dispatch_width,
             mispredict_cycles=mispredict_cycles,
             icache_cycles=icache_cycles,
             long_dmiss_cycles=long_dmiss_cycles,
-            mispredict_count=mispredict_count,
+            mispredict_count=len(resolutions),
             icache_count=icache_count,
             long_dmiss_count=long_count,
-            mean_penalty=mean_penalty,
+            resolutions=tuple(resolutions),
         )
 
-    def predict_mean_penalty(self, trace: Trace) -> float:
-        """Predicted average misprediction penalty for the trace."""
-        return self.predict(trace).mean_penalty
+    def predict(self, trace: Trace) -> ModelPrediction:
+        """The first-order model: each misprediction drains by the
+        fitted profile, ``K(occupancy)``."""
+        predict_drain = self.fit(trace).predict_drain
+        return self._walk(trace, lambda seq, occupancy: predict_drain(occupancy))
+
+    def estimate(self, trace: Trace) -> ModelPrediction:
+        """Interval simulation: each misprediction drains by its measured
+        backward slice over its window."""
+        packed = trace.pack()
+        latency = self._steady_latency(trace).column.tolist()
+        estimate = self._walk(
+            trace,
+            lambda seq, occupancy: _window_depth(
+                packed, latency, seq - occupancy, seq
+            ),
+        )
+        metrics = _obs.current_metrics()
+        if metrics is not None:
+            metrics.counter("fast_sim.estimates_total").inc()
+            metrics.counter("fast_sim.mispredicts_total").inc(
+                estimate.mispredict_count
+            )
+            metrics.counter("fast_sim.instructions_total").inc(len(trace))
+        san = _sanitizer.current()
+        if san is not None:
+            san.check_fast_estimate(estimate, self.config.frontend_depth)
+        return estimate
+
+
+#: Timed rounds of each simulator in :func:`compare_with_detailed`.
+_TIMING_ROUNDS = 3
+
+
+def compare_with_detailed(
+    trace: Trace, config: CoreConfig = CoreConfig()
+) -> Dict[str, float]:
+    """Run the detailed core and :meth:`IntervalModel.estimate` on the
+    same trace; return the comparison.
+
+    Keys: ``detailed_cycles``, ``fast_cycles``, ``cpi_error``,
+    ``speedup``, ``detailed_penalty``, ``fast_penalty``,
+    ``detailed_seconds``, ``fast_seconds``. The two simulators run in
+    ``_TIMING_ROUNDS`` interleaved pairs, and each side is timed by
+    its best round, so one slow run on a noisy host does not move the
+    speedup. Every round is a full run (observed like any other); the
+    results are deterministic, so the last round's are reported.
+    """
+    from repro.interval.penalty import measure_penalties
+    from repro.pipeline.core import simulate
+
+    model = IntervalModel(config)
+    detailed_seconds = fast_seconds = float("inf")
+    for _ in range(_TIMING_ROUNDS):
+        # The speedup is quoted against the detailed core the figures run.
+        watch = Stopwatch()
+        detailed = simulate(trace, config)
+        detailed_seconds = min(detailed_seconds, watch.elapsed)
+        watch = Stopwatch()
+        fast = model.estimate(trace)
+        fast_seconds = min(fast_seconds, watch.elapsed)
+    report = measure_penalties(detailed)
+    return {
+        "detailed_cycles": float(detailed.cycles),
+        "fast_cycles": fast.cycles,
+        "cpi_error": fast.error_vs(detailed),
+        "speedup": (
+            detailed_seconds / fast_seconds if fast_seconds > 0 else float("inf")
+        ),
+        "detailed_penalty": report.mean_penalty,
+        "fast_penalty": fast.mean_penalty,
+        "detailed_seconds": detailed_seconds,
+        "fast_seconds": fast_seconds,
+    }

@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.frontend.bimodal import BimodalPredictor
 from repro.frontend.gshare import GSharePredictor
 from repro.frontend.local import LocalPredictor
-from repro.interval.fast_sim import FastIntervalSimulator
 from repro.interval.model import IntervalModel
 from repro.perf.batchcore import BatchedSuperscalarCore
 from repro.perf.packed import PackedTrace
@@ -186,8 +185,8 @@ def run_benchmarks(
     )
 
     # Interval simulation.
-    scalar_sim = FastIntervalSimulator(config)
-    spec("fast_sim_scalar", lambda: scalar_sim.estimate(trace), n)
+    model = IntervalModel(config)
+    spec("fast_sim_scalar", lambda: model.estimate(trace), n)
 
     # Predictor replay (throughput counted in branches).
     def scalar_replay(name: str) -> Callable[[], None]:
@@ -224,7 +223,7 @@ def run_benchmarks(
     # End to end: cold columnar generation, then F16's interval estimate.
     spec(
         "end_to_end_scalar",
-        lambda: FastIntervalSimulator(config).estimate(
+        lambda: IntervalModel(config).estimate(
             generate_trace(profile, length, BENCH_SEED)
         ),
         n,

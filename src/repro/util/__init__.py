@@ -8,7 +8,6 @@ from repro.util.rng import SplitMix, derive_seed
 from repro.util.stats import (
     Histogram,
     OnlineStats,
-    RunningMean,
     bucketize,
     percentile,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "derive_seed",
     "Histogram",
     "OnlineStats",
-    "RunningMean",
     "bucketize",
     "percentile",
     "format_table",

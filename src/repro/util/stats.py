@@ -6,26 +6,6 @@ import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 
-class RunningMean:
-    """Incrementally maintained arithmetic mean."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-
-    def add(self, value: float, weight: float = 1.0) -> None:
-        self.count += 1
-        self.total += value * weight
-        self._weight_total = getattr(self, "_weight_total", 0.0) + weight
-
-    @property
-    def mean(self) -> float:
-        weight_total = getattr(self, "_weight_total", 0.0)
-        if weight_total == 0.0:
-            return 0.0
-        return self.total / weight_total
-
-
 class OnlineStats:
     """Welford online mean/variance with min/max tracking."""
 

@@ -9,7 +9,6 @@ bounds that must hold among them on shared traces.
 
 import pytest
 
-from repro.interval.fast_sim import FastIntervalSimulator
 from repro.interval.model import IntervalModel
 from repro.interval.penalty import measure_penalties
 from repro.pipeline.config import CoreConfig
@@ -36,7 +35,7 @@ def bundles():
         trace = generate_trace(SPEC_PROFILES[name], N, seed=777)
         detailed = simulate(trace, config)
         in_order = simulate_inorder(trace, config)
-        fast = FastIntervalSimulator(config).estimate(trace)
+        fast = IntervalModel(config).estimate(trace)
         model = IntervalModel(config).predict(trace)
         out[name] = (trace, detailed, in_order, fast, model)
     return config, out

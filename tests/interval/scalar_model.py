@@ -143,11 +143,13 @@ def scalar_predict(trace: Trace, config: CoreConfig) -> ModelPrediction:
     icache_count = 0
     last_event_seq = -1
     long_positions: List[int] = []
+    resolutions: List[float] = []
     for seq, kind in scalar_event_positions(trace):
         gap = seq - last_event_seq - 1
         if kind == "bpred":
             occupancy = min(gap, config.rob_size)
             resolution = fit.predict_drain(occupancy)
+            resolutions.append(resolution)
             mispredict_cycles += resolution + config.frontend_depth
             mispredict_count += 1
         elif kind == "icache":
@@ -174,7 +176,5 @@ def scalar_predict(trace: Trace, config: CoreConfig) -> ModelPrediction:
         mispredict_count=mispredict_count,
         icache_count=icache_count,
         long_dmiss_count=len(long_positions),
-        mean_penalty=(
-            mispredict_cycles / mispredict_count if mispredict_count else 0.0
-        ),
+        resolutions=tuple(resolutions),
     )

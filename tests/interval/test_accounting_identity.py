@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.interval.cpi_stack import build_cpi_stack
-from repro.interval.fast_sim import FastIntervalSimulator
+from repro.interval.model import IntervalModel
 from repro.interval.penalty import measure_penalties
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
@@ -115,7 +115,7 @@ def test_tracer_observes_the_identity_per_event():
 
 def test_fast_estimate_obeys_the_same_identity(simulated):
     trace, config, _ = simulated
-    fast = FastIntervalSimulator(config).estimate(trace)
+    fast = IntervalModel(config).estimate(trace)
     expected = (
         sum(fast.resolutions)
         + len(fast.resolutions) * config.frontend_depth

@@ -1,4 +1,5 @@
-"""Unit tests for the first-order interval model."""
+"""Unit tests for the interval estimator: the first-order model
+(``predict``) and the accounting it shares with ``estimate``."""
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.trace.profiles import WorkloadProfile
 from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
+from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
 
@@ -82,7 +84,7 @@ class TestPrediction:
         from repro.interval.penalty import measure_penalties
 
         measured = measure_penalties(result).mean_penalty
-        predicted = IntervalModel(config).predict_mean_penalty(trace)
+        predicted = IntervalModel(config).predict(trace).mean_penalty
         assert predicted == pytest.approx(measured, rel=0.45)
 
     def test_occupancy_bounded_by_rob(self):
@@ -126,3 +128,36 @@ class TestFitPerTrace:
         model = IntervalModel(config, ilp_fit=fit)
         assert model.fit(mcf) is fit
         assert model.predict(mcf) != IntervalModel(config).predict(mcf)
+
+
+@pytest.mark.parametrize("name", list(SPEC_PROFILES))
+def test_predict_and_estimate_share_one_accounting(name):
+    """Both drain rules walk the same events: everything but the
+    misprediction drain agrees exactly, and each misprediction is
+    charged its resolution plus one refill."""
+    config = CoreConfig()
+    trace = generate_trace(SPEC_PROFILES[name], 6000, seed=derive_seed(2006, name))
+    model = IntervalModel(config)
+    predicted = model.predict(trace)
+    estimated = model.estimate(trace)
+    for field in (
+        "instructions",
+        "base_cycles",
+        "icache_cycles",
+        "long_dmiss_cycles",
+        "mispredict_count",
+        "icache_count",
+        "long_dmiss_count",
+    ):
+        assert getattr(predicted, field) == getattr(estimated, field), field
+    assert estimated.mispredict_count > 0
+    for result in (predicted, estimated):
+        assert len(result.resolutions) == result.mispredict_count
+        assert result.mispredict_cycles == pytest.approx(
+            sum(result.resolutions)
+            + result.mispredict_count * config.frontend_depth
+        )
+    assert estimated.mispredict_cycles == (
+        sum(estimated.resolutions)
+        + estimated.mispredict_count * config.frontend_depth
+    )

@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.interval.fast_sim import FastIntervalSimulator
 from repro.interval.model import IntervalModel
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
@@ -64,7 +63,7 @@ class TestEstimatorProperties:
     def test_fast_sim_components_and_counts(self, profile, seed):
         config = CoreConfig()
         trace = generate_trace(profile, 600, seed=seed)
-        fast = FastIntervalSimulator(config).estimate(trace)
+        fast = IntervalModel(config).estimate(trace)
         assert fast.cycles >= 600 / config.dispatch_width
         assert fast.mispredict_count == len(trace.mispredicted_indices())
         assert all(r >= 1 for r in fast.resolutions)

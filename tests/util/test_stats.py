@@ -7,27 +7,9 @@ import pytest
 from repro.util.stats import (
     Histogram,
     OnlineStats,
-    RunningMean,
     bucketize,
     percentile,
 )
-
-
-class TestRunningMean:
-    def test_empty_is_zero(self):
-        assert RunningMean().mean == 0.0
-
-    def test_simple_mean(self):
-        rm = RunningMean()
-        for v in (1.0, 2.0, 3.0):
-            rm.add(v)
-        assert rm.mean == pytest.approx(2.0)
-
-    def test_weighted(self):
-        rm = RunningMean()
-        rm.add(1.0, weight=3.0)
-        rm.add(5.0, weight=1.0)
-        assert rm.mean == pytest.approx(2.0)
 
 
 class TestOnlineStats:
