@@ -3,7 +3,7 @@
 Unlike the experiment benches (timed once — their output is the table),
 these measure the infrastructure: instructions simulated per second for
 the cycle-level core, the in-order core, and interval simulation, plus
-trace generation. Several rounds give real timing distributions.
+trace generation and trace-file loading. Several rounds give real timing distributions.
 """
 
 import pytest
@@ -68,11 +68,12 @@ def test_throughput_interval_simulation(benchmark, trace, config):
     assert estimate.instructions == N
 
 
-def test_throughput_pack(benchmark, trace):
-    from repro.perf.packed import PackedTrace
+def test_throughput_trace_file_load(benchmark, trace, tmp_path):
+    from repro.trace.io import load_trace, save_trace
 
-    packed = benchmark.pedantic(
-        lambda: PackedTrace.pack(trace), rounds=3, iterations=1
+    path = tmp_path / "speed.trc"
+    save_trace(trace, path)
+    loaded = benchmark.pedantic(
+        lambda: load_trace(path), rounds=3, iterations=1
     )
-    assert len(packed) == N
-
+    assert len(loaded) == N

@@ -26,7 +26,6 @@ from repro.trace import (
     FunctionalSimulator,
     SyntheticTraceGenerator,
     Trace,
-    TraceRecord,
     WorkloadProfile,
     generate_trace,
     load_trace,
@@ -40,7 +39,6 @@ from repro.frontend import (
     LocalPredictor,
     PerceptronPredictor,
     PerfectPredictor,
-    ReturnAddressStack,
     StaticPredictor,
     TAGEPredictor,
     TournamentPredictor,
@@ -88,7 +86,6 @@ __all__ = [
     "FunctionalSimulator",
     "SyntheticTraceGenerator",
     "Trace",
-    "TraceRecord",
     "WorkloadProfile",
     "generate_trace",
     "load_trace",
@@ -101,7 +98,6 @@ __all__ = [
     "LocalPredictor",
     "PerceptronPredictor",
     "PerfectPredictor",
-    "ReturnAddressStack",
     "StaticPredictor",
     "TAGEPredictor",
     "TournamentPredictor",

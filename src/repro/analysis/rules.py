@@ -507,96 +507,6 @@ class MetricNameRule(Rule):
 
 
 @register
-class PerRecordLoopRule(Rule):
-    """No per-record Python loops over ``trace.records`` in the column
-    consumers: ``perf/``, ``interval/`` and ``harness/``.
-
-    A generated trace is held as columns and builds its record objects
-    only when asked; a Python loop over them silently reintroduces the
-    very overhead the :class:`~repro.perf.packed.PackedTrace` layout
-    removes, and builds every record of the trace first. Loops over
-    an ``.unpack()`` result are the same regression through the other
-    door — unpacking a column store back to records to iterate them —
-    so they are flagged too (``batchcore`` must go through
-    :class:`~repro.perf.batchcore.TraceColumns`, never back to record
-    objects). The legitimate record walks — packing itself and the
-    scalar baselines kept as oracles — carry
-    ``# repro: noqa[PERF001]`` with a justification.
-    """
-
-    id = "PERF001"
-    name = "per-record-loop"
-    description = (
-        "no Python for-loops/comprehensions over trace.records or "
-        ".unpack() results in perf/, interval/ or harness/; operate on "
-        "PackedTrace/TraceColumns columns (escape hatch: "
-        "# repro: noqa[PERF001])"
-    )
-    scope = ("perf", "interval", "harness")
-
-    def _is_records(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Attribute) and node.attr == "records":
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            # packed.unpack() hands back per-record objects; iterating
-            # the result (Trace is iterable) is a per-record loop.
-            if isinstance(func, ast.Attribute) and func.attr == "unpack":
-                return True
-            # enumerate(t.records), zip(...), iter(packed.unpack()), ...
-            return any(self._is_records(arg) for arg in node.args)
-        return False
-
-    def _records_names_in(self, func: ast.AST) -> Set[str]:
-        """Local names bound to a ``.records`` expression."""
-        names: Set[str] = set()
-        for node in ast.walk(func):
-            value = None
-            targets: List[ast.AST] = []
-            if isinstance(node, ast.Assign):
-                value, targets = node.value, list(node.targets)
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                value, targets = node.value, [node.target]
-            if value is None or not self._is_records(value):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        return names
-
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            records_names = self._records_names_in(func)
-
-            def loops_records(it: ast.AST) -> bool:
-                if self._is_records(it):
-                    return True
-                if isinstance(it, ast.Name) and it.id in records_names:
-                    return True
-                if isinstance(it, ast.Call):
-                    return any(loops_records(arg) for arg in it.args)
-                return False
-
-            for node in ast.walk(func):
-                iters: List[ast.AST] = []
-                if isinstance(node, ast.For):
-                    iters.append(node.iter)
-                elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                       ast.DictComp, ast.GeneratorExp)):
-                    iters.extend(gen.iter for gen in node.generators)
-                for it in iters:
-                    if loops_records(it):
-                        yield self.violation(
-                            ctx, it,
-                            "per-record Python loop over trace.records in "
-                            "a column consumer; use PackedTrace columns (or "
-                            "justify with # repro: noqa[PERF001])",
-                        )
-
-
-@register
 class AtomicWriteRule(Rule):
     """Run-state files must go through the crash-safe write helpers.
 
@@ -885,7 +795,6 @@ __all__ = [
     "FrozenConfigRule",
     "MetricNameRule",
     "MutableDefaultRule",
-    "PerRecordLoopRule",
     "PrintInLibraryRule",
     "SIM_SCOPE",
     "SetIterationRule",

@@ -129,7 +129,14 @@ def _trace_from(args: argparse.Namespace) -> Trace:
                 f"unknown kernel {args.kernel!r}; see `python -m repro list`"
             )
         return build_kernel(args.kernel).run()
-    return load_trace(args.trace)
+    return _read_trace(args.trace)
+
+
+def _read_trace(path: str) -> Trace:
+    try:
+        return load_trace(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read trace {path}: {exc}")
 
 
 def _trace_label(args: argparse.Namespace) -> str:
@@ -307,7 +314,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_trace_info(args: argparse.Namespace) -> int:
     console = _console(args)
-    trace = load_trace(args.trace_file)
+    trace = _read_trace(args.trace_file)
     stats = trace.statistics()
     console.result(f"name                : {trace.name}")
     console.result(f"instructions        : {stats.instruction_count}")

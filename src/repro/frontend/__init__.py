@@ -2,8 +2,7 @@
 
 Direction predictors (bimodal, gshare, local two-level, tournament,
 perceptron, static, perfect) share the :class:`DirectionPredictor`
-interface; :class:`BranchTargetBuffer` and :class:`ReturnAddressStack`
-cover target prediction. :class:`BranchUnit` bundles a direction
+interface; :class:`BranchTargetBuffer` covers target prediction. :class:`BranchUnit` bundles a direction
 predictor with a BTB into the single object the pipeline's structural
 annotator consults per control-flow instruction.
 """
@@ -18,7 +17,6 @@ from repro.frontend.perceptron import PerceptronPredictor
 from repro.frontend.tage import TAGEPredictor
 from repro.frontend.perfect import PerfectPredictor
 from repro.frontend.btb import BranchTargetBuffer
-from repro.frontend.ras import ReturnAddressStack
 
 __all__ = [
     "BranchUnit",
@@ -34,5 +32,4 @@ __all__ = [
     "TAGEPredictor",
     "PerfectPredictor",
     "BranchTargetBuffer",
-    "ReturnAddressStack",
 ]

@@ -225,13 +225,6 @@ class ILPFit:
             return 0.0
         return self.alpha * occupancy**self.beta
 
-    def predict_ipc(self, window: int) -> float:
-        """Steady-state issue rate sustained with a window of size w."""
-        drain = self.predict_drain(window)
-        if drain <= 0:
-            return 0.0
-        return window / drain
-
     @property
     def r_squared(self) -> float:
         """Goodness of the fit in log space."""

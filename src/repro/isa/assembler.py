@@ -226,22 +226,3 @@ def disassemble(inst: Instruction, target_label: Optional[str] = None) -> str:
     if fmt == "jr":
         return f"{mnemonic} {inst.sources[0]}"
     return mnemonic
-
-
-def disassemble_program(program: Program) -> str:
-    """Render a whole program, reconstructing label definitions."""
-    labels_by_index = {}
-    for label, index in program.labels.items():
-        labels_by_index.setdefault(index, []).append(label)
-    index_to_label = {
-        index: names[0] for index, names in labels_by_index.items()
-    }
-    lines = []
-    for i, inst in enumerate(program.instructions):
-        for label in labels_by_index.get(i, []):
-            lines.append(f"{label}:")
-        target_label = (
-            index_to_label.get(inst.target) if inst.target is not None else None
-        )
-        lines.append("    " + disassemble(inst, target_label=target_label))
-    return "\n".join(lines)

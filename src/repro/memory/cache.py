@@ -135,17 +135,6 @@ class Cache:
             hit=False, evicted_address=evicted_address, writeback=writeback
         )
 
-    def invalidate(self, address: int) -> bool:
-        """Drop the line containing ``address``; True if it was present."""
-        set_index, tag = self._decompose(address)
-        tags = self._tags[set_index]
-        if tag in tags:
-            way = tags.index(tag)
-            tags[way] = None
-            self._dirty[set_index][way] = False
-            return True
-        return False
-
     def flush(self) -> None:
         """Invalidate the entire cache (stats are preserved)."""
         for set_index in range(self.sets):

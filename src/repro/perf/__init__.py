@@ -1,26 +1,19 @@
 """repro.perf: the columnar trace engine and the batched detailed core.
 
-Every figure in the reproduction walks dynamic traces. A generated
-trace is held as columns and builds
-:class:`~repro.trace.record.TraceRecord` objects only for the callers
-that want them (structural annotation passes, the test oracles), so the
-figure path never pays Python-interpreter overhead per instruction.
-This package holds that column store and what runs on it:
+Every figure in the reproduction walks dynamic traces. A trace is
+held as columns, from generation through the trace file, so no path
+pays Python-interpreter overhead for an object per instruction. This
+package holds that column store and what runs on it:
 
-* :mod:`repro.perf.packed` — :class:`PackedTrace`, the lossless columnar
-  (NumPy structured array + CSR dependence) form of a trace, and the
-  column folds behind ``Trace``'s queries;
+* :mod:`repro.perf.packed` — :class:`PackedTrace`, the columnar (NumPy
+  structured array + CSR dependence) form of a trace, and the column
+  folds behind ``Trace``'s queries;
 * :mod:`repro.perf.batchcore` — the batched structure-of-arrays
   detailed core that runs every out-of-order configuration: lockstep
   multi-config simulation over shared trace columns, bit-exact against
   the scalar oracle core kept under ``tests/pipeline/``;
 * :mod:`repro.perf.bench` — the ``repro bench`` throughput harness and
   the ``BENCH_simulator.json`` regression baseline format.
-
-The lint rule PERF001 polices this package and the other column
-consumers (``interval``, ``harness``): no per-record Python loops over
-``trace.records`` outside the explicitly marked pack boundary and the
-scalar baselines.
 """
 
 from repro.perf.batchcore import (

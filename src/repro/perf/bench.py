@@ -2,7 +2,7 @@
 
 Measures instruction throughput (instr/sec) of the simulator's main
 paths — the batched detailed core, interval simulation,
-scalar predictor replay, pack/unpack, trace statistics, cold trace
+scalar predictor replay, trace statistics, cold trace
 generation, the interval model's prediction and a cold
 generate-then-estimate pipeline — and writes the results to
 ``BENCH_simulator.json``.
@@ -21,16 +21,17 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.frontend.bimodal import BimodalPredictor
 from repro.frontend.gshare import GSharePredictor
 from repro.frontend.local import LocalPredictor
 from repro.interval.model import IntervalModel
 from repro.perf.batchcore import BatchedSuperscalarCore
-from repro.perf.packed import PackedTrace
+from repro.perf.packed import BRANCH_CODE
 from repro.pipeline.config import CoreConfig
 from repro.resilience.atomic import atomic_write_json
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.timing import Stopwatch
 
@@ -127,8 +128,6 @@ def machine_score(repeats: int = 2) -> float:
     this *adjacent to every benchmark* and normalizes each one by its
     own local score rather than by a single per-run calibration.
     """
-    import numpy as np
-
     size = 200_000
 
     def workload() -> None:
@@ -192,22 +191,20 @@ def run_benchmarks(
     def scalar_replay(name: str) -> Callable[[], None]:
         def run() -> None:
             predictor = _PREDICTOR_SCALARS[name]()
-            # The per-branch predictor walk F17's structural runs make.
-            for r in trace.records:  # repro: noqa[PERF001]
-                if r.is_branch:
-                    predictor.predict_and_update(r.pc, r.taken)
+            # The per-branch predictor walk F17's structural runs make,
+            # over the branch rows extracted per pass as they do.
+            cols = packed.columns
+            at = np.flatnonzero(cols["op"] == BRANCH_CODE)
+            for pc, taken in zip(
+                cols["pc"][at].tolist(), cols["taken"][at].tolist()
+            ):
+                predictor.predict_and_update(pc, taken)
 
         return run
 
     for name in ("bimodal", "gshare", "local"):
         spec(f"replay_{name}_scalar", scalar_replay(name), branch_count)
 
-    # Columnar conversions and statistics. A generated trace is already
-    # columns, so ``pack`` times the records -> columns conversion on a
-    # trace built from records.
-    record_trace = Trace(trace.records, name=trace.name)
-    spec("pack", lambda: PackedTrace.pack(record_trace), n)
-    spec("unpack", lambda: packed.unpack(), n)
     spec("statistics_scalar", lambda: trace._compute_statistics(), n)
 
     # The two layers the figure workloads spend most in after the core:

@@ -1,30 +1,29 @@
 """Columnar trace representation: NumPy structured arrays + CSR deps.
 
-A :class:`PackedTrace` holds the same information as a
-:class:`~repro.trace.stream.Trace` — losslessly, round-trip tested —
-but in columns: one structured array with a field per
-:class:`~repro.trace.record.TraceRecord` attribute, plus the dynamic
-dependence lists flattened into a CSR-style (indptr, data) pair.
-
-It is the canonical form of a generated trace: the synthetic generator
-writes these columns directly, and :class:`~repro.trace.stream.Trace`
-builds record objects from them only when a caller asks for
-``trace.records``. The column queries a trace answers (statistics,
-miss-event masks, dataflow critical path, validation) live here so that
-``repro.trace.stream`` never imports NumPy.
+A :class:`PackedTrace` is what a :class:`~repro.trace.stream.Trace`
+holds: one structured array with a field per instruction attribute
+(:data:`RECORD_DTYPE`), plus the dynamic dependence lists flattened
+into a CSR-style (indptr, data) pair. The synthetic generator and the
+functional executor write these columns directly, trace files store
+them as they are (:mod:`repro.trace.io`), and no per-instruction object
+exists outside the tests. The column queries a trace answers
+(statistics, miss-event masks, dataflow critical path, validation) live
+here so that ``repro.trace.stream`` never imports NumPy.
 
 Encoding notes:
 
-* ``op`` is the index of the record's :class:`OpClass` in enum
+* ``op`` is the index of the instruction's :class:`OpClass` in enum
   definition order (:data:`OP_CLASSES`);
 * the optional booleans (``mispredict``, ``il1_miss``, ``dl1_miss``,
-  ``dl2_miss``) are tri-state ``int8``: -1 encodes ``None`` (not
-  annotated), 0/1 encode the oracle outcome;
+  ``dl2_miss``) are tri-state ``int8``: -1 means not annotated (a
+  structural run must consult the predictor or cache), 0/1 encode the
+  oracle outcome;
 * optional integers (``mem_addr``, ``target``) carry a companion
-  presence bit so ``None`` and 0 stay distinguishable;
+  presence bit so "absent" and 0 stay distinguishable;
 * ``dep_indptr[i]:dep_indptr[i+1]`` slices ``dep_data`` to the
-  dependence distances of record ``i`` (distances are >= 1, stored in
-  record order).
+  dependence distances of row ``i`` (distances are >= 1: ``(3, 1)``
+  reads values produced 3 and 1 instructions earlier, store→load
+  dependences included).
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.isa.opcodes import OpClass
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace, TraceStatistics
+from repro.trace.stream import TraceStatistics
 from repro.util.stats import Histogram
 
 #: Op classes in enum definition order; ``op`` column values index this.
@@ -69,29 +67,6 @@ RECORD_DTYPE = np.dtype(
 #: D-cache miss-class codes of :func:`load_classes`: not a load, L1
 #: hit, short (L2-hit) miss, long (memory) miss.
 DCODE_NONE, DCODE_L1_HIT, DCODE_SHORT, DCODE_LONG = 0, 1, 2, 3
-
-#: Tri-state decode table, indexed by ``code + 1``.
-_TRI_VALUES = np.array([None, False, True], dtype=object)
-
-
-def _tri(value) -> int:
-    """Tri-state encode: None -> -1, False -> 0, True -> 1."""
-    if value is None:
-        return -1
-    return 1 if value else 0
-
-
-def _tri_list(codes: np.ndarray) -> list:
-    """Tri-state decode of a whole column to Python None/False/True."""
-    return _TRI_VALUES[codes + 1].tolist()
-
-
-def _optional_list(values: np.ndarray, present: np.ndarray) -> list:
-    """``values`` as Python ints, None where ``present`` is False."""
-    boxed = values.astype(object)
-    boxed[~present] = None
-    return boxed.tolist()
-
 
 class PackedTrace:
     """A trace as columns; see the module docstring for the encoding."""
@@ -192,83 +167,6 @@ class PackedTrace:
             self.dep_data[lo:bounds[-1]].tolist(),
         )
 
-    # -- conversion --------------------------------------------------------
-
-    @classmethod
-    def pack(cls, trace: Trace) -> "PackedTrace":
-        """Pack a trace's records into columns (lossless)."""
-        records = trace.records
-        n = len(records)
-        columns = np.zeros(n, dtype=RECORD_DTYPE)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        rows = []
-        dep_data = []
-        dep_counts = []
-        # The one blessed per-record loop in this package: packing is the
-        # boundary between the object and columnar worlds, so it must
-        # walk the records once.
-        for r in records:  # repro: noqa[PERF001]
-            rows.append(
-                (
-                    OP_CODE[r.op_class],
-                    r.pc,
-                    r.mem_addr if r.mem_addr is not None else 0,
-                    r.mem_addr is not None,
-                    r.taken,
-                    r.target if r.target is not None else 0,
-                    r.target is not None,
-                    _tri(r.mispredict),
-                    _tri(r.il1_miss),
-                    _tri(r.dl1_miss),
-                    _tri(r.dl2_miss),
-                )
-            )
-            dep_data.extend(r.deps)
-            dep_counts.append(len(r.deps))
-        if n:
-            columns[:] = rows
-            np.cumsum(
-                np.asarray(dep_counts, dtype=np.int64), out=indptr[1:]
-            )
-        return cls(
-            columns=columns,
-            dep_indptr=indptr,
-            dep_data=np.asarray(dep_data, dtype=np.int32),
-            name=trace.name,
-        )
-
-    def to_records(self) -> List[TraceRecord]:
-        """One :class:`TraceRecord` per row, fields as Python values.
-
-        Every column is converted once (``tolist`` and object-table
-        lookups), then one ``map`` builds the records, so the
-        constructor's checks still run on each.
-        """
-        cols = self.columns
-        bounds = self.dep_indptr.tolist()
-        flat = self.dep_data.tolist()
-        deps = map(tuple, map(flat.__getitem__, map(slice, bounds, bounds[1:])))
-        return list(
-            map(
-                TraceRecord,
-                map(OP_CLASSES.__getitem__, cols["op"].tolist()),
-                cols["pc"].tolist(),
-                deps,
-                _optional_list(cols["mem_addr"], cols["has_mem_addr"]),
-                cols["taken"].tolist(),
-                _optional_list(cols["target"], cols["has_target"]),
-                _tri_list(cols["mispredict"]),
-                _tri_list(cols["il1_miss"]),
-                _tri_list(cols["dl1_miss"]),
-                _tri_list(cols["dl2_miss"]),
-            )
-        )
-
-    def unpack(self) -> Trace:
-        """The trace over these columns with its records built (inverse
-        of :meth:`pack`)."""
-        return Trace.from_columns(self, self.to_records())
-
     def slice(self, start: int, stop: int, name: str) -> "PackedTrace":
         """Rows ``[start, stop)`` (non-negative, ``start <= stop``).
 
@@ -301,9 +199,9 @@ class PackedTrace:
     # -- trace queries (the folds behind :class:`Trace`'s methods) ---------
 
     def validate(self) -> None:
-        """The record constructor's checks over whole columns: every
-        distance is >= 1 and every memory op has an address. Raises
-        ValueError naming the first offending record."""
+        """The trace invariants over whole columns: every distance is
+        >= 1 and every memory op has an address. Raises ValueError
+        naming the first offending record."""
         bad_dep = np.flatnonzero(self.dep_data < 1)
         op = self.op
         bad_mem = np.flatnonzero(

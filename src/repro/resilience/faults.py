@@ -160,9 +160,6 @@ class FaultPlan:
         parts.extend(rule.render() for rule in self.rules)
         return ";".join(parts)
 
-    def rules_for(self, site: str) -> List[FaultRule]:
-        return [rule for rule in self.rules if rule.site == site]
-
     def corrupt_bytes(self, data: bytes, site: str, hit: int) -> bytes:
         """Deterministically damage ``data`` (always a real change)."""
         if not data:

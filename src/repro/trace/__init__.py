@@ -1,11 +1,13 @@
 """Dynamic instruction traces.
 
-A :class:`~repro.trace.record.TraceRecord` is one dynamic instruction:
-its operation class, program counter, *dynamic dependence distances*
-(how many instructions back each of its producers executed), memory
-address for loads/stores, and control-flow outcome for branches.
+A :class:`~repro.trace.stream.Trace` is one dynamic instruction stream
+held as columns (:class:`repro.perf.packed.PackedTrace`): per
+instruction, its operation class, program counter, *dynamic dependence
+distances* (how many instructions back each of its producers
+executed), memory address for loads/stores, and control-flow outcome
+for branches.
 
-Records may additionally carry *annotations* — pre-resolved miss flags
+Rows may additionally carry *annotations* — pre-resolved miss flags
 (``mispredict``, ``il1_miss``, ``dl1_miss``, ``dl2_miss``). Annotated
 traces let the synthetic workload generator place miss events with
 statistical control, exactly as interval analysis requires; structural
@@ -18,9 +20,11 @@ Two trace producers are provided:
   :class:`~repro.isa.program.Program` and emits the real dynamic stream;
 * :mod:`repro.trace.synthetic` generates a statistical stream from a
   :class:`~repro.trace.profiles.WorkloadProfile`.
+
+:mod:`repro.trace.io` saves a trace's columns to a file and reads them
+back.
 """
 
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace, TraceStatistics
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import SyntheticTraceGenerator, generate_trace
@@ -33,7 +37,6 @@ from repro.trace.transforms import (
 )
 
 __all__ = [
-    "TraceRecord",
     "Trace",
     "TraceStatistics",
     "WorkloadProfile",

@@ -359,7 +359,7 @@ class FunctionalSimulator:
             columns[name] = -1
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(dep_counts, out=indptr[1:])
-        return Trace.from_columns(
+        return Trace(
             PackedTrace(
                 columns,
                 indptr,

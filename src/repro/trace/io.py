@@ -1,135 +1,129 @@
-"""Binary trace serialization.
+"""Trace files: a trace's columns in one compressed NumPy archive.
 
-Format (little-endian)::
+Version 2 stores :class:`~repro.perf.packed.PackedTrace` as it is, one
+``np.savez_compressed`` zip with five members::
 
-    magic   4s   b"RTRC"
-    version H    1
-    namelen H    + utf-8 name bytes
-    count   Q
-    records ...
+    columns     RECORD_DTYPE[n]   one row per dynamic instruction
+    dep_indptr  int64[n + 1]      CSR offsets into dep_data
+    dep_data    int32[m]          dependence distances, record order
+    name        str (0-d)         the trace's name
+    version     int64 (0-d)       2
 
-Each record::
-
-    opclass B    ordinal into OpClass definition order
-    flags   H    bit0 has_mem, bit1 taken, bit2 has_target,
-                 bits 3-4 mispredict, 5-6 il1, 7-8 dl1, 9-10 dl2
-                 (tri-state: 0 none, 1 false, 2 true)
-    pc      Q
-    ndeps   B    + ndeps * H dependence distances
-    mem     Q    (only when has_mem)
-    target  Q    (only when has_target)
+NumPy records dtype, byte order and shape in each member's header, so
+the reader checks those against the expected columns and never
+unpickles (``allow_pickle=False``). Every other check on the file's
+contents (codes, CSR shape, the column invariants) runs before a
+:class:`~repro.trace.stream.Trace` is built.
 """
 
 from __future__ import annotations
 
-import struct
+import zipfile
+import zlib
 from pathlib import Path
-from typing import BinaryIO, Optional, Union
+from typing import Union
 
-from repro.isa.opcodes import OpClass
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 
-MAGIC = b"RTRC"
-VERSION = 1
-_OPCLASSES = list(OpClass)
-_ORDINAL = {op_class: i for i, op_class in enumerate(_OPCLASSES)}
+VERSION = 2
 
-_MAX_DEP_DISTANCE = 0xFFFF
-
-
-def _encode_tri(value: Optional[bool]) -> int:
-    if value is None:
-        return 0
-    return 2 if value else 1
-
-
-def _decode_tri(code: int) -> Optional[bool]:
-    if code == 0:
-        return None
-    return code == 2
-
-
-def _write_record(out: BinaryIO, record: TraceRecord) -> None:
-    flags = 0
-    if record.mem_addr is not None:
-        flags |= 1
-    if record.taken:
-        flags |= 2
-    if record.target is not None:
-        flags |= 4
-    flags |= _encode_tri(record.mispredict) << 3
-    flags |= _encode_tri(record.il1_miss) << 5
-    flags |= _encode_tri(record.dl1_miss) << 7
-    flags |= _encode_tri(record.dl2_miss) << 9
-    deps = record.deps
-    if any(d > _MAX_DEP_DISTANCE for d in deps):
-        raise ValueError(f"dependence distance exceeds {_MAX_DEP_DISTANCE}")
-    out.write(struct.pack("<BHQB", _ORDINAL[record.op_class], flags, record.pc, len(deps)))
-    if deps:
-        out.write(struct.pack(f"<{len(deps)}H", *deps))
-    if record.mem_addr is not None:
-        out.write(struct.pack("<Q", record.mem_addr))
-    if record.target is not None:
-        out.write(struct.pack("<Q", record.target))
-
-
-def _read_exact(stream: BinaryIO, size: int) -> bytes:
-    data = stream.read(size)
-    if len(data) != size:
-        raise ValueError("truncated trace file")
-    return data
-
-
-def _read_record(stream: BinaryIO) -> TraceRecord:
-    op_ord, flags, pc, ndeps = struct.unpack("<BHQB", _read_exact(stream, 12))
-    if op_ord >= len(_OPCLASSES):
-        raise ValueError(f"bad op-class ordinal {op_ord}")
-    deps = ()
-    if ndeps:
-        deps = struct.unpack(f"<{ndeps}H", _read_exact(stream, 2 * ndeps))
-    mem_addr = None
-    if flags & 1:
-        (mem_addr,) = struct.unpack("<Q", _read_exact(stream, 8))
-    target = None
-    if flags & 4:
-        (target,) = struct.unpack("<Q", _read_exact(stream, 8))
-    return TraceRecord(
-        op_class=_OPCLASSES[op_ord],
-        pc=pc,
-        deps=deps,
-        mem_addr=mem_addr,
-        taken=bool(flags & 2),
-        target=target,
-        mispredict=_decode_tri((flags >> 3) & 3),
-        il1_miss=_decode_tri((flags >> 5) & 3),
-        dl1_miss=_decode_tri((flags >> 7) & 3),
-        dl2_miss=_decode_tri((flags >> 9) & 3),
-    )
+#: The leading bytes of a version-1 (per-record ``struct``) file.
+_V1_MAGIC = b"RTRC"
+_ZIP_MAGIC = b"PK\x03\x04"
+_MEMBERS = ("columns", "dep_indptr", "dep_data", "name", "version")
+_TRI_FIELDS = ("mispredict", "il1_miss", "dl1_miss", "dl2_miss")
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write a trace to ``path`` in the binary format above."""
-    name_bytes = trace.name.encode("utf-8")
+    """Write a trace's columns to ``path`` (format above)."""
+    import numpy as np
+
+    packed = trace.pack()
+    # A file object, so NumPy does not append ``.npz`` to the path.
     with open(path, "wb") as out:
-        out.write(MAGIC)
-        out.write(struct.pack("<HH", VERSION, len(name_bytes)))
-        out.write(name_bytes)
-        out.write(struct.pack("<Q", len(trace)))
-        for record in trace:
-            _write_record(out, record)
+        np.savez_compressed(
+            out,
+            columns=packed.columns,
+            dep_indptr=packed.dep_indptr.astype(np.int64, copy=False),
+            dep_data=packed.dep_data.astype(np.int32, copy=False),
+            name=np.array(packed.name),
+            version=np.array(VERSION, dtype=np.int64),
+        )
+
+
+def _member(members, key: str, dtype, ndim: int):
+    array = members[key]
+    if array.dtype != dtype or array.ndim != ndim:
+        raise ValueError(
+            f"trace member {key!r} is {array.dtype}[{array.ndim}-d], "
+            f"expected {dtype}[{ndim}-d]"
+        )
+    return array
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
-    """Read a trace previously written by :func:`save_trace`."""
+    """Read a trace written by :func:`save_trace`, checking every member.
+
+    Raises ValueError for a version-1 file, a file that is not a trace
+    archive, a truncated one, a member of the wrong dtype or shape, an
+    out-of-range code, or columns :meth:`PackedTrace.validate` rejects.
+    """
+    import numpy as np
+
+    from repro.perf.packed import OP_CLASSES, RECORD_DTYPE, PackedTrace
+
     with open(path, "rb") as stream:
         magic = stream.read(4)
-        if magic != MAGIC:
+        if magic == _V1_MAGIC:
+            raise ValueError(
+                "trace file is version 1 (per-record format), which is no "
+                "longer read; regenerate it with `repro trace`"
+            )
+        if magic != _ZIP_MAGIC:
             raise ValueError(f"not a trace file (magic {magic!r})")
-        version, namelen = struct.unpack("<HH", _read_exact(stream, 4))
-        if version != VERSION:
-            raise ValueError(f"unsupported trace version {version}")
-        name = _read_exact(stream, namelen).decode("utf-8")
-        (count,) = struct.unpack("<Q", _read_exact(stream, 8))
-        records = [_read_record(stream) for _ in range(count)]
-    return Trace(records, name=name)
+        stream.seek(0)
+        try:
+            with np.load(stream, allow_pickle=False) as archive:
+                missing = [key for key in _MEMBERS if key not in archive.files]
+                if missing:
+                    raise ValueError(
+                        f"not a trace file (missing members {missing})"
+                    )
+                members = {key: archive[key] for key in _MEMBERS}
+        except (zipfile.BadZipFile, zlib.error, EOFError, OSError) as exc:
+            raise ValueError(f"truncated trace file ({exc})") from exc
+
+    version = members["version"]
+    if version.shape != () or version.dtype.kind not in "iu":
+        raise ValueError("not a trace file (bad version member)")
+    if int(version) != VERSION:
+        raise ValueError(f"unsupported trace version {int(version)}")
+    name = members["name"]
+    if name.shape != () or name.dtype.kind != "U":
+        raise ValueError("not a trace file (bad name member)")
+
+    columns = _member(members, "columns", RECORD_DTYPE, 1)
+    indptr = _member(members, "dep_indptr", np.dtype(np.int64), 1)
+    data = _member(members, "dep_data", np.dtype(np.int32), 1)
+    if (
+        len(indptr) != len(columns) + 1
+        or indptr[0] != 0
+        or indptr[-1] != len(data)
+        or np.any(np.diff(indptr) < 0)
+    ):
+        raise ValueError(
+            "trace dep_indptr must rise monotonically from 0 to "
+            f"len(dep_data) over {len(columns) + 1} entries"
+        )
+    if len(columns) and int(columns["op"].max()) >= len(OP_CLASSES):
+        raise ValueError(
+            f"bad op-class code {int(columns['op'].max())} "
+            f"(there are {len(OP_CLASSES)})"
+        )
+    for field in _TRI_FIELDS:
+        codes = columns[field]
+        if np.any((codes < -1) | (codes > 1)):
+            raise ValueError(f"bad tri-state code in {field!r}")
+    packed = PackedTrace(columns, indptr, data, name=str(name))
+    packed.validate()
+    return Trace(packed)

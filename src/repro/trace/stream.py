@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.trace.record import TraceRecord
 from repro.util.stats import Histogram
 
 
@@ -39,57 +38,23 @@ class TraceStatistics:
 
 
 class Trace:
-    """An ordered sequence of :class:`TraceRecord` with metadata.
+    """An ordered dynamic instruction stream with a name.
 
     A trace is one immutable set of columns
-    (:class:`repro.perf.packed.PackedTrace`). ``Trace(records, name)``
-    packs its records once, at construction; :meth:`from_columns`
-    (which the synthetic generator and the functional executor use)
-    wraps columns as they are. Every query below is a fold over the
-    columns, so it never builds records. :attr:`records` is a view: the
-    list the trace was built from, or a list built from the columns on
-    first access. Nothing may mutate it.
+    (:class:`repro.perf.packed.PackedTrace`), wrapped as they are: the
+    synthetic generator, the functional executor, the trace-file reader
+    and the counterfactual transforms each build their columns and pass
+    them in. Every query below is a fold over the columns. Nothing may
+    write to them after construction.
     """
 
-    def __init__(
-        self, records: Sequence[TraceRecord] = (), name: str = "trace"
-    ):
-        from repro.perf.packed import PackedTrace
-
-        self._records: Optional[List[TraceRecord]] = list(records)
-        self.name = name
-        self._columns = PackedTrace.pack(self)
+    def __init__(self, packed):
+        self._columns = packed
+        self.name = packed.name
         self._stats_cache: Optional[TraceStatistics] = None
-
-    @classmethod
-    def from_columns(
-        cls, packed, records: Optional[List[TraceRecord]] = None
-    ) -> "Trace":
-        """The trace over ``packed`` (not copied); its name is the
-        columns' name. ``records``, when given, must be the records
-        those columns hold; otherwise :attr:`records` builds them."""
-        trace = cls.__new__(cls)
-        trace._records = records
-        trace.name = packed.name
-        trace._columns = packed
-        trace._stats_cache = None
-        return trace
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        """The records, built from the columns on first access."""
-        if self._records is None:
-            self._records = self._columns.to_records()
-        return self._records
 
     def __len__(self) -> int:
         return len(self._columns)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
-
-    def __getitem__(self, index: int) -> TraceRecord:
-        return self.records[index]
 
     def slice(self, start: int, stop: int) -> "Trace":
         """Return the sub-trace ``[start:stop]``, a slice of the columns.
@@ -101,7 +66,7 @@ class Trace:
         """
         lo, hi, _ = slice(start, stop).indices(len(self))
         name = f"{self.name}[{start}:{stop}]"
-        return Trace.from_columns(self._columns.slice(lo, max(lo, hi), name))
+        return Trace(self._columns.slice(lo, max(lo, hi), name))
 
     @property
     def is_annotated(self) -> bool:

@@ -254,7 +254,7 @@ class SyntheticTraceGenerator:
             name=self.profile.name,
         )
         packed.validate()
-        return Trace.from_columns(packed)
+        return Trace(packed)
 
     def _block(self, columns) -> Tuple[List[int], List[int]]:
         """Fill ``columns`` (the next records' rows) and return their

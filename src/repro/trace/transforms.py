@@ -23,7 +23,7 @@ def _edit(trace: Trace, name_suffix: str, field: str, rows) -> Trace:
     packed = trace.pack()
     columns = packed.columns.copy()
     columns[field][rows] = 0
-    return Trace.from_columns(
+    return Trace(
         PackedTrace(
             columns,
             packed.dep_indptr,

@@ -105,14 +105,6 @@ class Histogram:
                 return value
         return self.items()[-1][0]
 
-    def cdf(self) -> List[Tuple[int, float]]:
-        """Return the cumulative distribution as (value, fraction<=value)."""
-        acc = 0
-        out = []
-        for value, count in self.items():
-            acc += count
-            out.append((value, acc / self.total))
-        return out
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -258,93 +258,6 @@ def test_obs2_ignores_dynamic_names():
     assert rules_hit(source, "src/repro/pipeline/x.py") == []
 
 
-# -- PERF001 ---------------------------------------------------------------
-
-def test_perf_flags_loop_over_trace_records():
-    source = "def f(trace):\n    for r in trace.records:\n        pass\n"
-    assert "PERF001" in rules_hit(source, "src/repro/perf/x.py")
-
-
-def test_perf_flags_loop_over_aliased_records():
-    source = (
-        "def f(trace):\n"
-        "    records = trace.records\n"
-        "    for r in records:\n"
-        "        pass\n"
-    )
-    assert "PERF001" in rules_hit(source, "src/repro/perf/x.py")
-
-
-def test_perf_flags_enumerate_and_comprehension():
-    looped = (
-        "def f(trace):\n"
-        "    for i, r in enumerate(trace.records):\n"
-        "        pass\n"
-    )
-    assert "PERF001" in rules_hit(looped, "src/repro/perf/x.py")
-    comp = "def f(trace):\n    return [r.pc for r in trace.records]\n"
-    assert "PERF001" in rules_hit(comp, "src/repro/perf/x.py")
-
-
-def test_perf_scoped_to_column_consumers():
-    source = "def f(trace):\n    for r in trace.records:\n        pass\n"
-    for package in ("perf", "interval", "harness"):
-        assert "PERF001" in rules_hit(source, f"src/repro/{package}/x.py")
-    assert "PERF001" not in rules_hit(source, "src/repro/trace/x.py")
-    assert "PERF001" not in rules_hit(source, "src/repro/pipeline/x.py")
-
-
-def test_perf_allows_columnar_code():
-    source = (
-        "def f(packed):\n"
-        "    for seq in packed.dep_indptr.tolist():\n"
-        "        pass\n"
-    )
-    assert rules_hit(source, "src/repro/perf/x.py") == []
-
-
-def test_perf_noqa_escape_hatch():
-    source = (
-        "def f(trace):\n"
-        "    for r in trace.records:  # repro: noqa[PERF001]\n"
-        "        pass\n"
-    )
-    assert "PERF001" not in rules_hit(source, "src/repro/perf/x.py")
-
-
-def test_perf_flags_loop_over_unpack_result():
-    source = (
-        "def f(packed):\n"
-        "    for r in packed.unpack():\n"
-        "        pass\n"
-    )
-    assert "PERF001" in rules_hit(source, "src/repro/perf/batchcore.py")
-
-
-def test_perf_flags_aliased_unpack_result():
-    source = (
-        "def f(packed):\n"
-        "    trace = packed.unpack()\n"
-        "    return [r.pc for r in trace]\n"
-    )
-    assert "PERF001" in rules_hit(source, "src/repro/perf/batchcore.py")
-
-
-def test_perf_flags_enumerate_of_unpack():
-    source = (
-        "def f(packed):\n"
-        "    for i, r in enumerate(packed.unpack()):\n"
-        "        pass\n"
-    )
-    assert "PERF001" in rules_hit(source, "src/repro/perf/x.py")
-
-
-def test_perf_allows_unpack_outside_loops():
-    # Calling unpack is fine — only iterating its records is not.
-    source = "def f(packed):\n    return packed.unpack()\n"
-    assert rules_hit(source, "src/repro/perf/x.py") == []
-
-
 # -- RES001 ----------------------------------------------------------------
 
 def test_res_flags_bare_write_open_in_lab():

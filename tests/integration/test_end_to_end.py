@@ -13,6 +13,7 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.io import load_trace, save_trace
 from repro.workloads.kernels import branchy_search, kernel_trace, pointer_chase
+from tests.trace.records import TraceRecord, records_of, trace_of
 
 
 def structural_annotator(predictor=None):
@@ -84,9 +85,6 @@ class TestStructuralVsOracleConsistency:
     def test_oracle_replay_of_structural_outcomes(self):
         """Annotating a trace with structurally observed outcomes and
         replaying it through the oracle path reproduces the timing."""
-        from repro.trace.record import TraceRecord
-        from repro.trace.stream import Trace
-
         config = CoreConfig()
         trace = kernel_trace("branchy_search")
         annotator, _, _ = structural_annotator()
@@ -98,7 +96,7 @@ class TestStructuralVsOracleConsistency:
         for event in structural.long_dmiss_events:
             long_miss.add(event.seq)
         annotated_records = []
-        for i, record in enumerate(trace.records):
+        for i, record in enumerate(records_of(trace)):
             annotated_records.append(
                 TraceRecord(
                     op_class=record.op_class,
@@ -113,7 +111,7 @@ class TestStructuralVsOracleConsistency:
                     dl2_miss=i in long_miss,
                 )
             )
-        replay = simulate(Trace(annotated_records), config)
+        replay = simulate(trace_of(annotated_records), config)
         assert len(replay.mispredict_events) == len(
             structural.mispredict_events
         )

@@ -13,6 +13,7 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.synthetic import generate_trace
 from repro.workloads.spec_profiles import SPEC_PROFILES
+from tests.trace.records import records_of
 
 N = 25_000
 NAMES = ("gzip", "mcf", "crafty", "parser", "twolf")
@@ -138,13 +139,13 @@ class TestClaim5ShortMisses:
         _, runs = suite_runs
         for _, (trace, result) in runs.items():
             short = sum(
-                1 for r in trace.records if r.is_load and r.dl1_miss
+                1 for r in records_of(trace) if r.is_load and r.dl1_miss
             )
             # no event type corresponds to short misses
             assert len(result.events) < short + len(
                 trace.mispredicted_indices()
-            ) + sum(1 for r in trace.records if r.il1_miss) + sum(
-                1 for r in trace.records if r.is_load and r.dl2_miss
+            ) + sum(1 for r in records_of(trace) if r.il1_miss) + sum(
+                1 for r in records_of(trace) if r.is_load and r.dl2_miss
             )
 
 

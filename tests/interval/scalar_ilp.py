@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from repro.interval.ilp import DEFAULT_ILP_WINDOWS, ILPFit, LatencyFn, unit_latency
 from repro.trace.stream import Trace
+from tests.trace.records import records_of
 
 
 def scalar_window_criticality(
@@ -25,7 +26,7 @@ def scalar_window_criticality(
         raise ValueError(f"window must be >= 1, got {window}")
     if latency_of is None:
         latency_of = unit_latency(trace)
-    records = trace.records
+    records = records_of(trace)
     if not records:
         return 0.0
     stride = stride or window

@@ -15,6 +15,7 @@ from repro.interval.model import ModelPrediction
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 from repro.trace.stream import Trace
+from tests.trace.records import records_of
 
 
 def scalar_unit_latency(trace: Trace) -> LatencyFn:
@@ -22,7 +23,7 @@ def scalar_unit_latency(trace: Trace) -> LatencyFn:
 
 
 def scalar_fu_latency(trace: Trace, fu_specs, config=None) -> LatencyFn:
-    records = trace.records
+    records = records_of(trace)
     l1_latency = config.l1_latency if config is not None else 0
 
     def latency(seq: int) -> int:
@@ -36,7 +37,7 @@ def scalar_fu_latency(trace: Trace, fu_specs, config=None) -> LatencyFn:
 
 
 def scalar_full_latency(trace: Trace, fu_specs, config) -> LatencyFn:
-    records = trace.records
+    records = records_of(trace)
 
     def latency(seq: int) -> int:
         record = records[seq]
@@ -54,7 +55,7 @@ def scalar_full_latency(trace: Trace, fu_specs, config) -> LatencyFn:
 
 
 def scalar_steady_latency(trace: Trace, config: CoreConfig) -> LatencyFn:
-    records = trace.records
+    records = records_of(trace)
 
     def latency(seq: int) -> int:
         record = records[seq]
@@ -73,7 +74,7 @@ def scalar_backward_slice_latency(
     latency_of: LatencyFn,
     satisfied: Optional[Callable[[int], bool]] = None,
 ) -> int:
-    records = trace.records
+    records = records_of(trace)
 
     def in_window(seq: int) -> bool:
         if seq < window_start:
@@ -102,7 +103,7 @@ def scalar_backward_slice_latency(
 
 def scalar_event_positions(trace: Trace) -> List[Tuple[int, str]]:
     positions: List[Tuple[int, str]] = []
-    for seq, record in enumerate(trace.records):
+    for seq, record in enumerate(records_of(trace)):
         if record.is_branch and record.mispredict:
             positions.append((seq, "bpred"))
         elif record.il1_miss:
@@ -113,7 +114,7 @@ def scalar_event_positions(trace: Trace) -> List[Tuple[int, str]]:
 
 
 def scalar_depends_on(trace: Trace, consumer: int, producer: int) -> bool:
-    records = trace.records
+    records = records_of(trace)
     frontier = [consumer]
     seen = set()
     while frontier:
@@ -132,7 +133,7 @@ def scalar_predict(trace: Trace, config: CoreConfig) -> ModelPrediction:
     """``IntervalModel(config).predict(trace)`` over the records. The
     ILP fit reads the record-walk latencies through the fit's callable
     path (the fit itself has its own oracle in ``scalar_ilp``)."""
-    n = len(trace.records)
+    n = len(records_of(trace))
     fit = fit_ilp_profile(
         trace, latency_of=scalar_steady_latency(trace, config)
     )

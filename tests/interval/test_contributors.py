@@ -8,9 +8,8 @@ from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
+from tests.trace.records import TraceRecord, trace_of
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ class TestBreakdownStructure:
         assert any("C5" in n for n in names)
 
     def test_empty_events(self, base_config):
-        trace = Trace([TraceRecord(OpClass.IALU) for _ in range(20)])
+        trace = trace_of([TraceRecord(OpClass.IALU) for _ in range(20)])
         result = simulate(trace, base_config)
         breakdown = decompose_contributors(trace, result, base_config)
         assert breakdown.count == 0

@@ -18,13 +18,12 @@ from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
 from tests.interval.scalar_model import scalar_depends_on
+from tests.trace.records import TraceRecord, records_of, trace_of
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ class TestEstimateStructure:
         assert all(r >= 1 for r in estimate.resolutions)
 
     def test_empty_trace(self, base_config):
-        estimate = IntervalModel(base_config).estimate(Trace())
+        estimate = IntervalModel(base_config).estimate(trace_of())
         assert estimate.cycles == 0.0
         assert estimate.cpi == 0.0
 
@@ -152,7 +151,7 @@ class TestEventHandling:
             TraceRecord(OpClass.BRANCH, mispredict=True, il1_miss=True)
         )
         records.extend(TraceRecord(OpClass.IALU) for _ in range(10))
-        estimate = IntervalModel(base_config).estimate(Trace(records))
+        estimate = IntervalModel(base_config).estimate(trace_of(records))
         assert estimate.mispredict_count == 1
         assert estimate.icache_count == 0
 
@@ -166,17 +165,17 @@ class TestEventHandling:
             TraceRecord(OpClass.LOAD, mem_addr=8, dl2_miss=True),
         ]
         model = IntervalModel(base_config)
-        assert model.estimate(Trace(serial)).long_dmiss_cycles == pytest.approx(
+        assert model.estimate(trace_of(serial)).long_dmiss_cycles == pytest.approx(
             2 * base_config.memory_latency
         )
-        assert model.estimate(Trace(parallel)).long_dmiss_cycles == pytest.approx(
+        assert model.estimate(trace_of(parallel)).long_dmiss_cycles == pytest.approx(
             base_config.memory_latency
         )
 
     def test_icache_cost(self, base_config):
         records = [TraceRecord(OpClass.IALU, il1_miss=True)]
         records.extend(TraceRecord(OpClass.IALU) for _ in range(7))
-        estimate = IntervalModel(base_config).estimate(Trace(records))
+        estimate = IntervalModel(base_config).estimate(trace_of(records))
         assert estimate.icache_cycles == pytest.approx(base_config.l2_latency)
 
 
@@ -189,13 +188,13 @@ class TestLongMissDependence:
         records = [TraceRecord(OpClass.LOAD, mem_addr=8 * i, dl2_miss=True,
                                deps=(1,) if i else ())
                    for i in range(n)]
-        return Trace(records)
+        return trace_of(records)
 
     def test_depends_on_matches_record_bfs(self):
         trace = generate_trace(
             WorkloadProfile(name="reach", dl2_miss_rate=0.1), 600, seed=4
         )
-        oracle = Trace(trace.records)
+        oracle = trace_of(records_of(trace))
         for consumer in range(50, 600, 97):
             for producer in range(max(0, consumer - 150), consumer):
                 assert depends_on(trace, consumer, producer) == \
@@ -205,8 +204,8 @@ class TestLongMissDependence:
         trace = self._chain_trace()
         model = IntervalModel(base_config)
         before = model.estimate(trace)
-        grown = Trace(
-            trace.records
+        grown = trace_of(
+            records_of(trace)
             + [TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True, deps=(1,))],
             name=trace.name,
         )

@@ -13,19 +13,18 @@ from repro.interval.ilp import (
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
+from tests.trace.records import TraceRecord, trace_of
 
 
 def serial_trace(n):
-    return Trace(
+    return trace_of(
         [TraceRecord(OpClass.IALU, deps=(1,) if i else ()) for i in range(n)]
     )
 
 
 def parallel_trace(n):
-    return Trace([TraceRecord(OpClass.IALU) for _ in range(n)])
+    return trace_of([TraceRecord(OpClass.IALU) for _ in range(n)])
 
 
 class TestWindowCriticality:
@@ -41,7 +40,7 @@ class TestWindowCriticality:
             TraceRecord(OpClass.IALU, deps=(32,) if i >= 32 else ())
             for i in range(256)
         ]
-        assert window_criticality(Trace(records), 16) == pytest.approx(1.0)
+        assert window_criticality(trace_of(records), 16) == pytest.approx(1.0)
 
     def test_latency_function_scales(self):
         trace = serial_trace(128)
@@ -58,7 +57,7 @@ class TestWindowCriticality:
             window_criticality(serial_trace(10), 0)
 
     def test_empty_trace(self):
-        assert window_criticality(Trace(), 16) == 0.0
+        assert window_criticality(trace_of(), 16) == 0.0
 
 
 class TestPowerLawFit:
@@ -87,12 +86,6 @@ class TestPowerLawFit:
         fit = fit_ilp_profile(serial_trace(256))
         assert fit.predict_drain(0) == 0.0
 
-    def test_predict_ipc_inverse_of_drain(self):
-        fit = fit_ilp_profile(serial_trace(256))
-        assert fit.predict_ipc(64) == pytest.approx(
-            64 / fit.predict_drain(64)
-        )
-
     def test_needs_two_windows(self):
         with pytest.raises(ValueError):
             fit_ilp_profile(serial_trace(64), windows=(16,))
@@ -105,7 +98,7 @@ class TestLatencyFunctions:
 
     def test_fu_latency_uses_specs(self):
         config = CoreConfig()
-        trace = Trace([TraceRecord(OpClass.IMUL)])
+        trace = trace_of([TraceRecord(OpClass.IMUL)])
         latency = fu_latency(trace, config.fu_specs)
         assert latency(0) == config.fu_specs[OpClass.IMUL].latency
 
@@ -116,7 +109,7 @@ class TestLatencyFunctions:
             TraceRecord(OpClass.LOAD, mem_addr=0, dl1_miss=True),
             TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True),
         ]
-        trace = Trace(records)
+        trace = trace_of(records)
         latency = full_latency(trace, config.fu_specs, config)
         base = config.fu_specs[OpClass.LOAD].latency
         assert latency(0) == base + config.l1_latency
@@ -159,7 +152,7 @@ class TestBackwardSlice:
             TraceRecord(OpClass.IDIV),
             TraceRecord(OpClass.BRANCH, deps=(1,)),
         ]
-        trace = Trace(records)
+        trace = trace_of(records)
         fu = fu_latency(trace, config.fu_specs)
         depth = backward_slice_latency(trace, 1, 0, fu)
         assert depth == config.fu_specs[OpClass.IDIV].latency + 1

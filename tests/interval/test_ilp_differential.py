@@ -18,13 +18,12 @@ from repro.interval.ilp import (
 from repro.interval.model import IntervalModel
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 
 from tests.interval.scalar_ilp import (
     scalar_fit_ilp_profile,
     scalar_window_criticality,
 )
+from tests.trace.records import TraceRecord, trace_of
 
 
 @st.composite
@@ -37,7 +36,7 @@ def traces(draw, max_size=120):
             max_size=max_size,
         )
     )
-    return Trace([TraceRecord(OpClass.IALU, deps=d) for d in deps])
+    return trace_of([TraceRecord(OpClass.IALU, deps=d) for d in deps])
 
 
 class TestWindowCriticality:
@@ -58,7 +57,7 @@ class TestWindowCriticality:
         ) == scalar_window_criticality(trace, window, stride=stride)
 
     def test_window_larger_than_trace(self):
-        trace = Trace(
+        trace = trace_of(
             [TraceRecord(OpClass.IALU, deps=(1,) if i else ()) for i in range(10)]
         )
         assert window_criticality(trace, 64) == scalar_window_criticality(
@@ -66,8 +65,8 @@ class TestWindowCriticality:
         ) == 10.0
 
     def test_empty_trace(self):
-        assert window_criticality(Trace(), 8) == 0.0
-        assert window_criticality(Trace(), 8, stride=3) == 0.0
+        assert window_criticality(trace_of(), 8) == 0.0
+        assert window_criticality(trace_of(), 8, stride=3) == 0.0
 
     def test_overlapping_windows(self, small_trace):
         for window, stride in ((16, 1), (64, 5), (200, 199)):
@@ -103,7 +102,7 @@ class TestFit:
             assert got == want
 
     def test_empty_trace_fit(self):
-        assert fit_ilp_profile(Trace()) == scalar_fit_ilp_profile(Trace())
+        assert fit_ilp_profile(trace_of()) == scalar_fit_ilp_profile(trace_of())
 
     def test_bad_window_raises(self, small_trace):
         with pytest.raises(ValueError):

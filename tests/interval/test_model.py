@@ -8,11 +8,10 @@ from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
+from tests.trace.records import TraceRecord, trace_of
 
 
 class TestEventPositions:
@@ -24,19 +23,19 @@ class TestEventPositions:
             TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True),
             TraceRecord(OpClass.LOAD, mem_addr=0, dl1_miss=True),  # short: no event
         ]
-        positions = IntervalModel.event_positions(Trace(records))
+        positions = IntervalModel.event_positions(trace_of(records))
         assert positions == [(1, "bpred"), (2, "icache"), (3, "long")]
 
     def test_bpred_wins_on_same_instruction(self):
         record = TraceRecord(OpClass.BRANCH, mispredict=True, il1_miss=True)
-        positions = IntervalModel.event_positions(Trace([record]))
+        positions = IntervalModel.event_positions(trace_of([record]))
         assert positions == [(0, "bpred")]
 
 
 class TestPrediction:
     def test_base_cycles(self):
         config = CoreConfig()
-        trace = Trace([TraceRecord(OpClass.IALU) for _ in range(400)])
+        trace = trace_of([TraceRecord(OpClass.IALU) for _ in range(400)])
         prediction = IntervalModel(config).predict(trace)
         assert prediction.base_cycles == pytest.approx(100.0)
         assert prediction.mispredict_cycles == 0.0
@@ -60,13 +59,13 @@ class TestPrediction:
         records.append(TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True))
         records.append(TraceRecord(OpClass.LOAD, mem_addr=64, dl2_miss=True))
         records.extend(TraceRecord(OpClass.IALU) for _ in range(500))
-        near = IntervalModel(config).predict(Trace(records))
+        near = IntervalModel(config).predict(trace_of(records))
         # two long misses far apart: two latencies
         records2 = [TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True)]
         records2.extend(TraceRecord(OpClass.IALU) for _ in range(300))
         records2.append(TraceRecord(OpClass.LOAD, mem_addr=64, dl2_miss=True))
         records2.extend(TraceRecord(OpClass.IALU) for _ in range(200))
-        far = IntervalModel(config).predict(Trace(records2))
+        far = IntervalModel(config).predict(trace_of(records2))
         assert near.long_dmiss_cycles == pytest.approx(config.memory_latency)
         assert far.long_dmiss_cycles == pytest.approx(2 * config.memory_latency)
 
@@ -93,7 +92,7 @@ class TestPrediction:
         records = [TraceRecord(OpClass.IALU) for _ in range(5000)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
         model = IntervalModel(config)
-        trace = Trace(records)
+        trace = trace_of(records)
         prediction = model.predict(trace)
         drain = model.fit(trace).predict_drain(32)
         assert prediction.mispredict_cycles == pytest.approx(

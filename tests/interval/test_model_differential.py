@@ -21,7 +21,6 @@ from repro.interval.model import IntervalModel
 from repro.interval.penalty import measure_penalties
 from repro.perf.batchcore import run_batch
 from repro.pipeline.config import CoreConfig
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
@@ -36,6 +35,7 @@ from tests.interval.scalar_model import (
     scalar_unit_latency,
 )
 from tests.trace.test_stream_differential import cases
+from tests.trace.records import records_of, trace_of
 
 
 @pytest.mark.parametrize("make", cases())
@@ -45,7 +45,7 @@ def test_predict_matches_record_walk(make):
     model = IntervalModel(config)
     got = model.predict(trace)
     got_events = model.event_positions(trace)
-    oracle = Trace(trace.records, name=trace.name)
+    oracle = trace_of(records_of(trace), name=trace.name)
     assert got == scalar_predict(oracle, config)
     assert got_events == scalar_event_positions(oracle)
 
@@ -53,7 +53,7 @@ def test_predict_matches_record_walk(make):
 @pytest.mark.parametrize("name", ["gzip", "mcf", "crafty"])
 def test_depends_on_matches_record_walk(name):
     trace = generate_trace(SPEC_PROFILES[name], 4000, seed=11)
-    oracle = Trace(trace.records)
+    oracle = trace_of(records_of(trace))
     model = IntervalModel(CoreConfig())
     longs = [seq for seq, kind in model.event_positions(trace) if kind == "long"]
     pairs = list(zip(longs, longs[1:])) + [(seq, seq - 3) for seq in longs[:20]]
@@ -71,7 +71,7 @@ def test_latency_columns_and_slices_match_record_walk(name):
     config = CoreConfig()
     trace = generate_trace(SPEC_PROFILES[name], 6000, seed=5)
     result = run_batch(trace, [config])[0]
-    oracle = Trace(trace.records)
+    oracle = trace_of(records_of(trace))
     pairs = [
         (unit_latency(trace), scalar_unit_latency(oracle)),
         (

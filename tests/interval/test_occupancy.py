@@ -9,8 +9,7 @@ from repro.interval.occupancy import (
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, trace_of
 
 
 def ialu(deps=()):
@@ -29,7 +28,7 @@ class TestTrace:
 
     def test_requires_timeline(self):
         result = simulate(
-            Trace([ialu()]), CoreConfig(record_timeline=False)
+            trace_of([ialu()]), CoreConfig(record_timeline=False)
         )
         with pytest.raises(ValueError, match="timeline"):
             occupancy_trace(result)
@@ -38,7 +37,7 @@ class TestTrace:
         # A serial chain fills the window: occupancy rises to the ROB.
         records = [ialu((1,) if i else ()) for i in range(600)]
         config = CoreConfig(rob_size=64)
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         peak = max(occ for _, occ in occupancy_trace(result))
         assert peak == 64
 
@@ -69,7 +68,7 @@ class TestSummary:
         records = [TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True)]
         records.extend(ialu() for _ in range(500))
         config = CoreConfig(rob_size=32)
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         spans = segments(result)
         assert max(occ for occ, _ in spans) == result.rob_peak_occupancy == 32
         # The window sits full for most of the run.
@@ -85,7 +84,7 @@ class TestAtDispatch:
         records = [ialu((1,) if i else ()) for i in range(100)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
         records.extend(ialu() for _ in range(20))
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         reconstructed = occupancy_at_dispatch(result)
         event = result.mispredict_events[0]
         assert reconstructed[event.seq] == event.window_occupancy

@@ -9,8 +9,7 @@ from repro.interval.penalty import (
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, trace_of
 
 
 def make_trace_with_mispredicts(gaps):
@@ -21,7 +20,7 @@ def make_trace_with_mispredicts(gaps):
                        for _ in range(gap))
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True, deps=(1,)))
     records.extend(TraceRecord(OpClass.IALU) for _ in range(10))
-    return Trace(records)
+    return trace_of(records)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ class TestMeasurement:
         assert p50 <= p90
 
     def test_empty_result_report(self):
-        trace = Trace([TraceRecord(OpClass.IALU) for _ in range(10)])
+        trace = trace_of([TraceRecord(OpClass.IALU) for _ in range(10)])
         result = simulate(trace, CoreConfig())
         report = measure_penalties(result)
         assert report.count == 0

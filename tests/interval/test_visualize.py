@@ -10,8 +10,7 @@ from repro.interval.visualize import (
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, trace_of
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +20,7 @@ def run_with_event():
         TraceRecord(OpClass.BRANCH, mispredict=True, deps=(1,))
     )
     records.extend(TraceRecord(OpClass.IALU) for _ in range(200))
-    result = simulate(Trace(records), CoreConfig())
+    result = simulate(trace_of(records), CoreConfig())
     return result, result.mispredict_events[0]
 
 
@@ -51,7 +50,7 @@ class TestTimeline:
     def test_requires_timeline(self, run_with_event):
         _, event = run_with_event
         records = [TraceRecord(OpClass.IALU)]
-        result = simulate(Trace(records), CoreConfig(record_timeline=False))
+        result = simulate(trace_of(records), CoreConfig(record_timeline=False))
         with pytest.raises(ValueError, match="timeline"):
             interval_timeline(result, event)
 
@@ -64,7 +63,7 @@ class TestTimeline:
 class TestEventPicking:
     def test_returns_none_without_events(self):
         result = simulate(
-            Trace([TraceRecord(OpClass.IALU)] * 10), CoreConfig()
+            trace_of([TraceRecord(OpClass.IALU)] * 10), CoreConfig()
         )
         assert pick_illustrative_event(result) is None
 

@@ -6,7 +6,6 @@ from repro.isa.assembler import (
     AssemblyError,
     assemble,
     disassemble,
-    disassemble_program,
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import fp_reg, int_reg
@@ -149,26 +148,3 @@ class TestDisassemble:
     def test_round_trip_single(self, source):
         inst = assemble(source)[0]
         assert disassemble(inst) == source
-
-    def test_round_trip_program_reassembles(self):
-        source = """
-        start:
-            li r2, 0
-            li r5, 40
-        loop:
-            ld r3, 0(r2)
-            addi r2, r2, 8
-            bne r2, r5, loop
-            beqz r3, start
-            halt
-        """
-        program = assemble(source)
-        text = disassemble_program(program)
-        reassembled = assemble(text)
-        assert len(reassembled) == len(program)
-        for a, b in zip(program, reassembled):
-            assert a.opcode is b.opcode
-            assert a.dest == b.dest
-            assert a.sources == b.sources
-            assert a.imm == b.imm
-            assert a.target == b.target

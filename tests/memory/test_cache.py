@@ -106,15 +106,6 @@ class TestWriteBack:
 
 
 class TestMaintenance:
-    def test_invalidate(self):
-        cache = small_cache()
-        cache.access(0x100)
-        assert cache.invalidate(0x100)
-        assert not cache.access(0x100).hit
-
-    def test_invalidate_absent_returns_false(self):
-        assert not small_cache().invalidate(0x100)
-
     def test_flush_empties_cache(self):
         cache = small_cache()
         for i in range(8):

@@ -12,6 +12,7 @@ from repro.trace.synthetic import generate_trace
 
 from tests.pipeline.annotate_fast import annotation_table, oracle_annotations
 from tests.pipeline.record_annotate import OracleAnnotator
+from tests.trace.records import records_of
 
 
 def make(seed=21, length=1500):
@@ -31,7 +32,7 @@ def test_oracle_annotations_match_scalar_annotator():
     annotator = OracleAnnotator(config)
     fast = oracle_annotations(trace, config)
     assert len(fast) == len(trace)
-    for seq, record in enumerate(trace.records):
+    for seq, record in enumerate(records_of(trace)):
         assert fast[seq] == annotator.annotate(record)
 
 

@@ -24,12 +24,12 @@ from repro.perf.batchcore import (
 )
 from repro.pipeline.config import CoreConfig
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
 from tests.pipeline.scalar_core import SuperscalarCore
+from tests.trace.records import trace_of
 
 
 def profile(**overrides):
@@ -121,7 +121,7 @@ class TestKernelModes:
 
 class TestEdgeCases:
     def test_empty_trace(self):
-        trace = Trace(records=[])
+        trace = trace_of(records=[])
         for result in run_batch(trace, [CoreConfig(), CoreConfig(rob_size=32)]):
             assert result.instructions == 0
             assert result.cycles == 0

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from repro.isa.opcodes import OpClass
-from repro.perf.packed import PackedTrace
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
+from tests.trace.records import TraceRecord, records_of, trace_of
 
 
 def synthetic(length=400, seed=11):
@@ -23,7 +21,7 @@ def synthetic(length=400, seed=11):
 
 def hand_trace():
     """Every field shape: None vs bool annotations, mem/target presence."""
-    return Trace(
+    return trace_of(
         [
             TraceRecord(OpClass.IALU, pc=0x100),
             TraceRecord(
@@ -42,17 +40,25 @@ def hand_trace():
     )
 
 
+def round_trip(trace):
+    """Unpack a trace's columns to records and pack them back."""
+    return trace_of(records_of(trace.pack()), name=trace.name)
+
+
 def test_round_trip_is_lossless_on_synthetic_trace():
     trace = synthetic()
-    back = PackedTrace.pack(trace).unpack()
+    back = round_trip(trace)
     assert len(back) == len(trace)
-    assert all(a == b for a, b in zip(back.records, trace.records))
+    assert all(
+        a == b for a, b in zip(records_of(back.pack()), records_of(trace))
+    )
+    assert back.pack().equals(trace.pack())
 
 
 def test_round_trip_preserves_none_vs_false_annotations():
     trace = hand_trace()
-    back = PackedTrace.pack(trace).unpack()
-    for a, b in zip(back.records, trace.records):
+    back = round_trip(trace)
+    for a, b in zip(records_of(back.pack()), records_of(trace)):
         assert a == b
         # Tri-state fields must distinguish None from False exactly.
         for field in ("mispredict", "il1_miss", "dl1_miss", "dl2_miss"):
@@ -62,26 +68,26 @@ def test_round_trip_preserves_none_vs_false_annotations():
 
 
 def test_round_trip_preserves_name():
-    assert PackedTrace.pack(hand_trace()).unpack().name == "hand"
+    assert round_trip(hand_trace()).name == "hand"
 
 
 def test_csr_dependence_index_matches_records():
     trace = synthetic(length=200, seed=3)
-    packed = PackedTrace.pack(trace)
+    packed = trace.pack()
     assert packed.dep_indptr[0] == 0
     assert packed.dep_indptr[-1] == len(packed.dep_data)
-    for seq, record in enumerate(trace.records):
+    for seq, record in enumerate(records_of(trace)):
         assert tuple(packed.deps_of(seq)) == record.deps
 
 
 def test_equals_discriminates():
-    a = PackedTrace.pack(synthetic(length=100, seed=1))
-    b = PackedTrace.pack(synthetic(length=100, seed=2))
+    a = synthetic(length=100, seed=1).pack()
+    b = synthetic(length=100, seed=2).pack()
     assert a.equals(a)
     assert not a.equals(b)
 
 
 def test_empty_trace_packs():
-    packed = PackedTrace.pack(Trace([]))
+    packed = trace_of([]).pack()
     assert len(packed) == 0
-    assert len(packed.unpack()) == 0
+    assert len(records_of(packed)) == 0

@@ -28,8 +28,8 @@ from repro.memory.hierarchy import CacheHierarchy, MissClass
 from repro.obs import runtime as _obs
 from repro.pipeline.annotate import MissColumns
 from repro.pipeline.config import CoreConfig
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, records_of
 
 
 def load_latency(config: CoreConfig, miss_class: MissClass) -> int:
@@ -65,7 +65,7 @@ class Annotator(abc.ABC):
 
     def miss_columns(self, trace: Trace) -> MissColumns:
         """The record walk as the columns a core reads."""
-        return annotate_in_order(self, trace.records)
+        return annotate_in_order(self, records_of(trace))
 
 
 class OracleAnnotator(Annotator):

@@ -37,6 +37,7 @@ from tests.pipeline.annotate_fast import oracle_annotations
 from tests.pipeline.functional_units import FunctionalUnits
 from tests.pipeline.record_annotate import Annotation, Annotator, OracleAnnotator
 from tests.pipeline.rob import ReorderBuffer
+from tests.trace.records import records_of
 
 _GHOST = -1  # seq marker for wrong-path ghost instructions
 
@@ -52,7 +53,7 @@ class SuperscalarCore:
     ) -> SimulationResult:
         """Simulate the trace to completion and return the result."""
         config = self.config
-        records = trace.records
+        records = records_of(trace)
         n = len(records)
         oracle_fast = annotator is None
         if oracle_fast:

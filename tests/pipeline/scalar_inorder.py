@@ -27,6 +27,7 @@ from repro.trace.stream import Trace
 
 from tests.pipeline.functional_units import FunctionalUnits
 from tests.pipeline.record_annotate import Annotator, OracleAnnotator
+from tests.trace.records import records_of
 
 
 class ScalarInOrderCore:
@@ -41,7 +42,7 @@ class ScalarInOrderCore:
         """Simulate the trace; returns the same result type as the
         out-of-order core (ROB fields read as the in-flight count)."""
         config = self.config
-        records = trace.records
+        records = records_of(trace)
         n = len(records)
         if annotator is None:
             annotator = OracleAnnotator(config)

@@ -17,8 +17,7 @@ from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.perf.batchcore import TraceColumns
 from repro.pipeline.annotate import MissColumns, StructuralAnnotator
 from repro.pipeline.config import CoreConfig
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, trace_of
 
 
 class Outcome(NamedTuple):
@@ -47,7 +46,7 @@ class OracleColumns:
         self.config = config
 
     def annotate(self, record: TraceRecord) -> Outcome:
-        cols = TraceColumns.from_packed(Trace([record]).pack())
+        cols = TraceColumns.from_packed(trace_of([record]).pack())
         return outcome(MissColumns.oracle(cols, self.config))
 
 
@@ -106,7 +105,7 @@ class OnePass:
         self.annotator = annotator
 
     def annotate(self, record: TraceRecord) -> Outcome:
-        return outcome(self.annotator.miss_columns(Trace([record])))
+        return outcome(self.annotator.miss_columns(trace_of([record])))
 
 
 class TestStructuralAnnotator:

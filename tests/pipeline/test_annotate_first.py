@@ -45,6 +45,7 @@ from tests.pipeline.record_annotate import (
     RecordStructuralAnnotator,
 )
 from tests.pipeline.scalar_core import SuperscalarCore
+from tests.trace.records import records_of
 
 CONFIG = CoreConfig()
 
@@ -123,7 +124,7 @@ def test_scalar_core_asks_each_record_once_in_program_order(config):
     trace = generate_trace(
         SPEC_PROFILES["gcc"], 2_000, seed=derive_seed(2006, "gcc")
     )
-    records = trace.records
+    records = records_of(trace)
     oracle = Recording(OracleAnnotator(config), records)
     result = SuperscalarCore(config).run(trace, annotator=oracle)
     assert result.icache_events and result.mispredict_events
@@ -136,7 +137,7 @@ def test_scalar_core_asks_each_record_once_in_program_order(config):
             CacheHierarchy(HierarchyConfig()),
             RecordStructuralAnnotator,
         ),
-        kernel.records,
+        records_of(kernel),
     )
     SuperscalarCore(config).run(kernel, annotator=structural)
     assert structural.seen == list(range(len(kernel)))

@@ -5,8 +5,7 @@ import pytest
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig, FUSpec, DEFAULT_FU_SPECS
 from repro.pipeline.core import simulate
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, trace_of
 
 
 def ialu(deps=()):
@@ -15,22 +14,22 @@ def ialu(deps=()):
 
 def chain(n):
     """n serially dependent single-cycle instructions."""
-    return Trace([ialu((1,) if i else ()) for i in range(n)])
+    return trace_of([ialu((1,) if i else ()) for i in range(n)])
 
 
 def independent(n):
-    return Trace([ialu() for _ in range(n)])
+    return trace_of([ialu() for _ in range(n)])
 
 
 class TestBasics:
     def test_empty_trace(self):
-        result = simulate(Trace(), CoreConfig())
+        result = simulate(trace_of(), CoreConfig())
         assert result.instructions == 0
         assert result.cycles == 0
 
     def test_single_instruction(self):
         config = CoreConfig()
-        result = simulate(Trace([ialu()]), config)
+        result = simulate(trace_of([ialu()]), config)
         # frontend fill + dispatch + issue + execute + commit
         assert result.cycles >= config.frontend_depth + 2
         assert result.instructions == 1
@@ -69,20 +68,20 @@ class TestLatencies:
             TraceRecord(OpClass.IMUL, deps=(1,) if i else ())
             for i in range(500)
         ]
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         latency = DEFAULT_FU_SPECS[OpClass.IMUL].latency
         assert result.cycles == pytest.approx(500 * latency, rel=0.05)
 
     def test_unpipelined_divider_serializes(self):
         records = [TraceRecord(OpClass.IDIV) for _ in range(50)]
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         interval = DEFAULT_FU_SPECS[OpClass.IDIV].issue_interval
         assert result.cycles >= 50 * interval
 
     def test_fu_count_limits_throughput(self):
         # 1 FMUL unit, independent fmuls -> IPC <= 1
         records = [TraceRecord(OpClass.FMUL) for _ in range(1000)]
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         assert result.ipc <= 1.05
 
     def test_load_hit_latency_on_chain(self):
@@ -92,7 +91,7 @@ class TestLatencies:
             records.append(
                 TraceRecord(OpClass.LOAD, mem_addr=8 * i, deps=(1,) if i else ())
             )
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         load_cost = (
             DEFAULT_FU_SPECS[OpClass.LOAD].latency + config.l1_latency
         )
@@ -104,7 +103,7 @@ class TestLatencies:
             TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True),
             ialu((1,)),
         ]
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         assert result.cycles >= config.memory_latency
 
 
@@ -114,7 +113,7 @@ class TestBranchMisprediction:
         records = [ialu() for _ in range(20)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True, taken=True))
         records.extend(ialu() for _ in range(20))
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         events = result.mispredict_events
         assert len(events) == 1
         event = events[0]
@@ -127,7 +126,7 @@ class TestBranchMisprediction:
         records = [ialu() for _ in range(8)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
         records.extend(ialu() for _ in range(8))
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         event = result.mispredict_events[0]
         branch_seq = event.seq
         next_dispatch = result.dispatch_cycle[branch_seq + 1]
@@ -145,8 +144,8 @@ class TestBranchMisprediction:
             TraceRecord(OpClass.BRANCH, mispredict=True, deps=(1,)),
             ialu(),
         ]
-        fast_result = simulate(Trace(fast), config)
-        slow_result = simulate(Trace(slow), config)
+        fast_result = simulate(trace_of(fast), config)
+        slow_result = simulate(trace_of(slow), config)
         assert (
             slow_result.mispredict_events[0].resolution
             > fast_result.mispredict_events[0].resolution
@@ -154,7 +153,7 @@ class TestBranchMisprediction:
 
     def test_correctly_predicted_branch_no_event(self):
         records = [ialu(), TraceRecord(OpClass.BRANCH, mispredict=False), ialu()]
-        result = simulate(Trace(records))
+        result = simulate(trace_of(records))
         assert not result.mispredict_events
 
     def test_full_window_resolution_exceeds_empty_window(self):
@@ -166,7 +165,7 @@ class TestBranchMisprediction:
             records.append(TraceRecord(OpClass.BRANCH, mispredict=True,
                                        deps=(1,)))
             records.extend(ialu() for _ in range(10))
-            return Trace(records)
+            return trace_of(records)
 
         short_gap = simulate(trace_with_gap(4), config)
         long_gap = simulate(trace_with_gap(200), config)
@@ -179,7 +178,7 @@ class TestBranchMisprediction:
         records = [ialu((1,) if i else ()) for i in range(30)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
         records.append(ialu())
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         event = result.mispredict_events[0]
         assert 0 < event.window_occupancy <= 30
 
@@ -190,7 +189,7 @@ class TestICacheMiss:
         records = [ialu() for _ in range(4)]
         records.append(TraceRecord(OpClass.IALU, il1_miss=True))
         records.extend(ialu() for _ in range(4))
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         events = result.icache_events
         assert len(events) == 1
         miss_seq = events[0].seq
@@ -200,7 +199,7 @@ class TestICacheMiss:
     def test_icache_event_latency(self):
         config = CoreConfig()
         records = [TraceRecord(OpClass.IALU, il1_miss=True), ialu()]
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         assert result.icache_events[0].latency == config.l2_latency
 
 
@@ -208,7 +207,7 @@ class TestLongDMiss:
     def test_event_logged_with_latency(self):
         config = CoreConfig()
         records = [TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True), ialu()]
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         events = result.long_dmiss_events
         assert len(events) == 1
         assert events[0].latency >= config.memory_latency
@@ -217,12 +216,12 @@ class TestLongDMiss:
         config = CoreConfig(rob_size=16)
         records = [TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True)]
         records.extend(ialu() for _ in range(100))
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         assert result.rob_peak_occupancy == 16
 
     def test_store_long_miss_not_an_event(self):
         records = [TraceRecord(OpClass.STORE, mem_addr=0, dl2_miss=True), ialu()]
-        result = simulate(Trace(records))
+        result = simulate(trace_of(records))
         assert not result.long_dmiss_events
 
 
@@ -232,7 +231,7 @@ class TestWrongPathMode:
         records = [ialu() for _ in range(10)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True, deps=(1,)))
         records.extend(ialu() for _ in range(10))
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         assert result.instructions == 21
         assert result.squashed_ghosts > 0
 
@@ -240,8 +239,8 @@ class TestWrongPathMode:
         records = [ialu((1,) if i else ()) for i in range(50)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True, deps=(1,)))
         records.extend(ialu() for _ in range(50))
-        stop = simulate(Trace(records), CoreConfig())
-        ghost = simulate(Trace(records), CoreConfig(dispatch_wrong_path=True))
+        stop = simulate(trace_of(records), CoreConfig())
+        ghost = simulate(trace_of(records), CoreConfig(dispatch_wrong_path=True))
         assert stop.mispredict_events[0].resolution == pytest.approx(
             ghost.mispredict_events[0].resolution, abs=3
         )
@@ -260,7 +259,7 @@ class TestIssuePolicy:
         records = []
         for i in range(2000):
             records.append(ialu((1,) if i % 4 == 0 and i else ()))
-        trace = Trace(records)
+        trace = trace_of(records)
         oldest = simulate(trace, CoreConfig())
         random_policy = simulate(
             trace, CoreConfig(issue_policy="random", seed=1)

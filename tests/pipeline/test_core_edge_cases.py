@@ -5,8 +5,7 @@ import pytest
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, trace_of
 
 
 def ialu(deps=()):
@@ -17,7 +16,7 @@ class TestTraceBoundaries:
     def test_mispredicted_branch_is_last_instruction(self):
         records = [ialu() for _ in range(5)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         assert result.instructions == 6
         assert len(result.mispredict_events) == 1
 
@@ -26,7 +25,7 @@ class TestTraceBoundaries:
             TraceRecord(OpClass.BRANCH, mispredict=True) for _ in range(20)
         ]
         config = CoreConfig()
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         assert len(result.mispredict_events) == 20
         # back-to-back: each pays ~resolution(1) + refill
         assert result.cycles >= 20 * config.frontend_depth
@@ -34,7 +33,7 @@ class TestTraceBoundaries:
     def test_icache_miss_on_first_instruction(self):
         records = [TraceRecord(OpClass.IALU, il1_miss=True), ialu()]
         config = CoreConfig()
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         assert result.dispatch_cycle[0] >= (
             config.frontend_depth + config.l2_latency
         )
@@ -42,7 +41,7 @@ class TestTraceBoundaries:
     def test_long_miss_is_last_instruction(self):
         records = [ialu(), TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True)]
         config = CoreConfig()
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         assert result.cycles >= config.memory_latency
 
     def test_mispredicted_jump_counts_as_event(self):
@@ -51,7 +50,7 @@ class TestTraceBoundaries:
             TraceRecord(OpClass.JUMP, taken=True, target=0x40, mispredict=True)
         )
         records.append(ialu())
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         assert len(result.mispredict_events) == 1
 
 
@@ -61,7 +60,7 @@ class TestDegenerateMachines:
             dispatch_width=1, issue_width=1, commit_width=1, rob_size=1
         )
         records = [ialu() for _ in range(50)]
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         # one instruction in flight at a time
         assert result.rob_peak_occupancy == 1
         assert result.ipc < 1.0
@@ -69,7 +68,7 @@ class TestDegenerateMachines:
     def test_rob_equals_width(self):
         config = CoreConfig(rob_size=4)
         records = [ialu((1,) if i else ()) for i in range(100)]
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         assert result.rob_peak_occupancy <= 4
         assert result.instructions == 100
 
@@ -78,7 +77,7 @@ class TestDegenerateMachines:
         records = [ialu() for _ in range(10)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
         records.extend(ialu() for _ in range(10))
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         event = result.mispredict_events[0]
         assert event.refill_cycles == 100
         assert event.penalty >= 101
@@ -88,7 +87,7 @@ class TestDegenerateMachines:
         records = [ialu() for _ in range(100)]
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
         records.append(ialu())
-        result = simulate(Trace(records), config)
+        result = simulate(trace_of(records), config)
         assert result.dispatch_cycle is None
         assert result.issue_cycle is None
         # events still carry full timing
@@ -96,7 +95,7 @@ class TestDegenerateMachines:
 
     def test_timeline_off_matches_timeline_on_cycles(self):
         records = [ialu((2,) if i >= 2 else ()) for i in range(500)]
-        trace = Trace(records)
+        trace = trace_of(records)
         with_timeline = simulate(trace, CoreConfig(record_timeline=True))
         without = simulate(trace, CoreConfig(record_timeline=False))
         assert with_timeline.cycles == without.cycles
@@ -107,12 +106,12 @@ class TestDependenceEdgeCases:
         # first instruction cannot have deps (generator guarantees it),
         # but a sliced trace can: distances reaching before index 0.
         records = [ialu(), ialu((5,))]  # 1 - 5 < 0
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         assert result.instructions == 2
 
     def test_duplicate_dependence_distances(self):
         records = [ialu(), ialu((1, 1))]
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         assert result.issue_cycle[1] >= result.complete_cycle[0]
 
     def test_dependence_on_store(self):
@@ -120,13 +119,13 @@ class TestDependenceEdgeCases:
             TraceRecord(OpClass.STORE, mem_addr=0),
             ialu((1,)),
         ]
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         assert result.issue_cycle[1] >= result.complete_cycle[0]
 
     def test_long_dependence_distance(self):
         records = [ialu() for _ in range(300)]
         records.append(TraceRecord(OpClass.IALU, deps=(300,)))
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         # producer long retired: no stall
         assert result.instructions == 301
 
@@ -137,7 +136,7 @@ class TestEventOrdering:
         for block in range(10):
             records.extend(ialu() for _ in range(10))
             records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         seqs = [e.seq for e in result.mispredict_events]
         assert seqs == sorted(seqs)
 
@@ -148,7 +147,7 @@ class TestEventOrdering:
             TraceRecord(OpClass.BRANCH, mispredict=True),
             ialu(),
         ]
-        result = simulate(Trace(records), CoreConfig())
+        result = simulate(trace_of(records), CoreConfig())
         assert len(result.icache_events) == 1
         assert len(result.long_dmiss_events) == 1
         assert len(result.mispredict_events) == 1

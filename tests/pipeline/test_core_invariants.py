@@ -6,6 +6,7 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
+from tests.trace.records import records_of
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ class TestTimelineInvariants:
 
     def test_no_issue_before_producer_completes(self, run):
         trace, _, result = run
-        for i, record in enumerate(trace.records):
+        for i, record in enumerate(records_of(trace)):
             for dist in record.deps:
                 producer = i - dist
                 if producer >= 0:
@@ -118,7 +119,7 @@ class TestEventConsistency:
         trace, _, result = run
         annotated = {
             i
-            for i, r in enumerate(trace.records)
+            for i, r in enumerate(records_of(trace))
             if r.is_load and r.dl2_miss
         }
         observed = {e.seq for e in result.long_dmiss_events}
@@ -126,7 +127,7 @@ class TestEventConsistency:
 
     def test_icache_events_match_annotations(self, run):
         trace, _, result = run
-        annotated = {i for i, r in enumerate(trace.records) if r.il1_miss}
+        annotated = {i for i, r in enumerate(records_of(trace)) if r.il1_miss}
         observed = {e.seq for e in result.icache_events}
         assert observed == annotated
 

@@ -10,11 +10,10 @@ from repro.pipeline.config import CoreConfig, DEFAULT_FU_SPECS
 from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
+from tests.trace.records import TraceRecord, records_of, trace_of
 
 
 def ialu(deps=()):
@@ -23,16 +22,16 @@ def ialu(deps=()):
 
 class TestBasics:
     def test_empty_trace(self):
-        result = simulate_inorder(Trace())
+        result = simulate_inorder(trace_of())
         assert result.cycles == 0
 
     def test_independent_stream_hits_width(self):
-        result = simulate_inorder(Trace([ialu() for _ in range(4000)]))
+        result = simulate_inorder(trace_of([ialu() for _ in range(4000)]))
         assert result.ipc == pytest.approx(4.0, abs=0.2)
 
     def test_serial_chain_ipc_one(self):
         records = [ialu((1,) if i else ()) for i in range(2000)]
-        result = simulate_inorder(Trace(records))
+        result = simulate_inorder(trace_of(records))
         assert result.ipc == pytest.approx(1.0, abs=0.05)
 
     def test_no_memory_level_parallelism(self):
@@ -46,8 +45,8 @@ class TestBasics:
             TraceRecord(OpClass.LOAD, mem_addr=64, dl2_miss=True),
             ialu((1,)),
         ]
-        in_order = simulate_inorder(Trace(records), config)
-        out_of_order = simulate(Trace(records), config)
+        in_order = simulate_inorder(trace_of(records), config)
+        out_of_order = simulate(trace_of(records), config)
         assert in_order.cycles >= 2 * config.memory_latency
         assert out_of_order.cycles < 1.5 * config.memory_latency
 
@@ -60,7 +59,7 @@ class TestBasics:
     def test_no_issue_before_producer(self):
         trace = generate_trace(WorkloadProfile(), 2000, seed=5)
         result = simulate_inorder(trace)
-        for i, record in enumerate(trace.records):
+        for i, record in enumerate(records_of(trace)):
             for dist in record.deps:
                 producer = i - dist
                 if producer >= 0:
@@ -93,7 +92,7 @@ class TestMissEvents:
         records.append(TraceRecord(OpClass.BRANCH, mispredict=True))
         records.extend(ialu() for _ in range(10))
         config = CoreConfig()
-        result = simulate_inorder(Trace(records), config)
+        result = simulate_inorder(trace_of(records), config)
         events = result.mispredict_events
         assert len(events) == 1
         assert events[0].refill_cycles == config.frontend_depth
@@ -106,12 +105,12 @@ class TestMissEvents:
         records = [ialu() for _ in range(4)]
         records.append(TraceRecord(OpClass.IALU, il1_miss=True))
         records.extend(ialu() for _ in range(4))
-        result = simulate_inorder(Trace(records), config)
+        result = simulate_inorder(trace_of(records), config)
         assert len(result.icache_events) == 1
 
     def test_long_miss_event(self):
         records = [TraceRecord(OpClass.LOAD, mem_addr=0, dl2_miss=True), ialu()]
-        result = simulate_inorder(Trace(records))
+        result = simulate_inorder(trace_of(records))
         assert len(result.long_dmiss_events) == 1
 
 

@@ -23,8 +23,6 @@ from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import DEFAULT_FU_SPECS, CoreConfig, FUSpec
 from repro.pipeline.inorder import InOrderCore, simulate_inorder
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.kernels import kernel_trace, stride_sum
@@ -39,6 +37,7 @@ from tests.pipeline.test_annotate_first import (
     _structural,
     _zero_stall,
 )
+from tests.trace.records import TraceRecord, trace_of
 
 #: Each core with the annotator it asks: the column pass for the
 #: column core, the record walk for the scalar oracle.
@@ -157,9 +156,9 @@ def test_record_timeline_off_keeps_the_dispatch_column():
 
 
 def test_empty_and_single_record_traces():
-    assert_matches_oracle(Trace(), CoreConfig())
+    assert_matches_oracle(trace_of(), CoreConfig())
     assert_matches_oracle(
-        Trace([TraceRecord(OpClass.BRANCH, mispredict=True, il1_miss=True)]),
+        trace_of([TraceRecord(OpClass.BRANCH, mispredict=True, il1_miss=True)]),
         CoreConfig(),
     )
 
@@ -308,7 +307,7 @@ def test_oracle_run_builds_no_record_view(monkeypatch):
     monkeypatch.setattr(functional_units.FunctionalUnits, "__init__", refuse)
     monkeypatch.setattr(TraceRecord, "__init__", refuse)
     trace = suite_trace("gzip", 3_000)
-    assert trace._records is None
+    assert not hasattr(trace, "records")
     for config in (CoreConfig(), CoreConfig(record_timeline=False)):
         simulate_inorder(trace, config)
-        assert trace._records is None
+        assert not hasattr(trace, "records")

@@ -30,6 +30,7 @@ from repro.workloads.spec_profiles import SPEC_PROFILES
 
 from tests.pipeline.record_annotate import OracleAnnotator
 from tests.pipeline.scalar_core import SuperscalarCore
+from tests.trace.records import trace_of
 
 LENGTH = 1_500
 
@@ -97,9 +98,9 @@ def test_traced_kernel_run_equals_the_scalar_run(name, no_sanitizer):
 
 def test_traced_metered_run_stays_on_the_columns(no_sanitizer, kernel_calls):
     trace = _trace("gzip")
-    assert trace._records is None
+    assert not hasattr(trace, "records")
     result, spans, snapshot = _observed(lambda: simulate(trace, CoreConfig()))
-    assert trace._records is None, "a traced run built the record view"
+    assert not hasattr(trace, "records"), "a traced run built the record view"
     assert kernel_calls == [1]
     assert spans and snapshot is not None
     assert len(spans) == len(result.events)
@@ -202,7 +203,5 @@ def test_inorder_metrics_keep_their_names_and_values():
 
 
 def test_empty_run_reports_nothing():
-    from repro.trace.stream import Trace
-
-    _, spans, snapshot = _observed(lambda: simulate(Trace(), CoreConfig()))
+    _, spans, snapshot = _observed(lambda: simulate(trace_of(), CoreConfig()))
     assert spans == [] and snapshot is None

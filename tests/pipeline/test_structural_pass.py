@@ -37,6 +37,7 @@ from tests.pipeline.record_annotate import (
 from tests.pipeline.scalar_core import SuperscalarCore
 from tests.pipeline.scalar_inorder import ScalarInOrderCore
 from tests.pipeline.test_annotate_first import PREDICTORS
+from tests.trace.records import records_of
 
 pytestmark = pytest.mark.usefixtures("kernel_path")
 
@@ -84,7 +85,7 @@ def _assert_pass_matches(trace, make_direction=TournamentPredictor, prefetch=Fal
     passes = []
     for _ in range(2):
         got = _columns(annotator.miss_columns(trace))
-        want = _columns(annotate_in_order(reference, trace.records))
+        want = _columns(annotate_in_order(reference, records_of(trace)))
         assert got == want
         assert got_state() == want_state()
         passes.append(got)

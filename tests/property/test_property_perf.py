@@ -1,8 +1,9 @@
 """Property tests for the columnar perf layer.
 
-Over arbitrary annotated traces, ``Trace.pack() -> unpack()`` is the
-identity on every record field, including the tri-state
-(None/False/True) annotations.
+Over arbitrary annotated traces, packing records into columns and
+unpacking them back (``trace_of`` then ``records_of``) is the identity
+on every record field, including the tri-state (None/False/True)
+annotations.
 """
 
 from __future__ import annotations
@@ -10,9 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.opcodes import OpClass
-from repro.perf.packed import PackedTrace
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, records_of, trace_of
 
 _TRI = st.sampled_from([None, False, True])
 
@@ -68,10 +67,9 @@ def trace_records(draw, max_size=60):
 @settings(max_examples=60, deadline=None)
 @given(records=trace_records())
 def test_pack_unpack_is_identity(records):
-    trace = Trace(records, name="prop")
-    back = PackedTrace.pack(trace).unpack()
-    assert len(back) == len(trace)
-    for a, b in zip(back.records, trace.records):
+    back = records_of(trace_of(records, name="prop").pack())
+    assert len(back) == len(records)
+    for a, b in zip(back, records):
         assert a == b
         for field in ("mispredict", "il1_miss", "dl1_miss", "dl2_miss"):
             assert getattr(a, field) is getattr(b, field)

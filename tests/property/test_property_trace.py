@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from repro.isa.opcodes import OpClass
 from repro.trace.io import load_trace, save_trace
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
+from tests.trace.records import TraceRecord, records_of, trace_of
 
 PROFILES = st.builds(
     WorkloadProfile,
@@ -33,7 +32,7 @@ class TestGeneratorProperties:
         assert len(trace) == 400
         trace.validate()
         assert trace.is_annotated
-        for i, record in enumerate(trace):
+        for i, record in enumerate(records_of(trace)):
             for dep in record.deps:
                 assert 1 <= dep <= max(i, 1)
             if record.is_load:
@@ -46,7 +45,7 @@ class TestGeneratorProperties:
     def test_determinism(self, profile, seed):
         a = generate_trace(profile, 200, seed=seed)
         b = generate_trace(profile, 200, seed=seed)
-        assert a.records == b.records
+        assert records_of(a) == records_of(b)
 
     @given(profile=PROFILES, seed=SEEDS)
     @settings(max_examples=25, deadline=None)
@@ -54,7 +53,7 @@ class TestGeneratorProperties:
         """A longer generation run starts with the shorter run."""
         short = generate_trace(profile, 100, seed=seed)
         long = generate_trace(profile, 200, seed=seed)
-        assert long.records[:100] == short.records
+        assert records_of(long)[:100] == records_of(short)
 
 
 # Hypothesis-built records for serialization round-trips.
@@ -105,8 +104,8 @@ class TestSerializationProperties:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_exact(self, records, tmp_path_factory):
         path = tmp_path_factory.mktemp("traces") / "t.bin"
-        trace = Trace(records, name="prop")
+        trace = trace_of(records, name="prop")
         save_trace(trace, path)
         loaded = load_trace(path)
-        assert loaded.records == records
+        assert records_of(loaded) == records
         assert loaded.name == "prop"

@@ -110,6 +110,14 @@ class TestTraceRoundTrip:
         assert main(["simulate", "--trace", str(path)]) == 0
         assert "IPC" in capsys.readouterr().out
 
+    def test_version_1_file_is_refused_clearly(self, tmp_path):
+        path = tmp_path / "old.trc"
+        path.write_bytes(b"RTRC\x01\x00\x00\x00" + bytes(8))
+        for argv in (["trace-info", str(path)],
+                     ["simulate", "--trace", str(path)]):
+            with pytest.raises(SystemExit, match="version 1.*repro trace"):
+                main(argv)
+
 
 class TestExperiment:
     def test_runs_t1(self, capsys):

@@ -20,8 +20,8 @@ from repro.isa.opcodes import Opcode
 from repro.isa.program import Program
 from repro.isa.registers import Register, RegisterFile
 from repro.trace.functional import DataMemory, ExecutionLimitExceeded
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, trace_of
 
 
 class RecordFunctionalSimulator:
@@ -180,6 +180,6 @@ class RecordFunctionalSimulator:
             index = target_index if target_index is not None else index + 1
         else:
             raise ExecutionLimitExceeded(
-                max_instructions, Trace(records, name=program.name)
+                max_instructions, trace_of(records, name=program.name)
             )
-        return Trace(records, name=program.name)
+        return trace_of(records, name=program.name)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
+from tests.trace.records import TraceRecord, records_of, trace_of
 
 
 def _rebuild(
@@ -20,8 +20,8 @@ def _rebuild(
     name_suffix: str,
     transform: Callable[[TraceRecord], TraceRecord],
 ) -> Trace:
-    records = [transform(record) for record in trace.records]
-    return Trace(records, name=f"{trace.name}{name_suffix}")
+    records = [transform(record) for record in records_of(trace)]
+    return trace_of(records, name=f"{trace.name}{name_suffix}")
 
 
 def _with_flags(record: TraceRecord, **overrides) -> TraceRecord:

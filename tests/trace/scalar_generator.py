@@ -12,9 +12,9 @@ from typing import List, Optional, Tuple
 
 from repro.isa.opcodes import OpClass
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.util.rng import SplitMix
+from tests.trace.records import TraceRecord, trace_of
 
 _INSTRUCTION_BYTES = 4
 
@@ -228,7 +228,7 @@ class ScalarTraceGenerator:
         return record
 
     def generate(self, count: int) -> Trace:
-        return Trace(
+        return trace_of(
             [self.generate_record() for _ in range(count)], name=self.profile.name
         )
 

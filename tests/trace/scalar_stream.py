@@ -3,7 +3,7 @@
 ``Trace`` answers its queries (statistics, branch indices, dataflow
 critical path, validation) as folds over its columns; this module keeps
 the per-record walks they replaced. Differential tests require the two
-to agree exactly, so the walks read nothing but ``trace.records``.
+to agree exactly, so the walks read nothing but ``records_of(trace)``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from typing import Dict, List
 
 from repro.trace.stream import Trace, TraceStatistics
 from repro.util.stats import Histogram
+from tests.trace.records import records_of
 
 
 def scalar_statistics(trace: Trace) -> TraceStatistics:
@@ -24,7 +25,7 @@ def scalar_statistics(trace: Trace) -> TraceStatistics:
     dl1_count = 0
     dl2_count = 0
     dep_hist = Histogram()
-    for record in trace.records:
+    for record in records_of(trace):
         key = record.op_class.value
         mix_counts[key] = mix_counts.get(key, 0) + 1
         for dist in record.deps:
@@ -39,7 +40,7 @@ def scalar_statistics(trace: Trace) -> TraceStatistics:
             load_count += 1
             dl1_count += int(bool(record.dl1_miss))
             dl2_count += int(bool(record.dl2_miss))
-    n = len(trace.records)
+    n = len(records_of(trace))
     per_ki = 1000.0 / n if n else 0.0
     return TraceStatistics(
         instruction_count=n,
@@ -57,25 +58,25 @@ def scalar_statistics(trace: Trace) -> TraceStatistics:
 
 
 def scalar_branch_indices(trace: Trace) -> List[int]:
-    return [i for i, r in enumerate(trace.records) if r.is_branch]
+    return [i for i, r in enumerate(records_of(trace)) if r.is_branch]
 
 
 def scalar_mispredicted_indices(trace: Trace) -> List[int]:
     return [
-        i for i, r in enumerate(trace.records) if r.is_branch and r.mispredict
+        i for i, r in enumerate(records_of(trace)) if r.is_branch and r.mispredict
     ]
 
 
 def scalar_is_annotated(trace: Trace) -> bool:
     return all(
         record.mispredict is not None
-        for record in trace.records
+        for record in records_of(trace)
         if record.is_branch
     )
 
 
 def scalar_validate(trace: Trace) -> None:
-    for i, record in enumerate(trace.records):
+    for i, record in enumerate(records_of(trace)):
         if any(d < 1 for d in record.deps):
             raise ValueError(f"record {i}: non-positive dependence distance")
         if record.is_memory and record.mem_addr is None:
@@ -87,7 +88,7 @@ def scalar_critical_path_length(trace: Trace, latency_of=None) -> int:
         latency_of = lambda op_class: 1  # noqa: E731 - tiny default
     finish: List[int] = []
     longest = 0
-    for i, record in enumerate(trace.records):
+    for i, record in enumerate(records_of(trace)):
         start = 0
         for dist in record.deps:
             producer = i - dist

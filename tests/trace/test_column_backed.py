@@ -1,8 +1,9 @@
-"""A generated trace is held as columns and builds records only on demand.
+"""A trace is its columns; it has no per-instruction record view.
 
 The figure path (statistics, the interval model, the ILP fit, the
 contributor decomposition, the batched and in-order cores, structural
-annotation) must read the columns and never build the record view.
+annotation) runs on the columns alone, and a column slice equals the
+slice of the same trace rebuilt from its records.
 """
 
 import pytest
@@ -15,14 +16,13 @@ from repro.interval.ilp import fit_ilp_profile
 from repro.interval.model import IntervalModel
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.perf.batchcore import run_batch
-from repro.perf.packed import PackedTrace
 from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
-from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.workloads.spec_profiles import SPEC_PROFILES
+from tests.trace.records import records_of, trace_of
 
 
 def fresh(length=3000, name="twolf", seed=7):
@@ -31,18 +31,14 @@ def fresh(length=3000, name="twolf", seed=7):
 
 def test_generated_trace_is_column_backed():
     trace = fresh()
-    assert trace._records is None
+    assert not hasattr(trace, "records")
     assert trace.pack() is trace.pack()
     assert len(trace) == 3000
 
 
-def test_figure_path_never_builds_records(monkeypatch):
-    def refuse(self):
-        raise AssertionError("record view built on the figure path")
-
+def test_figure_path_never_builds_records():
     trace = fresh()
     config = CoreConfig()
-    monkeypatch.setattr(PackedTrace, "to_records", refuse)
     trace.statistics()
     trace.dataflow_ipc()
     trace.branch_indices()
@@ -61,14 +57,7 @@ def test_figure_path_never_builds_records(monkeypatch):
     assert simulate(trace, config, annotator=structural).events
     simulate_inorder(trace, config, annotator=structural)
     trace.slice(100, 900).statistics()
-    assert trace._records is None
-
-
-def test_records_are_built_once():
-    trace = fresh(500)
-    records = trace.records
-    assert trace.records is records
-    assert len(records) == len(trace) == 500
+    assert not hasattr(trace.slice(100, 900), "records")
 
 
 @pytest.mark.parametrize(
@@ -76,12 +65,11 @@ def test_records_are_built_once():
 )
 def test_column_slice_equals_record_slice(bounds):
     trace = fresh()
-    by_records = Trace(list(trace.records), name=trace.name).slice(*bounds)
+    by_records = trace_of(list(records_of(trace)), name=trace.name).slice(*bounds)
     by_columns = fresh().slice(*bounds)
-    assert by_columns._records is None
     assert by_columns.name == by_records.name
-    assert by_columns.pack().equals(PackedTrace.pack(by_records))
-    assert by_columns.records == by_records.records
+    assert by_columns.pack().equals(by_records.pack())
+    assert records_of(by_columns) == records_of(by_records)
 
 
 def test_slice_keeps_dependences_before_its_start():
@@ -92,5 +80,5 @@ def test_slice_keeps_dependences_before_its_start():
     first_deps = by_columns.pack().deps_of(0)
     assert first_deps == trace.pack().deps_of(1000)
     config = CoreConfig()
-    by_records = Trace(list(by_columns.records))
+    by_records = trace_of(list(records_of(by_columns)))
     assert simulate(by_columns, config).cycles == simulate(by_records, config).cycles

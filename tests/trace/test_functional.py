@@ -9,6 +9,7 @@ from repro.trace.functional import (
     ExecutionLimitExceeded,
     FunctionalSimulator,
 )
+from tests.trace.records import records_of
 
 
 def run_source(source, memory_values=None, max_instructions=100_000):
@@ -101,7 +102,7 @@ class TestControlFlow:
                 halt
             """
         )
-        branch_records = [r for r in trace if r.is_branch]
+        branch_records = [r for r in records_of(trace) if r.is_branch]
         assert len(branch_records) == 5
         # taken 4 times, not-taken on exit
         assert sum(r.taken for r in branch_records) == 4
@@ -116,7 +117,7 @@ class TestControlFlow:
                 halt
             """
         )
-        branch = [r for r in trace if r.is_branch][0]
+        branch = [r for r in records_of(trace) if r.is_branch][0]
         assert branch.taken
         assert branch.target == 0x1000 + 8  # instruction index 2
 
@@ -132,7 +133,7 @@ class TestControlFlow:
             """
         )
         assert sim.memory.load(0x1000) == 7
-        assert any(r.op_class is OpClass.JUMP for r in trace)
+        assert any(r.op_class is OpClass.JUMP for r in records_of(trace))
 
     def test_infinite_loop_raises_with_partial_trace(self):
         with pytest.raises(ExecutionLimitExceeded) as info:
@@ -165,7 +166,7 @@ class TestMemoryAndDeps:
             halt
             """
         )
-        add = trace[2]
+        add = records_of(trace)[2]
         assert sorted(add.deps) == [1, 2]
 
     def test_store_load_memory_dependence(self):
@@ -177,7 +178,7 @@ class TestMemoryAndDeps:
             halt
             """
         )
-        load = trace[2]
+        load = records_of(trace)[2]
         assert 1 in load.deps  # distance to the store
 
     def test_r0_reads_create_no_deps(self):
@@ -188,7 +189,7 @@ class TestMemoryAndDeps:
             halt
             """
         )
-        assert trace[1].deps == ()
+        assert records_of(trace)[1].deps == ()
 
     def test_dep_distances_positive(self):
         trace, _ = run_source(
@@ -201,7 +202,7 @@ class TestMemoryAndDeps:
                 halt
             """
         )
-        for record in trace:
+        for record in records_of(trace):
             assert all(d >= 1 for d in record.deps)
 
     def test_word_alignment(self):

@@ -32,10 +32,10 @@ from repro.trace.functional import (
     ExecutionLimitExceeded,
     FunctionalSimulator,
 )
-from repro.trace.record import TraceRecord
 from repro.workloads.kernels import KERNEL_BUILDERS, kernel_trace, stride_sum
 
 from tests.trace.record_functional import RecordFunctionalSimulator
+from tests.trace.records import TraceRecord
 
 pytestmark = pytest.mark.usefixtures("kernel_path")
 
@@ -68,7 +68,7 @@ def _execute(simulator_class, program, image, limit):
         return ("error", type(exc), str(exc)), _state(simulator)
     kind, trace = ending
     if simulator_class is FunctionalSimulator:
-        assert trace._records is None
+        assert not hasattr(trace, "records")
     return (kind, trace.pack()), _state(simulator)
 
 
@@ -119,13 +119,13 @@ def test_f18_stride_trace_matches_the_oracle():
 @pytest.mark.parametrize("name", sorted(KERNEL_BUILDERS))
 def test_kernel_trace_stays_columns_through_a_structural_run(name):
     trace = kernel_trace(name)
-    assert trace._records is None
+    assert not hasattr(trace, "records")
     annotator = StructuralAnnotator(
         BranchUnit(direction=TournamentPredictor(), btb=BranchTargetBuffer()),
         CacheHierarchy(HierarchyConfig()),
     )
     assert simulate(trace, CoreConfig(), annotator=annotator).instructions
-    assert trace._records is None
+    assert not hasattr(trace, "records")
 
 
 def test_f17_f18_paths_build_no_record(monkeypatch):
@@ -152,7 +152,7 @@ def test_f17_f18_paths_build_no_record(monkeypatch):
                 memory_system,
             )
             assert simulate(trace, CoreConfig(), annotator=annotator).events
-            assert trace._records is None
+            assert not hasattr(trace, "records")
 
 
 # -- a program that runs every opcode --------------------------------------
@@ -268,7 +268,7 @@ def test_partial_trace_at_the_limit(limit):
     with pytest.raises(ExecutionLimitExceeded) as info:
         FunctionalSimulator(program).run(max_instructions=limit)
     assert info.value.limit == limit
-    assert info.value.partial_trace._records is None
+    assert not hasattr(info.value.partial_trace, "records")
     assert len(info.value.partial_trace) == limit
 
 

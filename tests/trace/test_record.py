@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa.opcodes import OpClass
-from repro.trace.record import TraceRecord
+from tests.trace.records import TraceRecord
 
 
 class TestConstruction:

@@ -10,7 +10,6 @@ import pytest
 from repro.harness.runner import DEFAULT_LENGTH, DEFAULT_SEED
 from repro.isa.opcodes import OpClass
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
 from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
@@ -24,6 +23,7 @@ from tests.trace.scalar_stream import (
     scalar_statistics,
     scalar_validate,
 )
+from tests.trace.records import TraceRecord, records_of, trace_of
 
 NO_LOADS = WorkloadProfile(
     name="no-loads",
@@ -74,7 +74,7 @@ def test_column_queries_match_record_walks(make):
     got_weighted = trace.critical_path_length(latency_of)
     trace.validate()
 
-    oracle = Trace(trace.records, name=trace.name)
+    oracle = trace_of(records_of(trace), name=trace.name)
     assert_same_statistics(got_stats, scalar_statistics(oracle))
     assert got_branches == scalar_branch_indices(oracle)
     assert got_mispredicted == scalar_mispredicted_indices(oracle)
@@ -99,7 +99,7 @@ class TestRecordBuiltTraces:
         ]
 
     def trace(self):
-        return Trace(self.records())
+        return trace_of(self.records())
 
     def test_matches_oracle(self):
         trace = self.trace()
@@ -130,7 +130,7 @@ class TestRecordBuiltTraces:
     def test_validate_names_the_first_bad_record(self, mutate, message):
         records = self.records()
         mutate(records)
-        trace = Trace(records)
+        trace = trace_of(records)
         with pytest.raises(ValueError, match=message):
             scalar_validate(trace)
         with pytest.raises(ValueError, match=message):

@@ -9,6 +9,7 @@ import pytest
 from repro.isa.opcodes import OpClass
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
+from tests.trace.records import records_of
 
 N = 30_000
 
@@ -23,13 +24,13 @@ class TestDeterminism:
         profile = WorkloadProfile()
         a = generate_trace(profile, 1000, seed=7)
         b = generate_trace(profile, 1000, seed=7)
-        assert a.records == b.records
+        assert records_of(a) == records_of(b)
 
     def test_different_seed_differs(self):
         profile = WorkloadProfile()
         a = generate_trace(profile, 1000, seed=7)
         b = generate_trace(profile, 1000, seed=8)
-        assert a.records != b.records
+        assert records_of(a) != records_of(b)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
@@ -62,7 +63,7 @@ class TestStatisticsMatchProfile:
         assert stats.dl2_miss_rate == pytest.approx(0.005, abs=0.004)
 
     def test_short_and_long_misses_exclusive(self, default_trace):
-        for record in default_trace:
+        for record in records_of(default_trace):
             if record.is_load:
                 assert not (record.dl1_miss and record.dl2_miss)
 
@@ -95,29 +96,29 @@ class TestILPControl:
 
 class TestStructure:
     def test_memory_ops_have_addresses(self, default_trace):
-        for record in default_trace:
+        for record in records_of(default_trace):
             if record.is_memory:
                 assert record.mem_addr is not None
 
     def test_addresses_within_footprint(self, default_trace):
         profile = WorkloadProfile()
         limit = 0x10000 + profile.data_footprint_bytes + profile.stride_bytes
-        for record in default_trace:
+        for record in records_of(default_trace):
             if record.is_memory:
                 assert 0x10000 <= record.mem_addr < limit
 
     def test_pcs_within_code_footprint(self, default_trace):
         profile = WorkloadProfile()
-        for record in default_trace.records[:2000]:
+        for record in records_of(default_trace)[:2000]:
             assert 0x1000 <= record.pc < 0x1000 + profile.code_footprint_bytes
 
     def test_branches_have_targets(self, default_trace):
-        for record in default_trace:
+        for record in records_of(default_trace):
             if record.is_branch:
                 assert record.target is not None
 
     def test_dep_distances_never_exceed_index(self, default_trace):
-        for i, record in enumerate(default_trace):
+        for i, record in enumerate(records_of(default_trace)):
             for dep in record.deps:
                 assert dep <= i or i == 0
 

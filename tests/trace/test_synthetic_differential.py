@@ -17,24 +17,22 @@ from hypothesis import strategies as st
 
 from repro.harness.runner import DEFAULT_LENGTH, DEFAULT_SEED
 from repro.isa.opcodes import OpClass
-from repro.perf.packed import PackedTrace
 from repro.trace import synthetic
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
-from repro.trace.stream import Trace
 from repro.trace.synthetic import SyntheticTraceGenerator, generate_trace
 from repro.util.rng import SplitMix, derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
 from tests.trace.scalar_generator import scalar_generate_trace
+from tests.trace.records import TraceRecord, records_of, trace_of
 
 
 def assert_same_records(got, want):
     assert len(got) == len(want)
     for slot in TraceRecord.__slots__:
         read = attrgetter(slot)
-        got_values = list(map(read, got.records))
-        want_values = list(map(read, want.records))
+        got_values = list(map(read, records_of(got)))
+        want_values = list(map(read, records_of(want)))
         if got_values != want_values or list(map(type, got_values)) != list(
             map(type, want_values)
         ):
@@ -50,10 +48,9 @@ def assert_same_records(got, want):
 
 
 def assert_same_trace(got, want):
-    """``got`` is column-backed, its columns are a pack of ``want``'s
-    records, and its record view equals them."""
-    assert got._records is None
-    assert got.pack().equals(PackedTrace.pack(want))
+    """``got``'s columns are a pack of ``want``'s records, and they
+    unpack to equal records."""
+    assert got.pack().equals(want.pack())
     assert_same_records(got, want)
 
 
@@ -161,8 +158,8 @@ class TestStreamContinuation:
     def test_split_generation_continues_one_stream(self, profile, seed, cuts):
         generator = SyntheticTraceGenerator(profile, seed=seed)
         with mock.patch.object(synthetic, "_BLOCK", 7):
-            pieces = [generator.generate(count).records for count in cuts]
-        joined = Trace([record for piece in pieces for record in piece])
+            pieces = [records_of(generator.generate(count)) for count in cuts]
+        joined = trace_of([record for piece in pieces for record in piece])
         assert_same_records(joined, scalar_generate_trace(profile, sum(cuts), seed))
 
 

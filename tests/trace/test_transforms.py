@@ -7,7 +7,6 @@ from repro.interval.penalty import measure_penalties
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.profiles import WorkloadProfile
-from repro.trace.record import TraceRecord
 from repro.trace.synthetic import generate_trace
 from repro.trace.transforms import (
     with_perfect_branches,
@@ -16,6 +15,7 @@ from repro.trace.transforms import (
 )
 from repro.workloads.spec_profiles import SPEC_PROFILES
 from tests.trace import record_transforms
+from tests.trace.records import TraceRecord, records_of
 
 TRANSFORMS = {
     "with_perfect_branches": with_perfect_branches,
@@ -36,7 +36,7 @@ class TestPerfectBranches:
 
     def test_other_annotations_preserved(self, trace):
         ideal = with_perfect_branches(trace)
-        for a, b in zip(trace.records, ideal.records):
+        for a, b in zip(records_of(trace), records_of(ideal)):
             assert a.il1_miss == b.il1_miss
             assert a.dl1_miss == b.dl1_miss
             assert a.op_class == b.op_class
@@ -56,19 +56,19 @@ class TestPerfectBranches:
 class TestPerfectCaches:
     def test_perfect_icache(self, trace):
         ideal = with_perfect_icache(trace)
-        assert not any(r.il1_miss for r in ideal.records)
+        assert not any(r.il1_miss for r in records_of(ideal))
 
     def test_without_short_misses_keeps_long(self, trace):
         thinned = without_short_misses(trace)
         original_long = sum(
-            1 for r in trace.records if r.is_load and r.dl2_miss
+            1 for r in records_of(trace) if r.is_load and r.dl2_miss
         )
         remaining_long = sum(
-            1 for r in thinned.records if r.is_load and r.dl2_miss
+            1 for r in records_of(thinned) if r.is_load and r.dl2_miss
         )
         assert remaining_long == original_long
         assert not any(
-            r.dl1_miss for r in thinned.records if r.is_load
+            r.dl1_miss for r in records_of(thinned) if r.is_load
         )
 
     def test_short_miss_counterfactual_shrinks_resolution(self, trace):
@@ -83,7 +83,7 @@ class TestPerfectCaches:
     def test_perfect_frontend_combines(self, trace):
         ideal = with_perfect_icache(with_perfect_branches(trace))
         assert not ideal.mispredicted_indices()
-        assert not any(r.il1_miss for r in ideal.records)
+        assert not any(r.il1_miss for r in records_of(ideal))
         assert ideal.name == f"{trace.name}+perfect-bp+perfect-il1"
 
 
@@ -111,7 +111,7 @@ def test_column_edit_builds_no_record_and_leaves_the_original(
     before = trace.pack().columns.copy()
     monkeypatch.setattr(TraceRecord, "__init__", refuse)
     edited = TRANSFORMS[transform](trace)
-    assert edited._records is None
+    assert not hasattr(edited, "records")
     assert np.array_equal(trace.pack().columns, before)
     assert edited.pack().dep_data is trace.pack().dep_data
     assert edited.pack().dep_indptr is trace.pack().dep_indptr

@@ -95,15 +95,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             hist.percentile(1.5)
 
-    def test_cdf_reaches_one(self):
-        hist = Histogram()
-        for v in (1, 2, 2, 3):
-            hist.add(v)
-        cdf = hist.cdf()
-        assert cdf[-1][1] == pytest.approx(1.0)
-        fractions = [frac for _, frac in cdf]
-        assert fractions == sorted(fractions)
-
 
 class TestPercentile:
     def test_median_odd(self):

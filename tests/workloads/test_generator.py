@@ -1,6 +1,7 @@
 """Unit tests for suite-level trace generation."""
 
 from repro.workloads.generator import DEFAULT_SEED, default_suite, suite_traces
+from tests.trace.records import records_of
 
 
 class TestSuiteTraces:
@@ -15,13 +16,13 @@ class TestSuiteTraces:
     def test_deterministic_per_name(self):
         a = suite_traces(length=300, names=["gcc"])["gcc"]
         b = suite_traces(length=300, names=["gcc"])["gcc"]
-        assert a.records == b.records
+        assert records_of(a) == records_of(b)
 
     def test_names_get_distinct_streams(self):
         traces = suite_traces(length=300, names=["gzip", "bzip2"])
-        assert traces["gzip"].records != traces["bzip2"].records
+        assert records_of(traces["gzip"]) != records_of(traces["bzip2"])
 
     def test_seed_changes_stream(self):
         a = suite_traces(length=300, seed=DEFAULT_SEED, names=["vpr"])["vpr"]
         b = suite_traces(length=300, seed=DEFAULT_SEED + 1, names=["vpr"])["vpr"]
-        assert a.records != b.records
+        assert records_of(a) != records_of(b)

@@ -17,6 +17,7 @@ from repro.workloads.kernels import (
     pointer_chase,
     stride_sum,
 )
+from tests.trace.records import records_of
 
 
 class TestBuilders:
@@ -46,14 +47,14 @@ class TestKernelSemantics:
             for i in range(16)
         )
         trace = kernel.run()
-        fmuls = sum(1 for r in trace if r.op_class is OpClass.FMUL)
+        fmuls = sum(1 for r in records_of(trace) if r.op_class is OpClass.FMUL)
         assert fmuls == 16
         assert expected >= 0  # the functional result is exercised via trace
 
     def test_pointer_chase_visits_every_node(self):
         kernel = pointer_chase(nodes=64, laps=2)
         trace = kernel.run()
-        loads = [r for r in trace if r.is_load]
+        loads = [r for r in records_of(trace) if r.is_load]
         # two loads per node visit, 2 laps over 64 nodes
         assert len(loads) == 2 * 2 * 64
 
@@ -71,7 +72,7 @@ class TestKernelSemantics:
     def test_branchy_search_branch_outcomes_mixed(self):
         trace = branchy_search(elements=256).run()
         data_branches = [
-            r for r in trace if r.is_branch
+            r for r in records_of(trace) if r.is_branch
         ]
         taken = sum(r.taken for r in data_branches)
         assert 0 < taken < len(data_branches)
@@ -83,13 +84,13 @@ class TestKernelSemantics:
 
     def test_nested_loop_structure(self):
         trace = nested_loop(outer=4, inner=3).run()
-        branches = [r for r in trace if r.is_branch]
+        branches = [r for r in records_of(trace) if r.is_branch]
         # inner branch runs outer*inner times, outer branch outer times
         assert len(branches) == 4 * 3 + 4
 
     def test_stride_sum_covers_elements(self):
         trace = stride_sum(elements=64, stride=4).run()
-        loads = [r for r in trace if r.is_load]
+        loads = [r for r in records_of(trace) if r.is_load]
         assert len(loads) == 16
 
 
