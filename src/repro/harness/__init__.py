@@ -10,7 +10,6 @@ their rendered output; the examples call them directly.
 
 from repro.harness.experiment import ExperimentResult
 from repro.harness.figures import ascii_bar_chart
-from repro.harness.replication import Replicated, replicate
 from repro.harness.runner import (
     baseline_config,
     clear_caches,
@@ -22,8 +21,6 @@ from repro.harness import experiments
 __all__ = [
     "ExperimentResult",
     "ascii_bar_chart",
-    "Replicated",
-    "replicate",
     "baseline_config",
     "clear_caches",
     "simulate_workload",

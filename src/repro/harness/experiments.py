@@ -616,7 +616,7 @@ def run_f15() -> ExperimentResult:
     """F15 (ablation): sensitivity of segmentation to the event definition."""
     import numpy as np
 
-    from repro.perf.packed import miss_event_masks
+    from repro.trace.columns import miss_event_masks
 
     def events_and_mean_gap(mask):
         seqs = np.flatnonzero(mask)
@@ -628,7 +628,7 @@ def run_f15() -> ExperimentResult:
     rows = []
     for name in SUITE[:6]:
         trace = workload_trace(name)
-        bpred, icache, long, short = miss_event_masks(trace.pack())
+        bpred, icache, long, short = miss_event_masks(trace)
         paper = bpred | icache | long
         paper_events, paper_gap = events_and_mean_gap(paper)
         extended_events, ext_gap = events_and_mean_gap(paper | short)

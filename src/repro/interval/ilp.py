@@ -56,11 +56,10 @@ def load_latencies(
     """
     import numpy as np
 
-    from repro.perf.packed import OP_CLASSES, load_classes
     from repro.pipeline.annotate import price_loads
+    from repro.trace.columns import OP_CLASSES, load_classes
 
-    packed = trace.pack()
-    op = packed.op
+    op = trace.op
     present = np.bincount(op, minlength=len(OP_CLASSES)) > 0
     table = np.asarray(
         [
@@ -69,7 +68,7 @@ def load_latencies(
         ]
     )
     column = table.take(op)
-    classes = load_classes(packed, long_misses=long is not None)
+    classes = load_classes(trace, long_misses=long is not None)
     column += price_loads(classes, hit, short, 0 if long is None else long)
     return LatencyColumn(column)
 
@@ -128,11 +127,10 @@ def _dependence_columns(trace: Trace):
     from the trace's CSR (per-record counts + flat distances)."""
     import numpy as np
 
-    packed = trace.pack()
-    n = len(packed)
-    counts = np.diff(packed.dep_indptr)
-    flat = packed.dep_data.astype(np.int64)
-    starts = packed.dep_indptr[:-1]
+    n = len(trace)
+    counts = np.diff(trace.dep_indptr)
+    flat = trace.dep_data.astype(np.int64)
+    starts = trace.dep_indptr[:-1]
     width = int(counts.max(initial=0))
     columns = np.zeros((width, n), dtype=np.int64)
     for j in range(width):
@@ -285,7 +283,7 @@ def depends_on(trace: Trace, consumer: int, producer: int) -> bool:
     Walks the dependence CSR of ``[producer, consumer]`` back from the
     consumer, pruned at the producer (nothing older can lead to it).
     """
-    offsets, distances = trace.pack().window_deps(producer, consumer + 1)
+    offsets, distances = trace.window_deps(producer, consumer + 1)
     frontier = [consumer]
     seen = set()
     while frontier:
@@ -343,7 +341,7 @@ def backward_slice_latencies(
         )
     # Record ``seq``'s distances are distances[offsets[at]:offsets[at + 1]]
     # with ``at = seq - window_start``.
-    offsets, distances = trace.pack().window_deps(window_start, branch_seq + 1)
+    offsets, distances = trace.window_deps(window_start, branch_seq + 1)
 
     # Collect the backward slice by walking dependences from the branch,
     # keeping each member's producers that are members too: every

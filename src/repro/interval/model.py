@@ -36,7 +36,7 @@ exactly as the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import sanitizer as _sanitizer
 from repro.interval.ilp import (
@@ -51,9 +51,6 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimulationResult
 from repro.trace.stream import Trace
 from repro.util.timing import Stopwatch
-
-if TYPE_CHECKING:
-    from repro.perf.packed import PackedTrace
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ class ModelPrediction:
 
 
 def _window_depth(
-    packed: PackedTrace, latency: List[int], window_start: int, branch_seq: int
+    trace: Trace, latency: List[int], window_start: int, branch_seq: int
 ) -> int:
     """Critical-path length of the chain ending at ``branch_seq`` within
     ``[window_start, branch_seq]``.
@@ -125,7 +122,7 @@ def _window_depth(
     depth of its own slice. The estimate's windows are whole gaps
     between events, so one forward walk beats collecting the slice.
     """
-    offsets, distances = packed.window_deps(window_start, branch_seq + 1)
+    offsets, distances = trace.window_deps(window_start, branch_seq + 1)
     finish: List[int] = []
     append = finish.append
     lo = 0
@@ -172,9 +169,9 @@ class IntervalModel:
         """
         import numpy as np
 
-        from repro.perf.packed import miss_event_masks
+        from repro.trace.columns import miss_event_masks
 
-        bpred, icache, long, _ = miss_event_masks(trace.pack())
+        bpred, icache, long, _ = miss_event_masks(trace)
         seqs = np.flatnonzero(bpred | icache | long)
         kinds = np.where(bpred[seqs], 0, np.where(icache[seqs], 1, 2))
         names = ("bpred", "icache", "long")
@@ -261,12 +258,11 @@ class IntervalModel:
     def estimate(self, trace: Trace) -> ModelPrediction:
         """Interval simulation: each misprediction drains by its measured
         backward slice over its window."""
-        packed = trace.pack()
         latency = self._steady_latency(trace).column.tolist()
         estimate = self._walk(
             trace,
             lambda seq, occupancy: _window_depth(
-                packed, latency, seq - occupancy, seq
+                trace, latency, seq - occupancy, seq
             ),
         )
         metrics = _obs.current_metrics()

@@ -22,7 +22,6 @@ from repro.isa.opcodes import Opcode, OpClass, OPCODE_INFO, OpcodeInfo
 from repro.isa.instruction import Instruction
 from repro.isa.program import Program
 from repro.isa.assembler import AssemblyError, assemble, disassemble
-from repro.isa.encoding import DecodeError, decode_instruction, encode_instruction
 
 __all__ = [
     "FP_REGISTER_COUNT",
@@ -41,7 +40,4 @@ __all__ = [
     "AssemblyError",
     "assemble",
     "disassemble",
-    "DecodeError",
-    "decode_instruction",
-    "encode_instruction",
 ]

@@ -1,8 +1,8 @@
 """Batched structure-of-arrays detailed core.
 
 This is the one out-of-order core: it runs the machine model described
-in :mod:`repro.pipeline.core` over the columns of a
-:class:`~repro.perf.packed.PackedTrace` instead of one Python object
+in :mod:`repro.pipeline.core` over a trace's columns
+(:mod:`repro.trace.columns`) instead of one Python object
 per dynamic instruction, in three layers:
 
 * **Structure-of-arrays pipeline state** — completion, base-ready,
@@ -14,7 +14,7 @@ per dynamic instruction, in three layers:
   instructions are consecutive.
 * **Lockstep multi-config batching** — :func:`run_batch` simulates N
   sweep points over one set of shared trace columns. Everything that
-  depends only on the trace (the packed columns, the filtered CSR
+  depends only on the trace (its columns, the filtered CSR
   producer lists, the miss-class codes) is computed once; per-config
   derived columns (load latencies, I-cache refill latencies, FU tables)
   are deduplicated across configs by **divergence group** — configs
@@ -58,12 +58,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis import sanitizer as _sanitizer
-from repro.perf.packed import (
-    DCODE_LONG,
-    OP_CLASSES,
-    PackedTrace,
-    oracle_miss_columns,
-)
 from repro.pipeline.annotate import MissColumns, StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import _run_cores
@@ -74,6 +68,7 @@ from repro.pipeline.events import (
     MissEvent,
 )
 from repro.pipeline.result import SimulationResult, cycle_column
+from repro.trace.columns import DCODE_LONG, OP_CLASSES, oracle_miss_columns
 from repro.trace.stream import Trace
 from repro.util.rng import SplitMix, derive_seed
 
@@ -81,7 +76,7 @@ from repro.util.rng import SplitMix, derive_seed
 class TraceColumns:
     """Config-independent columns of one trace, shared across a batch.
 
-    Built from the trace's :class:`PackedTrace` form by each
+    Built from the trace's columns by each
     :meth:`BatchedSuperscalarCore.run` and freed with its plan: op
     codes, the oracle miss flags, each load's D-cache miss-class code,
     and the dependence CSR rewritten from *distances* to absolute
@@ -142,11 +137,11 @@ class TraceColumns:
         return self._prod_lists
 
     @classmethod
-    def from_packed(cls, packed: PackedTrace) -> "TraceColumns":
-        n = len(packed)
-        op = packed.op
-        misp, il1, load_class = oracle_miss_columns(packed)
-        indptr, data = packed.producer_csr()
+    def from_trace(cls, trace: Trace) -> "TraceColumns":
+        n = len(trace)
+        op = trace.op
+        misp, il1, load_class = oracle_miss_columns(trace)
+        indptr, data = trace.producer_csr()
         return cls(
             n=n,
             op=op.tolist(),
@@ -796,7 +791,7 @@ class BatchedSuperscalarCore:
                 SimulationResult(instructions=0, cycles=0) for _ in configs
             ]
         san = _sanitizer.current()
-        plan = BatchPlan(TraceColumns.from_packed(trace.pack()), self.configs)
+        plan = BatchPlan(TraceColumns.from_trace(trace), self.configs)
         results: List[SimulationResult] = []
         for index, config in enumerate(configs):
             fu = plan.fu_tables(index)

@@ -28,10 +28,11 @@ from repro.frontend.gshare import GSharePredictor
 from repro.frontend.local import LocalPredictor
 from repro.interval.model import IntervalModel
 from repro.perf.batchcore import BatchedSuperscalarCore
-from repro.perf.packed import BRANCH_CODE
 from repro.pipeline.config import CoreConfig
 from repro.resilience.atomic import atomic_write_json
+from repro.trace.columns import BRANCH_CODE
 from repro.trace.profiles import WorkloadProfile
+from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
 from repro.util.timing import Stopwatch
 
@@ -159,7 +160,6 @@ def run_benchmarks(
     profile = _bench_profile()
     config = CoreConfig(record_timeline=False)
     trace = generate_trace(profile, length, BENCH_SEED)
-    packed = trace.pack()
     branch_count = trace.statistics().branch_count
     n = len(trace)
 
@@ -193,7 +193,7 @@ def run_benchmarks(
             predictor = _PREDICTOR_SCALARS[name]()
             # The per-branch predictor walk F17's structural runs make,
             # over the branch rows extracted per pass as they do.
-            cols = packed.columns
+            cols = trace.columns
             at = np.flatnonzero(cols["op"] == BRANCH_CODE)
             for pc, taken in zip(
                 cols["pc"][at].tolist(), cols["taken"][at].tolist()
@@ -205,7 +205,14 @@ def run_benchmarks(
     for name in ("bimodal", "gshare", "local"):
         spec(f"replay_{name}_scalar", scalar_replay(name), branch_count)
 
-    spec("statistics_scalar", lambda: trace._compute_statistics(), n)
+    # A fresh trace over the same columns each call, so its memo is cold.
+    spec(
+        "statistics_scalar",
+        lambda: Trace(
+            trace.columns, trace.dep_indptr, trace.dep_data
+        ).statistics(),
+        n,
+    )
 
     # The two layers the figure workloads spend most in after the core:
     # cold generation of the columns, and the interval model's

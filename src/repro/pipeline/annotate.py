@@ -43,7 +43,7 @@ def price_loads(load_class: "np.ndarray", l1: int, l2: int, memory: int):
     """What each record's D-cache access adds to its execute latency.
 
     ``load_class`` holds a ``DCODE_*`` miss-class code per record
-    (:func:`repro.perf.packed.load_classes`): a load pays ``l1`` on a
+    (:func:`repro.trace.columns.load_classes`): a load pays ``l1`` on a
     hit, ``l2`` when it misses L1 only and ``memory`` when it misses to
     memory; every other record pays 0. Returns an int64 array.
     """
@@ -124,22 +124,21 @@ class StructuralAnnotator:
         """
         import numpy as np
 
-        from repro.perf.packed import (
+        from repro.trace.columns import (
             BRANCH_CODE,
             JUMP_CODE,
             LOAD_CODE,
             STORE_CODE,
         )
 
-        packed = trace.pack()
-        n = len(packed)
+        n = len(trace)
         misp = [False] * n
         is_long = [False] * n
         icache_lat = [0] * n
         icache_long = [False] * n
         exec_extra = [0] * n
         if n:
-            cols = packed.columns
+            cols = trace.columns
             op = cols["op"]
             pc = cols["pc"]
             line = pc // self.hierarchy.config.line_bytes

@@ -20,7 +20,7 @@ interval-analysis layer works unchanged.
 
 The core reads what the SoA kernel (:mod:`repro.perf.batchcore`)
 reads: the trace's :class:`~repro.perf.batchcore.TraceColumns` (op
-codes and the producer CSR, built from ``trace.pack()``), one
+codes and the producer CSR, built from the trace's columns), one
 :class:`~repro.pipeline.annotate.MissColumns` set (the trace's oracle
 flags priced at the config's latencies, or a structural annotator's
 one program-order pass,
@@ -77,9 +77,9 @@ class InOrderCore:
             _combined_latency,
             _FUTables,
         )
-        from repro.perf.packed import OP_CODE
+        from repro.trace.columns import OP_CODE
 
-        cols = TraceColumns.from_packed(trace.pack())
+        cols = TraceColumns.from_trace(trace)
         if annotator is None:
             miss = MissColumns.oracle(cols, config)
         else:

@@ -1,7 +1,7 @@
 """Dynamic instruction traces.
 
 A :class:`~repro.trace.stream.Trace` is one dynamic instruction stream
-held as columns (:class:`repro.perf.packed.PackedTrace`): per
+held as columns (:mod:`repro.trace.columns` holds the format): per
 instruction, its operation class, program counter, *dynamic dependence
 distances* (how many instructions back each of its producers
 executed), memory address for loads/stores, and control-flow outcome

@@ -2,7 +2,7 @@
 
 The functional simulator interprets the kernel ISA architecturally —
 register file, word-granularity data memory, control flow — and writes
-one row of trace columns (:class:`repro.perf.packed.PackedTrace`) per
+one row of trace columns (:mod:`repro.trace.columns`) per
 executed instruction, so the trace it returns is column-backed. Each
 static instruction is decoded once into a flat tuple before the run.
 Dependence distances are derived by tracking, for every register, the
@@ -319,7 +319,7 @@ class FunctionalSimulator:
         dynamic values scattered into their rows, no miss annotations."""
         import numpy as np
 
-        from repro.perf.packed import OP_CODE, RECORD_DTYPE, PackedTrace
+        from repro.trace.columns import OP_CODE, RECORD_DTYPE
 
         program = self.program
         static = len(program)
@@ -360,10 +360,8 @@ class FunctionalSimulator:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(dep_counts, out=indptr[1:])
         return Trace(
-            PackedTrace(
-                columns,
-                indptr,
-                np.array(dep_data, dtype=np.int32),
-                name=program.name,
-            )
+            columns,
+            indptr,
+            np.array(dep_data, dtype=np.int32),
+            name=program.name,
         )

@@ -1,7 +1,8 @@
 """Trace files: a trace's columns in one compressed NumPy archive.
 
-Version 2 stores :class:`~repro.perf.packed.PackedTrace` as it is, one
-``np.savez_compressed`` zip with five members::
+Version 2 stores a :class:`~repro.trace.stream.Trace`'s columns as
+they are (:mod:`repro.trace.columns`), one ``np.savez_compressed`` zip
+with five members::
 
     columns     RECORD_DTYPE[n]   one row per dynamic instruction
     dep_indptr  int64[n + 1]      CSR offsets into dep_data
@@ -38,15 +39,14 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     """Write a trace's columns to ``path`` (format above)."""
     import numpy as np
 
-    packed = trace.pack()
     # A file object, so NumPy does not append ``.npz`` to the path.
     with open(path, "wb") as out:
         np.savez_compressed(
             out,
-            columns=packed.columns,
-            dep_indptr=packed.dep_indptr.astype(np.int64, copy=False),
-            dep_data=packed.dep_data.astype(np.int32, copy=False),
-            name=np.array(packed.name),
+            columns=trace.columns,
+            dep_indptr=trace.dep_indptr.astype(np.int64, copy=False),
+            dep_data=trace.dep_data.astype(np.int32, copy=False),
+            name=np.array(trace.name),
             version=np.array(VERSION, dtype=np.int64),
         )
 
@@ -66,11 +66,11 @@ def load_trace(path: Union[str, Path]) -> Trace:
 
     Raises ValueError for a version-1 file, a file that is not a trace
     archive, a truncated one, a member of the wrong dtype or shape, an
-    out-of-range code, or columns :meth:`PackedTrace.validate` rejects.
+    out-of-range code, or columns :meth:`Trace.validate` rejects.
     """
     import numpy as np
 
-    from repro.perf.packed import OP_CLASSES, RECORD_DTYPE, PackedTrace
+    from repro.trace.columns import OP_CLASSES, RECORD_DTYPE
 
     with open(path, "rb") as stream:
         magic = stream.read(4)
@@ -124,6 +124,6 @@ def load_trace(path: Union[str, Path]) -> Trace:
         codes = columns[field]
         if np.any((codes < -1) | (codes > 1)):
             raise ValueError(f"bad tri-state code in {field!r}")
-    packed = PackedTrace(columns, indptr, data, name=str(name))
-    packed.validate()
-    return Trace(packed)
+    trace = Trace(columns, indptr, data, name=str(name))
+    trace.validate()
+    return trace

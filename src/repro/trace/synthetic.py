@@ -16,10 +16,10 @@ streams take a data-dependent number of draws per record (a Bernoulli
 with p <= 0 or p >= 1 takes none, a geometric takes one per trial), so
 each runs as one integer loop over Python lists precomputed from its
 block: the unit floats, the ``randint`` offsets and, for the geometric,
-the position of the next success. The output is the columns of a
-:class:`~repro.perf.packed.PackedTrace`; the trace builds record objects
-from them only when asked, and those records are equal, field for
-field, to drawing one value at a time.
+the position of the next success. The output is a
+:class:`~repro.trace.stream.Trace`'s columns
+(:mod:`repro.trace.columns`), equal, field for field, to drawing one
+value at a time.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class SyntheticTraceGenerator:
         """Generate a column-backed trace of ``count`` instructions."""
         import numpy as np
 
-        from repro.perf.packed import RECORD_DTYPE, PackedTrace
+        from repro.trace.columns import RECORD_DTYPE
 
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
@@ -247,21 +247,21 @@ class SyntheticTraceGenerator:
         indptr = np.zeros(count + 1, dtype=np.int64)
         if count:
             np.cumsum(np.concatenate(counts), out=indptr[1:])
-        packed = PackedTrace(
+        trace = Trace(
             columns,
             indptr,
             np.concatenate(distances) if distances else np.zeros(0, np.int32),
             name=self.profile.name,
         )
-        packed.validate()
-        return Trace(packed)
+        trace.validate()
+        return trace
 
     def _block(self, columns) -> Tuple[List[int], List[int]]:
         """Fill ``columns`` (the next records' rows) and return their
         dependences as per-record counts and flat distances."""
         import numpy as np
 
-        from repro.perf.packed import OP_CODE
+        from repro.trace.columns import OP_CODE
 
         size = len(columns)
         ops = self._op_column(size)

@@ -18,18 +18,13 @@ from repro.trace.stream import Trace
 
 def _edit(trace: Trace, name_suffix: str, field: str, rows) -> Trace:
     """A copy of ``trace`` whose ``field`` reads False (0) at ``rows``."""
-    from repro.perf.packed import PackedTrace
-
-    packed = trace.pack()
-    columns = packed.columns.copy()
+    columns = trace.columns.copy()
     columns[field][rows] = 0
     return Trace(
-        PackedTrace(
-            columns,
-            packed.dep_indptr,
-            packed.dep_data,
-            name=f"{trace.name}{name_suffix}",
-        )
+        columns,
+        trace.dep_indptr,
+        trace.dep_data,
+        name=f"{trace.name}{name_suffix}",
     )
 
 
@@ -39,9 +34,9 @@ def with_perfect_branches(trace: Trace) -> Trace:
     Simulating this against the original isolates the total branch
     misprediction cost of the run (a paired counterfactual).
     """
-    from repro.perf.packed import BRANCH_CODE, JUMP_CODE
+    from repro.trace.columns import BRANCH_CODE, JUMP_CODE
 
-    op = trace.pack().op
+    op = trace.op
     return _edit(
         trace,
         "+perfect-bp",
@@ -52,7 +47,7 @@ def with_perfect_branches(trace: Trace) -> Trace:
 
 def with_perfect_icache(trace: Trace) -> Trace:
     """No I-cache misses."""
-    return _edit(trace, "+perfect-il1", "il1_miss", trace.pack().il1_miss == 1)
+    return _edit(trace, "+perfect-il1", "il1_miss", trace.il1_miss == 1)
 
 
 def without_short_misses(trace: Trace) -> Trace:
@@ -60,12 +55,11 @@ def without_short_misses(trace: Trace) -> Trace:
 
     The direct counterfactual for contributor C5.
     """
-    from repro.perf.packed import LOAD_CODE
+    from repro.trace.columns import LOAD_CODE
 
-    packed = trace.pack()
     return _edit(
         trace,
         "-short",
         "dl1_miss",
-        (packed.op == LOAD_CODE) & (packed.dl1_miss == 1),
+        (trace.op == LOAD_CODE) & (trace.dl1_miss == 1),
     )

@@ -65,7 +65,7 @@ class TestOrderings:
     def test_event_counts_agree_everywhere(self, bundles):
         _, out = bundles
         for name, (trace, detailed, in_order, fast, model) in out.items():
-            expected = len(trace.mispredicted_indices())
+            expected = trace.statistics().mispredict_count
             assert len(detailed.mispredict_events) == expected
             assert len(in_order.mispredict_events) == expected
             assert fast.mispredict_count == expected

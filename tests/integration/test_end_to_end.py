@@ -47,7 +47,7 @@ class TestKernelToSimulatorPipeline:
         result = simulate(trace, config, annotator=annotator)
         # BTB may still miss targets on first sight; direction is perfect
         predicted = simulate(trace, config)  # oracle: no annotations at all
-        assert len(result.mispredict_events) <= len(trace.branch_indices())
+        assert len(result.mispredict_events) <= trace.statistics().branch_count
         assert predicted.cycles <= result.cycles
 
     def test_perfect_frontend_is_upper_bound(self):

@@ -142,8 +142,8 @@ class TestClaim5ShortMisses:
                 1 for r in records_of(trace) if r.is_load and r.dl1_miss
             )
             # no event type corresponds to short misses
-            assert len(result.events) < short + len(
-                trace.mispredicted_indices()
+            assert len(result.events) < short + (
+                trace.statistics().mispredict_count
             ) + sum(1 for r in records_of(trace) if r.il1_miss) + sum(
                 1 for r in records_of(trace) if r.is_load and r.dl2_miss
             )

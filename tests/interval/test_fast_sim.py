@@ -41,8 +41,9 @@ class TestEstimateStructure:
         )
 
     def test_event_counts_match_trace(self, estimate, small_trace):
-        assert estimate.mispredict_count == len(
-            small_trace.mispredicted_indices()
+        assert (
+            estimate.mispredict_count
+            == small_trace.statistics().mispredict_count
         )
         assert len(estimate.resolutions) == estimate.mispredict_count
 

@@ -50,7 +50,7 @@ class TestPrediction:
     def test_event_counts_match_trace(self):
         trace = generate_trace(WorkloadProfile(), 10_000, seed=3)
         prediction = IntervalModel(CoreConfig()).predict(trace)
-        assert prediction.mispredict_count == len(trace.mispredicted_indices())
+        assert prediction.mispredict_count == trace.statistics().mispredict_count
 
     def test_mlp_correction_merges_adjacent_long_misses(self):
         config = CoreConfig()

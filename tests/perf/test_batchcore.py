@@ -252,14 +252,14 @@ class TestTraceColumns:
         self, monkeypatch, kernel_path
     ):
         built = []
-        from_packed = TraceColumns.from_packed
+        from_trace = TraceColumns.from_trace
 
-        def recording(packed):
-            cols = from_packed(packed)
+        def recording(trace):
+            cols = from_trace(trace)
             built.append(weakref.ref(cols))
             return cols
 
-        monkeypatch.setattr(TraceColumns, "from_packed", recording)
+        monkeypatch.setattr(TraceColumns, "from_trace", recording)
         trace = generate_trace(profile(), 300, seed=47)
         results = run_batch(trace, [CoreConfig(), CoreConfig(rob_size=32)])
         gc.collect()

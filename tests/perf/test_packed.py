@@ -1,11 +1,23 @@
-"""PackedTrace: lossless round-trip and the columnar invariants."""
+"""Trace columns: lossless record round-trip and the columnar invariants."""
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
+
 from repro.isa.opcodes import OpClass
+from repro.trace.columns import RECORD_DTYPE
 from repro.trace.profiles import WorkloadProfile
+from repro.trace.stream import Trace
 from repro.trace.synthetic import generate_trace
-from tests.trace.records import TraceRecord, records_of, trace_of
+from tests.trace.records import (
+    TraceRecord,
+    deps_of,
+    records_of,
+    same_columns,
+    trace_of,
+    unpack,
+)
 
 
 def synthetic(length=400, seed=11):
@@ -42,7 +54,7 @@ def hand_trace():
 
 def round_trip(trace):
     """Unpack a trace's columns to records and pack them back."""
-    return trace_of(records_of(trace.pack()), name=trace.name)
+    return trace_of(unpack(trace), name=trace.name)
 
 
 def test_round_trip_is_lossless_on_synthetic_trace():
@@ -50,15 +62,15 @@ def test_round_trip_is_lossless_on_synthetic_trace():
     back = round_trip(trace)
     assert len(back) == len(trace)
     assert all(
-        a == b for a, b in zip(records_of(back.pack()), records_of(trace))
+        a == b for a, b in zip(unpack(back), records_of(trace))
     )
-    assert back.pack().equals(trace.pack())
+    assert same_columns(back, trace)
 
 
 def test_round_trip_preserves_none_vs_false_annotations():
     trace = hand_trace()
     back = round_trip(trace)
-    for a, b in zip(records_of(back.pack()), records_of(trace)):
+    for a, b in zip(unpack(back), records_of(trace)):
         assert a == b
         # Tri-state fields must distinguish None from False exactly.
         for field in ("mispredict", "il1_miss", "dl1_miss", "dl2_miss"):
@@ -73,21 +85,32 @@ def test_round_trip_preserves_name():
 
 def test_csr_dependence_index_matches_records():
     trace = synthetic(length=200, seed=3)
-    packed = trace.pack()
-    assert packed.dep_indptr[0] == 0
-    assert packed.dep_indptr[-1] == len(packed.dep_data)
+    assert trace.dep_indptr[0] == 0
+    assert trace.dep_indptr[-1] == len(trace.dep_data)
     for seq, record in enumerate(records_of(trace)):
-        assert tuple(packed.deps_of(seq)) == record.deps
+        assert deps_of(trace, seq) == record.deps
 
 
 def test_equals_discriminates():
-    a = synthetic(length=100, seed=1).pack()
-    b = synthetic(length=100, seed=2).pack()
-    assert a.equals(a)
-    assert not a.equals(b)
+    a = synthetic(length=100, seed=1)
+    b = synthetic(length=100, seed=2)
+    assert same_columns(a, a)
+    assert not same_columns(a, b)
+    renamed = Trace(a.columns, a.dep_indptr, a.dep_data, name="other")
+    assert not same_columns(a, renamed)
 
 
 def test_empty_trace_packs():
-    packed = trace_of([]).pack()
-    assert len(packed) == 0
-    assert len(records_of(packed)) == 0
+    trace = trace_of([])
+    assert len(trace) == 0
+    assert len(unpack(trace)) == 0
+
+
+def test_constructor_checks_dtype_and_indptr_length():
+    indptr = np.zeros(3, dtype=np.int64)
+    data = np.zeros(0, dtype=np.int32)
+    with pytest.raises(ValueError, match="dtype"):
+        Trace(np.zeros(2, dtype=np.int64), indptr, data)
+    with pytest.raises(ValueError, match="dep_indptr length 2"):
+        Trace(np.zeros(2, dtype=RECORD_DTYPE), indptr[:2], data)
+    assert len(Trace(np.zeros(2, dtype=RECORD_DTYPE), indptr, data)) == 2

@@ -6,7 +6,7 @@ configuration — an oracle annotation is fully determined by four bits
 of the record: mispredicted-control, I-cache miss, and the two-bit
 D-cache miss class. :func:`oracle_annotations` exploits that: it
 computes the 4-bit key for every record as one column expression over
-the trace's packed form and gathers from a table of 16 canonical
+the trace's columns and gathers from a table of 16 canonical
 :class:`~tests.pipeline.record_annotate.Annotation` instances.
 
 The returned annotations are equal (``==``, frozen-dataclass equality)
@@ -23,7 +23,7 @@ from typing import List
 import numpy as np
 
 from repro.memory.hierarchy import MissClass
-from repro.perf.packed import (
+from repro.trace.columns import (
     DCODE_L1_HIT,
     DCODE_LONG,
     DCODE_NONE,
@@ -75,16 +75,15 @@ def oracle_annotations(trace: Trace, config: CoreConfig) -> List[Annotation]:
     Equal, record for record, to calling
     ``OracleAnnotator(config).annotate`` on each record.
     """
-    packed = trace.pack()
-    mispredicted, il1_miss, _ = oracle_miss_columns(packed)
+    mispredicted, il1_miss, _ = oracle_miss_columns(trace)
     # Stores carry a D-cache class too (the timing ignores it).
-    op = packed.op
+    op = trace.op
     dcode = np.where(
         (op == LOAD_CODE) | (op == STORE_CODE),
         np.where(
-            packed.dl2_miss == 1,
+            trace.dl2_miss == 1,
             DCODE_LONG,
-            np.where(packed.dl1_miss == 1, DCODE_SHORT, DCODE_L1_HIT),
+            np.where(trace.dl1_miss == 1, DCODE_SHORT, DCODE_L1_HIT),
         ),
         DCODE_NONE,
     )

@@ -46,7 +46,7 @@ class OracleColumns:
         self.config = config
 
     def annotate(self, record: TraceRecord) -> Outcome:
-        cols = TraceColumns.from_packed(trace_of([record]).pack())
+        cols = TraceColumns.from_trace(trace_of([record]))
         return outcome(MissColumns.oracle(cols, self.config))
 
 

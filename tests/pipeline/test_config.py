@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.isa.opcodes import OpClass
-from repro.perf.packed import DCODE_L1_HIT, DCODE_LONG, DCODE_NONE, DCODE_SHORT
+from repro.trace.columns import DCODE_L1_HIT, DCODE_LONG, DCODE_NONE, DCODE_SHORT
 from repro.pipeline.annotate import price_loads
 from repro.pipeline.config import DEFAULT_FU_SPECS, CoreConfig, FUSpec
 

@@ -6,7 +6,7 @@ from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
-from tests.trace.records import records_of
+from tests.trace.records import mispredicted_indices, records_of
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ class TestEventConsistency:
 
     def test_mispredict_events_match_annotations(self, run):
         trace, _, result = run
-        annotated = set(trace.mispredicted_indices())
+        annotated = set(mispredicted_indices(trace))
         observed = {e.seq for e in result.mispredict_events}
         assert observed == annotated
 

@@ -28,7 +28,6 @@ from repro.util.rng import derive_seed
 from repro.workloads.kernels import kernel_trace, stride_sum
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
-from tests.pipeline import functional_units
 from tests.pipeline.record_annotate import RecordStructuralAnnotator
 from tests.pipeline.scalar_inorder import ScalarInOrderCore
 from tests.pipeline.test_annotate_first import (
@@ -298,14 +297,10 @@ def test_sanitizer_report_matches_the_oracle():
     assert got.checks_run > sum(len(t) for t in traces)
 
 
-def test_oracle_run_builds_no_record_view(monkeypatch):
-    """A column-backed trace stays columns: no records, no unit heaps."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the column core built a per-record object")
-
-    monkeypatch.setattr(functional_units.FunctionalUnits, "__init__", refuse)
-    monkeypatch.setattr(TraceRecord, "__init__", refuse)
+def test_oracle_run_builds_no_record_view():
+    """A column-backed trace stays columns. The record type and the unit
+    heaps are test oracles that ``src/`` cannot import
+    (``tests/test_src_imports_no_tests.py``)."""
     trace = suite_trace("gzip", 3_000)
     assert not hasattr(trace, "records")
     for config in (CoreConfig(), CoreConfig(record_timeline=False)):

@@ -167,7 +167,7 @@ def test_oracle_latency_column_is_the_full_latency(name, config):
     """The kernel's oracle execute latency and the ILP's full latency
     are one pricing of a load."""
     trace = generate_trace(SPEC_PROFILES[name], 4_000, seed=derive_seed(7, name))
-    cols = TraceColumns.from_packed(trace.pack())
+    cols = TraceColumns.from_trace(trace)
     kernel = _combined_latency(
         cols, MissColumns.oracle(cols, config), _FUTables(config)
     )

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.assembler import assemble, disassemble
-from repro.isa.encoding import decode_instruction, encode_instruction
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OPCODE_INFO, Opcode
 from repro.isa.registers import Register
@@ -61,11 +60,6 @@ def instructions(draw):
 
 
 class TestISAProperties:
-    @given(inst=instructions())
-    @settings(max_examples=300, deadline=None)
-    def test_encode_decode_round_trip(self, inst):
-        assert decode_instruction(encode_instruction(inst)) == inst
-
     @given(inst=instructions())
     @settings(max_examples=300, deadline=None)
     def test_generated_instructions_validate(self, inst):

@@ -65,7 +65,7 @@ class TestEstimatorProperties:
         trace = generate_trace(profile, 600, seed=seed)
         fast = IntervalModel(config).estimate(trace)
         assert fast.cycles >= 600 / config.dispatch_width
-        assert fast.mispredict_count == len(trace.mispredicted_indices())
+        assert fast.mispredict_count == trace.statistics().mispredict_count
         assert all(r >= 1 for r in fast.resolutions)
 
     @given(profile=PROFILES, seed=SEEDS)

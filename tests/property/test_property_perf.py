@@ -1,7 +1,7 @@
 """Property tests for the columnar perf layer.
 
 Over arbitrary annotated traces, packing records into columns and
-unpacking them back (``trace_of`` then ``records_of``) is the identity
+unpacking them back (``trace_of`` then ``unpack``) is the identity
 on every record field, including the tri-state (None/False/True)
 annotations.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.isa.opcodes import OpClass
-from tests.trace.records import TraceRecord, records_of, trace_of
+from tests.trace.records import TraceRecord, trace_of, unpack
 
 _TRI = st.sampled_from([None, False, True])
 
@@ -67,7 +67,7 @@ def trace_records(draw, max_size=60):
 @settings(max_examples=60, deadline=None)
 @given(records=trace_records())
 def test_pack_unpack_is_identity(records):
-    back = records_of(trace_of(records, name="prop").pack())
+    back = unpack(trace_of(records, name="prop"))
     assert len(back) == len(records)
     for a, b in zip(back, records):
         assert a == b

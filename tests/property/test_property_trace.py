@@ -7,7 +7,7 @@ from repro.isa.opcodes import OpClass
 from repro.trace.io import load_trace, save_trace
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
-from tests.trace.records import TraceRecord, records_of, trace_of
+from tests.trace.records import TraceRecord, is_annotated, records_of, trace_of
 
 PROFILES = st.builds(
     WorkloadProfile,
@@ -31,7 +31,7 @@ class TestGeneratorProperties:
         trace = generate_trace(profile, 400, seed=seed)
         assert len(trace) == 400
         trace.validate()
-        assert trace.is_annotated
+        assert is_annotated(trace)
         for i, record in enumerate(records_of(trace)):
             for dep in record.deps:
                 assert 1 <= dep <= max(i, 1)

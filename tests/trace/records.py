@@ -1,12 +1,15 @@
 """Per-instruction record objects: the test oracle for trace columns.
 
 A :class:`~repro.trace.stream.Trace` is its columns
-(:class:`repro.perf.packed.PackedTrace`); no record object exists in
-the package. Tests still state small traces one instruction at a time,
-and the scalar reference walks read instructions as objects, so this
-module keeps the record form, the packer (:func:`trace_of`) and the
-unpacker (:func:`records_of`) that convert between it and the columns,
-losslessly and round-trip tested.
+(:mod:`repro.trace.columns`); no record object exists in the package.
+Tests still state small traces one instruction at a time, and the
+scalar reference walks read instructions as objects, so this module
+keeps the record form, the packer (:func:`trace_of`) and the unpacker
+(:func:`records_of`, :func:`unpack`) that convert between it and the
+columns, losslessly and round-trip tested. It also holds the small
+column queries only tests ask (:func:`same_columns`, :func:`deps_of`,
+:func:`branch_indices`, :func:`mispredicted_indices`,
+:func:`is_annotated`).
 """
 
 from __future__ import annotations
@@ -17,7 +20,12 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.isa.opcodes import OpClass
-from repro.perf.packed import OP_CLASSES, OP_CODE, RECORD_DTYPE, PackedTrace
+from repro.trace.columns import (
+    BRANCH_CODE,
+    OP_CLASSES,
+    OP_CODE,
+    RECORD_DTYPE,
+)
 from repro.trace.stream import Trace
 
 
@@ -159,10 +167,8 @@ def _optional_list(values: np.ndarray, present: np.ndarray) -> list:
     return boxed.tolist()
 
 
-def _pack(
-    records: List[TraceRecord], name: str = "trace"
-) -> PackedTrace:
-    """The columns of ``records`` (lossless)."""
+def _pack(records: List[TraceRecord], name: str = "trace") -> Trace:
+    """The trace whose columns hold ``records`` (lossless)."""
     n = len(records)
     columns = np.zeros(n, dtype=RECORD_DTYPE)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -190,7 +196,7 @@ def _pack(
     if n:
         columns[:] = rows
         np.cumsum(np.asarray(dep_counts, dtype=np.int64), out=indptr[1:])
-    return PackedTrace(
+    return Trace(
         columns=columns,
         dep_indptr=indptr,
         dep_data=np.asarray(dep_data, dtype=np.int32),
@@ -212,31 +218,31 @@ def trace_of(
     """The trace whose columns hold ``records``; :func:`records_of`
     hands the list back as it is."""
     records = list(records)
-    trace = Trace(_pack(records, name))
+    trace = _pack(records, name)
     _UNPACKED[trace] = records
     return trace
 
 
-def records_of(trace) -> List[TraceRecord]:
-    """One :class:`TraceRecord` per row of a :class:`Trace` or
-    :class:`PackedTrace` (inverse of :func:`trace_of`), fields as Python
-    values; the constructor's checks run on each.
+def records_of(trace: Trace) -> List[TraceRecord]:
+    """One :class:`TraceRecord` per row of ``trace`` (inverse of
+    :func:`trace_of`), fields as Python values; the constructor's checks
+    run on each.
 
-    A trace's list is built once and shared: do not mutate it. Pass
-    ``trace.pack()`` to unpack the columns afresh.
+    A trace's list is built once and shared: do not mutate it.
+    :func:`unpack` reads the columns afresh.
     """
-    if isinstance(trace, PackedTrace):
-        return _unpack(trace)
     records = _UNPACKED.get(trace)
     if records is None:
-        records = _UNPACKED[trace] = _unpack(trace.pack())
+        records = _UNPACKED[trace] = unpack(trace)
     return records
 
 
-def _unpack(packed: PackedTrace) -> List[TraceRecord]:
-    cols = packed.columns
-    bounds = packed.dep_indptr.tolist()
-    flat = packed.dep_data.tolist()
+def unpack(trace: Trace) -> List[TraceRecord]:
+    """The records of ``trace``'s columns, unpacked now (never the list
+    :func:`trace_of` was given)."""
+    cols = trace.columns
+    bounds = trace.dep_indptr.tolist()
+    flat = trace.dep_data.tolist()
     deps = map(tuple, map(flat.__getitem__, map(slice, bounds, bounds[1:])))
     return list(
         map(
@@ -253,3 +259,36 @@ def _unpack(packed: PackedTrace) -> List[TraceRecord]:
             _tri_list(cols["dl2_miss"]),
         )
     )
+
+
+def same_columns(a: Trace, b: Trace) -> bool:
+    """Exact column equality, name included."""
+    return (
+        a.name == b.name
+        and np.array_equal(a.columns, b.columns)
+        and np.array_equal(a.dep_indptr, b.dep_indptr)
+        and np.array_equal(a.dep_data, b.dep_data)
+    )
+
+
+def deps_of(trace: Trace, seq: int) -> Tuple[int, ...]:
+    """The dependence distances of row ``seq``."""
+    lo, hi = int(trace.dep_indptr[seq]), int(trace.dep_indptr[seq + 1])
+    return tuple(trace.dep_data[lo:hi].tolist())
+
+
+def branch_indices(trace: Trace) -> List[int]:
+    """Rows of conditional branches."""
+    return np.flatnonzero(trace.op == BRANCH_CODE).tolist()
+
+
+def mispredicted_indices(trace: Trace) -> List[int]:
+    """Rows of conditional branches flagged mispredicted."""
+    return np.flatnonzero(
+        (trace.op == BRANCH_CODE) & (trace.mispredict == 1)
+    ).tolist()
+
+
+def is_annotated(trace: Trace) -> bool:
+    """True when every conditional branch carries a mispredict flag."""
+    return not np.any((trace.op == BRANCH_CODE) & (trace.mispredict < 0))

@@ -1,7 +1,7 @@
 """Record-walk reference for the columnar trace queries.
 
-``Trace`` answers its queries (statistics, branch indices, dataflow
-critical path, validation) as folds over its columns; this module keeps
+``Trace`` answers its queries (statistics, dataflow critical path,
+validation) as folds over its columns; this module keeps
 the per-record walks they replaced. Differential tests require the two
 to agree exactly, so the walks read nothing but ``records_of(trace)``.
 """
@@ -54,24 +54,6 @@ def scalar_statistics(trace: Trace) -> TraceStatistics:
         dl2_miss_rate=dl2_count / load_count if load_count else 0.0,
         mean_dependence_distance=dep_hist.mean,
         dependence_histogram=dep_hist,
-    )
-
-
-def scalar_branch_indices(trace: Trace) -> List[int]:
-    return [i for i, r in enumerate(records_of(trace)) if r.is_branch]
-
-
-def scalar_mispredicted_indices(trace: Trace) -> List[int]:
-    return [
-        i for i, r in enumerate(records_of(trace)) if r.is_branch and r.mispredict
-    ]
-
-
-def scalar_is_annotated(trace: Trace) -> bool:
-    return all(
-        record.mispredict is not None
-        for record in records_of(trace)
-        if record.is_branch
     )
 
 

@@ -22,7 +22,7 @@ from repro.pipeline.core import simulate
 from repro.pipeline.inorder import simulate_inorder
 from repro.trace.synthetic import generate_trace
 from repro.workloads.spec_profiles import SPEC_PROFILES
-from tests.trace.records import records_of, trace_of
+from tests.trace.records import deps_of, records_of, same_columns, trace_of
 
 
 def fresh(length=3000, name="twolf", seed=7):
@@ -32,7 +32,7 @@ def fresh(length=3000, name="twolf", seed=7):
 def test_generated_trace_is_column_backed():
     trace = fresh()
     assert not hasattr(trace, "records")
-    assert trace.pack() is trace.pack()
+    assert not hasattr(trace, "pack")
     assert len(trace) == 3000
 
 
@@ -41,9 +41,6 @@ def test_figure_path_never_builds_records():
     config = CoreConfig()
     trace.statistics()
     trace.dataflow_ipc()
-    trace.branch_indices()
-    trace.mispredicted_indices()
-    assert trace.is_annotated
     trace.validate()
     IntervalModel(config).predict(trace)
     fit_ilp_profile(trace)
@@ -68,7 +65,7 @@ def test_column_slice_equals_record_slice(bounds):
     by_records = trace_of(list(records_of(trace)), name=trace.name).slice(*bounds)
     by_columns = fresh().slice(*bounds)
     assert by_columns.name == by_records.name
-    assert by_columns.pack().equals(by_records.pack())
+    assert same_columns(by_columns, by_records)
     assert records_of(by_columns) == records_of(by_records)
 
 
@@ -77,8 +74,8 @@ def test_slice_keeps_dependences_before_its_start():
     # treats it as complete, whichever form the slice is in.
     trace = fresh()
     by_columns = trace.slice(1000, 1600)
-    first_deps = by_columns.pack().deps_of(0)
-    assert first_deps == trace.pack().deps_of(1000)
+    first_deps = deps_of(by_columns, 0)
+    assert first_deps == deps_of(trace, 1000)
     config = CoreConfig()
     by_records = trace_of(list(records_of(by_columns)))
     assert simulate(by_columns, config).cycles == simulate(by_records, config).cycles

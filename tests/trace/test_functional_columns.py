@@ -23,7 +23,6 @@ from repro.isa.assembler import assemble
 from repro.isa.opcodes import OPCODE_INFO, Opcode
 from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.memory.prefetch import PrefetchingHierarchyAdapter, StridePrefetcher
-from repro.perf.packed import PackedTrace
 from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
@@ -32,10 +31,11 @@ from repro.trace.functional import (
     ExecutionLimitExceeded,
     FunctionalSimulator,
 )
+from repro.trace.stream import Trace
 from repro.workloads.kernels import KERNEL_BUILDERS, kernel_trace, stride_sum
 
 from tests.trace.record_functional import RecordFunctionalSimulator
-from tests.trace.records import TraceRecord
+from tests.trace.records import same_columns
 
 pytestmark = pytest.mark.usefixtures("kernel_path")
 
@@ -55,7 +55,7 @@ def _state(simulator):
 
 
 def _execute(simulator_class, program, image, limit):
-    """``(how the run ended, its packed trace or error, final state)``."""
+    """``(how the run ended, its trace or error, final state)``."""
     memory = DataMemory()
     memory.preload(image)
     simulator = simulator_class(program, memory=memory)
@@ -69,7 +69,7 @@ def _execute(simulator_class, program, image, limit):
     kind, trace = ending
     if simulator_class is FunctionalSimulator:
         assert not hasattr(trace, "records")
-    return (kind, trace.pack()), _state(simulator)
+    return (kind, trace), _state(simulator)
 
 
 def assert_matches_oracle(program, image=None, limit=100_000):
@@ -88,12 +88,12 @@ def assert_matches_oracle(program, image=None, limit=100_000):
     return got
 
 
-def assert_same_columns(got: PackedTrace, want: PackedTrace):
+def assert_same_columns(got: Trace, want: Trace):
     assert got.name == want.name
     assert got.columns.dtype == want.columns.dtype
     assert got.dep_indptr.dtype == want.dep_indptr.dtype
     assert got.dep_data.dtype == want.dep_data.dtype
-    assert got.equals(want)
+    assert same_columns(got, want)
 
 
 # -- the kernels -----------------------------------------------------------
@@ -128,14 +128,11 @@ def test_kernel_trace_stays_columns_through_a_structural_run(name):
     assert not hasattr(trace, "records")
 
 
-def test_f17_f18_paths_build_no_record(monkeypatch):
+def test_f17_f18_paths_build_no_record():
     """F17's and F18's traces, executed and run structurally (F18 with
-    and without its prefetcher), construct no record anywhere."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the structural path built a TraceRecord")
-
-    monkeypatch.setattr(TraceRecord, "__init__", refuse)
+    and without its prefetcher), stay columns. The record type is a test
+    oracle that ``src/`` cannot import
+    (``tests/test_src_imports_no_tests.py``)."""
     for trace in (kernel_trace("branchy_search"),
                   stride_sum(**F18_KERNEL).run()):
         for prefetch in (False, True):
@@ -228,9 +225,8 @@ def test_every_opcode_matches_the_oracle():
     ending = assert_matches_oracle(program, {DATA + 24: 2.5})
     assert ending[0] == "halt"
     trace = FunctionalSimulator(program).run()
-    packed = trace.pack()
-    assert packed.columns["taken"].any() and not packed.columns["taken"].all()
-    assert (packed.mispredict == -1).all() and (packed.dl2_miss == -1).all()
+    assert trace.taken.any() and not trace.taken.all()
+    assert (trace.mispredict == -1).all() and (trace.dl2_miss == -1).all()
 
 
 def test_final_memory_is_the_callers():

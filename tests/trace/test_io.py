@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.isa.opcodes import OpClass
-from repro.perf.packed import OP_CLASSES
+from repro.trace.columns import OP_CLASSES
 from repro.trace.io import load_trace, save_trace
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
 from repro.workloads.kernels import kernel_trace
 from repro.workloads.spec_profiles import SPEC_PROFILES
-from tests.trace.records import TraceRecord, records_of, trace_of
+from tests.trace.records import TraceRecord, records_of, same_columns, trace_of
 
 
 def suite_or_kernel_trace(name):
@@ -29,7 +29,7 @@ class TestRoundTrip:
         trace = suite_or_kernel_trace(name)
         path = tmp_path / f"{name}.trc"
         save_trace(trace, path)
-        assert load_trace(path).pack().equals(trace.pack())
+        assert same_columns(load_trace(path), trace)
 
     def test_path_is_written_as_given(self, tmp_path):
         path = tmp_path / "no-suffix"
@@ -129,8 +129,8 @@ class TestErrors:
             load_trace(path)
 
     def test_non_monotone_indptr_raises(self, tmp_path):
-        packed = sample().pack()
-        indptr = packed.dep_indptr.copy()
+        trace = sample()
+        indptr = trace.dep_indptr.copy()
         lo = int(np.flatnonzero(np.diff(indptr) > 0)[0])
         indptr[lo + 1] = indptr[-1] + 1
         path = write_members(tmp_path, dep_indptr=indptr)
@@ -138,13 +138,13 @@ class TestErrors:
             load_trace(path)
 
     def test_indptr_not_ending_at_data_length_raises(self, tmp_path):
-        packed = sample().pack()
-        path = write_members(tmp_path, dep_data=packed.dep_data[:-1])
+        trace = sample()
+        path = write_members(tmp_path, dep_data=trace.dep_data[:-1])
         with pytest.raises(ValueError, match="monotonically"):
             load_trace(path)
 
     def test_out_of_range_op_code_raises(self, tmp_path):
-        columns = sample().pack().columns.copy()
+        columns = sample().columns.copy()
         columns["op"][3] = len(OP_CLASSES)
         path = write_members(tmp_path, columns=columns)
         with pytest.raises(ValueError, match="op-class code"):
@@ -154,15 +154,15 @@ class TestErrors:
         "field", ["mispredict", "il1_miss", "dl1_miss", "dl2_miss"]
     )
     def test_bad_tri_state_code_raises(self, tmp_path, field):
-        columns = sample().pack().columns.copy()
+        columns = sample().columns.copy()
         columns[field][5] = 2
         path = write_members(tmp_path, columns=columns)
         with pytest.raises(ValueError, match=f"tri-state code in '{field}'"):
             load_trace(path)
 
     def test_column_invariant_violation_raises(self, tmp_path):
-        packed = sample().pack()
-        data = packed.dep_data.copy()
+        trace = sample()
+        data = trace.dep_data.copy()
         data[0] = 0
         path = write_members(tmp_path, dep_data=data)
         with pytest.raises(ValueError, match="non-positive dependence"):
@@ -181,12 +181,12 @@ def sample():
 def write_members(tmp_path, **overrides):
     """A trace archive of :func:`sample` with ``overrides`` replacing
     members (None drops one)."""
-    packed = sample().pack()
+    trace = sample()
     members = {
-        "columns": packed.columns,
-        "dep_indptr": packed.dep_indptr,
-        "dep_data": packed.dep_data,
-        "name": np.array(packed.name),
+        "columns": trace.columns,
+        "dep_indptr": trace.dep_indptr,
+        "dep_data": trace.dep_data,
+        "name": np.array(trace.name),
         "version": np.array(2, dtype=np.int64),
     }
     members.update(overrides)

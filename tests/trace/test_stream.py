@@ -4,7 +4,14 @@ import pytest
 
 from repro.isa.opcodes import OpClass
 from repro.trace.stream import Trace
-from tests.trace.records import TraceRecord, records_of, trace_of
+from tests.trace.records import (
+    TraceRecord,
+    branch_indices,
+    is_annotated,
+    mispredicted_indices,
+    trace_of,
+    unpack,
+)
 
 
 def _ialu(deps=()):
@@ -30,8 +37,8 @@ class TestContainer:
         trace = trace_of(records)
         assert not hasattr(trace, "__getitem__")
         assert not hasattr(trace, "__iter__")
-        assert records_of(trace.pack())[1].is_branch
-        assert records_of(trace.pack()) == records
+        assert unpack(trace)[1].is_branch
+        assert unpack(trace) == records
 
     def test_slice(self):
         trace = trace_of([_ialu() for _ in range(10)])
@@ -45,14 +52,14 @@ class TestContainer:
 class TestAnnotationDetection:
     def test_annotated_when_branches_flagged(self):
         trace = trace_of([_ialu(), _branch(mispredict=False)])
-        assert trace.is_annotated
+        assert is_annotated(trace)
 
     def test_unannotated_when_flags_missing(self):
         trace = trace_of([_branch(mispredict=None)])
-        assert not trace.is_annotated
+        assert not is_annotated(trace)
 
     def test_trace_without_branches_is_annotated(self):
-        assert trace_of([_ialu()]).is_annotated
+        assert is_annotated(trace_of([_ialu()]))
 
 
 class TestStatistics:
@@ -90,8 +97,8 @@ class TestStatistics:
 
     def test_indices_helpers(self):
         trace = trace_of([_ialu(), _branch(mispredict=True), _branch(mispredict=False)])
-        assert trace.branch_indices() == [1, 2]
-        assert trace.mispredicted_indices() == [1]
+        assert branch_indices(trace) == [1, 2]
+        assert mispredicted_indices(trace) == [1]
 
 
 class TestCriticalPath:
@@ -130,12 +137,12 @@ class TestStatisticsMemoization:
     def test_records_are_packed_at_construction(self):
         records = [_ialu(), _branch(taken=True)]
         trace = trace_of(records, name="built")
-        packed = trace.pack()
-        assert trace.pack() is packed
-        assert packed.name == "built"
-        assert len(packed) == 2
-        assert records_of(packed) == records
+        assert trace.name == "built"
+        assert len(trace) == 2
+        assert unpack(trace) == records
 
     def test_memoized_statistics_match_fresh_computation(self):
         trace = trace_of([_ialu(deps=(1,) if i else ()) for i in range(20)])
-        assert trace.statistics() == trace._compute_statistics()
+        fresh = Trace(trace.columns, trace.dep_indptr, trace.dep_data)
+        assert fresh.statistics() is not trace.statistics()
+        assert trace.statistics() == fresh.statistics()

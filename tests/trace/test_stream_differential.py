@@ -1,7 +1,7 @@
 """Column folds of ``Trace`` against the record-walk oracle, exactly.
 
-A generated trace answers statistics, index and critical-path queries
-from its columns; ``scalar_stream`` walks the records. Every field must
+A generated trace answers statistics, critical-path and validation
+queries from its columns; ``scalar_stream`` walks the records. Every field must
 be equal (``==``), including the order of the instruction mix.
 """
 
@@ -16,10 +16,7 @@ from repro.util.rng import derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
 from tests.trace.scalar_stream import (
-    scalar_branch_indices,
     scalar_critical_path_length,
-    scalar_is_annotated,
-    scalar_mispredicted_indices,
     scalar_statistics,
     scalar_validate,
 )
@@ -66,9 +63,6 @@ def assert_same_statistics(got, want):
 def test_column_queries_match_record_walks(make):
     trace = make()
     got_stats = trace.statistics()
-    got_branches = trace.branch_indices()
-    got_mispredicted = trace.mispredicted_indices()
-    got_annotated = trace.is_annotated
     got_path = trace.critical_path_length()
     latency_of = {cls: 1 + i % 4 for i, cls in enumerate(OpClass)}.__getitem__
     got_weighted = trace.critical_path_length(latency_of)
@@ -76,9 +70,6 @@ def test_column_queries_match_record_walks(make):
 
     oracle = trace_of(records_of(trace), name=trace.name)
     assert_same_statistics(got_stats, scalar_statistics(oracle))
-    assert got_branches == scalar_branch_indices(oracle)
-    assert got_mispredicted == scalar_mispredicted_indices(oracle)
-    assert got_annotated == scalar_is_annotated(oracle)
     assert got_path == scalar_critical_path_length(oracle)
     assert got_weighted == scalar_critical_path_length(oracle, latency_of)
     scalar_validate(oracle)
@@ -104,9 +95,6 @@ class TestRecordBuiltTraces:
     def test_matches_oracle(self):
         trace = self.trace()
         assert_same_statistics(trace.statistics(), scalar_statistics(trace))
-        assert trace.is_annotated is scalar_is_annotated(trace) is False
-        assert trace.branch_indices() == scalar_branch_indices(trace)
-        assert trace.mispredicted_indices() == scalar_mispredicted_indices(trace)
         assert trace.critical_path_length(
             lambda cls: 20 if cls is OpClass.IDIV else 2
         ) == scalar_critical_path_length(

@@ -9,7 +9,7 @@ import pytest
 from repro.isa.opcodes import OpClass
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
-from tests.trace.records import records_of
+from tests.trace.records import is_annotated, mispredicted_indices, records_of
 
 N = 30_000
 
@@ -68,7 +68,7 @@ class TestStatisticsMatchProfile:
                 assert not (record.dl1_miss and record.dl2_miss)
 
     def test_trace_is_annotated(self, default_trace):
-        assert default_trace.is_annotated
+        assert is_annotated(default_trace)
 
     def test_trace_validates(self, default_trace):
         default_trace.validate()
@@ -139,7 +139,7 @@ class TestBurstiness:
         def gap_cv(trace):
             gaps = []
             last = None
-            for i in trace.mispredicted_indices():
+            for i in mispredicted_indices(trace):
                 if last is not None:
                     gaps.append(i - last)
                 last = i

@@ -24,7 +24,7 @@ from repro.util.rng import SplitMix, derive_seed
 from repro.workloads.spec_profiles import SPEC_PROFILES
 
 from tests.trace.scalar_generator import scalar_generate_trace
-from tests.trace.records import TraceRecord, records_of, trace_of
+from tests.trace.records import TraceRecord, records_of, same_columns, trace_of
 
 
 def assert_same_records(got, want):
@@ -50,7 +50,7 @@ def assert_same_records(got, want):
 def assert_same_trace(got, want):
     """``got``'s columns are a pack of ``want``'s records, and they
     unpack to equal records."""
-    assert got.pack().equals(want.pack())
+    assert same_columns(got, want)
     assert_same_records(got, want)
 
 
