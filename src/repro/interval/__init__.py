@@ -51,7 +51,6 @@ from repro.interval.ilp import (
     ILPFit,
     backward_slice_latency,
     fit_ilp_profile,
-    window_criticality,
 )
 from repro.interval.contributors import (
     ContributorBreakdown,
@@ -67,7 +66,6 @@ from repro.interval.visualize import (
     TimelinePoint,
     interval_timeline,
     pick_illustrative_event,
-    render_timeline,
 )
 from repro.interval.occupancy import (
     occupancy_at_dispatch,
@@ -84,7 +82,6 @@ __all__ = [
     "bucket_resolution_by_gap",
     "ILPFit",
     "fit_ilp_profile",
-    "window_criticality",
     "backward_slice_latency",
     "ContributorBreakdown",
     "decompose_contributors",
@@ -96,7 +93,6 @@ __all__ = [
     "TimelinePoint",
     "interval_timeline",
     "pick_illustrative_event",
-    "render_timeline",
     "occupancy_at_dispatch",
     "occupancy_trace",
 ]

@@ -139,9 +139,11 @@ def _dependence_columns(trace: Trace):
     return columns
 
 
-def _window_criticality(deps, latency, window: int, stride: int) -> float:
-    """Mean critical path of the windows ``[s, s + window)``,
-    ``s = 0, stride, ...``, over prepared columns.
+def _window_criticality(deps, latency, window: int) -> float:
+    """Mean critical path ``K(window)`` of the consecutive windows
+    ``[s, s + window)``, ``s = 0, window, ...``, over prepared columns.
+    Dependences reaching before a window are treated as satisfied,
+    exactly as a window full of post-miss instructions would see them.
 
     The windows are independent dataflow graphs, so all of them advance
     together: step ``t`` finishes offset ``t`` of every window with one
@@ -159,7 +161,7 @@ def _window_criticality(deps, latency, window: int, stride: int) -> float:
     if not n:
         return 0.0
     size = min(window, n)
-    starts = np.arange(0, max(n - window + 1, 1), stride)
+    starts = np.arange(0, max(n - window + 1, 1), window)
     offsets = np.arange(size)[:, None]
     maxima = []
     per_batch = max(1, _BATCH_CELLS // size)
@@ -184,27 +186,6 @@ def _window_criticality(deps, latency, window: int, stride: int) -> float:
     # Summed in window order, as one running float total would be.
     total = np.cumsum(np.concatenate(maxima), dtype=np.float64)[-1]
     return float(total) / len(starts)
-
-
-def window_criticality(
-    trace: Trace,
-    window: int,
-    latency_of: Optional[LatencyFn] = None,
-    stride: Optional[int] = None,
-) -> float:
-    """Average critical-path length of ``window``-sized chunks.
-
-    Consecutive (non-overlapping by default) windows of the trace are
-    evaluated as independent dataflow graphs: dependences reaching
-    before the window are treated as satisfied, exactly as a window
-    full of post-miss instructions would see them.
-    """
-    return _window_criticality(
-        _dependence_columns(trace),
-        _latency_column(trace, latency_of),
-        window,
-        stride or window,
-    )
 
 
 @dataclass(frozen=True)
@@ -258,7 +239,7 @@ def fit_ilp_profile(
         raise ValueError("need at least two window sizes to fit")
     deps = _dependence_columns(trace)
     latency = _latency_column(trace, latency_of)
-    ks = [_window_criticality(deps, latency, w, w) for w in windows]
+    ks = [_window_criticality(deps, latency, w) for w in windows]
     xs = [math.log(w) for w in windows]
     ys = [math.log(max(k, 1e-9)) for k in ks]
     n = len(xs)

@@ -19,7 +19,7 @@ from repro.analysis import sanitizer as _sanitizer
 from repro.interval.segmentation import segment_intervals
 from repro.pipeline.events import BranchMispredictEvent, MissEventKind
 from repro.pipeline.result import SimulationResult
-from repro.util.stats import Histogram, OnlineStats, bucketize
+from repro.util.stats import OnlineStats, bucketize
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class PenaltyReport:
     decompositions: List[PenaltyDecomposition]
     frontend_depth: int
     resolution_stats: OnlineStats = field(default_factory=OnlineStats)
-    penalty_histogram: Histogram = field(default_factory=Histogram)
 
     @property
     def count(self) -> int:
@@ -78,9 +77,6 @@ class PenaltyReport:
         if not self.frontend_depth:
             return 0.0
         return self.mean_penalty / self.frontend_depth
-
-    def percentile_penalty(self, q: float) -> int:
-        return self.penalty_histogram.percentile(q)
 
 
 def measure_penalties(result: SimulationResult) -> PenaltyReport:
@@ -115,7 +111,6 @@ def measure_penalties(result: SimulationResult) -> PenaltyReport:
     san = _sanitizer.current()
     for item in decompositions:
         report.resolution_stats.add(item.resolution)
-        report.penalty_histogram.add(item.penalty)
         if san is not None:
             san.check_penalty_decomposition(item)
     return report

@@ -58,16 +58,6 @@ class IntervalBreakdown:
     def event_count(self) -> int:
         return sum(1 for iv in self.intervals if iv.event is not None)
 
-    def by_kind(self, kind: MissEventKind) -> List[Interval]:
-        return [iv for iv in self.intervals if iv.kind is kind]
-
-    def counts_by_kind(self) -> dict:
-        counts: dict = {}
-        for interval in self.intervals:
-            if interval.kind is not None:
-                counts[interval.kind] = counts.get(interval.kind, 0) + 1
-        return counts
-
     def length_histogram(self, kind: Optional[MissEventKind] = None) -> Histogram:
         """Histogram of interval lengths (optionally one event kind)."""
         hist = Histogram()

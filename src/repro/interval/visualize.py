@@ -1,4 +1,4 @@
-"""Interval timeline extraction and rendering (figure F1).
+"""Interval timeline extraction (figure F1).
 
 Turns a simulation's per-instruction dispatch cycles into the classic
 interval-analysis "sawtooth": dispatch rate over time around a miss
@@ -90,17 +90,3 @@ def pick_illustrative_event(
     pool = qualified or events
     return pool[len(pool) // 2]
 
-
-def render_timeline(points: List[TimelinePoint], width: int = 40) -> str:
-    """ASCII rendering: one bar per bucket, annotated with the phase."""
-    if not points:
-        return "(no timeline)"
-    peak = max(p.dispatch_rate for p in points) or 1.0
-    lines = []
-    for point in points:
-        bar = "#" * int(round(point.dispatch_rate / peak * width))
-        lines.append(
-            f"{point.relative_cycle:>6} | {bar:<{width}} "
-            f"{point.dispatch_rate:4.1f}/cy  {point.phase}"
-        )
-    return "\n".join(lines)

@@ -2,8 +2,8 @@
 
 Two time axes, one span shape each:
 
-* :mod:`repro.obs.tracer` — *simulated* time: per-miss-event spans and
-  interval-boundary instants, exportable to Perfetto (Chrome trace
+* :mod:`repro.obs.tracer` — *simulated* time: each run's miss events
+  and interval-boundary instants, exportable to Perfetto (Chrome trace
   JSON) and JSONL.
 * :mod:`repro.obs.spans` — *wall* time: integer-nanosecond span trees
   whose fold sums exactly to wall time. Serve requests fold them into
@@ -60,7 +60,6 @@ from repro.obs.tracer import (
     KIND_LONG_DMISS,
     SPAN_KINDS,
     InstantEvent,
-    MissSpan,
     RecordingTracer,
     Tracer,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "KIND_LONG_DMISS",
     "SPAN_KINDS",
     "InstantEvent",
-    "MissSpan",
     "RecordingTracer",
     "Tracer",
 ]

@@ -5,32 +5,41 @@ documented by the Trace Event Format spec and loadable in Perfetto or
 ``chrome://tracing``. Simulated cycles map 1:1 onto the format's
 microsecond timestamps, so one trace "µs" is one core cycle.
 
-Layout (one process, one thread per event family):
+Layout (one process, one thread per miss-event type, mapped by
+:data:`EVENT_LAYOUT`):
 
 * tid 1 ``branch mispredicts`` — one complete (``"X"``) span per
-  mispredict whose duration is the full penalty, with nested
-  ``resolve`` and ``refill`` child slices.
+  :class:`~repro.pipeline.events.BranchMispredictEvent` whose duration
+  is the full penalty, with nested ``resolve`` and ``refill`` child
+  slices.
 * tid 2 ``icache misses`` — complete spans, duration = miss latency.
 * tid 3 ``long dcache misses`` — async ``"b"``/``"e"`` pairs keyed by
   instruction seq, since long misses overlap under the ROB.
 * tid 4 ``intervals`` — instant (``"i"``) markers at interval
   boundaries.
 
-The JSONL export is one JSON object per line (spans then instants, in
-emission order) for programmatic analysis without a trace viewer.
+The JSONL export is one JSON object per line (miss-event spans then
+instants, in emission order) for programmatic analysis without a trace
+viewer; a span's ``kind`` is the event type's short kind (``KIND_*``).
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, List, Sequence, Union
+from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
 from repro.obs.tracer import (
     KIND_BPRED,
     KIND_ICACHE,
     KIND_LONG_DMISS,
     RecordingTracer,
+)
+from repro.pipeline.events import (
+    BranchMispredictEvent,
+    ICacheMissEvent,
+    LongDMissEvent,
+    MissEvent,
 )
 from repro.resilience.atomic import atomic_write_text
 
@@ -46,6 +55,30 @@ _THREAD_NAMES = {
     TID_LONG_DMISS: "long dcache misses",
     TID_INTERVALS: "intervals",
 }
+
+#: Each miss-event type's thread, trace-event name and short kind.
+EVENT_LAYOUT: Dict[type, Tuple[int, str, str]] = {
+    BranchMispredictEvent: (TID_BPRED, "mispredict", KIND_BPRED),
+    ICacheMissEvent: (TID_ICACHE, "icache_miss", KIND_ICACHE),
+    LongDMissEvent: (TID_LONG_DMISS, "long_dmiss", KIND_LONG_DMISS),
+}
+
+
+def event_kind(event: MissEvent) -> str:
+    """The short kind (``KIND_*``) of ``event``'s type."""
+    return EVENT_LAYOUT[type(event)][2]
+
+
+def _span_cycles(event: MissEvent) -> Tuple[int, int]:
+    """``(resolve cycle, refill cycles)`` of ``event``'s span.
+
+    A mispredict resolves when its branch executes, then refills the
+    frontend, so its span lasts exactly its penalty; a cache miss
+    resolves when its line arrives and has no refill.
+    """
+    if isinstance(event, BranchMispredictEvent):
+        return event.resolve_cycle, event.refill_cycles
+    return event.cycle + event.latency, 0
 
 
 def _metadata_events(label: str) -> List[dict]:
@@ -71,86 +104,71 @@ def _metadata_events(label: str) -> List[dict]:
     return events
 
 
+def _complete(
+    tid: int, name: str, cat: str, ts: int, dur: int, args: dict
+) -> dict:
+    """One complete (``"X"``) trace event on ``tid``."""
+    return {
+        "ph": "X",
+        "pid": PID,
+        "tid": tid,
+        "name": name,
+        "cat": cat,
+        "ts": ts,
+        "dur": dur,
+        "args": args,
+    }
+
+
 def chrome_trace_events(tracer: RecordingTracer, label: str = "repro-sim") -> List[dict]:
     """Flatten a recording into trace-event dicts (metadata first)."""
     events = _metadata_events(label)
-    for span in tracer.spans:
-        if span.kind == KIND_BPRED:
-            args = {
-                "seq": span.seq,
-                "resolution_cycles": span.resolution,
-                "refill_cycles": span.refill_cycles,
-                "penalty_cycles": span.duration,
-                "wrong_path_instructions": span.wrong_path_instructions,
-                "window_occupancy": span.window_occupancy,
-            }
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": PID,
-                    "tid": TID_BPRED,
-                    "name": "mispredict",
-                    "cat": "bpred",
-                    "ts": span.dispatch_cycle,
-                    "dur": span.duration,
-                    "args": args,
-                }
-            )
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": PID,
-                    "tid": TID_BPRED,
-                    "name": "resolve",
-                    "cat": "bpred",
-                    "ts": span.dispatch_cycle,
-                    "dur": span.resolution,
-                    "args": {"seq": span.seq},
-                }
-            )
-            if span.refill_cycles > 0:
-                events.append(
-                    {
-                        "ph": "X",
-                        "pid": PID,
-                        "tid": TID_BPRED,
-                        "name": "refill",
-                        "cat": "bpred",
-                        "ts": span.resolve_cycle,
-                        "dur": span.refill_cycles,
-                        "args": {"seq": span.seq},
-                    }
-                )
-        elif span.kind == KIND_ICACHE:
-            events.append(
-                {
-                    "ph": "X",
-                    "pid": PID,
-                    "tid": TID_ICACHE,
-                    "name": "icache_miss",
-                    "cat": "icache",
-                    "ts": span.dispatch_cycle,
-                    "dur": span.duration,
-                    "args": {"seq": span.seq},
-                }
-            )
-        elif span.kind == KIND_LONG_DMISS:
+    for event in tracer.events:
+        tid, name, kind = EVENT_LAYOUT[type(event)]
+        resolve, refill = _span_cycles(event)
+        duration = resolve + refill - event.cycle
+        if kind == KIND_LONG_DMISS:
             common = {
                 "pid": PID,
-                "tid": TID_LONG_DMISS,
-                "name": "long_dmiss",
+                "tid": tid,
+                "name": name,
                 "cat": "dmiss",
-                "id": span.seq,
+                "id": event.seq,
             }
             events.append(
                 {
                     "ph": "b",
-                    "ts": span.dispatch_cycle,
-                    "args": {"seq": span.seq, "latency": span.duration},
+                    "ts": event.cycle,
+                    "args": {"seq": event.seq, "latency": duration},
                     **common,
                 }
             )
-            events.append({"ph": "e", "ts": span.end_cycle, "args": {}, **common})
+            events.append({"ph": "e", "ts": resolve, "args": {}, **common})
+            continue
+        seq_args = {"seq": event.seq}
+        if kind == KIND_ICACHE:
+            events.append(
+                _complete(tid, name, kind, event.cycle, duration, seq_args)
+            )
+            continue
+        # A mispredict: its whole penalty, then resolve and refill.
+        args = {
+            "seq": event.seq,
+            "resolution_cycles": event.resolution,
+            "refill_cycles": refill,
+            "penalty_cycles": duration,
+            "wrong_path_instructions": event.wrong_path_instructions,
+            "window_occupancy": event.window_occupancy,
+        }
+        events.append(_complete(tid, name, kind, event.cycle, duration, args))
+        events.append(
+            _complete(tid, "resolve", kind, event.cycle, event.resolution,
+                      seq_args)
+        )
+        if refill > 0:
+            events.append(
+                _complete(tid, "refill", kind, resolve, refill, seq_args)
+            )
     for instant in tracer.instants:
         events.append(
             {
@@ -197,7 +215,7 @@ def chrome_trace_events_from_spans(
 ) -> List[dict]:
     """Trace events for request-scoped spans (:mod:`repro.obs.spans`).
 
-    Unlike the single-process MissSpan layout above, request spans are
+    Unlike the single-process miss-event layout above, request spans are
     *cross-process*: the event loop, its worker threads, and the shard
     pool workers each record under their own ``(process, pid)``. Each
     distinct pair becomes one Perfetto process row (metadata first, in
@@ -283,18 +301,21 @@ def write_chrome_trace_spans(
 
 
 def jsonl_records(tracer: RecordingTracer) -> Iterator[dict]:
-    """One flat JSON-safe dict per span/instant, in emission order."""
-    for span in tracer.spans:
+    """One flat JSON-safe dict per miss event/instant, in emission order."""
+    for event in tracer.events:
+        resolve, refill = _span_cycles(event)
         yield {
             "type": "span",
-            "kind": span.kind,
-            "seq": span.seq,
-            "dispatch_cycle": span.dispatch_cycle,
-            "resolve_cycle": span.resolve_cycle,
-            "refill_cycles": span.refill_cycles,
-            "duration_cycles": span.duration,
-            "wrong_path_instructions": span.wrong_path_instructions,
-            "window_occupancy": span.window_occupancy,
+            "kind": event_kind(event),
+            "seq": event.seq,
+            "dispatch_cycle": event.cycle,
+            "resolve_cycle": resolve,
+            "refill_cycles": refill,
+            "duration_cycles": resolve + refill - event.cycle,
+            "wrong_path_instructions": getattr(
+                event, "wrong_path_instructions", 0
+            ),
+            "window_occupancy": getattr(event, "window_occupancy", 0),
         }
     for instant in tracer.instants:
         record = {"type": "instant", "name": instant.name, "cycle": instant.cycle}

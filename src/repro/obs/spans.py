@@ -1,6 +1,6 @@
 """Request-scoped spans, latency stacks, and flame folding.
 
-Where :mod:`repro.obs.tracer` records *simulated* time (MissSpan
+Where :mod:`repro.obs.tracer` records *simulated* time (miss-event
 timestamps are cycles), this module records *service* time: what one
 ``simulate`` request spent queueing, coalescing, probing cache tiers,
 executing on a shard pool, and serializing its reply.  The shapes

@@ -1,13 +1,15 @@
 """Structured event tracing for the simulators.
 
-The first pillar of ``repro.obs``. Every detailed-core run yields one
-:class:`MissSpan` per miss event — for a branch mispredict, the span
-runs from dispatch through resolution to the end of the frontend
-refill, so its duration *is* the penalty the paper decomposes — plus
-:class:`InstantEvent` markers at interval boundaries. The spans are
-read from the finished result
-(:meth:`repro.pipeline.result.SimulationResult.miss_spans`), not
-recorded inside the cores, so every core reports a run the same way.
+The first pillar of ``repro.obs``. A traced run records its finished
+result's miss events (:class:`~repro.pipeline.events.MissEvent`), in
+event order, plus :class:`InstantEvent` markers at interval boundaries.
+The events are read from the finished result
+(:func:`repro.pipeline.result.observe_run`), not recorded inside the
+cores, so every core reports a run the same way. The export
+(:mod:`repro.obs.export`) draws each event as a timeline span: a branch
+mispredict's runs from dispatch through resolution to the end of the
+frontend refill, so its duration *is* the penalty the paper
+decomposes.
 
 ``Tracer`` is the no-op default: every hook is a ``pass``, and callers
 guard on ``runtime.current_tracer() is None`` so a disabled run pays
@@ -21,9 +23,12 @@ All timestamps are simulated cycles, never wall-clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
-#: Span kinds, mirroring the three miss event classes the paper studies.
+if TYPE_CHECKING:
+    from repro.pipeline.events import MissEvent
+
+#: Short span kinds, one per miss event class the paper studies.
 KIND_BPRED = "bpred"
 KIND_ICACHE = "icache"
 KIND_LONG_DMISS = "long_dmiss"
@@ -31,39 +36,6 @@ KIND_LONG_DMISS = "long_dmiss"
 SPAN_KINDS: Tuple[str, ...] = (KIND_BPRED, KIND_ICACHE, KIND_LONG_DMISS)
 
 ArgValue = Union[int, float, str]
-
-
-@dataclass(frozen=True)
-class MissSpan:
-    """One miss event as a timeline span, in simulated cycles.
-
-    For a branch mispredict (``kind == "bpred"``) the span decomposes as
-    dispatch → resolve (``resolution`` cycles of in-flight execution)
-    followed by ``refill_cycles`` of frontend refill after the redirect,
-    so ``duration`` equals the recorded penalty. I-cache and long D-cache
-    miss spans carry ``refill_cycles == 0`` and their duration is just
-    the miss latency.
-    """
-
-    kind: str
-    seq: int
-    dispatch_cycle: int
-    resolve_cycle: int
-    refill_cycles: int = 0
-    window_occupancy: int = 0
-    wrong_path_instructions: int = 0
-
-    @property
-    def resolution(self) -> int:
-        return self.resolve_cycle - self.dispatch_cycle
-
-    @property
-    def end_cycle(self) -> int:
-        return self.resolve_cycle + self.refill_cycles
-
-    @property
-    def duration(self) -> int:
-        return self.end_cycle - self.dispatch_cycle
 
 
 @dataclass(frozen=True)
@@ -80,7 +52,7 @@ class Tracer:
 
     enabled = False
 
-    def miss_span(self, span: MissSpan) -> None:
+    def miss_events(self, events: Sequence["MissEvent"]) -> None:
         pass
 
     def instant(self, name: str, cycle: int, **args: ArgValue) -> None:
@@ -88,28 +60,32 @@ class Tracer:
 
 
 class RecordingTracer(Tracer):
-    """Buffers spans and instants in memory, in emission order."""
+    """Buffers miss events and instants in memory, in emission order."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self.spans: List[MissSpan] = []
+        self.events: List["MissEvent"] = []
         self.instants: List[InstantEvent] = []
 
-    def miss_span(self, span: MissSpan) -> None:
-        self.spans.append(span)
+    def miss_events(self, events: Sequence["MissEvent"]) -> None:
+        self.events.extend(events)
 
     def instant(self, name: str, cycle: int, **args: ArgValue) -> None:
         self.instants.append(InstantEvent(name=name, cycle=cycle, args=args))
 
-    def spans_of_kind(self, kind: str) -> List[MissSpan]:
-        return [span for span in self.spans if span.kind == kind]
-
     def counts(self) -> Dict[str, int]:
+        """Recorded miss events per short kind (``KIND_*``)."""
+        # The export holds the event-type layout. It imports the
+        # pipeline's event types, and the pipeline imports this module
+        # (through repro.obs.runtime), so the layout is read at call time.
+        from repro.obs.export import event_kind
+
         tally: Dict[str, int] = {}
-        for span in self.spans:
-            tally[span.kind] = tally.get(span.kind, 0) + 1
+        for event in self.events:
+            kind = event_kind(event)
+            tally[kind] = tally.get(kind, 0) + 1
         return tally
 
     def __len__(self) -> int:
-        return len(self.spans) + len(self.instants)
+        return len(self.events) + len(self.instants)

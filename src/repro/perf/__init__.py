@@ -6,21 +6,18 @@ so no path pays Python-interpreter overhead for an object per
 instruction. This package holds what runs on those columns:
 
 * :mod:`repro.perf.batchcore` — the batched structure-of-arrays
-  detailed core that runs every out-of-order configuration: lockstep
-  multi-config simulation over shared trace columns, bit-exact against
-  the scalar oracle core kept under ``tests/pipeline/``;
+  detailed core that runs every out-of-order configuration: one loop
+  runs the configs of a call over shared trace columns, and the kernel
+  builds each run's :class:`~repro.pipeline.result.SimulationResult`,
+  bit-exact against the scalar oracle core kept under
+  ``tests/pipeline/``;
 * :mod:`repro.perf.bench` — the ``repro bench`` throughput harness and
   the ``BENCH_simulator.json`` regression baseline format.
 """
 
-from repro.perf.batchcore import (
-    BatchedSuperscalarCore,
-    TraceColumns,
-    run_batch,
-)
+from repro.perf.batchcore import TraceColumns, run_batch
 
 __all__ = [
-    "BatchedSuperscalarCore",
     "TraceColumns",
     "run_batch",
 ]

@@ -19,7 +19,10 @@ per dynamic instruction, in three layers:
   derived columns (load latencies, I-cache refill latencies, FU tables)
   are deduplicated across configs by **divergence group** — configs
   whose cache or FU parameters agree share the same column objects, so
-  a ROB/width/frontend sweep derives its columns exactly once.
+  a ROB/width/frontend sweep derives its columns exactly once. One loop
+  (:func:`_run_cores`) runs the configs and holds that memo; the kernel
+  (:func:`_simulate_columns`) returns each
+  :class:`~repro.pipeline.result.SimulationResult` itself.
 * **Bit-exactness by construction** — the kernel replays the
   scheduling decisions of a structure-per-object core (a ROB deque,
   unit heaps, per-event queues) in the same order (oldest-first or
@@ -44,10 +47,10 @@ in each cycle that commits or dispatches. The in-order core
 (:mod:`repro.pipeline.inorder`) reads the same :class:`TraceColumns`,
 miss columns and FU tables.
 
-The kernel has no tracer or metrics hooks, and needs none: every run,
-whichever core it took, is reported from its finished result by
-:func:`repro.pipeline.core._run_cores`, the entry behind
-:func:`run_batch` and :func:`repro.pipeline.core.simulate`.
+The kernel has no tracer or metrics hooks, and needs none: every run
+is reported from its finished result
+(:func:`repro.pipeline.result.observe_run`) by :func:`_run_cores`, the
+loop behind :func:`run_batch` and :func:`repro.pipeline.core.simulate`.
 """
 
 from __future__ import annotations
@@ -60,14 +63,13 @@ import numpy as np
 from repro.analysis import sanitizer as _sanitizer
 from repro.pipeline.annotate import MissColumns, StructuralAnnotator
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import _run_cores
 from repro.pipeline.events import (
     BranchMispredictEvent,
     ICacheMissEvent,
     LongDMissEvent,
     MissEvent,
 )
-from repro.pipeline.result import SimulationResult, cycle_column
+from repro.pipeline.result import SimulationResult, cycle_column, observe_run
 from repro.trace.columns import DCODE_LONG, OP_CLASSES, oracle_miss_columns
 from repro.trace.stream import Trace
 from repro.util.rng import SplitMix, derive_seed
@@ -76,12 +78,12 @@ from repro.util.rng import SplitMix, derive_seed
 class TraceColumns:
     """Config-independent columns of one trace, shared across a batch.
 
-    Built from the trace's columns by each
-    :meth:`BatchedSuperscalarCore.run` and freed with its plan: op
-    codes, the oracle miss flags, each load's D-cache miss-class code,
-    and the dependence CSR rewritten from *distances* to absolute
-    *producer indices* (negative producers — before the trace start —
-    already filtered out).
+    Built from the trace's columns once per :func:`_run_cores` call,
+    and shared by its configs, or once per in-order run: op codes, the
+    oracle miss flags, each load's D-cache miss-class code, and the
+    dependence CSR rewritten from *distances* to absolute *producer
+    indices* (negative producers — before the trace start — already
+    filtered out).
     """
 
     __slots__ = (
@@ -191,82 +193,6 @@ def _combined_latency(
     ).tolist()
 
 
-def _cache_group_key(config: CoreConfig) -> Tuple[int, int, int]:
-    return (config.l1_latency, config.l2_latency, config.memory_latency)
-
-
-def _fu_group_key(config: CoreConfig) -> Tuple:
-    return tuple(
-        (c.value, s.count, s.latency, s.issue_interval)
-        for c, s in sorted(config.fu_specs.items(), key=lambda kv: kv[0].value)
-    )
-
-
-class BatchPlan:
-    """Divergence bookkeeping for one batch of configs.
-
-    Derived columns are deduplicated by group key and built on first
-    use; two configs in the same cache group share the *same* oracle
-    miss columns, and a batch that only runs annotated configs builds
-    none.
-    """
-
-    def __init__(self, cols: TraceColumns, configs: Sequence[CoreConfig]):
-        self.cols = cols
-        self.configs = list(configs)
-        self._miss_groups: Dict[Tuple, MissColumns] = {}
-        self._fu_groups: Dict[Tuple, _FUTables] = {}
-        self._lat_groups: Dict[Tuple, List[int]] = {}
-        self.cache_group_of = [_cache_group_key(c) for c in self.configs]
-        self.fu_group_of = [_fu_group_key(c) for c in self.configs]
-
-    def miss_columns(self, index: int) -> MissColumns:
-        key = self.cache_group_of[index]
-        miss = self._miss_groups.get(key)
-        if miss is None:
-            miss = MissColumns.oracle(self.cols, self.configs[index])
-            self._miss_groups[key] = miss
-        return miss
-
-    def fu_tables(self, index: int) -> _FUTables:
-        key = self.fu_group_of[index]
-        fu = self._fu_groups.get(key)
-        if fu is None:
-            fu = _FUTables(self.configs[index])
-            self._fu_groups[key] = fu
-        return fu
-
-    def lat_column(self, index: int) -> List[int]:
-        key = (self.cache_group_of[index], self.fu_group_of[index])
-        lat = self._lat_groups.get(key)
-        if lat is None:
-            lat = _combined_latency(
-                self.cols, self.miss_columns(index), self.fu_tables(index)
-            )
-            self._lat_groups[key] = lat
-        return lat
-
-
-class KernelOutput:
-    """Raw kernel products before assembly into a SimulationResult."""
-
-    __slots__ = (
-        "events",
-        "dispatch_cycle",
-        "issue_cycle",
-        "complete_cycle",
-        "commit_cycle",
-        "fu_issued",
-        "rob_peak",
-        "last_commit_cycle",
-        "ghosts",
-    )
-
-    def __init__(self, **fields):
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-
 #: ``squash_at`` while no wrong-path squash is pending.
 _NO_SQUASH = 1 << 62
 
@@ -278,7 +204,7 @@ def _simulate_columns(
     config: CoreConfig,
     lat_total: Optional[List[int]] = None,
     san: Optional[_sanitizer.Sanitizer] = None,
-) -> KernelOutput:
+) -> SimulationResult:
     """The SoA kernel: one config over one column set, scalar-exact.
 
     Mirrors the scalar oracle's ``run`` phase for phase (completions,
@@ -720,97 +646,86 @@ def _simulate_columns(
         np.bincount(cols.op_np, minlength=len(fu.count))
         + np.asarray(ghost_issued, dtype=np.int64)
     ).tolist()
-    # The timeline columns are the kernel's own state lists;
-    # _assemble_result types them.
-    return KernelOutput(
-        events=events,
-        dispatch_cycle=dispatch_of if record_timeline else None,
-        issue_cycle=issue_of if record_timeline else None,
-        complete_cycle=comp if record_timeline else None,
-        commit_cycle=commit_cycle,
-        fu_issued=fu_issued,
-        rob_peak=rob_peak,
-        last_commit_cycle=last_commit_cycle,
-        ghosts=ghost_count,
-    )
-
-
-def _assemble_result(
-    output: KernelOutput, config: CoreConfig, n: int
-) -> SimulationResult:
-    fu_counts = {
-        op_class.value: output.fu_issued[code]
-        for code, op_class in enumerate(OP_CLASSES)
-        if op_class in config.fu_specs
-    }
+    # Drop the scratch columns before the timelines are typed, so the
+    # typed copies do not raise the run's peak memory.
+    del base_ready, pending, waiters, op_bind
     return SimulationResult(
         instructions=n,
-        cycles=output.last_commit_cycle + 1,
-        events=output.events,
-        dispatch_cycle=cycle_column(output.dispatch_cycle),
-        issue_cycle=cycle_column(output.issue_cycle),
-        complete_cycle=cycle_column(output.complete_cycle),
-        commit_cycle=cycle_column(output.commit_cycle),
-        fu_issue_counts=fu_counts,
-        rob_peak_occupancy=output.rob_peak,
-        squashed_ghosts=output.ghosts,
+        cycles=last_commit_cycle + 1,
+        events=events,
+        dispatch_cycle=cycle_column(dispatch_of if record_timeline else None),
+        issue_cycle=cycle_column(issue_of if record_timeline else None),
+        complete_cycle=cycle_column(comp if record_timeline else None),
+        commit_cycle=cycle_column(commit_cycle),
+        fu_issue_counts={
+            op_class.value: fu_issued[code]
+            for code, op_class in enumerate(OP_CLASSES)
+            if op_class in config.fu_specs
+        },
+        rob_peak_occupancy=rob_peak,
+        squashed_ghosts=ghost_count,
     )
 
 
-class BatchedSuperscalarCore:
-    """Lockstep executor for N configurations over one trace.
+def _run_cores(
+    trace: Trace,
+    configs: Sequence[CoreConfig],
+    annotator: Optional[StructuralAnnotator] = None,
+) -> List[SimulationResult]:
+    """Run ``trace`` on the kernel under each config, in config order.
 
-    Construct with the sweep's configurations, then :meth:`run` a trace
-    to get one :class:`SimulationResult` per configuration, in config
-    order. Trace columns are shared across all points, derived columns
-    across each divergence group. Every configuration runs on the
-    kernel; under the ambient sanitizer each one is a sanitized run
-    (``begin_run``, the kernel's checks, ``seal_run``).
+    The one out-of-order loop: :func:`run_batch` and
+    :func:`repro.pipeline.core.simulate` are thin names over it. The
+    trace's columns are built once; the derived columns are built on
+    first use and shared by every config of their divergence group —
+    oracle miss columns by cache latencies, FU tables by FU specs,
+    latency columns by both. With an ``annotator``, each config first
+    annotates the whole trace in program order
+    (:meth:`StructuralAnnotator.miss_columns`), so a stateful annotator
+    reaches each config in the state the previous config's run left it
+    in. Under the ambient sanitizer each config is a sanitized run
+    (``begin_run``, the kernel's checks, ``seal_run``). Each result is
+    then reported to the ambient tracer and metrics
+    (:func:`observe_run`), once per config; an empty trace runs and
+    reports nothing.
     """
-
-    def __init__(self, configs: Sequence[CoreConfig]):
-        self.configs = list(configs)
-
-    def run(
-        self, trace: Trace, annotator: Optional[StructuralAnnotator] = None
-    ) -> List[SimulationResult]:
-        """One result per config, in config order.
-
-        With an ``annotator``, each config first annotates the whole
-        trace in program order (:meth:`StructuralAnnotator.miss_columns`),
-        so a stateful annotator reaches each config in the state the
-        previous config's run left it in, and the kernel runs on those
-        outcomes.
-        """
-        configs = self.configs
-        if not configs:
-            return []
-        n = len(trace)
-        if n == 0:
-            return [
-                SimulationResult(instructions=0, cycles=0) for _ in configs
-            ]
-        san = _sanitizer.current()
-        plan = BatchPlan(TraceColumns.from_trace(trace), self.configs)
-        results: List[SimulationResult] = []
-        for index, config in enumerate(configs):
-            fu = plan.fu_tables(index)
-            if annotator is None:
-                miss = plan.miss_columns(index)
-                lat_total = plan.lat_column(index)
-            else:
-                miss = annotator.miss_columns(trace)
-                lat_total = _combined_latency(plan.cols, miss, fu)
-            if san is not None:
-                san.begin_run()
-            output = _simulate_columns(
-                plan.cols, miss, fu, config, lat_total, san
+    if not configs or len(trace) == 0:
+        return [SimulationResult(instructions=0, cycles=0) for _ in configs]
+    cols = TraceColumns.from_trace(trace)
+    san = _sanitizer.current()
+    miss_groups: Dict[Tuple, MissColumns] = {}
+    fu_groups: Dict[Tuple, _FUTables] = {}
+    lat_groups: Dict[Tuple, List[int]] = {}
+    results: List[SimulationResult] = []
+    for config in configs:
+        fu_key = tuple(config.fu_specs[c] for c in OP_CLASSES)
+        fu = fu_groups.get(fu_key)
+        if fu is None:
+            fu = fu_groups[fu_key] = _FUTables(config)
+        if annotator is None:
+            cache_key = (
+                config.l1_latency,
+                config.l2_latency,
+                config.memory_latency,
             )
-            result = _assemble_result(output, config, n)
-            if san is not None:
-                san.seal_run(result, config)
-            results.append(result)
-        return results
+            miss = miss_groups.get(cache_key)
+            if miss is None:
+                miss = miss_groups[cache_key] = MissColumns.oracle(cols, config)
+            lat_total = lat_groups.get((cache_key, fu_key))
+            if lat_total is None:
+                lat_total = _combined_latency(cols, miss, fu)
+                lat_groups[(cache_key, fu_key)] = lat_total
+        else:
+            miss = annotator.miss_columns(trace)
+            lat_total = _combined_latency(cols, miss, fu)
+        if san is not None:
+            san.begin_run()
+        result = _simulate_columns(cols, miss, fu, config, lat_total, san)
+        if san is not None:
+            san.seal_run(result, config)
+        observe_run(result)
+        results.append(result)
+    return results
 
 
 def run_batch(
@@ -821,8 +736,6 @@ def run_batch(
 
 
 __all__ = [
-    "BatchPlan",
-    "BatchedSuperscalarCore",
     "TraceColumns",
     "run_batch",
 ]

@@ -27,7 +27,7 @@ from repro.frontend.bimodal import BimodalPredictor
 from repro.frontend.gshare import GSharePredictor
 from repro.frontend.local import LocalPredictor
 from repro.interval.model import IntervalModel
-from repro.perf.batchcore import BatchedSuperscalarCore
+from repro.perf.batchcore import run_batch
 from repro.pipeline.config import CoreConfig
 from repro.resilience.atomic import atomic_write_json
 from repro.trace.columns import BRANCH_CODE
@@ -170,16 +170,15 @@ def run_benchmarks(
 
     # Lockstep batched detailed core: 8 ROB sweep points per call, so
     # per-point throughput counts n instructions per config. Each call
-    # builds its plan (trace columns and per-group derived columns), as
-    # every sweep does.
+    # builds its trace columns and per-group derived columns, as every
+    # sweep does.
     batch_configs = [
         config.with_overrides(rob_size=r)
         for r in (32, 48, 64, 96, 128, 160, 192, 256)
     ]
-    batch_core = BatchedSuperscalarCore(batch_configs)
     spec(
         "detailed_core_batched",
-        lambda: batch_core.run(trace),
+        lambda: run_batch(trace, batch_configs),
         n * len(batch_configs),
     )
 

@@ -28,54 +28,24 @@ One core runs this model: the structure-of-arrays kernel of
 :mod:`repro.perf.batchcore`. Wrong-path ghosts and random issue are
 kernel modes, a structural annotator makes its one program-order pass
 over the trace first, and the ambient sanitizer's cycle-level checks
-run inside the kernel's loop. :func:`simulate` and
-:func:`repro.perf.batchcore.run_batch` reach it through
-:func:`_run_cores`; the in-order core
-(:mod:`repro.pipeline.inorder`) is the only other core. Neither core
-reports to the tracer or the metrics while it runs: the finished
-result does (:func:`repro.pipeline.result.observe_run`).
+run inside the kernel's loop. The kernel builds each
+:class:`~repro.pipeline.result.SimulationResult` itself, and one loop
+(:func:`repro.perf.batchcore._run_cores`) runs the configs: both
+:func:`simulate` and :func:`repro.perf.batchcore.run_batch` call it.
+The in-order core (:mod:`repro.pipeline.inorder`) is the only other
+core. Neither core reports to the tracer or the metrics while it runs:
+the finished result does (:func:`repro.pipeline.result.observe_run`),
+once per config.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.result import SimulationResult, observe_run
+from repro.pipeline.result import SimulationResult
 from repro.trace.stream import Trace
-
-
-def _run_cores(
-    trace: Trace,
-    configs: Sequence[CoreConfig],
-    annotator: Optional[StructuralAnnotator] = None,
-    core: Optional[type] = None,
-) -> List[SimulationResult]:
-    """Run ``trace`` under each config; the one detailed-core entry.
-
-    :func:`simulate`, :func:`repro.perf.batchcore.run_batch` and
-    :func:`repro.pipeline.inorder.simulate_inorder` are thin names over
-    this function, so none of them calls another. Without a ``core``,
-    every config runs out of order on the SoA kernel
-    (:class:`~repro.perf.batchcore.BatchedSuperscalarCore`), sanitized
-    or not. The one other ``core`` is the in-order core
-    (:class:`~repro.pipeline.inorder.InOrderCore`), which reads the
-    same trace and miss columns as the kernel. Each result is then
-    reported to the ambient tracer and metrics (:func:`observe_run`),
-    once per config.
-    """
-    if core is None:
-        from repro.perf.batchcore import BatchedSuperscalarCore
-
-        results = BatchedSuperscalarCore(configs).run(trace, annotator)
-    else:
-        results = [
-            core(config).run(trace, annotator=annotator) for config in configs
-        ]
-    for result in results:
-        observe_run(result, out_of_order=core is None)
-    return results
 
 
 def simulate(
@@ -83,7 +53,12 @@ def simulate(
     config: Optional[CoreConfig] = None,
     annotator: Optional[StructuralAnnotator] = None,
 ) -> SimulationResult:
-    """Run ``trace`` under ``config`` (the baseline when None), on the
-    SoA kernel (see :func:`_run_cores`)."""
+    """Run ``trace`` under ``config`` (the baseline when None) on the
+    SoA kernel, and report the run (see
+    :func:`repro.perf.batchcore._run_cores`)."""
+    # repro.perf sits above the pipeline layer, so the kernel is
+    # imported at run time.
+    from repro.perf.batchcore import _run_cores
+
     config = config if config is not None else CoreConfig()
     return _run_cores(trace, [config], annotator)[0]

@@ -39,14 +39,13 @@ from typing import List, Optional
 from repro.analysis import sanitizer as _sanitizer
 from repro.pipeline.annotate import MissColumns, StructuralAnnotator
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import _run_cores
 from repro.pipeline.events import (
     BranchMispredictEvent,
     ICacheMissEvent,
     LongDMissEvent,
     MissEvent,
 )
-from repro.pipeline.result import SimulationResult, cycle_column
+from repro.pipeline.result import SimulationResult, cycle_column, observe_run
 from repro.trace.stream import Trace
 
 
@@ -71,7 +70,7 @@ class InOrderCore:
         if n == 0:
             return SimulationResult(instructions=0, cycles=0)
         # repro.perf sits above the pipeline layer, so the column types
-        # are imported at run time (as _run_cores does).
+        # are imported at run time (as simulate imports the kernel).
         from repro.perf.batchcore import (
             TraceColumns,
             _combined_latency,
@@ -235,6 +234,8 @@ def simulate_inorder(
     config: CoreConfig = CoreConfig(),
     annotator: Optional[StructuralAnnotator] = None,
 ) -> SimulationResult:
-    """Run ``trace`` on a fresh in-order core (see
-    :func:`repro.pipeline.core._run_cores`)."""
-    return _run_cores(trace, [config], annotator, core=InOrderCore)[0]
+    """Run ``trace`` on a fresh in-order core and report the run to the
+    ambient tracer and metrics (:func:`observe_run`)."""
+    result = InOrderCore(config).run(trace, annotator=annotator)
+    observe_run(result, out_of_order=False)
+    return result

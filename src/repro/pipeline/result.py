@@ -1,9 +1,10 @@
 """Simulation results: cycle counts, per-instruction timing, miss events.
 
 A finished result is also what a run reports to the ambient
-observability pillars (:func:`observe_run`): its miss spans and its
-``core.*`` metrics are read from the events and counts here, so they
-are the same whichever core produced the result.
+observability pillars (:func:`observe_run`): the tracer records its
+miss events themselves, and its ``core.*`` metrics are read from the
+events and counts here, so both are the same whichever core produced
+the result.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.obs import runtime as _obs
-from repro.obs.tracer import KIND_BPRED, KIND_ICACHE, KIND_LONG_DMISS, MissSpan
 from repro.pipeline.events import (
     BranchMispredictEvent,
     ICacheMissEvent,
@@ -110,53 +110,21 @@ class SimulationResult:
             "mean_resolution": self.mean_branch_resolution,
         }
 
-    def miss_spans(self) -> List[MissSpan]:
-        """One :class:`~repro.obs.tracer.MissSpan` per miss event, in
-        event order; a mispredict span lasts exactly its penalty."""
-        spans = []
-        for event in self.events:
-            if isinstance(event, BranchMispredictEvent):
-                span = MissSpan(
-                    kind=KIND_BPRED,
-                    seq=event.seq,
-                    dispatch_cycle=event.cycle,
-                    resolve_cycle=event.resolve_cycle,
-                    refill_cycles=event.refill_cycles,
-                    window_occupancy=event.window_occupancy,
-                    wrong_path_instructions=event.wrong_path_instructions,
-                )
-            elif isinstance(event, ICacheMissEvent):
-                span = MissSpan(
-                    kind=KIND_ICACHE,
-                    seq=event.seq,
-                    dispatch_cycle=event.cycle,
-                    resolve_cycle=event.cycle + event.latency,
-                )
-            else:
-                span = MissSpan(
-                    kind=KIND_LONG_DMISS,
-                    seq=event.seq,
-                    dispatch_cycle=event.cycle,
-                    resolve_cycle=event.complete_cycle,
-                )
-            spans.append(span)
-        return spans
-
 
 def observe_run(result: SimulationResult, out_of_order: bool = True) -> None:
     """Report one finished run to the ambient tracer and metrics registry.
 
-    Called once per simulated config by the detailed-core entry
-    (:func:`repro.pipeline.core._run_cores`); an empty run reports
-    nothing. ``out_of_order`` adds the two window metrics the in-order
+    Called once per simulated config by the out-of-order loop
+    (:func:`repro.perf.batchcore._run_cores`) and by
+    :func:`repro.pipeline.inorder.simulate_inorder`; an empty run
+    reports nothing. ``out_of_order`` adds the two window metrics the in-order
     core has no counterpart for.
     """
     if not result.instructions:
         return
     tracer = _obs.current_tracer()
     if tracer is not None:
-        for span in result.miss_spans():
-            tracer.miss_span(span)
+        tracer.miss_events(result.events)
     metrics = _obs.current_metrics()
     if metrics is None:
         return

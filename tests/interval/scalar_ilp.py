@@ -1,9 +1,9 @@
 """Scalar reference for the lockstep ILP window fit.
 
-``window_criticality`` in the library advances every window of one
-size together, one NumPy step per offset; this module keeps the
-per-window, per-record loop it replaced. Differential tests require the
-two to return equal floats.
+``fit_ilp_profile`` in the library advances every window of one size
+together, one NumPy step per offset; this module keeps the per-window,
+per-record loop it replaced. Differential tests require the two to
+return equal fits.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ from repro.trace.stream import Trace
 from tests.trace.records import records_of
 
 
-def scalar_window_criticality(
-    trace: Trace,
-    window: int,
-    latency_of: Optional[LatencyFn] = None,
-    stride: Optional[int] = None,
+def _scalar_criticality(
+    trace: Trace, window: int, latency_of: Optional[LatencyFn]
 ) -> float:
+    """Mean critical path of the consecutive ``window``-sized windows."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if latency_of is None:
@@ -29,10 +27,9 @@ def scalar_window_criticality(
     records = records_of(trace)
     if not records:
         return 0.0
-    stride = stride or window
     total = 0.0
     count = 0
-    for start in range(0, max(len(records) - window + 1, 1), stride):
+    for start in range(0, max(len(records) - window + 1, 1), window):
         stop = min(start + window, len(records))
         finish = [0] * (stop - start)
         longest = 0
@@ -58,7 +55,7 @@ def scalar_fit_ilp_profile(
 ) -> ILPFit:
     if len(windows) < 2:
         raise ValueError("need at least two window sizes to fit")
-    ks = [scalar_window_criticality(trace, w, latency_of) for w in windows]
+    ks = [_scalar_criticality(trace, w, latency_of) for w in windows]
     xs = [math.log(w) for w in windows]
     ys = [math.log(max(k, 1e-9)) for k in ks]
     n = len(xs)

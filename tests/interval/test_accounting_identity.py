@@ -85,6 +85,7 @@ def test_tracer_observes_the_identity_per_event():
     penalty the event log recorded — for every event, not on average.
     """
     from repro.obs import runtime as obs_runtime
+    from repro.obs.export import jsonl_records
     from repro.obs.tracer import KIND_BPRED
     from repro.trace.synthetic import generate_trace
 
@@ -101,16 +102,14 @@ def test_tracer_observes_the_identity_per_event():
         for event in result.events
         if isinstance(event, BranchMispredictEvent)
     }
-    spans = tracer.spans_of_kind(KIND_BPRED)
+    spans = [r for r in jsonl_records(tracer) if r.get("kind") == KIND_BPRED]
     assert len(spans) == len(events) > 0
     for span in spans:
-        event = events[span.seq]
-        assert span.resolve_cycle - span.dispatch_cycle == event.resolution
-        assert (
-            span.resolve_cycle - span.dispatch_cycle + config.frontend_depth
-            == event.penalty
-        )
-        assert span.duration == event.penalty
+        event = events[span["seq"]]
+        resolution = span["resolve_cycle"] - span["dispatch_cycle"]
+        assert resolution == event.resolution
+        assert resolution + config.frontend_depth == event.penalty
+        assert span["duration_cycles"] == event.penalty
 
 
 def test_fast_estimate_obeys_the_same_identity(simulated):

@@ -8,7 +8,6 @@ from repro.interval.ilp import (
     fu_latency,
     full_latency,
     unit_latency,
-    window_criticality,
 )
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
@@ -27,12 +26,17 @@ def parallel_trace(n):
     return trace_of([TraceRecord(OpClass.IALU) for _ in range(n)])
 
 
+def criticality(trace, window, latency_of=None):
+    """``K(window)``, as the ILP fit measures it."""
+    return fit_ilp_profile(trace, (window, window), latency_of).criticality[0]
+
+
 class TestWindowCriticality:
     def test_serial_window_is_window_deep(self):
-        assert window_criticality(serial_trace(256), 32) == pytest.approx(32.0)
+        assert criticality(serial_trace(256), 32) == pytest.approx(32.0)
 
     def test_parallel_window_is_depth_one(self):
-        assert window_criticality(parallel_trace(256), 32) == pytest.approx(1.0)
+        assert criticality(parallel_trace(256), 32) == pytest.approx(1.0)
 
     def test_deps_crossing_window_boundary_ignored(self):
         # distance-32 deps never land inside a 16-wide window
@@ -40,24 +44,20 @@ class TestWindowCriticality:
             TraceRecord(OpClass.IALU, deps=(32,) if i >= 32 else ())
             for i in range(256)
         ]
-        assert window_criticality(trace_of(records), 16) == pytest.approx(1.0)
+        assert criticality(trace_of(records), 16) == pytest.approx(1.0)
 
     def test_latency_function_scales(self):
         trace = serial_trace(128)
-        unit = window_criticality(trace, 16)
-        tripled = window_criticality(trace, 16, latency_of=lambda s: 3)
+        unit = criticality(trace, 16)
+        tripled = criticality(trace, 16, latency_of=lambda s: 3)
         assert tripled == pytest.approx(3 * unit)
 
     def test_monotone_in_window_size(self, small_trace):
-        ks = [window_criticality(small_trace, w) for w in (8, 32, 128)]
-        assert ks == sorted(ks)
-
-    def test_invalid_window_raises(self):
-        with pytest.raises(ValueError):
-            window_criticality(serial_trace(10), 0)
+        ks = fit_ilp_profile(small_trace, (8, 32, 128)).criticality
+        assert list(ks) == sorted(ks)
 
     def test_empty_trace(self):
-        assert window_criticality(trace_of(), 16) == 0.0
+        assert criticality(trace_of(), 16) == 0.0
 
 
 class TestPowerLawFit:

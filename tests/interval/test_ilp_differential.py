@@ -1,6 +1,6 @@
 """The lockstep ILP window fit against the scalar oracle, exactly.
 
-``window_criticality`` advances all windows of one size together;
+``fit_ilp_profile`` advances all windows of one size together;
 ``scalar_ilp`` walks them one record at a time. The returned floats must
 be equal (``==``), not merely close.
 """
@@ -10,19 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness.runner import workload_trace
-from repro.interval.ilp import (
-    fit_ilp_profile,
-    full_latency,
-    window_criticality,
-)
+from repro.interval.ilp import fit_ilp_profile, full_latency
 from repro.interval.model import IntervalModel
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
 
-from tests.interval.scalar_ilp import (
-    scalar_fit_ilp_profile,
-    scalar_window_criticality,
-)
+from tests.interval.scalar_ilp import scalar_fit_ilp_profile
 from tests.trace.records import TraceRecord, trace_of
 
 
@@ -39,55 +32,43 @@ def traces(draw, max_size=120):
     return trace_of([TraceRecord(OpClass.IALU, deps=d) for d in deps])
 
 
+def assert_fits_equal(trace, windows, latency_of=None):
+    got = fit_ilp_profile(trace, windows, latency_of)
+    want = scalar_fit_ilp_profile(trace, windows, latency_of)
+    assert got.criticality == want.criticality
+    assert got == want
+    return got
+
+
 class TestWindowCriticality:
     @settings(max_examples=300, deadline=None)
     @given(
         trace=traces(),
-        window=st.integers(1, 150),
-        stride=st.one_of(st.none(), st.integers(1, 160)),
+        windows=st.lists(st.integers(1, 150), min_size=2, max_size=3),
         latencies=st.lists(st.integers(-3, 20), min_size=120, max_size=120),
     )
-    def test_matches_scalar(self, trace, window, stride, latencies):
-        latency_of = latencies.__getitem__
-        assert window_criticality(
-            trace, window, latency_of, stride
-        ) == scalar_window_criticality(trace, window, latency_of, stride)
-        assert window_criticality(
-            trace, window, stride=stride
-        ) == scalar_window_criticality(trace, window, stride=stride)
+    def test_matches_scalar(self, trace, windows, latencies):
+        assert_fits_equal(trace, windows, latencies.__getitem__)
+        assert_fits_equal(trace, windows)
 
     def test_window_larger_than_trace(self):
         trace = trace_of(
             [TraceRecord(OpClass.IALU, deps=(1,) if i else ()) for i in range(10)]
         )
-        assert window_criticality(trace, 64) == scalar_window_criticality(
-            trace, 64
-        ) == 10.0
+        fit = assert_fits_equal(trace, (64, 128))
+        assert fit.criticality == (10.0, 10.0)
 
     def test_empty_trace(self):
-        assert window_criticality(trace_of(), 8) == 0.0
-        assert window_criticality(trace_of(), 8, stride=3) == 0.0
-
-    def test_overlapping_windows(self, small_trace):
-        for window, stride in ((16, 1), (64, 5), (200, 199)):
-            assert window_criticality(
-                small_trace, window, stride=stride
-            ) == scalar_window_criticality(small_trace, window, stride=stride)
+        assert fit_ilp_profile(trace_of(), (8, 3)).criticality == (0.0, 0.0)
 
     def test_fractional_latencies_sum_in_window_order(self, small_trace):
         latency_of = lambda seq: 0.1 * (seq % 7) + 0.3  # noqa: E731
-        for window in (8, 256):
-            assert window_criticality(
-                small_trace, window, latency_of
-            ) == scalar_window_criticality(small_trace, window, latency_of)
+        assert_fits_equal(small_trace, (8, 256), latency_of)
 
     def test_custom_latency_on_real_trace(self, small_trace):
         config = CoreConfig()
         latency_of = full_latency(small_trace, config.fu_specs, config)
-        for window in (8, 32, 256):
-            assert window_criticality(
-                small_trace, window, latency_of
-            ) == scalar_window_criticality(small_trace, window, latency_of)
+        assert_fits_equal(small_trace, (8, 32, 256), latency_of)
 
 
 class TestFit:

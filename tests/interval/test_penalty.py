@@ -52,11 +52,6 @@ class TestMeasurement:
         for item in measured.decompositions:
             assert item.gap >= 0
 
-    def test_percentile_penalty_ordering(self, measured):
-        p50 = measured.percentile_penalty(0.5)
-        p90 = measured.percentile_penalty(0.9)
-        assert p50 <= p90
-
     def test_empty_result_report(self):
         trace = trace_of([TraceRecord(OpClass.IALU) for _ in range(10)])
         result = simulate(trace, CoreConfig())

@@ -89,19 +89,6 @@ class TestSegmentation:
 
 
 class TestBreakdownStats:
-    def test_counts_by_kind(self):
-        events = [mispredict(10), mispredict(30), icache(50), long_miss(80)]
-        breakdown = segment_intervals(result_with(events))
-        counts = breakdown.counts_by_kind()
-        assert counts[MissEventKind.BRANCH_MISPREDICT] == 2
-        assert counts[MissEventKind.ICACHE_MISS] == 1
-        assert counts[MissEventKind.LONG_DCACHE_MISS] == 1
-
-    def test_by_kind_filter(self):
-        events = [mispredict(10), icache(50)]
-        breakdown = segment_intervals(result_with(events))
-        assert len(breakdown.by_kind(MissEventKind.BRANCH_MISPREDICT)) == 1
-
     def test_mean_interval_length_excludes_tail(self):
         events = [mispredict(9), mispredict(19)]
         breakdown = segment_intervals(result_with(events, instructions=100))

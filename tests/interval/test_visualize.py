@@ -5,7 +5,6 @@ import pytest
 from repro.interval.visualize import (
     interval_timeline,
     pick_illustrative_event,
-    render_timeline,
 )
 from repro.isa.opcodes import OpClass
 from repro.pipeline.config import CoreConfig
@@ -79,14 +78,3 @@ class TestEventPicking:
             result, min_resolution=10_000, min_occupancy=10_000
         )
         assert event is not None
-
-
-class TestRendering:
-    def test_render_contains_phases(self, run_with_event):
-        result, event = run_with_event
-        text = render_timeline(interval_timeline(result, event))
-        assert "steady" in text
-        assert "refill" in text
-
-    def test_render_empty(self):
-        assert render_timeline([]) == "(no timeline)"

@@ -13,7 +13,12 @@ import json
 import pytest
 
 from repro.obs import runtime
-from repro.obs.export import chrome_trace, write_chrome_trace, write_jsonl
+from repro.obs.export import (
+    chrome_trace,
+    jsonl_records,
+    write_chrome_trace,
+    write_jsonl,
+)
 from repro.obs.metrics import render_snapshot
 from repro.obs.tracer import KIND_BPRED, KIND_ICACHE, KIND_LONG_DMISS
 from repro.pipeline.config import CoreConfig
@@ -57,16 +62,17 @@ def test_one_span_per_miss_event(inorder):
 @pytest.mark.parametrize("inorder", [False, True], ids=["ooo", "inorder"])
 def test_span_duration_is_resolution_plus_refill(inorder):
     config, result, tracer, _ = _traced_run(inorder=inorder)
-    spans = tracer.spans_of_kind(KIND_BPRED)
+    spans = [r for r in jsonl_records(tracer) if r.get("kind") == KIND_BPRED]
     events = sorted(result.mispredict_events, key=lambda e: e.seq)
-    by_seq = {span.seq: span for span in spans}
+    by_seq = {span["seq"]: span for span in spans}
     assert len(by_seq) == len(events)
     for event in events:
         span = by_seq[event.seq]
-        assert span.refill_cycles == config.frontend_depth
-        assert span.duration == span.resolution + span.refill_cycles
-        assert span.duration == event.penalty
-        assert span.resolution == event.resolution
+        resolution = span["resolve_cycle"] - span["dispatch_cycle"]
+        assert span["refill_cycles"] == config.frontend_depth
+        assert span["duration_cycles"] == resolution + span["refill_cycles"]
+        assert span["duration_cycles"] == event.penalty
+        assert resolution == event.resolution
 
 
 def test_chrome_export_carries_the_identity_per_event():

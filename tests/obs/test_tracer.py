@@ -18,18 +18,20 @@ from repro.obs.export import (
 from repro.obs.tracer import (
     KIND_BPRED,
     KIND_ICACHE,
-    KIND_LONG_DMISS,
-    MissSpan,
     RecordingTracer,
     Tracer,
 )
+from repro.pipeline.events import (
+    BranchMispredictEvent,
+    ICacheMissEvent,
+    LongDMissEvent,
+)
 
 
-def _bpred_span(seq=5, dispatch=100, resolve=120, refill=5):
-    return MissSpan(
-        kind=KIND_BPRED,
+def _mispredict(seq=5, dispatch=100, resolve=120, refill=5):
+    return BranchMispredictEvent(
         seq=seq,
-        dispatch_cycle=dispatch,
+        cycle=dispatch,
         resolve_cycle=resolve,
         refill_cycles=refill,
         window_occupancy=12,
@@ -39,25 +41,28 @@ def _bpred_span(seq=5, dispatch=100, resolve=120, refill=5):
 
 class TestSpans:
     def test_span_arithmetic(self):
-        span = _bpred_span()
-        assert span.resolution == 20
-        assert span.end_cycle == 125
-        assert span.duration == 25  # resolution + refill == the penalty
+        tracer = RecordingTracer()
+        tracer.miss_events([_mispredict()])
+        (record,) = jsonl_records(tracer)
+        assert record["resolve_cycle"] - record["dispatch_cycle"] == 20
+        assert record["resolve_cycle"] + record["refill_cycles"] == 125
+        # resolution + refill == the penalty
+        assert record["duration_cycles"] == 25 == _mispredict().penalty
 
     def test_noop_tracer_swallows_everything(self):
         tracer = Tracer()
-        tracer.miss_span(_bpred_span())
+        tracer.miss_events([_mispredict()])
         tracer.instant("interval_boundary", cycle=3)
         assert not tracer.enabled
 
     def test_recording_tracer_buffers_in_order(self):
         tracer = RecordingTracer()
-        tracer.miss_span(_bpred_span(seq=1))
-        tracer.miss_span(MissSpan(KIND_ICACHE, 2, 10, 20))
+        icache = ICacheMissEvent(seq=2, cycle=10, latency=10)
+        tracer.miss_events([_mispredict(seq=1), icache])
         tracer.instant("interval_boundary", cycle=20, seq=2)
         assert len(tracer) == 3
         assert tracer.counts() == {KIND_BPRED: 1, KIND_ICACHE: 1}
-        assert [s.seq for s in tracer.spans_of_kind(KIND_BPRED)] == [1]
+        assert tracer.events == [_mispredict(seq=1), icache]
         assert tracer.instants[0].args == {"seq": 2}
 
 
@@ -81,7 +86,7 @@ class TestRuntime:
 
     def test_drain_opens_a_fresh_window(self):
         runtime.enable_tracing()
-        runtime.current_tracer().miss_span(_bpred_span())
+        runtime.current_tracer().miss_events([_mispredict()])
         first = runtime.drain_trace()
         assert first is not None and len(first) == 1
         assert runtime.drain_trace() is None  # window is fresh
@@ -108,8 +113,9 @@ class TestRuntime:
 class TestChromeExport:
     def _tracer(self):
         tracer = RecordingTracer()
-        tracer.miss_span(_bpred_span())
-        tracer.miss_span(MissSpan(KIND_LONG_DMISS, 9, 50, 300))
+        tracer.miss_events(
+            [_mispredict(), LongDMissEvent(seq=9, cycle=50, complete_cycle=300)]
+        )
         tracer.instant("interval_boundary", cycle=125, seq=5)
         return tracer
 
@@ -150,7 +156,7 @@ class TestChromeExport:
 class TestJsonlExport:
     def test_one_record_per_span_and_instant(self, tmp_path):
         tracer = RecordingTracer()
-        tracer.miss_span(_bpred_span())
+        tracer.miss_events([_mispredict()])
         tracer.instant("interval_boundary", cycle=9, kind="bpred")
         path = tmp_path / "trace.jsonl"
         assert write_jsonl(tracer, path) == 2
@@ -164,7 +170,7 @@ class TestJsonlExport:
 
     def test_records_match_spans(self):
         tracer = RecordingTracer()
-        tracer.miss_span(_bpred_span(seq=3))
+        tracer.miss_events([_mispredict(seq=3)])
         (record,) = jsonl_records(tracer)
         assert record["seq"] == 3
         assert record["wrong_path_instructions"] == 7

@@ -17,11 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import sanitizer
-from repro.perf.batchcore import (
-    BatchedSuperscalarCore,
-    TraceColumns,
-    run_batch,
-)
+from repro.perf.batchcore import TraceColumns, run_batch
 from repro.pipeline.config import CoreConfig
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
@@ -128,17 +124,17 @@ class TestEdgeCases:
 
     def test_empty_config_list(self):
         trace = generate_trace(profile(), 50, seed=1)
-        assert BatchedSuperscalarCore([]).run(trace) == []
+        assert run_batch(trace, []) == []
 
     def test_single_instruction(self):
         trace = generate_trace(profile(), 1, seed=3)
         assert_batch_matches_oracle(trace, [CoreConfig()])
 
-    def test_plan_reused_across_runs(self):
-        core = BatchedSuperscalarCore([CoreConfig(), CoreConfig(rob_size=48)])
+    def test_repeated_calls_agree(self):
+        configs = [CoreConfig(), CoreConfig(rob_size=48)]
         trace = generate_trace(profile(), 300, seed=5)
-        first = core.run(trace)
-        again = core.run(trace)
+        first = run_batch(trace, configs)
+        again = run_batch(trace, configs)
         for a, b in zip(first, again):
             assert_result_equal(a, b)
 

@@ -31,9 +31,10 @@ from repro.memory.hierarchy import (
 from repro.memory.prefetch import PrefetchingHierarchyAdapter, StridePrefetcher
 from repro.obs import runtime
 from repro.perf import batchcore
+from repro.perf.batchcore import _run_cores
 from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import CoreConfig
-from repro.pipeline.core import _run_cores, simulate
+from repro.pipeline.core import simulate
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
 from repro.workloads.kernels import kernel_trace, stride_sum

@@ -1,8 +1,9 @@
 """``simulate`` runs the SoA kernel, and a run reports from its result.
 
 Traced, metered, sanitized and plain runs take the same core; the
-spans and the ``core.*`` metrics are read from the finished
-``SimulationResult``, so they are the same whichever core produced it.
+tracer records the finished ``SimulationResult``'s miss events and the
+``core.*`` metrics are read from it, so both are the same whichever
+core produced it.
 The scalar ``SuperscalarCore`` is the test oracle.
 """
 
@@ -18,11 +19,11 @@ from repro.lab.codec import (
     result_to_payload,
 )
 from repro.obs import runtime
-from repro.obs.tracer import KIND_BPRED
 from repro.perf import batchcore
 from repro.pipeline import core as core_module
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
+from repro.pipeline.events import BranchMispredictEvent
 from repro.pipeline.inorder import simulate_inorder
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
@@ -42,7 +43,8 @@ def _trace(name, length=LENGTH):
 
 
 def _observed(run):
-    """``run()`` under tracing and metrics: (result, spans, snapshot)."""
+    """``run()`` under tracing and metrics: (result, the tracer's miss
+    events, snapshot)."""
     runtime.reset()
     runtime.enable_tracing()
     runtime.enable_metrics()
@@ -52,7 +54,7 @@ def _observed(run):
         snapshot = runtime.drain_metrics()
     finally:
         runtime.reset()
-    return result, (tracer.spans if tracer is not None else []), snapshot
+    return result, (tracer.events if tracer is not None else []), snapshot
 
 
 @pytest.fixture
@@ -90,7 +92,7 @@ def test_traced_kernel_run_equals_the_scalar_run(name, no_sanitizer):
     )
     assert vars(kernel) == vars(SuperscalarCore(config).run(trace))
     assert vars(kernel) == vars(annotated)
-    assert kernel_spans == annotated_spans == kernel.miss_spans()
+    assert kernel_spans == annotated_spans == kernel.events
     assert len(kernel_spans) == len(kernel.events)
     assert kernel_metrics == annotated_metrics
     assert kernel_metrics["counters"]["core.cycles_total"] == kernel.cycles
@@ -98,9 +100,7 @@ def test_traced_kernel_run_equals_the_scalar_run(name, no_sanitizer):
 
 def test_traced_metered_run_stays_on_the_columns(no_sanitizer, kernel_calls):
     trace = _trace("gzip")
-    assert not hasattr(trace, "records")
     result, spans, snapshot = _observed(lambda: simulate(trace, CoreConfig()))
-    assert not hasattr(trace, "records"), "a traced run built the record view"
     assert kernel_calls == [1]
     assert spans and snapshot is not None
     assert len(spans) == len(result.events)
@@ -134,6 +134,7 @@ def test_public_entries_do_not_call_each_other(monkeypatch, no_sanitizer):
     monkeypatch.undo()
     monkeypatch.setattr(core_module, "simulate", refuse)
     batchcore.run_batch(trace, [CoreConfig()])
+    monkeypatch.setattr(batchcore, "_run_cores", refuse)
     simulate_inorder(trace, CoreConfig())
 
 
@@ -145,9 +146,13 @@ class TestWrongPathSpans:
         result, spans, snapshot = _observed(
             lambda: simulate(trace, self.CONFIG)
         )
-        counts = [s.wrong_path_instructions for s in spans if s.kind == KIND_BPRED]
+        counts = [
+            s.wrong_path_instructions
+            for s in spans
+            if isinstance(s, BranchMispredictEvent)
+        ]
         assert counts and any(counts)
-        assert spans == result.miss_spans()
+        assert spans == result.events
         assert snapshot["counters"]["core.wrongpath_squashed_total"] > 0
 
     def test_wrong_path_counts_survive_the_codec(self):
@@ -156,7 +161,7 @@ class TestWrongPathSpans:
         payload, _ = decode_payload(encode_payload(result_to_payload(result)))
         decoded = result_from_payload(payload)
         assert vars(decoded) == vars(result)
-        assert decoded.miss_spans() == result.miss_spans()
+        assert decoded.events == result.events
         assert any(e.wrong_path_instructions for e in decoded.mispredict_events)
 
     def test_other_runs_store_no_wrong_path_field(self):
@@ -199,7 +204,10 @@ def test_inorder_metrics_keep_their_names_and_values():
         },
     }
     assert len(spans) == 19
-    assert sum(span.duration for span in spans) == 125
+    assert sum(
+        e.penalty if isinstance(e, BranchMispredictEvent) else e.latency
+        for e in spans
+    ) == 125
 
 
 def test_empty_run_reports_nothing():

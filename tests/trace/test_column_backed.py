@@ -31,7 +31,6 @@ def fresh(length=3000, name="twolf", seed=7):
 
 def test_generated_trace_is_column_backed():
     trace = fresh()
-    assert not hasattr(trace, "records")
     assert not hasattr(trace, "pack")
     assert len(trace) == 3000
 
@@ -54,7 +53,6 @@ def test_figure_path_never_builds_records():
     assert simulate(trace, config, annotator=structural).events
     simulate_inorder(trace, config, annotator=structural)
     trace.slice(100, 900).statistics()
-    assert not hasattr(trace.slice(100, 900), "records")
 
 
 @pytest.mark.parametrize(
