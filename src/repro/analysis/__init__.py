@@ -1,20 +1,18 @@
 """repro.analysis — static analysis and runtime sanitizing.
 
-Three complementary guards for the paper's methodology:
+Two guards for the paper's methodology:
 
-- :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — an
-  AST-based lint engine with a simulator-discipline rule pack
-  (deterministic RNG, no wall-clock in the timing model, no float
-  equality in the accounting layer, frozen configs, ...). CI gates on
-  a clean ``repro lint src/``.
-- :mod:`repro.analysis.program` + :mod:`repro.analysis.callgraph` +
-  :mod:`repro.analysis.cfg` + :mod:`repro.analysis.iprules` — the
-  whole-program pass: import resolution into a symbol table and call
-  graph, await-annotated control flow, and the interprocedural rule
-  family (RACE001/RACE002 asyncio races, SRV002 blocking reachability,
-  RES002 atomic-write reachability, DET001 determinism taint), with
-  content-addressed per-file caching, SARIF export, and a checked-in
-  violation baseline so CI fails only on *new* findings.
+- the lint engine: one registry of AST and whole-program rules
+  (:mod:`repro.analysis.engine`), the per-file pack
+  (:mod:`repro.analysis.rules`) and the interprocedural pack
+  (:mod:`repro.analysis.iprules`: asyncio races, blocking-call and
+  atomic-write reachability, determinism taint), run by
+  :func:`repro.analysis.program.analyze_paths` over call graphs and
+  await-annotated control flow (:mod:`repro.analysis.callgraph`,
+  :mod:`repro.analysis.cfg`), with content-addressed per-file caching,
+  SARIF export and a checked-in violation baseline so CI fails only on
+  *new* findings. ``repro lint`` imports it; nothing on a simulation
+  path does.
 - :mod:`repro.analysis.sanitizer` — a runtime invariant sanitizer
   (``REPRO_SANITIZE=1`` or ``--sanitize``) that checks ROB occupancy
   bounds, commit monotonicity, per-instruction stage ordering, and the
@@ -22,15 +20,6 @@ Three complementary guards for the paper's methodology:
   violations into structured reports the lab records in its manifests.
 """
 
-from repro.analysis.engine import (
-    LintReport,
-    LintViolation,
-    Rule,
-    all_rules,
-    lint_paths,
-    lint_source,
-    rule_catalogue,
-)
 from repro.analysis.sanitizer import (
     InvariantViolation,
     Sanitizer,
@@ -39,13 +28,6 @@ from repro.analysis.sanitizer import (
 
 __all__ = [
     "InvariantViolation",
-    "LintReport",
-    "LintViolation",
-    "Rule",
     "Sanitizer",
     "SanitizerReport",
-    "all_rules",
-    "lint_paths",
-    "lint_source",
-    "rule_catalogue",
 ]

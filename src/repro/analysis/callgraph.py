@@ -33,10 +33,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.cfg import walk_own
+
+#: The hazard tables. Each is written once, here: the direct rules
+#: (RNG001, CLK001, OBS001, SRV001, RES001) match them in one file, and
+#: extraction records them as the facts the reachability rules (SRV002,
+#: RES002, DET001) follow across calls.
 
 #: Calls that block the calling thread (the SRV002 seed set). Maps the
 #: resolved dotted name to a short reason.
@@ -57,25 +62,40 @@ BLOCKING_CALLS: Dict[str, str] = {
     "shutil.rmtree": "tree removal is blocking I/O",
 }
 
+#: Path methods that write the file in place (raw writes, like a
+#: write-mode ``open``).
+WRITE_PATH_METHODS = ("write_text", "write_bytes")
+
 #: Attribute methods that do file I/O regardless of receiver type.
-BLOCKING_PATH_METHODS = (
-    "read_text", "read_bytes", "write_text", "write_bytes",
+BLOCKING_PATH_METHODS = ("read_text", "read_bytes") + WRITE_PATH_METHODS
+
+#: Interval timers: the wall-clock reads phase timing uses (OBS001).
+TIMER_CALLS = (
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
 )
+
+#: Every wall-clock read: the timers, timestamps and dates (CLK001).
+WALL_CLOCK_CALLS = TIMER_CALLS + (
+    "time.time",
+    "time.time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+)
+
+#: Modules whose draws are seeded from process entropy (RNG001).
+RNG_MODULES = ("random", "numpy.random")
 
 #: Entropy sources for DET001 (resolved dotted names). ``random.Random``
 #: only counts when called with no arguments (unseeded).
 ENTROPY_CALLS: Dict[str, str] = {
-    "time.time": "wall clock",
-    "time.time_ns": "wall clock",
-    "time.perf_counter": "wall clock",
-    "time.perf_counter_ns": "wall clock",
-    "time.monotonic": "wall clock",
-    "time.monotonic_ns": "wall clock",
-    "time.process_time": "wall clock",
-    "datetime.datetime.now": "wall clock",
-    "datetime.datetime.utcnow": "wall clock",
-    "datetime.datetime.today": "wall clock",
-    "datetime.date.today": "wall clock",
+    **{name: "wall clock" for name in WALL_CLOCK_CALLS},
     "random.random": "unseeded RNG",
     "random.randint": "unseeded RNG",
     "random.randrange": "unseeded RNG",
@@ -109,6 +129,9 @@ TO_THREAD_CALLS = frozenset({
 })
 
 _WRITE_CHARS = ("w", "a", "x", "+")
+
+#: What :func:`open_write_mode` returns for a mode it cannot read.
+DYNAMIC_MODE = "<dynamic>"
 
 
 def module_name_for(path: Path, roots: Sequence[Path]) -> str:
@@ -286,7 +309,8 @@ class ImportTable:
         return f"{target}.{rest}" if rest else target
 
 
-def _normalize(dotted: str) -> str:
+def normalize(dotted: str) -> str:
+    """``dotted`` with module aliases spelled out (``np.`` → ``numpy.``)."""
     for prefix, repl in _ALIAS_PREFIXES.items():
         if dotted.startswith(prefix):
             return repl + dotted[len(prefix):]
@@ -303,7 +327,7 @@ def _taint_tokens(expr: ast.AST, imports: ImportTable) -> List[str]:
             dotted = dotted_name(node.func)
             if dotted is None:
                 continue
-            resolved = _normalize(imports.resolve(dotted))
+            resolved = normalize(imports.resolve(dotted))
             if resolved in ENTROPY_CALLS or (
                 resolved == "random.Random" and not node.args
             ):
@@ -313,8 +337,8 @@ def _taint_tokens(expr: ast.AST, imports: ImportTable) -> List[str]:
     return sorted(set(tokens))
 
 
-def _open_mode(node: ast.Call, positional_index: int) -> Optional[str]:
-    """The mode string of an open-like call ('' when defaulted)."""
+def _mode_of(node: ast.Call, positional_index: int) -> Optional[str]:
+    """The call's mode string, '' when defaulted, None when dynamic."""
     mode: Optional[ast.AST] = None
     if len(node.args) > positional_index:
         mode = node.args[positional_index]
@@ -323,42 +347,57 @@ def _open_mode(node: ast.Call, positional_index: int) -> Optional[str]:
             if keyword.arg == "mode":
                 mode = keyword.value
     if mode is None:
-        return ""
+        return ""  # defaulted: read mode
     if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
         return mode.value
     return None
 
 
-def _raw_write_of(node: ast.Call) -> Optional[str]:
-    """Description when the call writes a file without the atomic helpers."""
+def open_write_mode(node: ast.Call) -> Optional[str]:
+    """The mode of an open-like call that writes, else None.
+
+    Open-like calls are builtin ``open(file, mode)``, ``os.fdopen(fd,
+    mode)`` and ``Path.open(mode)``. A mode that is not a literal
+    returns :data:`DYNAMIC_MODE`; read modes and other calls return
+    None.
+    """
     func = node.func
     if isinstance(func, ast.Name) and func.id == "open":
-        mode = _open_mode(node, 1)
+        mode = _mode_of(node, 1)
     elif isinstance(func, ast.Attribute) and func.attr == "fdopen":
-        mode = _open_mode(node, 1)
+        mode = _mode_of(node, 1)
     elif isinstance(func, ast.Attribute) and func.attr == "open":
-        mode = _open_mode(node, 0)
-    elif isinstance(func, ast.Attribute) and func.attr in (
-        "write_text", "write_bytes"
-    ):
-        return f".{func.attr}()"
+        mode = _mode_of(node, 0)
     else:
         return None
     if mode is None:
-        return "open(mode=<dynamic>)"
+        return DYNAMIC_MODE
     if any(ch in mode for ch in _WRITE_CHARS):
-        return f"open(..., {mode!r})"
+        return mode
     return None
 
 
-def _blocking_of(
+def raw_write_of(node: ast.Call) -> Optional[str]:
+    """Description when the call writes a file without the atomic helpers."""
+    mode = open_write_mode(node)
+    if mode == DYNAMIC_MODE:
+        return "open(mode=<dynamic>)"
+    if mode is not None:
+        return f"open(..., {mode!r})"
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in WRITE_PATH_METHODS:
+        return f".{func.attr}()"
+    return None
+
+
+def blocking_of(
     node: ast.Call, resolved: str
 ) -> Optional[Tuple[str, str]]:
     """(dotted, reason) when the call blocks the calling thread."""
     func = node.func
     if isinstance(func, ast.Name) and func.id == "open":
         return "open", "builtin open() is blocking file I/O"
-    normalized = _normalize(resolved)
+    normalized = normalize(resolved)
     if normalized in BLOCKING_CALLS:
         return normalized, BLOCKING_CALLS[normalized]
     if isinstance(func, ast.Attribute):
@@ -410,7 +449,7 @@ class _FunctionExtractor:
                     f"{self.summary.module}.{self.own_class}.{rest}"
                 )
             return dotted
-        return _normalize(self.imports.resolve(dotted))
+        return normalize(self.imports.resolve(dotted))
 
     def run(self) -> FunctionSummary:
         awaited_calls: Set[int] = set()
@@ -494,12 +533,12 @@ class _FunctionExtractor:
                     + [kw.value for kw in node.keywords]
                 ],
             ))
-        blocking = _blocking_of(node, resolved)
+        blocking = blocking_of(node, resolved)
         if blocking is not None:
             self.summary.blocking.append(
                 (blocking[0], blocking[1], node.lineno)
             )
-        raw = _raw_write_of(node)
+        raw = raw_write_of(node)
         if raw is not None:
             self.summary.raw_writes.append((raw, node.lineno))
         if resolved in ENTROPY_CALLS:
@@ -583,12 +622,21 @@ __all__ = [
     "BLOCKING_CALLS",
     "BLOCKING_PATH_METHODS",
     "CallSite",
+    "DYNAMIC_MODE",
     "ENTROPY_CALLS",
     "FunctionSummary",
     "ImportTable",
+    "RNG_MODULES",
     "SymbolTable",
+    "TIMER_CALLS",
     "TO_THREAD_CALLS",
+    "WALL_CLOCK_CALLS",
+    "WRITE_PATH_METHODS",
+    "blocking_of",
     "dotted_name",
     "extract_functions",
     "module_name_for",
+    "normalize",
+    "open_write_mode",
+    "raw_write_of",
 ]

@@ -1,34 +1,34 @@
-"""The AST lint engine: rule registry, suppressions, reporters.
+"""What a lint rule is: the rule type, its registry and its findings.
 
-The engine is deliberately small: a :class:`Rule` visits one parsed
-module and yields :class:`LintViolation` records; the engine owns file
-discovery, ``# repro: noqa`` suppression handling, rule scoping by
-directory, and rendering. Rules never read the filesystem themselves —
-they receive a :class:`FileContext` with the parsed tree and source.
+Every rule, per-file or interprocedural, is one :class:`Rule` in one
+registry, run by :func:`repro.analysis.program.analyze_paths`. A rule
+implements one or both hooks:
 
-Suppression syntax (checked per physical line of the violation):
+- :meth:`Rule.check_module` runs at extraction time on one parsed file
+  (a :class:`FileContext`); its findings are cached with the file's
+  summary;
+- :meth:`Rule.check_program` runs on every invocation over the linked
+  function summaries (a :class:`ProgramIndex`).
 
-- ``# repro: noqa`` — suppress every rule on that line;
-- ``# repro: noqa[RULE1,RULE2]`` — suppress the named rules only;
-- ``# repro: noqa-file[RULE1]`` — anywhere in the file, suppress the
-  named rules for the whole file (``# repro: noqa-file`` for all).
-
-Suppressions are an escape hatch, not a default: CI gates on a clean
-``repro lint src/``, so every ``noqa`` in the tree should carry a
-justification comment next to it.
+A rule states where it applies once, in ``scope`` and ``exempt``, and
+both hooks read that through :meth:`Rule.applies_to`. Rules never read
+the filesystem themselves.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-import re
-from dataclasses import dataclass, field
-from pathlib import Path, PurePosixPath
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from dataclasses import dataclass
+from pathlib import PurePosixPath
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type, Union,
+)
 
-_NOQA_LINE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[\w\s,.-]+)\])?")
-_NOQA_FILE = re.compile(r"#\s*repro:\s*noqa-file(?:\[(?P<rules>[\w\s,.-]+)\])?")
+from repro.analysis.callgraph import FunctionSummary, SymbolTable
+
+#: The simulation packages: simulated time must be a pure function of
+#: the trace and the configuration inside them (CLK001, DET001).
+SIM_SCOPE: Tuple[str, ...] = ("pipeline", "interval", "frontend")
 
 
 @dataclass(frozen=True)
@@ -72,21 +72,48 @@ class FileContext:
 
     path: str  # as reported (relative when discovered under a root)
     tree: ast.Module
-    source: str
-    lines: Tuple[str, ...]
 
-    def parts(self) -> Tuple[str, ...]:
-        return PurePosixPath(self.path.replace("\\", "/")).parts
+
+class ProgramIndex:
+    """What :meth:`Rule.check_program` sees: summaries + module files."""
+
+    def __init__(
+        self,
+        symtab: SymbolTable,
+        module_paths: Dict[str, str],
+    ) -> None:
+        self.symtab = symtab
+        self.module_paths = module_paths
+
+    def path_of(self, module: str) -> str:
+        return self.module_paths.get(module, module)
+
+    def functions(self) -> Iterable[FunctionSummary]:
+        return self.symtab.functions.values()
+
+    def modules_in(self, rule: "Rule") -> Set[str]:
+        """The modules whose files ``rule`` applies to."""
+        return {
+            module for module, path in self.module_paths.items()
+            if rule.applies_to(path)
+        }
+
+
+#: Where a finding is: an AST node, or a ``(line, col, end_line)``
+#: location whose column is already 1-based (a call site or scan result
+#: the extraction pass recorded).
+Location = Union[ast.AST, Tuple[int, int, int]]
 
 
 class Rule:
     """Base class for lint rules.
 
-    Subclasses set the class attributes and implement :meth:`check`.
-    ``scope`` restricts the rule to files whose path contains one of
-    the named directories (``None`` = every file); ``exempt`` lists
-    path suffixes the rule never fires on (e.g. the one blessed RNG
-    module).
+    Subclasses set the class attributes and implement
+    :meth:`check_module`, :meth:`check_program` or both. ``scope``
+    restricts the rule to files whose path contains one of the named
+    directories or is the module of that name (``None`` = every file);
+    ``exempt`` lists path suffixes the rule never fires on (e.g. the
+    one blessed RNG module).
     """
 
     id: str = ""
@@ -95,14 +122,16 @@ class Rule:
     scope: Optional[Tuple[str, ...]] = None
     exempt: Tuple[str, ...] = ()
 
-    def applies_to(self, ctx: FileContext) -> bool:
-        parts = ctx.parts()
-        posix = "/".join(parts)
-        for suffix in self.exempt:
-            if posix.endswith(suffix):
-                return False
+    def exempts(self, path: str) -> bool:
+        return path.replace("\\", "/").endswith(self.exempt)
+
+    def applies_to(self, path: str) -> bool:
+        """Whether the rule polices the file at (reported) ``path``."""
+        if self.exempts(path):
+            return False
         if self.scope is None:
             return True
+        parts = PurePosixPath(path.replace("\\", "/")).parts
         if any(part in self.scope for part in parts[:-1]):
             return True
         # A scope also matches the single-file module of the same name
@@ -110,25 +139,39 @@ class Rule:
         stem = PurePosixPath(parts[-1]).stem if parts else ""
         return stem in self.scope
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
-        raise NotImplementedError
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
+        """Findings in one file the rule applies to (cached per file)."""
+        return iter(())
+
+    def check_program(self, index: ProgramIndex) -> Iterator[LintViolation]:
+        """Findings over the linked summaries (run on every invocation)."""
+        return iter(())
 
     def violation(
-        self, ctx: FileContext, node: ast.AST, message: str
+        self, path: str, at: Location, message: str
     ) -> LintViolation:
-        line = getattr(node, "lineno", 1)
+        """This rule's finding at ``at`` in ``path``, 1-based column."""
+        if isinstance(at, ast.AST):
+            line = getattr(at, "lineno", 1)
+            at = (
+                line,
+                getattr(at, "col_offset", 0) + 1,
+                getattr(at, "end_lineno", None) or line,
+            )
+        line, col, end_line = at
         return LintViolation(
             rule=self.id,
-            path=ctx.path,
+            path=path,
             line=line,
-            col=getattr(node, "col_offset", 0) + 1,
+            col=col,
             message=message,
-            end_line=getattr(node, "end_lineno", None) or line,
+            end_line=end_line,
         )
 
 
 #: Registry of every known rule, keyed by rule id (populated by
-#: :func:`register`; ``repro.analysis.rules`` fills it on import).
+#: :func:`register`; ``repro.analysis.rules`` and
+#: ``repro.analysis.iprules`` fill it on import).
 RULE_REGISTRY: Dict[str, Type[Rule]] = {}
 
 
@@ -143,222 +186,35 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
 
 
 def all_rules() -> List[Rule]:
-    """Instantiate every registered rule (importing the default pack)."""
-    import repro.analysis.rules  # noqa: F401  (registration side effect)
+    """Instantiate every registered rule (importing both packs)."""
+    import repro.analysis.iprules  # noqa: F401  (registration side effect)
+    import repro.analysis.rules  # noqa: F401
 
     return [cls() for _, cls in sorted(RULE_REGISTRY.items())]
 
 
-@dataclass
-class LintReport:
-    """Outcome of one lint run over a set of files."""
-
-    violations: List[LintViolation] = field(default_factory=list)
-    files_checked: int = 0
-    suppressed: int = 0
-    parse_errors: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.parse_errors
-
-    def render_human(self) -> str:
-        out = [v.render() for v in sorted(
-            self.violations, key=lambda v: (v.path, v.line, v.col, v.rule)
-        )]
-        for path, error in self.parse_errors:
-            out.append(f"{path}: parse error: {error}")
-        out.append(
-            f"{len(self.violations)} violation(s), {self.suppressed} "
-            f"suppressed, {self.files_checked} file(s) checked"
-        )
-        return "\n".join(out)
-
-    def render_json(self) -> str:
-        return json.dumps(
-            {
-                "ok": self.ok,
-                "files_checked": self.files_checked,
-                "suppressed": self.suppressed,
-                "parse_errors": [
-                    {"path": p, "error": e} for p, e in self.parse_errors
-                ],
-                "violations": [v.as_payload() for v in self.violations],
-            },
-            indent=1,
-        )
-
-
-def _file_suppressions(lines: Sequence[str]) -> Optional[set]:
-    """Rules suppressed for the whole file (None = nothing; empty set =
-    everything)."""
-    suppressed: Optional[set] = None
-    for line in lines:
-        match = _NOQA_FILE.search(line)
-        if not match:
-            continue
-        names = match.group("rules")
-        if names is None:
-            return set()  # blanket file suppression
-        if suppressed is None:
-            suppressed = set()
-        suppressed.update(n.strip() for n in names.split(",") if n.strip())
-    return suppressed
-
-
-def _line_suppresses(line: str, rule_id: str) -> bool:
-    match = _NOQA_LINE.search(line)
-    if not match:
-        return False
-    names = match.group("rules")
-    if names is None:
-        return True
-    return rule_id in {n.strip() for n in names.split(",")}
-
-
-def suppresses(
-    lines: Sequence[str],
-    file_suppressed: Optional[set],
-    violation: LintViolation,
-) -> bool:
-    """True when a file- or line-level ``noqa`` covers ``violation``.
-
-    Line suppressions are honoured on *any* physical line of the
-    violating statement (``violation.line`` .. ``violation.end_line``),
-    so a trailing ``# repro: noqa`` on the closing line of a multi-line
-    call is not silently ignored.
-    """
-    if file_suppressed is not None and (
-        not file_suppressed or violation.rule in file_suppressed
-    ):
-        return True
-    first = max(violation.line - 1, 0)
-    last = min(max(violation.end_line, violation.line), len(lines))
-    for line_idx in range(first, last):
-        if _line_suppresses(lines[line_idx], violation.rule):
-            return True
-    return False
-
-
-def lint_parsed(
-    ctx: FileContext, rules: Sequence[Rule], report: LintReport
-) -> LintReport:
-    """Run ``rules`` over an already-parsed module into ``report``."""
-    file_suppressed = _file_suppressions(ctx.lines)
-    for rule in rules:
-        if not rule.applies_to(ctx):
-            continue
-        for violation in rule.check(ctx):
-            if suppresses(ctx.lines, file_suppressed, violation):
-                report.suppressed += 1
-            else:
-                report.violations.append(violation)
-    return report
-
-
-def lint_source(
-    source: str, path: str, rules: Optional[Sequence[Rule]] = None
-) -> LintReport:
-    """Lint one in-memory module; the unit the file walker builds on."""
-    report = LintReport(files_checked=1)
-    if rules is None:
-        rules = all_rules()
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        report.parse_errors.append((path, str(exc)))
-        return report
-    lines = tuple(source.splitlines())
-    ctx = FileContext(path=path, tree=tree, source=source, lines=lines)
-    return lint_parsed(ctx, rules, report)
-
-
-def reported_path(path: Path) -> str:
-    """Stable reported form: repo-relative POSIX when under the cwd.
-
-    Lint artifacts (JSON reports, SARIF, baselines) are diffed across
-    machines and CI runners; an absolute ``str(path)`` bakes the
-    runner's checkout location into every record. Anything outside the
-    cwd keeps its own path, normalized to POSIX separators.
-    """
-    try:
-        return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
-    except ValueError:
-        return path.as_posix()
-
-
-def discover_files(paths: Iterable[str]) -> List[Tuple[Path, str]]:
-    """Expand files/directories into (absolute, reported) python paths."""
-    found: List[Tuple[Path, str]] = []
-    for raw in paths:
-        base = Path(raw)
-        if base.is_dir():
-            for path in sorted(base.rglob("*.py")):
-                if "__pycache__" in path.parts:
-                    continue
-                found.append((path, reported_path(path)))
-        elif base.suffix == ".py":
-            found.append((base, reported_path(base)))
-    return found
-
-
-def lint_paths(
-    paths: Iterable[str], rules: Optional[Sequence[Rule]] = None
-) -> LintReport:
-    """Lint every python file under ``paths``; returns one merged report."""
-    if rules is None:
-        rules = all_rules()
-    merged = LintReport()
-    for path, reported in discover_files(paths):
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            merged.parse_errors.append((reported, str(exc)))
-            continue
-        report = lint_source(source, reported, rules)
-        merged.violations.extend(report.violations)
-        merged.suppressed += report.suppressed
-        merged.parse_errors.extend(report.parse_errors)
-        merged.files_checked += 1
-    merged.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return merged
-
-
 def rule_catalogue() -> List[Dict[str, str]]:
-    """Id/name/description/scope rows for docs and ``lint --list``.
-
-    Covers both packs: the per-file rules registered here and the
-    whole-program rules from :mod:`repro.analysis.iprules`.
-    """
-    from repro.analysis.iprules import all_program_rules
-
-    rows = []
-    for rule in all_rules() + list(all_program_rules()):
-        rows.append(
-            {
-                "id": rule.id,
-                "name": rule.name,
-                "description": rule.description,
-                "scope": ", ".join(rule.scope) if rule.scope else "everywhere",
-            }
-        )
-    rows.sort(key=lambda row: row["id"])
-    return rows
+    """Id/name/description/scope rows for docs and ``lint --list-rules``."""
+    return [
+        {
+            "id": rule.id,
+            "name": rule.name,
+            "description": rule.description,
+            "scope": ", ".join(rule.scope) if rule.scope else "everywhere",
+        }
+        for rule in all_rules()
+    ]
 
 
 __all__ = [
     "FileContext",
-    "LintReport",
     "LintViolation",
+    "Location",
+    "ProgramIndex",
     "RULE_REGISTRY",
     "Rule",
+    "SIM_SCOPE",
     "all_rules",
-    "discover_files",
-    "lint_parsed",
-    "lint_paths",
-    "lint_source",
     "register",
-    "reported_path",
     "rule_catalogue",
-    "suppresses",
 ]

@@ -1,9 +1,9 @@
 """The whole-program rule family: races, reachability, taint.
 
-These rules ride on :mod:`repro.analysis.program` rather than the
-per-file engine because each one needs facts a single file cannot
-provide — a call graph, a taint fixpoint, or (for the RACE rules) the
-await-annotated control flow of :mod:`repro.analysis.cfg`:
+Each of these rules needs more than the per-file pattern matching of
+:mod:`repro.analysis.rules`: a call graph, a taint fixpoint, or (for
+the RACE rules) the await-annotated control flow of
+:mod:`repro.analysis.cfg`:
 
 =========  ==========================================================
 RACE001    shared-attribute read-modify-write spanning an ``await``
@@ -25,108 +25,36 @@ OBS003     trace-context propagation: serve/lab code recording spans
            an orphan span renders as a detached root in every export
 =========  ==========================================================
 
-RACE rules run at extraction time (they need the AST) and their
-violations are cached in the per-file summary; the other three run on
-the cached :class:`~repro.analysis.callgraph.FunctionSummary` graph on
-every invocation, which is what makes warm ``repro lint`` reruns
-near-instant. All five honour the standard ``# repro: noqa[...]``
+RACE001, RACE002 and OBS003 run at extraction time (they need the AST)
+and their violations are cached in the per-file summary; SRV002,
+RES002 and DET001 run on the cached
+:class:`~repro.analysis.callgraph.FunctionSummary` graph on every
+invocation, which is what makes warm ``repro lint`` reruns
+near-instant. All six honour the standard ``# repro: noqa[...]``
 suppressions at the violation's statement.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import (
-    CallSite,
-    FunctionSummary,
-    SymbolTable,
-)
+from repro.analysis.callgraph import SymbolTable
 from repro.analysis.cfg import scan_orphan_tasks, scan_race_windows
-from repro.analysis.engine import LintViolation
-
-#: Module components marking determinism-critical simulation code.
-SIM_PARTS = frozenset({"pipeline", "interval", "frontend"})
-
-#: Module components owning event-loop code (SRV002 callers).
-SERVE_PARTS = frozenset({"serve",})
-
-#: Module components whose writes must be crash-safe (RES002 callers).
-DURABLE_PARTS = frozenset({"lab", "resilience"})
-
-
-def _module_parts(module: str) -> Set[str]:
-    return set(module.split("."))
-
-
-def _is_atomic_module(module: str) -> bool:
-    parts = module.split(".")
-    return parts[-1] == "atomic" and "resilience" in parts
-
-
-class ProgramIndex:
-    """What a program-level rule sees: summaries + module locations."""
-
-    def __init__(
-        self,
-        symtab: SymbolTable,
-        module_paths: Dict[str, str],
-    ) -> None:
-        self.symtab = symtab
-        self.module_paths = module_paths
-
-    def path_of(self, module: str) -> str:
-        return self.module_paths.get(module, module)
-
-    def functions(self) -> Iterable[FunctionSummary]:
-        return self.symtab.functions.values()
-
-
-class ProgramRule:
-    """Base class for whole-program rules.
-
-    ``check_module`` runs at extraction time with the AST in hand (its
-    findings are cached per file); ``check_program`` runs on the
-    assembled summary graph each invocation. A rule implements one or
-    both.
-    """
-
-    id: str = ""
-    name: str = ""
-    description: str = ""
-    scope: Optional[Tuple[str, ...]] = None
-
-    def check_module(
-        self, tree: ast.Module, module: str, path: str
-    ) -> Iterator[LintViolation]:
-        return iter(())
-
-    def check_program(self, index: ProgramIndex) -> Iterator[LintViolation]:
-        return iter(())
-
-
-PROGRAM_RULE_REGISTRY: Dict[str, Type[ProgramRule]] = {}
-
-
-def register_program(rule_cls: Type[ProgramRule]) -> Type[ProgramRule]:
-    if not rule_cls.id:
-        raise ValueError(f"program rule {rule_cls.__name__} has no id")
-    if rule_cls.id in PROGRAM_RULE_REGISTRY:
-        raise ValueError(f"duplicate program rule id {rule_cls.id!r}")
-    PROGRAM_RULE_REGISTRY[rule_cls.id] = rule_cls
-    return rule_cls
-
-
-def all_program_rules() -> List[ProgramRule]:
-    return [cls() for _, cls in sorted(PROGRAM_RULE_REGISTRY.items())]
-
+from repro.analysis.engine import (
+    SIM_SCOPE,
+    FileContext,
+    LintViolation,
+    ProgramIndex,
+    Rule,
+    register,
+)
 
 # -- RACE001 / RACE002 (extraction-time, AST-backed) -------------------
 
 
-@register_program
-class SharedStateRaceRule(ProgramRule):
+@register
+class SharedStateRaceRule(Rule):
     """Read-modify-write of shared state across an ``await``.
 
     On one event loop, an ``await`` is the only place another handler
@@ -145,32 +73,26 @@ class SharedStateRaceRule(ProgramRule):
         "an async lock (escape hatch: # repro: noqa[RACE001])"
     )
 
-    def check_module(
-        self, tree: ast.Module, module: str, path: str
-    ) -> Iterator[LintViolation]:
-        for node in ast.walk(tree):
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
+        for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.AsyncFunctionDef):
                 continue
             for window in scan_race_windows(node):
-                yield LintViolation(
-                    rule=self.id,
-                    path=path,
-                    line=window.write_line,
-                    col=window.write_col,
-                    end_line=window.write_end_line,
-                    message=(
-                        f"write to self.{window.attr} in {node.name!r} "
-                        f"completes a read-modify-write started on line "
-                        f"{window.read_line} across the await on line "
-                        f"{window.await_line}; another handler may have "
-                        "updated it in between — claim before awaiting "
-                        "or hold a lock"
-                    ),
+                yield self.violation(
+                    ctx.path,
+                    (window.write_line, window.write_col,
+                     window.write_end_line),
+                    f"write to self.{window.attr} in {node.name!r} "
+                    f"completes a read-modify-write started on line "
+                    f"{window.read_line} across the await on line "
+                    f"{window.await_line}; another handler may have "
+                    "updated it in between — claim before awaiting "
+                    "or hold a lock",
                 )
 
 
-@register_program
-class OrphanTaskRule(ProgramRule):
+@register
+class OrphanTaskRule(Rule):
     """Fire-and-forget tasks with no exception sink.
 
     A task nobody awaits, gathers, stores, or attaches a callback to
@@ -187,10 +109,8 @@ class OrphanTaskRule(ProgramRule):
         "(escape hatch: # repro: noqa[RACE002])"
     )
 
-    def check_module(
-        self, tree: ast.Module, module: str, path: str
-    ) -> Iterator[LintViolation]:
-        for node in ast.walk(tree):
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
+        for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.AsyncFunctionDef, ast.FunctionDef)):
                 continue
             for orphan in scan_orphan_tasks(node):
@@ -198,17 +118,12 @@ class OrphanTaskRule(ProgramRule):
                     f"task {orphan.name!r}" if orphan.name
                     else "the task"
                 )
-                yield LintViolation(
-                    rule=self.id,
-                    path=path,
-                    line=orphan.line,
-                    col=orphan.col,
-                    end_line=orphan.end_line,
-                    message=(
-                        f"{orphan.spawn}(...) in {node.name!r} spawns "
-                        f"{bound} with no exception sink — await it, "
-                        "gather it, store it, or add_done_callback"
-                    ),
+                yield self.violation(
+                    ctx.path,
+                    (orphan.line, orphan.col, orphan.end_line),
+                    f"{orphan.spawn}(...) in {node.name!r} spawns "
+                    f"{bound} with no exception sink — await it, "
+                    "gather it, store it, or add_done_callback",
                 )
 
 
@@ -261,8 +176,8 @@ def _chain_text(chain: Tuple[str, ...], limit: int = 3) -> str:
 # -- SRV002: blocking-call reachability --------------------------------
 
 
-@register_program
-class BlockingReachabilityRule(ProgramRule):
+@register
+class BlockingReachabilityRule(Rule):
     """Serve coroutines must not reach blocking calls through helpers.
 
     SRV001 flags ``time.sleep`` *directly* inside a serve coroutine;
@@ -289,17 +204,14 @@ class BlockingReachabilityRule(ProgramRule):
                 dotted, reason, line = summary.blocking[0]
                 seeds[summary.qualname] = (dotted, reason, line)
         reach = _reachability(index.symtab, seeds)
+        serve = index.modules_in(self)
         for summary in index.functions():
-            if not summary.is_async:
-                continue
-            if not (_module_parts(summary.module) & SERVE_PARTS):
+            if not summary.is_async or summary.module not in serve:
                 continue
             for site, target in index.symtab.edges_from(summary):
                 if target.qualname not in reach:
                     continue
-                if target.is_async and (
-                    _module_parts(target.module) & SERVE_PARTS
-                ):
+                if target.is_async and target.module in serve:
                     # The callee is serve-scoped loop code itself: the
                     # violation is reported inside it, not at every
                     # caller up the stack.
@@ -311,27 +223,22 @@ class BlockingReachabilityRule(ProgramRule):
                     f"{index.path_of(index.symtab.functions[seed_qual].module)}"
                     f":{line}"
                 )
-                yield LintViolation(
-                    rule=self.id,
-                    path=index.path_of(summary.module),
-                    line=site.line,
-                    col=site.col,
-                    end_line=site.end_line,
-                    message=(
-                        f"coroutine {summary.name!r} calls "
-                        f"{site.callee!r}, which reaches blocking "
-                        f"{dotted} at {where} ({reason}) via "
-                        f"{_chain_text(chain)}; wrap the call in "
-                        "asyncio.to_thread"
-                    ),
+                yield self.violation(
+                    index.path_of(summary.module),
+                    (site.line, site.col, site.end_line),
+                    f"coroutine {summary.name!r} calls "
+                    f"{site.callee!r}, which reaches blocking "
+                    f"{dotted} at {where} ({reason}) via "
+                    f"{_chain_text(chain)}; wrap the call in "
+                    "asyncio.to_thread",
                 )
 
 
 # -- RES002: interprocedural atomic-write enforcement ------------------
 
 
-@register_program
-class AtomicWriteReachabilityRule(ProgramRule):
+@register
+class AtomicWriteReachabilityRule(Rule):
     """Lab/resilience code must not reach raw writes via helpers.
 
     RES001 polices direct ``open(..., "w")`` inside ``lab/`` and
@@ -351,15 +258,16 @@ class AtomicWriteReachabilityRule(ProgramRule):
         "# repro: noqa[RES002])"
     )
     scope = ("lab", "resilience")
+    exempt = ("resilience/atomic.py",)
 
     def check_program(self, index: ProgramIndex) -> Iterator[LintViolation]:
         atomic_modules = {
-            module for module in index.module_paths
-            if _is_atomic_module(module)
+            module for module, path in index.module_paths.items()
+            if self.exempts(path)
         }
         seeds: Dict[str, Tuple[str, str, int]] = {}
         for summary in index.functions():
-            if _is_atomic_module(summary.module):
+            if summary.module in atomic_modules:
                 continue
             if summary.raw_writes:
                 what, line = summary.raw_writes[0]
@@ -367,15 +275,14 @@ class AtomicWriteReachabilityRule(ProgramRule):
         reach = _reachability(
             index.symtab, seeds, blocked_modules=atomic_modules
         )
+        durable = index.modules_in(self)
         for summary in index.functions():
-            parts = _module_parts(summary.module)
-            if not (parts & DURABLE_PARTS):
+            if summary.module not in durable:
                 continue
             for site, target in index.symtab.edges_from(summary):
                 if target.qualname not in reach:
                     continue
-                target_parts = _module_parts(target.module)
-                if target_parts & DURABLE_PARTS:
+                if target.module in durable:
                     # Still inside the durable packages: the boundary
                     # edge (or RES001 for the direct write) reports it.
                     continue
@@ -386,18 +293,13 @@ class AtomicWriteReachabilityRule(ProgramRule):
                     f"{index.path_of(index.symtab.functions[seed_qual].module)}"
                     f":{line}"
                 )
-                yield LintViolation(
-                    rule=self.id,
-                    path=index.path_of(summary.module),
-                    line=site.line,
-                    col=site.col,
-                    end_line=site.end_line,
-                    message=(
-                        f"{summary.name!r} calls {site.callee!r}, which "
-                        f"reaches non-atomic {what} at {where} via "
-                        f"{_chain_text(chain)}; run-state writes must "
-                        "use repro.resilience.atomic"
-                    ),
+                yield self.violation(
+                    index.path_of(summary.module),
+                    (site.line, site.col, site.end_line),
+                    f"{summary.name!r} calls {site.callee!r}, which "
+                    f"reaches non-atomic {what} at {where} via "
+                    f"{_chain_text(chain)}; run-state writes must "
+                    "use repro.resilience.atomic",
                 )
 
 
@@ -454,8 +356,8 @@ class _TaintState:
                         changed = True
 
 
-@register_program
-class DeterminismTaintRule(ProgramRule):
+@register
+class DeterminismTaintRule(Rule):
     """Wall-clock / unseeded-RNG values must not enter simulation state.
 
     CLK001 and RNG001 ban entropy *inside* the simulation packages;
@@ -474,64 +376,49 @@ class DeterminismTaintRule(ProgramRule):
         "interval/, or frontend/ call (escape hatch: "
         "# repro: noqa[DET001])"
     )
-    scope = ("pipeline", "interval", "frontend")
+    scope = SIM_SCOPE
 
     def check_program(self, index: ProgramIndex) -> Iterator[LintViolation]:
         taint = _TaintState(index.symtab)
         taint.solve()
+        sim = index.modules_in(self)
         for summary in index.functions():
-            caller_sim = bool(_module_parts(summary.module) & SIM_PARTS)
+            path = index.path_of(summary.module)
             for site in summary.calls:
                 target = index.symtab.resolve_call(site.callee)
-                target_sim = target is not None and bool(
-                    _module_parts(target.module) & SIM_PARTS
-                )
-                if target_sim:
+                if target is None:
+                    continue
+                where = (site.line, site.col, site.end_line)
+                if target.module in sim:
                     for position, tokens in enumerate(site.arg_tokens):
                         if taint.tokens_tainted(tokens, summary.qualname):
-                            yield LintViolation(
-                                rule=self.id,
-                                path=index.path_of(summary.module),
-                                line=site.line,
-                                col=site.col,
-                                end_line=site.end_line,
-                                message=(
-                                    f"argument {position + 1} of "
-                                    f"{site.callee!r} derives from a "
-                                    "wall-clock or unseeded-RNG value; "
-                                    "simulation inputs must be "
-                                    "deterministic (seed them "
-                                    "explicitly)"
-                                ),
+                            yield self.violation(
+                                path, where,
+                                f"argument {position + 1} of "
+                                f"{site.callee!r} derives from a "
+                                "wall-clock or unseeded-RNG value; "
+                                "simulation inputs must be "
+                                "deterministic (seed them explicitly)",
                             )
                             break
-                elif caller_sim and target is not None and (
+                elif summary.module in sim and (
                     target.qualname in taint.tainted_fns
                 ):
-                    yield LintViolation(
-                        rule=self.id,
-                        path=index.path_of(summary.module),
-                        line=site.line,
-                        col=site.col,
-                        end_line=site.end_line,
-                        message=(
-                            f"{summary.name!r} calls {site.callee!r}, "
-                            "whose return value derives from a "
-                            "wall-clock or unseeded-RNG source; "
-                            "simulation state must be a pure function "
-                            "of trace + config"
-                        ),
+                    yield self.violation(
+                        path, where,
+                        f"{summary.name!r} calls {site.callee!r}, "
+                        "whose return value derives from a "
+                        "wall-clock or unseeded-RNG source; "
+                        "simulation state must be a pure function "
+                        "of trace + config",
                     )
 
 
 # -- OBS003: trace-context propagation ----------------------------------
 
-#: Module components whose span recording must stay tree-linked.
-TRACED_PARTS = frozenset({"serve", "lab"})
 
-
-@register_program
-class TraceContextPropagationRule(ProgramRule):
+@register
+class TraceContextPropagationRule(Rule):
     """Spans recorded on the serve/lab path must join the request tree.
 
     A ``SpanCollector.start(trace_id=...)`` or ``add_complete(...)``
@@ -543,9 +430,7 @@ class TraceContextPropagationRule(ProgramRule):
     that is the service's job; every other recording site must thread
     ``parent_id`` from the ambient :func:`current_context`.
 
-    Runs at extraction time (it only needs the call expression), self-
-    scoped to serve/ and lab/ modules like the other whole-program
-    rules scope their reports.
+    Runs at extraction time: it only needs the call expression.
     """
 
     id = "OBS003"
@@ -559,12 +444,8 @@ class TraceContextPropagationRule(ProgramRule):
     )
     scope = ("serve", "lab")
 
-    def check_module(
-        self, tree: ast.Module, module: str, path: str
-    ) -> Iterator[LintViolation]:
-        if not (_module_parts(module) & TRACED_PARTS):
-            return
-        for node in ast.walk(tree):
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
+        for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -583,34 +464,14 @@ class TraceContextPropagationRule(ProgramRule):
                 continue
             if "parent_id" in kwargs or has_splat:
                 continue
-            yield LintViolation(
-                rule=self.id,
-                path=path,
-                line=node.lineno,
-                col=node.col_offset,
-                end_line=getattr(node, "end_lineno", node.lineno),
-                message=(
-                    f"span recording {func.attr!r} passes trace_id but "
-                    "no parent_id — the span detaches from the request "
-                    "tree (a second root in the export; excluded from "
-                    "the latency stack); thread parent_id from "
-                    "current_context().span_id"
-                ),
+            yield self.violation(
+                ctx.path, node,
+                f"span recording {func.attr!r} passes trace_id but "
+                "no parent_id — the span detaches from the request "
+                "tree (a second root in the export; excluded from "
+                "the latency stack); thread parent_id from "
+                "current_context().span_id",
             )
-
-
-def program_rule_catalogue() -> List[Dict[str, str]]:
-    rows = []
-    for rule in all_program_rules():
-        rows.append(
-            {
-                "id": rule.id,
-                "name": rule.name,
-                "description": rule.description,
-                "scope": ", ".join(rule.scope) if rule.scope else "everywhere",
-            }
-        )
-    return rows
 
 
 __all__ = [
@@ -618,14 +479,6 @@ __all__ = [
     "BlockingReachabilityRule",
     "DeterminismTaintRule",
     "OrphanTaskRule",
-    "PROGRAM_RULE_REGISTRY",
-    "ProgramIndex",
-    "ProgramRule",
     "SharedStateRaceRule",
     "TraceContextPropagationRule",
-    "all_program_rules",
-    "program_rule_catalogue",
-    "register_program",
-    "SIM_PARTS",
-    "TRACED_PARTS",
 ]

@@ -1,23 +1,35 @@
-"""Whole-program analysis: cached extraction, program rules, gates.
+"""The lint engine: cached extraction, program rules, gates.
 
-This module is the v2 engine's orchestrator. One run:
+:func:`analyze_paths` runs every rule of the registry. One run:
 
 1. **Discover** the python files under the requested paths (optionally
    narrowed to the git-changed set).
 2. **Extract** a :class:`FileSummary` per file, serially, holding
-   the per-file lint violations (the v1 pack plus the extraction-time
-   RACE rules), the function summaries the interprocedural rules need,
-   and the file's ``noqa`` map. Extraction is fronted by a
-   content-addressed cache keyed on the source digest and the
-   rule-pack fingerprint (same hashing as the lab result store), so a
-   warm rerun on an unchanged tree never parses a single file. AST
-   work holds the GIL, so a thread pool would only add overhead.
-3. **Link** the summaries into one :class:`SymbolTable` and run the
-   program-level rules (SRV002/RES002/DET001) over the call graph.
+   the findings of every rule's ``check_module``, the function
+   summaries the interprocedural rules need, and the file's ``noqa``
+   map. Extraction is fronted by a content-addressed cache keyed on
+   the source digest and the rule-pack fingerprint (same hashing as the
+   lab result store), so a warm rerun on an unchanged tree never parses
+   a single file. AST work holds the GIL, so a thread pool would only
+   add overhead.
+3. **Link** the summaries into one :class:`SymbolTable` and run every
+   rule's ``check_program`` (SRV002/RES002/DET001) over the call graph.
    These rules are cheap on summaries — the expensive part (parsing)
    is what the cache elides.
 4. **Gate**: optionally subtract a checked-in baseline so CI fails only
    on *new* findings, and render human / JSON / SARIF output.
+
+Suppression syntax (checked on every physical line of the violating
+statement, whichever hook found it):
+
+- ``# repro: noqa`` — suppress every rule on that line;
+- ``# repro: noqa[RULE1,RULE2]`` — suppress the named rules only;
+- ``# repro: noqa-file[RULE1]`` — anywhere in the file, suppress the
+  named rules for the whole file (``# repro: noqa-file`` for all).
+
+Suppressions are an escape hatch, not a default: CI gates on a clean
+``repro lint src/``, so every ``noqa`` in the tree should carry a
+justification comment next to it.
 
 The cache lives under ``<store root>/analysis/`` next to the lab
 result store and honours the same ``REPRO_CACHE_DIR`` override. Every
@@ -28,6 +40,8 @@ it skips the fsync).
 from __future__ import annotations
 
 import ast
+import hashlib
+import importlib
 import json
 import re
 import subprocess
@@ -44,18 +58,10 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.engine import (
     FileContext,
-    LintReport,
     LintViolation,
+    ProgramIndex,
     Rule,
     all_rules,
-    discover_files,
-    _file_suppressions,
-    _line_suppresses,
-)
-from repro.analysis.iprules import (
-    ProgramIndex,
-    ProgramRule,
-    all_program_rules,
 )
 from repro.lab.store import default_store_root, payload_digest
 from repro.resilience.atomic import atomic_write_text
@@ -72,26 +78,120 @@ SARIF_SCHEMA = (
 
 _DIGITS = re.compile(r"\d+")
 
+_NOQA_LINE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<rules>[\w\s,.-]+)\])?")
+_NOQA_FILE = re.compile(r"#\s*repro:\s*noqa-file(?:\[(?P<rules>[\w\s,.-]+)\])?")
 
-def pack_fingerprint(
-    rules: Sequence[Rule], program_rules: Sequence[ProgramRule]
-) -> str:
-    """Digest of the rule-pack identity: any rule change invalidates.
+#: Modules besides the rules' own whose code decides what extraction
+#: caches: the engine, the fact extraction and the control flow it
+#: walks, and the metric-name pattern OBS002 checks against.
+_EXTRACTION_MODULES = (
+    "repro.analysis.callgraph",
+    "repro.analysis.cfg",
+    "repro.analysis.engine",
+    "repro.analysis.program",
+    "repro.obs.metrics",
+)
+
+
+def _module_source_digest(name: str) -> str:
+    source = getattr(importlib.import_module(name), "__file__", None)
+    try:
+        return hashlib.sha256(Path(source).read_bytes()).hexdigest()
+    except (OSError, TypeError):
+        return ""
+
+
+def pack_fingerprint(rules: Sequence[Rule]) -> str:
+    """Digest of the rule pack: any rule or extraction change invalidates.
 
     Cached entries always hold the *full* pack's findings (rule-subset
-    selection filters afterwards), so the fingerprint covers every
-    registered rule id plus the schema and package version.
+    selection filters afterwards), so the fingerprint covers every rule
+    id, the source of every module that defines a rule or runs during
+    extraction, the schema and the package version. A rule whose code
+    changes under the same id therefore misses the cache.
     """
+    modules = {type(rule).__module__ for rule in rules}
+    modules.update(_EXTRACTION_MODULES)
     return payload_digest(
         {
             "schema": ANALYSIS_SCHEMA_VERSION,
             "version": __version__,
-            "rules": sorted(
-                [rule.id for rule in rules]
-                + [rule.id for rule in program_rules]
-            ),
+            "rules": sorted(rule.id for rule in rules),
+            "code": {
+                name: _module_source_digest(name) for name in sorted(modules)
+            },
         }
     )
+
+
+def reported_path(path: Path) -> str:
+    """Stable reported form: repo-relative POSIX when under the cwd.
+
+    Lint artifacts (JSON reports, SARIF, baselines) are diffed across
+    machines and CI runners; an absolute ``str(path)`` bakes the
+    runner's checkout location into every record. Anything outside the
+    cwd keeps its own path, normalized to POSIX separators.
+    """
+    try:
+        return path.resolve().relative_to(Path.cwd().resolve()).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
+def discover_files(paths: Iterable[str]) -> List[Tuple[Path, str]]:
+    """Expand files/directories into (absolute, reported) python paths."""
+    found: List[Tuple[Path, str]] = []
+    for raw in paths:
+        base = Path(raw)
+        if base.is_dir():
+            for path in sorted(base.rglob("*.py")):
+                if "__pycache__" in path.parts:
+                    continue
+                found.append((path, reported_path(path)))
+        elif base.suffix == ".py":
+            found.append((base, reported_path(base)))
+    return found
+
+
+# -- suppressions ------------------------------------------------------
+
+
+def _named(match: "re.Match[str]") -> Optional[List[str]]:
+    names = match.group("rules")
+    if names is None:
+        return None
+    return [n.strip() for n in names.split(",") if n.strip()]
+
+
+def parse_noqa(
+    lines: Sequence[str],
+) -> Tuple[Optional[List[str]], Dict[int, Optional[List[str]]]]:
+    """A file's ``noqa`` comments as ``(noqa_file, noqa_lines)``.
+
+    ``noqa_file`` is None without a ``noqa-file`` comment, ``[]`` for a
+    blanket one, else the named rules; ``noqa_lines`` maps a 1-based
+    line to None (blanket) or the rules its ``noqa`` names.
+    """
+    file_rules: Optional[Set[str]] = None
+    blanket_file = False
+    noqa_lines: Dict[int, Optional[List[str]]] = {}
+    for line_no, line in enumerate(lines, start=1):
+        if "noqa" not in line:
+            continue
+        match = _NOQA_FILE.search(line)
+        if match:
+            names = _named(match)
+            if names is None:
+                blanket_file = True
+            else:
+                file_rules = (file_rules or set()).union(names)
+        match = _NOQA_LINE.search(line)
+        if match:
+            noqa_lines[line_no] = _named(match)
+    if blanket_file:
+        return [], noqa_lines
+    noqa_file = sorted(file_rules) if file_rules is not None else None
+    return noqa_file, noqa_lines
 
 
 # -- per-file summaries ------------------------------------------------
@@ -115,7 +215,7 @@ class FileSummary:
     from_cache: bool = False
 
     def suppresses(self, violation: LintViolation) -> bool:
-        """Apply this file's noqa map to a program-level violation."""
+        """Whether this file's noqa map covers ``violation``."""
         if self.noqa_file is not None and (
             not self.noqa_file or violation.rule in self.noqa_file
         ):
@@ -176,57 +276,30 @@ class FileSummary:
         )
 
 
-def _noqa_map(lines: Sequence[str]) -> Dict[int, Optional[List[str]]]:
-    """1-based line → suppressed rule names (None = every rule)."""
-    found: Dict[int, Optional[List[str]]] = {}
-    for line_no, line in enumerate(lines, start=1):
-        if "noqa" not in line:
-            continue
-        if _line_suppresses(line, "\0"):  # only a blanket noqa matches
-            found[line_no] = None
-            continue
-        # Named form: collect the rules it lists (cheap re-parse).
-        match = re.search(r"#\s*repro:\s*noqa\[([\w\s,.-]+)\]", line)
-        if match:
-            found[line_no] = [
-                n.strip() for n in match.group(1).split(",") if n.strip()
-            ]
-    return found
-
-
 def extract_file(
     source: str,
     reported: str,
     module: str,
     digest: str,
     rules: Sequence[Rule],
-    program_rules: Sequence[ProgramRule],
 ) -> FileSummary:
-    """Parse one file and build its full (cacheable) summary."""
+    """Parse one in-memory module and build its full (cacheable) summary."""
     summary = FileSummary(path=reported, module=module, digest=digest)
     try:
         tree = ast.parse(source, filename=reported)
     except SyntaxError as exc:
         summary.parse_error = str(exc)
         return summary
-    lines = tuple(source.splitlines())
-    file_suppressed = _file_suppressions(lines)
-    summary.noqa_file = (
-        sorted(file_suppressed) if file_suppressed is not None else None
-    )
-    summary.noqa_lines = _noqa_map(lines)
-    ctx = FileContext(path=reported, tree=tree, source=source, lines=lines)
-    raw: List[LintViolation] = []
+    summary.noqa_file, summary.noqa_lines = parse_noqa(source.splitlines())
+    ctx = FileContext(path=reported, tree=tree)
     for rule in rules:
-        if rule.applies_to(ctx):
-            raw.extend(rule.check(ctx))
-    for prule in program_rules:
-        raw.extend(prule.check_module(tree, module, reported))
-    for violation in raw:
-        if summary.suppresses(violation):
-            summary.suppressed += 1
-        else:
-            summary.violations.append(violation)
+        if not rule.applies_to(reported):
+            continue
+        for violation in rule.check_module(ctx):
+            if summary.suppresses(violation):
+                summary.suppressed += 1
+            else:
+                summary.violations.append(violation)
     summary.functions = extract_functions(tree, module)
     return summary
 
@@ -306,28 +379,57 @@ class _NullCache(AnalysisCache):
 
 
 @dataclass
-class ProgramReport(LintReport):
-    """A lint report plus program-run bookkeeping."""
+class LintReport:
+    """Outcome of one lint run: findings plus cache/baseline bookkeeping."""
 
+    violations: List[LintViolation] = field(default_factory=list)
+    files_checked: int = 0
+    suppressed: int = 0
+    parse_errors: List[Tuple[str, str]] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
     baseline_suppressed: int = 0
 
+    @property
+    def ok(self) -> bool:
+        return not self.violations and not self.parse_errors
+
     def render_human(self) -> str:
-        base = super().render_human()
+        out = [v.render() for v in sorted(
+            self.violations, key=lambda v: (v.path, v.line, v.col, v.rule)
+        )]
+        for path, error in self.parse_errors:
+            out.append(f"{path}: parse error: {error}")
+        out.append(
+            f"{len(self.violations)} violation(s), {self.suppressed} "
+            f"suppressed, {self.files_checked} file(s) checked"
+        )
         extra = (
             f"cache: {self.cache_hits} hit(s), "
             f"{self.cache_misses} miss(es)"
         )
         if self.baseline_suppressed:
             extra += f"; baseline: {self.baseline_suppressed} known finding(s)"
-        return f"{base}\n{extra}"
+        out.append(extra)
+        return "\n".join(out)
 
     def render_json(self) -> str:
-        obj = json.loads(super().render_json())
-        obj["cache"] = {"hits": self.cache_hits, "misses": self.cache_misses}
-        obj["baseline_suppressed"] = self.baseline_suppressed
-        return json.dumps(obj, indent=1)
+        return json.dumps(
+            {
+                "ok": self.ok,
+                "files_checked": self.files_checked,
+                "suppressed": self.suppressed,
+                "parse_errors": [
+                    {"path": p, "error": e} for p, e in self.parse_errors
+                ],
+                "violations": [v.as_payload() for v in self.violations],
+                "cache": {
+                    "hits": self.cache_hits, "misses": self.cache_misses,
+                },
+                "baseline_suppressed": self.baseline_suppressed,
+            },
+            indent=1,
+        )
 
 
 def _roots_for(paths: Iterable[str]) -> List[Path]:
@@ -342,11 +444,10 @@ def _roots_for(paths: Iterable[str]) -> List[Path]:
 def analyze_paths(
     paths: Iterable[str],
     rules: Optional[Sequence[Rule]] = None,
-    program_rules: Optional[Sequence[ProgramRule]] = None,
     cache: Optional[AnalysisCache] = None,
     rule_filter: Optional[Set[str]] = None,
-) -> ProgramReport:
-    """Run the full v2 analysis over ``paths``.
+) -> LintReport:
+    """Run every rule (default: the registry's) over ``paths``.
 
     ``rule_filter`` (rule ids) narrows *reporting*, not extraction:
     cache entries always hold the full pack's findings so a scoped run
@@ -354,11 +455,9 @@ def analyze_paths(
     """
     if rules is None:
         rules = all_rules()
-    if program_rules is None:
-        program_rules = all_program_rules()
     if cache is None:
         cache = AnalysisCache()
-    pack = pack_fingerprint(rules, program_rules)
+    pack = pack_fingerprint(rules)
     files = discover_files(paths)
     roots = _roots_for(paths)
 
@@ -384,14 +483,13 @@ def analyze_paths(
             module=module_name_for(path, roots),
             digest=key,
             rules=rules,
-            program_rules=program_rules,
         )
         cache.save(key, summary)
         return summary
 
     summaries = [summarize(item) for item in files]
 
-    report = ProgramReport(files_checked=len(summaries))
+    report = LintReport(files_checked=len(summaries))
     by_path: Dict[str, FileSummary] = {}
     module_paths: Dict[str, str] = {}
     functions: List[FunctionSummary] = []
@@ -406,8 +504,8 @@ def analyze_paths(
         report.suppressed += summary.suppressed
 
     index = ProgramIndex(SymbolTable(functions), module_paths)
-    for prule in program_rules:
-        for violation in prule.check_program(index):
+    for rule in rules:
+        for violation in rule.check_program(index):
             holder = by_path.get(violation.path)
             if holder is not None and holder.suppresses(violation):
                 report.suppressed += 1
@@ -523,9 +621,7 @@ def write_baseline(path: Path, report: LintReport) -> int:
     return len(fingerprints)
 
 
-def apply_baseline(
-    report: ProgramReport, baseline: Set[str]
-) -> ProgramReport:
+def apply_baseline(report: LintReport, baseline: Set[str]) -> LintReport:
     """Drop findings already in the baseline; keep genuinely new ones."""
     fingerprints = report_fingerprints(report.violations)
     ordered = sorted(
@@ -641,15 +737,18 @@ __all__ = [
     "AnalysisCache",
     "BASELINE_SCHEMA_VERSION",
     "FileSummary",
-    "ProgramReport",
+    "LintReport",
     "_NullCache",
     "analyze_paths",
     "apply_baseline",
     "changed_files",
+    "discover_files",
     "extract_file",
     "load_baseline",
     "pack_fingerprint",
+    "parse_noqa",
     "report_fingerprints",
+    "reported_path",
     "to_sarif",
     "violation_fingerprint",
     "write_baseline",

@@ -4,31 +4,36 @@ Each rule encodes an invariant the paper's methodology depends on —
 deterministic simulation (RNG001, CLK001, ORD001), exact accounting
 (FLT001), immutable configuration identity for the content-addressed
 store (CFG001), and library hygiene that keeps sweeps debuggable
-(MUT001, EXC001, PRT001). Every rule registers into
+(MUT001, EXC001, PRT001). These rules look at one file at a time
+(:meth:`~repro.analysis.engine.Rule.check_module`); the hazard lists
+they match (wall clocks, RNG modules, blocking calls, write modes) are
+the ones :mod:`repro.analysis.callgraph` records for the reachability
+rules. Every rule registers into
 :data:`repro.analysis.engine.RULE_REGISTRY` on import.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set
 
-from repro.analysis.engine import FileContext, LintViolation, Rule, register
-
-#: Hot, determinism-critical packages the scoped rules police.
-SIM_SCOPE: Tuple[str, ...] = ("pipeline", "interval", "frontend")
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """Dotted name of an attribute/name chain (``a.b.c``), else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
+from repro.analysis.callgraph import (
+    DYNAMIC_MODE,
+    RNG_MODULES,
+    TIMER_CALLS,
+    WALL_CLOCK_CALLS,
+    blocking_of,
+    dotted_name,
+    normalize,
+    open_write_mode,
+)
+from repro.analysis.engine import (
+    SIM_SCOPE,
+    FileContext,
+    LintViolation,
+    Rule,
+    register,
+)
 
 
 @register
@@ -49,39 +54,38 @@ class UnseededRandomRule(Rule):
     )
     exempt = ("util/rng.py",)
 
-    _MODULES = {"random", "numpy.random"}
-
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.name in self._MODULES:
+                    if alias.name in RNG_MODULES:
                         yield self.violation(
-                            ctx, node,
+                            ctx.path, node,
                             f"import of {alias.name!r}; draw from "
                             "repro.util.rng.SplitMix instead",
                         )
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
-                if module in self._MODULES:
+                if module in RNG_MODULES:
                     yield self.violation(
-                        ctx, node,
+                        ctx.path, node,
                         f"import from {module!r}; draw from "
                         "repro.util.rng.SplitMix instead",
                     )
-                elif module == "numpy" and any(
-                    alias.name == "random" for alias in node.names
+                elif any(
+                    f"{module}.{alias.name}" in RNG_MODULES
+                    for alias in node.names
                 ):
                     yield self.violation(
-                        ctx, node,
+                        ctx.path, node,
                         "import of numpy.random; draw from "
                         "repro.util.rng.SplitMix instead",
                     )
             elif isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
-                if dotted in ("np.random", "numpy.random"):
+                dotted = dotted_name(node)
+                if dotted and normalize(dotted) in RNG_MODULES:
                     yield self.violation(
-                        ctx, node,
+                        ctx.path, node,
                         f"use of {dotted}; draw from "
                         "repro.util.rng.SplitMix instead",
                     )
@@ -105,47 +109,34 @@ class WallClockRule(Rule):
     )
     scope = SIM_SCOPE
 
-    _CALLS = {
-        "time.time",
-        "time.time_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.process_time",
-        "datetime.now",
-        "datetime.utcnow",
-        "datetime.today",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
+    #: The reads as written: ``time.time``, and ``datetime.now`` after
+    #: ``from datetime import datetime``.
+    _CALLS = frozenset(WALL_CLOCK_CALLS) | {
+        name.split(".", 1)[1] for name in WALL_CLOCK_CALLS
+        if name.startswith("datetime.")
     }
-    _FROM_IMPORTS = {
-        ("time", "time"),
-        ("time", "time_ns"),
-        ("time", "perf_counter"),
-        ("time", "perf_counter_ns"),
-        ("time", "monotonic"),
-        ("time", "monotonic_ns"),
-        ("time", "process_time"),
-        ("datetime", "datetime"),
-    }
+    #: ``from time import perf_counter``, ``from datetime import date``.
+    _FROM_IMPORTS = frozenset(
+        name.rsplit(".", 1)[0] if name.startswith("datetime.") else name
+        for name in WALL_CLOCK_CALLS
+    )
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
                 module = node.module or ""
                 for alias in node.names:
-                    if (module, alias.name) in self._FROM_IMPORTS:
+                    if f"{module}.{alias.name}" in self._FROM_IMPORTS:
                         yield self.violation(
-                            ctx, node,
+                            ctx.path, node,
                             f"wall-clock import {module}.{alias.name} in a "
                             "simulation package",
                         )
             elif isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
+                dotted = dotted_name(node)
                 if dotted in self._CALLS:
                     yield self.violation(
-                        ctx, node,
+                        ctx.path, node,
                         f"wall-clock read {dotted}() in a simulation package",
                     )
 
@@ -182,7 +173,7 @@ class FloatEqualityRule(Rule):
     )
     scope = ("interval",)
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Compare):
                 continue
@@ -192,7 +183,7 @@ class FloatEqualityRule(Rule):
                     continue
                 if _is_floaty(left) or _is_floaty(right):
                     yield self.violation(
-                        ctx, node,
+                        ctx.path, node,
                         "exact float comparison; use math.isclose or an "
                         "explicit tolerance",
                     )
@@ -224,7 +215,7 @@ class MutableDefaultRule(Rule):
             and node.func.id in self._CTORS
         )
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -234,7 +225,7 @@ class MutableDefaultRule(Rule):
             for default in defaults:
                 if self._is_mutable(default):
                     yield self.violation(
-                        ctx, default,
+                        ctx.path, default,
                         f"mutable default argument in {node.name}(); "
                         "default to None and construct inside",
                     )
@@ -283,7 +274,7 @@ class SetIterationRule(Rule):
                     names.add(target.id)
         return names
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for func in ast.walk(ctx.tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -300,7 +291,7 @@ class SetIterationRule(Rule):
                         isinstance(it, ast.Name) and it.id in set_names
                     ):
                         yield self.violation(
-                            ctx, it,
+                            ctx.path, it,
                             "iteration over a set in a hot path; order is "
                             "hash-dependent — use sorted(...) or an ordered "
                             "container",
@@ -320,7 +311,7 @@ class FrozenConfigRule(Rule):
     name = "frozen-config"
     description = "@dataclass classes named *Config must set frozen=True"
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -330,7 +321,7 @@ class FrozenConfigRule(Rule):
             frozen = False
             for deco in node.decorator_list:
                 target = deco.func if isinstance(deco, ast.Call) else deco
-                name = _dotted(target) or ""
+                name = dotted_name(target) or ""
                 if name.split(".")[-1] == "dataclass":
                     dataclass_deco = deco
                     if isinstance(deco, ast.Call):
@@ -343,7 +334,7 @@ class FrozenConfigRule(Rule):
                                 frozen = True
             if dataclass_deco is not None and not frozen:
                 yield self.violation(
-                    ctx, node,
+                    ctx.path, node,
                     f"config dataclass {node.name} is not frozen; store "
                     "keys assume immutable configs",
                 )
@@ -362,11 +353,11 @@ class BareExceptRule(Rule):
     name = "bare-except"
     description = "no bare except:; catch a concrete exception type"
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.violation(
-                    ctx, node,
+                    ctx.path, node,
                     "bare except; name the exception type (it also hides "
                     "KeyboardInterrupt)",
                 )
@@ -386,7 +377,7 @@ class PrintInLibraryRule(Rule):
     description = "no print() outside cli.py/__main__.py"
     exempt = ("cli.py", "__main__.py")
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if (
                 isinstance(node, ast.Call)
@@ -394,7 +385,7 @@ class PrintInLibraryRule(Rule):
                 and node.func.id == "print"
             ):
                 yield self.violation(
-                    ctx, node,
+                    ctx.path, node,
                     "print() in library code; return the text or use the "
                     "CLI layer",
                 )
@@ -423,35 +414,23 @@ class DirectPhaseTimingRule(Rule):
     scope = ("lab", "harness")
     exempt = ("util/timing.py",)
 
-    _TIMERS = {
-        "perf_counter",
-        "perf_counter_ns",
-        "monotonic",
-        "monotonic_ns",
-        "process_time",
-        "process_time_ns",
-    }
-
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom):
-                if (node.module or "") != "time":
-                    continue
+                module = node.module or ""
                 for alias in node.names:
-                    if alias.name in self._TIMERS:
+                    if f"{module}.{alias.name}" in TIMER_CALLS:
                         yield self.violation(
-                            ctx, node,
+                            ctx.path, node,
                             f"direct import of time.{alias.name}; time "
                             "phases with util.timing.Stopwatch or an "
                             "obs.spans span",
                         )
             elif isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
-                if dotted and dotted.startswith("time.") and (
-                    dotted.split(".", 1)[1] in self._TIMERS
-                ):
+                dotted = dotted_name(node)
+                if dotted in TIMER_CALLS:
                     yield self.violation(
-                        ctx, node,
+                        ctx.path, node,
                         f"direct {dotted}() phase timing; use "
                         "util.timing.Stopwatch or an obs.spans span",
                     )
@@ -477,7 +456,7 @@ class MetricNameRule(Rule):
 
     _FACTORIES = {"counter", "gauge", "histogram"}
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         from repro.obs.metrics import METRIC_NAME_RE
 
         for node in ast.walk(ctx.tree):
@@ -499,7 +478,7 @@ class MetricNameRule(Rule):
                 continue
             if METRIC_NAME_RE.match(first.value) is None:
                 yield self.violation(
-                    ctx, first,
+                    ctx.path, first,
                     f"metric name {first.value!r} does not match "
                     "subsystem.noun_unit (lowercase, dotted, "
                     "unit-suffixed: e.g. core.penalty_cycles)",
@@ -531,49 +510,23 @@ class AtomicWriteRule(Rule):
     scope = ("lab", "resilience")
     exempt = ("resilience/atomic.py",)
 
-    _WRITE_CHARS = ("w", "a", "x", "+")
-
-    @staticmethod
-    def _mode_of(node: ast.Call, positional_index: int) -> Optional[str]:
-        """The call's mode string, '' when defaulted, None when dynamic."""
-        mode: Optional[ast.AST] = None
-        if len(node.args) > positional_index:
-            mode = node.args[positional_index]
-        else:
-            for keyword in node.keywords:
-                if keyword.arg == "mode":
-                    mode = keyword.value
-        if mode is None:
-            return ""  # defaulted: read mode
-        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-            return mode.value
-        return None
-
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
-                mode = self._mode_of(node, 1)  # open(file, mode)
-            elif isinstance(func, ast.Attribute) and func.attr == "fdopen":
-                mode = self._mode_of(node, 1)  # os.fdopen(fd, mode)
-            elif isinstance(func, ast.Attribute) and func.attr == "open":
-                mode = self._mode_of(node, 0)  # Path.open(mode)
-            else:
-                continue
+            mode = open_write_mode(node)
             if mode is None:
+                continue
+            if mode == DYNAMIC_MODE:
                 yield self.violation(
-                    ctx, node,
+                    ctx.path, node,
                     "open() with a dynamic mode in lab/resilience; use "
                     "repro.resilience.atomic helpers for writes (or "
                     "justify with # repro: noqa[RES001])",
                 )
                 continue
-            if not any(ch in mode for ch in self._WRITE_CHARS):
-                continue
             yield self.violation(
-                ctx, node,
+                ctx.path, node,
                 f"open(..., {mode!r}) bypasses the crash-safe atomic "
                 "write helpers; use repro.resilience.atomic "
                 "(atomic_write_* or AppendOnlyWriter), or justify with "
@@ -596,9 +549,9 @@ class BlockingCallInServeRule(Rule):
     Flagged inside ``async def`` bodies (nested synchronous ``def``
     bodies are excluded — those run off-loop by construction):
 
-    - ``time.sleep``;
-    - ``subprocess.run/call/check_call/check_output`` and ``Popen``,
-      ``os.system``, ``os.wait*``;
+    - the calls :data:`~repro.analysis.callgraph.BLOCKING_CALLS` lists
+      (``time.sleep``, subprocess, ``os.system``, ``os.wait*``, socket
+      connects, ``shutil`` copies and removals);
     - file I/O: builtin ``open`` and ``Path.read_text/read_bytes/
       write_text/write_bytes/open``;
     - synchronous store/cache/shard traffic: method calls named
@@ -620,20 +573,6 @@ class BlockingCallInServeRule(Rule):
     )
     scope = ("serve",)
 
-    _MODULE_CALLS = {
-        "time.sleep": "time.sleep blocks the event loop",
-        "subprocess.run": "subprocess.run blocks the event loop",
-        "subprocess.call": "subprocess.call blocks the event loop",
-        "subprocess.check_call": "subprocess.check_call blocks the loop",
-        "subprocess.check_output": "subprocess.check_output blocks the loop",
-        "subprocess.Popen": "spawn subprocesses off-loop",
-        "os.system": "os.system blocks the event loop",
-        "os.wait": "os.wait blocks the event loop",
-        "os.waitpid": "os.waitpid blocks the event loop",
-    }
-    _PATH_METHODS = (
-        "read_text", "read_bytes", "write_text", "write_bytes", "open",
-    )
     _BLOCKING_METHODS = ("get", "put", "lookup", "submit")
     _BLOCKING_RECEIVERS = ("store", "cache", "backend", "shard", "tier")
     _ALWAYS_BLOCKING_METHODS = ("journal_state", "shutdown", "restart")
@@ -645,24 +584,12 @@ class BlockingCallInServeRule(Rule):
         return node.id if isinstance(node, ast.Name) else ""
 
     def _blocking_reason(self, node: ast.Call) -> Optional[str]:
+        blocking = blocking_of(node, dotted_name(node.func) or "")
+        if blocking is not None:
+            return blocking[1]
         func = node.func
-        if isinstance(func, ast.Name) and func.id == "open":
-            return "builtin open() blocks the event loop"
-        dotted = _dotted(func)
-        if dotted in self._MODULE_CALLS:
-            return f"{dotted}: {self._MODULE_CALLS[dotted]}"
         if not isinstance(func, ast.Attribute):
             return None
-        if func.attr in self._PATH_METHODS and isinstance(
-            func.value, (ast.Name, ast.Attribute)
-        ):
-            # Path-flavoured file I/O; builtin-module calls (json.load
-            # on an handle etc.) need an open() first and are caught
-            # there.
-            if func.attr != "open" or not node.args or isinstance(
-                node.args[0], ast.Constant
-            ):
-                return f".{func.attr}() does file I/O on the event loop"
         if func.attr in self._ALWAYS_BLOCKING_METHODS:
             return f".{func.attr}() does disk/process work on the loop"
         if func.attr in self._BLOCKING_METHODS:
@@ -686,7 +613,7 @@ class BlockingCallInServeRule(Rule):
                 yield node
             stack.extend(ast.iter_child_nodes(node))
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.AsyncFunctionDef):
                 continue
@@ -694,7 +621,7 @@ class BlockingCallInServeRule(Rule):
                 reason = self._blocking_reason(call)
                 if reason is not None:
                     yield self.violation(
-                        ctx, call,
+                        ctx.path, call,
                         f"blocking call in coroutine "
                         f"{node.name!r}: {reason}; wrap in "
                         "asyncio.to_thread (or justify with "
@@ -769,7 +696,7 @@ class UnboundedShardAwaitRule(Rule):
                 yield node
             stack.extend(ast.iter_child_nodes(node))
 
-    def check(self, ctx: FileContext) -> Iterator[LintViolation]:
+    def check_module(self, ctx: FileContext) -> Iterator[LintViolation]:
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.AsyncFunctionDef):
                 continue
@@ -777,7 +704,7 @@ class UnboundedShardAwaitRule(Rule):
                 reason = self._unbounded_reason(awaited.value)
                 if reason is not None:
                     yield self.violation(
-                        ctx, awaited,
+                        ctx.path, awaited,
                         f"unbounded shard-future await in coroutine "
                         f"{node.name!r}: {reason}; wrap it in "
                         "asyncio.wait_for (timeout=None when no "
@@ -796,7 +723,6 @@ __all__ = [
     "MetricNameRule",
     "MutableDefaultRule",
     "PrintInLibraryRule",
-    "SIM_SCOPE",
     "SetIterationRule",
     "UnboundedShardAwaitRule",
     "UnseededRandomRule",

@@ -151,15 +151,14 @@ def _export_trace(args: argparse.Namespace, console: Console) -> None:
     """Drain the ambient tracer into the files ``args`` asked for."""
     from repro.obs import runtime as obs_runtime
     from repro.obs.export import write_chrome_trace, write_jsonl
-    from repro.obs.tracer import RecordingTracer
+    from repro.obs.tracer import SPAN_KINDS, RecordingTracer
 
     tracer = obs_runtime.drain_trace()
     if tracer is None:
         tracer = RecordingTracer()  # an empty run still exports validly
     counts = tracer.counts()
     summary = "  ".join(
-        f"{kind}={counts.get(kind, 0)}"
-        for kind in ("bpred", "icache", "long_dmiss")
+        f"{kind}={counts.get(kind, 0)}" for kind in SPAN_KINDS
     )
     console.info(
         f"trace spans: {summary}  instants={len(tracer.instants)}"
@@ -518,7 +517,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     import json as _json
     from pathlib import Path
 
-    from repro.analysis import rule_catalogue
+    from repro.analysis.engine import rule_catalogue
     from repro.analysis.program import (
         AnalysisCache,
         _NullCache,

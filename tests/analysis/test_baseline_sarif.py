@@ -6,7 +6,7 @@ import json
 
 from repro.analysis.engine import LintViolation, rule_catalogue
 from repro.analysis.program import (
-    ProgramReport,
+    LintReport,
     apply_baseline,
     load_baseline,
     report_fingerprints,
@@ -37,14 +37,14 @@ def test_fingerprint_distinguishes_new_instances():
 
 def test_baseline_round_trip_and_gating(tmp_path):
     known = _violation(rule="RES002", message="old finding")
-    report = ProgramReport(violations=[known], files_checked=1)
+    report = LintReport(violations=[known], files_checked=1)
     baseline_path = tmp_path / "baseline.json"
     assert write_baseline(baseline_path, report) == 1
     baseline = load_baseline(baseline_path)
     assert baseline is not None
 
     fresh = _violation(rule="RACE001", path="src/b.py", message="new finding")
-    rerun = ProgramReport(violations=[known, fresh], files_checked=1)
+    rerun = LintReport(violations=[known, fresh], files_checked=1)
     gated = apply_baseline(rerun, baseline)
     assert [v.rule for v in gated.violations] == ["RACE001"]
     assert gated.baseline_suppressed == 1
@@ -62,7 +62,7 @@ def test_baseline_missing_or_corrupt_loads_as_none(tmp_path):
 
 
 def test_sarif_document_shape():
-    report = ProgramReport(
+    report = LintReport(
         violations=[
             _violation(rule="RACE001", message="races"),
             _violation(rule="DET001", path="src/c.py", message="tainted"),
@@ -97,6 +97,6 @@ def test_sarif_document_shape():
 
 
 def test_sarif_round_trips_through_json():
-    report = ProgramReport(violations=[_violation()], files_checked=1)
+    report = LintReport(violations=[_violation()], files_checked=1)
     doc = to_sarif(report, rule_catalogue())
     assert json.loads(json.dumps(doc)) == doc

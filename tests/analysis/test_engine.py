@@ -1,18 +1,22 @@
-"""Engine mechanics: discovery, suppressions, reporters, scoping."""
+"""Engine mechanics: discovery, suppressions, reporters, the catalogue."""
 
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.engine import (
     LintViolation,
     all_rules,
-    lint_paths,
-    lint_source,
     rule_catalogue,
 )
+from repro.analysis.program import LintReport, _NullCache, analyze_paths
+from tests.analysis import summarize
+
+DOCS = Path(__file__).resolve().parents[2] / "docs" / "analysis.md"
 
 BARE_EXCEPT = (
     "try:\n"
@@ -33,7 +37,7 @@ def test_detects_injected_violation_with_rule_file_and_line(tmp_path):
         "        return 2\n",
         encoding="utf-8",
     )
-    report = lint_paths([str(tmp_path)])
+    report = analyze_paths([str(tmp_path)], cache=_NullCache())
     assert len(report.violations) == 1
     violation = report.violations[0]
     assert violation.rule == "EXC001"
@@ -43,41 +47,44 @@ def test_detects_injected_violation_with_rule_file_and_line(tmp_path):
 
 def test_line_noqa_suppresses_all_rules():
     source = BARE_EXCEPT.replace("except:", "except:  # repro: noqa")
-    report = lint_source(source, "lib.py")
-    assert report.ok
-    assert report.suppressed == 1
+    summary = summarize(source, "lib.py")
+    assert summary.violations == []
+    assert summary.suppressed == 1
 
 
 def test_line_noqa_with_rule_id_suppresses_only_that_rule():
     source = BARE_EXCEPT.replace("except:", "except:  # repro: noqa[EXC001]")
-    assert lint_source(source, "lib.py").ok
+    assert summarize(source, "lib.py").violations == []
     wrong = BARE_EXCEPT.replace("except:", "except:  # repro: noqa[PRT001]")
-    report = lint_source(wrong, "lib.py")
-    assert [v.rule for v in report.violations] == ["EXC001"]
+    summary = summarize(wrong, "lib.py")
+    assert [v.rule for v in summary.violations] == ["EXC001"]
 
 
 def test_file_level_noqa_suppresses_everywhere():
     source = "# repro: noqa-file[EXC001]\n" + BARE_EXCEPT + BARE_EXCEPT
-    report = lint_source(source, "lib.py")
-    assert report.ok
-    assert report.suppressed == 2
+    summary = summarize(source, "lib.py")
+    assert summary.violations == []
+    assert summary.suppressed == 2
 
 
 def test_blanket_file_noqa_suppresses_all_rules():
     source = "# repro: noqa-file\n" + BARE_EXCEPT + "print('x')\n"
-    report = lint_source(source, "lib.py")
-    assert report.ok
-    assert report.suppressed == 2
+    summary = summarize(source, "lib.py")
+    assert summary.violations == []
+    assert summary.suppressed == 2
 
 
-def test_parse_error_is_reported_not_raised():
-    report = lint_source("def broken(:\n", "bad.py")
+def test_parse_error_is_reported_not_raised(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def broken(:\n", encoding="utf-8")
+    report = analyze_paths([str(bad)], cache=_NullCache())
     assert not report.ok
-    assert report.parse_errors and report.parse_errors[0][0] == "bad.py"
+    assert report.parse_errors and report.parse_errors[0][0] == str(bad)
 
 
-def test_json_reporter_round_trips():
-    report = lint_source(BARE_EXCEPT, "lib.py")
+def test_json_reporter_round_trips(tmp_path):
+    (tmp_path / "lib.py").write_text(BARE_EXCEPT, encoding="utf-8")
+    report = analyze_paths([str(tmp_path)], cache=_NullCache())
     payload = json.loads(report.render_json())
     assert payload["ok"] is False
     assert payload["files_checked"] == 1
@@ -87,8 +94,8 @@ def test_json_reporter_round_trips():
 
 
 def test_human_reporter_mentions_path_line_and_rule():
-    report = lint_source(BARE_EXCEPT, "somewhere/lib.py")
-    text = report.render_human()
+    summary = summarize(BARE_EXCEPT, "somewhere/lib.py")
+    text = LintReport(violations=summary.violations).render_human()
     assert "somewhere/lib.py:3:" in text
     assert "EXC001" in text
 
@@ -97,20 +104,30 @@ def test_discovery_skips_pycache(tmp_path):
     (tmp_path / "__pycache__").mkdir()
     (tmp_path / "__pycache__" / "junk.py").write_text("except:", encoding="utf-8")
     (tmp_path / "ok.py").write_text("x = 1\n", encoding="utf-8")
-    report = lint_paths([str(tmp_path)])
+    report = analyze_paths([str(tmp_path)], cache=_NullCache())
     assert report.files_checked == 1
     assert report.ok
 
 
 def test_rule_catalogue_covers_the_whole_pack():
-    from repro.analysis.iprules import all_program_rules
-
     catalogue = rule_catalogue()
-    ids = {row["id"] for row in catalogue}
-    assert ids == {rule.id for rule in all_rules()} | {
-        rule.id for rule in all_program_rules()
-    }
-    assert len(ids) >= 8
+    ids = [row["id"] for row in catalogue]
+    assert ids == sorted(rule.id for rule in all_rules())
+    assert len(ids) == 19
+
+
+def test_docs_rule_table_is_the_catalogue():
+    """docs/analysis.md's rule table is rule_catalogue(), row for row."""
+    row = re.compile(
+        r"^\| `(?P<id>[A-Z]+\d+)` \| (?P<scope>[^|]+) "
+        r"\| (?P<description>.+) \|$"
+    )
+    lines = DOCS.read_text(encoding="utf-8").splitlines()
+    documented = [m.groupdict() for m in map(row.match, lines) if m]
+    assert documented == [
+        {key: entry[key] for key in ("id", "scope", "description")}
+        for entry in rule_catalogue()
+    ]
 
 
 def test_violation_render_is_clickable():

@@ -8,22 +8,18 @@ property-tests the suppression comment syntax round-trip.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.engine import (
-    FileContext,
-    LintViolation,
-    Rule,
-    _file_suppressions,
-    _line_suppresses,
+from repro.analysis.engine import LintViolation, Rule
+from repro.analysis.program import (
+    FileSummary,
     discover_files,
-    lint_source,
+    parse_noqa,
     reported_path,
-    suppresses,
 )
+from tests.analysis import summarize
 
 
 class _FlagEveryCall(Rule):
@@ -31,10 +27,10 @@ class _FlagEveryCall(Rule):
     name = "test-flag-calls"
     description = "flags every call expression (test-only)"
 
-    def check(self, ctx):
+    def check_module(self, ctx):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                yield self.violation(ctx, node, "call flagged")
+                yield self.violation(ctx.path, node, "call flagged")
 
 
 # -- satellite: multi-line noqa placement ------------------------------
@@ -47,7 +43,7 @@ def test_noqa_on_last_line_of_multiline_statement_suppresses():
         "    2,\n"
         ")  # repro: noqa[TST001]\n"
     )
-    report = lint_source(source, "mod.py", rules=[_FlagEveryCall()])
+    report = summarize(source, "mod.py", rules=[_FlagEveryCall()])
     assert report.violations == []
     assert report.suppressed == 1
 
@@ -58,7 +54,7 @@ def test_noqa_on_first_line_still_suppresses():
         "    1,\n"
         ")\n"
     )
-    report = lint_source(source, "mod.py", rules=[_FlagEveryCall()])
+    report = summarize(source, "mod.py", rules=[_FlagEveryCall()])
     assert report.violations == []
     assert report.suppressed == 1
 
@@ -68,7 +64,7 @@ def test_noqa_outside_statement_range_does_not_suppress():
         "# repro: noqa[TST001]\n"
         "value = compute(1)\n"
     )
-    report = lint_source(source, "mod.py", rules=[_FlagEveryCall()])
+    report = summarize(source, "mod.py", rules=[_FlagEveryCall()])
     assert len(report.violations) == 1
 
 
@@ -108,32 +104,37 @@ class _ServeScoped(Rule):
     description = "scoped to serve (test-only)"
     scope = ("serve",)
 
-    def check(self, ctx):
-        return iter(())
-
-
-def _ctx(path):
-    return FileContext(path=path, tree=ast.parse(""), source="", lines=())
-
 
 def test_scope_matches_file_stem_named_like_directory():
     """A rule scoped to 'serve' must match serve.py itself, not only
     files under a serve/ directory (the parts()[:-1] regression)."""
     rule = _ServeScoped()
-    assert rule.applies_to(_ctx("serve.py"))
-    assert rule.applies_to(_ctx("src/repro/serve.py"))
+    assert rule.applies_to("serve.py")
+    assert rule.applies_to("src/repro/serve.py")
 
 
 def test_scope_still_matches_directories_and_rejects_others():
     rule = _ServeScoped()
-    assert rule.applies_to(_ctx("src/repro/serve/service.py"))
-    assert not rule.applies_to(_ctx("src/repro/lab/jobs.py"))
-    assert not rule.applies_to(_ctx("src/repro/observe.py"))
+    assert rule.applies_to("src/repro/serve/service.py")
+    assert not rule.applies_to("src/repro/lab/jobs.py")
+    assert not rule.applies_to("src/repro/observe.py")
 
 
 # -- suppression syntax property tests ---------------------------------
 
 _rule_ids = st.from_regex(r"[A-Z]{3}[0-9]{3}", fullmatch=True)
+
+
+def _suppresses(lines, rule_id, line=1):
+    """Whether the noqa comments in ``lines`` cover ``rule_id`` there."""
+    noqa_file, noqa_lines = parse_noqa(lines)
+    summary = FileSummary(
+        path="p.py", module="p", digest="",
+        noqa_file=noqa_file, noqa_lines=noqa_lines,
+    )
+    return summary.suppresses(
+        LintViolation(rule=rule_id, path="p.py", line=line, col=1, message="m")
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -143,42 +144,35 @@ _rule_ids = st.from_regex(r"[A-Z]{3}[0-9]{3}", fullmatch=True)
     )
 )
 def test_named_noqa_round_trips(rules):
-    line = f"x = 1  # repro: noqa[{','.join(rules)}]"
+    lines = (f"x = 1  # repro: noqa[{','.join(rules)}]",)
     for rule_id in rules:
-        assert _line_suppresses(line, rule_id)
-    assert not _line_suppresses(line, "ZZZ999")
+        assert _suppresses(lines, rule_id)
+    assert not _suppresses(lines, "ZZZ999")
 
 
 @settings(max_examples=50, deadline=None)
 @given(padding=st.text(alphabet=" \t", max_size=4))
 def test_blanket_noqa_round_trips(padding):
-    line = f"x = 1  #{padding}repro:{padding}noqa"
-    assert _line_suppresses(line, "ANY000")
+    lines = (f"x = 1  #{padding}repro:{padding}noqa",)
+    assert _suppresses(lines, "ANY000")
 
 
 @settings(max_examples=200, deadline=None)
 @given(rules=st.lists(_rule_ids, min_size=1, max_size=5, unique=True))
 def test_noqa_file_round_trips(rules):
     lines = ("import x", f"# repro: noqa-file[{','.join(rules)}]")
-    suppressed = _file_suppressions(lines)
-    assert suppressed == set(rules)
-    violation = LintViolation(
-        rule=rules[0], path="p.py", line=1, col=1, message="m"
-    )
-    assert suppresses(lines, suppressed, violation)
+    assert parse_noqa(lines)[0] == sorted(rules)
+    assert _suppresses(lines, rules[0])
 
 
 def test_blanket_noqa_file_suppresses_everything():
     lines = ("# repro: noqa-file",)
-    assert _file_suppressions(lines) == set()
-    violation = LintViolation(
-        rule="ANY000", path="p.py", line=1, col=1, message="m"
-    )
-    assert suppresses(lines, set(), violation)
+    assert parse_noqa(lines)[0] == []
+    assert _suppresses(lines, "ANY000")
 
 
 @settings(max_examples=100, deadline=None)
 @given(rule_id=_rule_ids)
 def test_unrelated_comments_never_suppress(rule_id):
-    assert not _line_suppresses("x = 1  # plain comment", rule_id)
-    assert _file_suppressions(("x = 1  # nothing here",)) is None
+    assert not _suppresses(("x = 1  # plain comment",), rule_id)
+    assert parse_noqa(("x = 1  # nothing here",)) == (None, {})

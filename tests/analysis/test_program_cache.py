@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.engine import all_rules
-from repro.analysis.iprules import all_program_rules
 from repro.analysis.program import (
     AnalysisCache,
     analyze_paths,
@@ -69,13 +70,62 @@ def test_pack_fingerprint_changes_invalidate(tmp_path):
 
 
 def test_pack_fingerprint_is_stable_and_rule_sensitive():
-    rules, program_rules = all_rules(), all_program_rules()
-    assert pack_fingerprint(rules, program_rules) == pack_fingerprint(
-        rules, program_rules
-    )
-    assert pack_fingerprint(rules[:-1], program_rules) != pack_fingerprint(
-        rules, program_rules
-    )
+    rules = all_rules()
+    assert pack_fingerprint(rules) == pack_fingerprint(rules)
+    assert pack_fingerprint(rules[:-1]) != pack_fingerprint(rules)
+
+
+_RULE_MODULE = """
+import ast
+
+from repro.analysis.engine import Rule
+
+
+class FlagCalls(Rule):
+    id = "TST003"
+    name = "flag-calls"
+    description = "flags calls (test-only)"
+
+    def check_module(self, ctx):
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call){extra}:
+                yield self.violation(ctx.path, node, "call")
+"""
+
+
+def test_rule_code_edit_misses_a_warm_cache(tmp_path, monkeypatch):
+    """Same rule ids, new rule code: the fingerprint moves and every
+    file re-extracts, so no stale finding is served from the cache."""
+    package = tmp_path / "rulepkg"
+    package.mkdir()
+    module_path = package / "cachetest_rules.py"
+    module_path.write_text(_RULE_MODULE.format(extra=""))
+    monkeypatch.syspath_prepend(str(package))
+    tree = tmp_path / "app"
+    tree.mkdir()
+    (tree / "a.py").write_text("print(1)\n")
+    cache_root = tmp_path / "cache"
+    try:
+        module = importlib.import_module("cachetest_rules")
+        before = pack_fingerprint([module.FlagCalls()])
+        cold = analyze_paths(
+            [str(tree)], rules=[module.FlagCalls()],
+            cache=AnalysisCache(root=cache_root),
+        )
+        assert len(cold.violations) == 1
+
+        module_path.write_text(_RULE_MODULE.format(extra=" and False"))
+        module = importlib.reload(module)
+        assert pack_fingerprint([module.FlagCalls()]) != before
+        warm = analyze_paths(
+            [str(tree)], rules=[module.FlagCalls()],
+            cache=AnalysisCache(root=cache_root),
+        )
+    finally:
+        sys.modules.pop("cachetest_rules", None)
+    assert warm.cache_hits == 0
+    assert warm.cache_misses == warm.files_checked == 1
+    assert warm.violations == []
 
 
 def test_torn_cache_entry_is_treated_as_miss(tmp_path):

@@ -79,6 +79,20 @@ def test_each_program_rule_is_exercised(corpus_report, rule):
     assert rule in rules_seen, f"corpus never triggers {rule}"
 
 
+def test_obs003_reports_one_based_columns(corpus_report):
+    """Like every rule, OBS003 reports col_offset + 1: both seeded calls
+    start at column 12 (offset 11)."""
+    found = [
+        (v.path.rsplit("fixtures/", 1)[1], v.line, v.col)
+        for v in corpus_report.violations
+        if v.rule == "OBS003"
+    ]
+    assert found == [
+        ("raceapp/serve/tracing.py", 22, 12),
+        ("raceapp/serve/tracing.py", 30, 12),
+    ]
+
+
 def test_noqa_suppresses_program_findings(tmp_path):
     """A justified noqa on the flagged line silences the program rule."""
     pkg = tmp_path / "app" / "serve"

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from repro.analysis.engine import lint_source
+from tests.analysis import summarize
 
 
 def rules_hit(source: str, path: str) -> list:
-    return [v.rule for v in lint_source(source, path).violations]
+    return [v.rule for v in summarize(source, path).violations]
 
 
 # -- RNG001 ----------------------------------------------------------------

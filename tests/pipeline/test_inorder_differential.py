@@ -21,7 +21,7 @@ from repro.memory.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.memory.prefetch import PrefetchingHierarchyAdapter, StridePrefetcher
 from repro.pipeline.annotate import StructuralAnnotator
 from repro.pipeline.config import DEFAULT_FU_SPECS, CoreConfig, FUSpec
-from repro.pipeline.inorder import InOrderCore, simulate_inorder
+from repro.pipeline.inorder import InOrderCore
 from repro.trace.profiles import WorkloadProfile
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
@@ -295,12 +295,3 @@ def test_sanitizer_report_matches_the_oracle():
     )
     assert got.runs == len(traces) and got.ok
     assert got.checks_run > sum(len(t) for t in traces)
-
-
-def test_oracle_run_builds_no_record_view():
-    """A column-backed trace stays columns. The record type and the unit
-    heaps are test oracles that ``src/`` cannot import
-    (``tests/test_src_imports_no_tests.py``)."""
-    trace = suite_trace("gzip", 3_000)
-    for config in (CoreConfig(), CoreConfig(record_timeline=False)):
-        simulate_inorder(trace, config)
