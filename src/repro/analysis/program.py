@@ -45,6 +45,7 @@ import importlib
 import json
 import re
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -326,15 +327,19 @@ class AnalysisCache:
         self.hits = 0
         self.misses = 0
 
-    def key_for(self, source: bytes, pack: str, reported: str) -> str:
-        # The reported path is part of the key: summaries embed the
-        # path and module name, so two identical files (every empty
-        # __init__.py) must not share an entry.
+    def key_for(
+        self, source: bytes, pack: str, reported: str, module: str
+    ) -> str:
+        # The reported path and module name are part of the key:
+        # summaries embed both, so two identical files (every empty
+        # __init__.py) must not share an entry, nor one file linted
+        # under two names (a named file, a renamed duplicate).
         return payload_digest(
             {
                 "source": source.decode("utf-8", "replace"),
                 "pack": pack,
                 "path": reported,
+                "module": module,
             }
         )
 
@@ -432,13 +437,54 @@ class LintReport:
         )
 
 
+def _package_root(directory: Path) -> Path:
+    """The parent of the outermost package holding ``directory`` (the
+    directory itself outside a package).
+
+    Module names are relative to it, so a file gets its import name
+    whether the file, its package or the directory above was named:
+    ``repro lint --changed`` links the call graph a directory run does.
+    """
+    root = directory.resolve()
+    while (root / "__init__.py").is_file() and root.parent != root:
+        root = root.parent
+    return root
+
+
 def _roots_for(paths: Iterable[str]) -> List[Path]:
     roots: List[Path] = []
     for raw in paths:
         base = Path(raw)
-        roots.append(base if base.is_dir() else base.parent)
+        roots.append(_package_root(base if base.is_dir() else base.parent))
     roots.append(Path.cwd())
     return roots
+
+
+def _path_module(reported: str) -> str:
+    """A module name spelled from a reported path (``a/b/c.py`` ->
+    ``a.b.c``), unique because the path is."""
+    path = Path(reported).with_suffix("")
+    return ".".join(p for p in path.parts if p not in (path.anchor, ".."))
+
+
+def _module_names(
+    files: Sequence[Tuple[Path, str]], roots: Sequence[Path]
+) -> Dict[str, str]:
+    """Each discovered file's module name, by reported path.
+
+    Files the roots give one name (a ``conftest.py`` directly under
+    two named directories that are not packages) are named by their
+    reported paths instead, so neither's function summaries replace
+    the other's and each maps back to its own file.
+    """
+    names = {
+        reported: module_name_for(path, roots) for path, reported in files
+    }
+    taken = Counter(names.values())
+    return {
+        reported: _path_module(reported) if taken[name] > 1 else name
+        for reported, name in names.items()
+    }
 
 
 def analyze_paths(
@@ -459,28 +505,25 @@ def analyze_paths(
         cache = AnalysisCache()
     pack = pack_fingerprint(rules)
     files = discover_files(paths)
-    roots = _roots_for(paths)
+    modules = _module_names(files, _roots_for(paths))
 
     def summarize(item: Tuple[Path, str]) -> FileSummary:
         path, reported = item
+        module = modules[reported]
         try:
             raw_bytes = path.read_bytes()
         except OSError as exc:
-            summary = FileSummary(
-                path=reported,
-                module=module_name_for(path, roots),
-                digest="",
-            )
+            summary = FileSummary(path=reported, module=module, digest="")
             summary.parse_error = str(exc)
             return summary
-        key = cache.key_for(raw_bytes, pack, reported)
+        key = cache.key_for(raw_bytes, pack, reported, module)
         cached = cache.load(key)
         if cached is not None:
             return cached
         summary = extract_file(
             source=raw_bytes.decode("utf-8"),
             reported=reported,
-            module=module_name_for(path, roots),
+            module=module,
             digest=key,
             rules=rules,
         )

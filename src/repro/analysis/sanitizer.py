@@ -99,9 +99,10 @@ class Sanitizer:
     """Collects invariant checks and violations for one session.
 
     One sanitizer may span several simulations (a sweep); the cores
-    call the cheap cycle-level hooks during the run and
-    :meth:`seal_run` once at the end for the post-run timeline and
-    accounting checks.
+    call the cheap cycle-level hooks during the run (commit order and
+    per-instruction stage order at each commit, occupancy at each
+    dispatch) and :meth:`seal_run` once at the end for the post-run
+    occupancy and miss-event checks.
     """
 
     def __init__(self) -> None:
@@ -148,6 +149,25 @@ class Sanitizer:
             )
         self._last_commit_cycle = cycle
 
+    def check_stages(
+        self, seq: int, dispatch: int, issue: int, complete: int, commit: int
+    ) -> None:
+        """A committing instruction passed its stages in order:
+        dispatch <= issue <= complete <= commit.
+
+        The cores call this where they call :meth:`check_commit`, from
+        the columns they hold for every run, so a run without a
+        recorded timeline is checked too.
+        """
+        self.checks_run += 1
+        if not dispatch <= issue <= complete <= commit:
+            self.record(
+                "stage-ordering",
+                f"dispatch={dispatch} issue={issue} complete={complete} "
+                f"commit={commit} violates dispatch<=issue<=complete<=commit",
+                seq=seq,
+            )
+
     def begin_run(self) -> None:
         """Reset per-run state (commit clock restarts per simulation)."""
         self._last_commit_cycle = None
@@ -155,7 +175,7 @@ class Sanitizer:
     # -- post-run checks ---------------------------------------------------
 
     def check_result(self, result: Any, config: Any) -> None:
-        """Timeline and occupancy invariants of a finished simulation.
+        """Occupancy and miss-event invariants of a finished simulation.
 
         ``result`` is a ``SimulationResult`` and ``config`` a
         ``CoreConfig``; both are duck-typed so this module stays
@@ -168,24 +188,6 @@ class Sanitizer:
                 f"peak occupancy {result.rob_peak_occupancy} exceeds "
                 f"rob_size {config.rob_size}",
             )
-        dispatch = result.dispatch_cycle
-        issue = result.issue_cycle
-        complete = result.complete_cycle
-        commit = result.commit_cycle
-        if dispatch and issue and complete and commit:
-            for seq in range(result.instructions):
-                self.checks_run += 1
-                if not (
-                    dispatch[seq] <= issue[seq] <= complete[seq]
-                    and complete[seq] <= commit[seq]
-                ):
-                    self.record(
-                        "stage-ordering",
-                        f"dispatch={dispatch[seq]} issue={issue[seq]} "
-                        f"complete={complete[seq]} commit={commit[seq]} "
-                        "violates dispatch<=issue<=complete<=commit",
-                        seq=seq,
-                    )
         for event in result.events:
             penalty = getattr(event, "penalty", None)
             if penalty is None:

@@ -28,6 +28,7 @@ from repro.interval.penalty import (
     measure_penalties,
 )
 from repro.interval.segmentation import segment_intervals
+from repro.pipeline.config import CoreConfig
 from repro.pipeline.core import simulate
 from repro.trace.synthetic import generate_trace
 from repro.util.rng import derive_seed
@@ -36,6 +37,18 @@ from repro.workloads.spec_profiles import SPEC_PROFILES
 SUITE = list(SPEC_PROFILES)
 _SWEEP_LENGTH = 40_000
 _SLICE_CAP = 120  # mispredictions sliced per workload in decompositions
+
+
+def _untimed_baseline() -> CoreConfig:
+    """The baseline machine without the per-instruction timeline.
+
+    Sweep and ablation points are read only through their events and
+    run counters (:func:`measure_penalties`, ``ipc``,
+    ``squashed_ghosts``), so they skip the four cycle columns. Every
+    such run derives its config from this one, so the in-process memo
+    and the store share the baseline point between experiments.
+    """
+    return baseline_config().with_overrides(record_timeline=False)
 
 
 def _sweep_means(names, configs) -> List[List[float]]:
@@ -319,7 +332,7 @@ def run_f7() -> ExperimentResult:
     """F7: penalty vs functional-unit latency scaling (C4)."""
     factors = (1.0, 1.5, 2.0, 3.0, 4.0)
     configs = [
-        baseline_config().with_scaled_fu_latencies(factor)
+        _untimed_baseline().with_scaled_fu_latencies(factor)
         for factor in factors
     ]
     means = _sweep_means(("parser", "twolf", "crafty"), configs)
@@ -374,7 +387,9 @@ def run_f8() -> ExperimentResult:
 def run_f9() -> ExperimentResult:
     """F9: penalty vs window (ROB) size."""
     robs = (32, 64, 128, 256)
-    configs = [baseline_config().with_overrides(rob_size=rob) for rob in robs]
+    configs = [
+        _untimed_baseline().with_overrides(rob_size=rob) for rob in robs
+    ]
     means = _sweep_means(("parser", "twolf", "bzip2"), configs)
     rows = [[rob, *mean] for rob, mean in zip(robs, means)]
     return ExperimentResult(
@@ -538,10 +553,14 @@ def run_f13() -> ExperimentResult:
     """F13 (ablation): wrong-path dispatch vs dispatch-stop."""
     rows = []
     for name in ("parser", "twolf", "gzip"):
-        stop = simulate_workload(name, length=_SWEEP_LENGTH)
+        stop = simulate_workload(
+            name, config=_untimed_baseline(), length=_SWEEP_LENGTH
+        )
         wrong_path = simulate_workload(
             name,
-            config=baseline_config().with_overrides(dispatch_wrong_path=True),
+            config=_untimed_baseline().with_overrides(
+                dispatch_wrong_path=True
+            ),
             length=_SWEEP_LENGTH,
         )
         stop_report = measure_penalties(stop)
@@ -580,8 +599,10 @@ def run_f14() -> ExperimentResult:
     """F14 (ablation): oldest-first vs random-ready issue selection."""
     rows = []
     for name in ("parser", "twolf", "crafty"):
-        oldest = simulate_workload(name, length=_SWEEP_LENGTH)
-        random_cfg = baseline_config().with_overrides(issue_policy="random")
+        oldest = simulate_workload(
+            name, config=_untimed_baseline(), length=_SWEEP_LENGTH
+        )
+        random_cfg = _untimed_baseline().with_overrides(issue_policy="random")
         random_result = simulate_workload(
             name, config=random_cfg, length=_SWEEP_LENGTH
         )
@@ -832,7 +853,7 @@ def run_f19() -> ExperimentResult:
     """
     widths = (1, 2, 4, 8)
     configs = [
-        baseline_config().with_overrides(
+        _untimed_baseline().with_overrides(
             dispatch_width=width, issue_width=width, commit_width=width
         )
         for width in widths
@@ -866,7 +887,9 @@ def run_f20() -> ExperimentResult:
     rows = []
     for name in ("gzip", "crafty", "parser", "twolf"):
         trace = workload_trace(name, length=_SWEEP_LENGTH)
-        ooo = simulate_workload(name, length=_SWEEP_LENGTH)
+        ooo = simulate_workload(
+            name, config=_untimed_baseline(), length=_SWEEP_LENGTH
+        )
         ino = simulate_inorder(trace, config)
         ooo_report = measure_penalties(ooo)
         ino_report = measure_penalties(ino)

@@ -23,6 +23,16 @@ the finished results, and the sanitizer's checks run in its loop.
 path. A sweep passes all its configs for a workload in one call, so
 the trace's columns are built once for them.
 
+Only the runs whose timeline is read record one. The 60k suite
+baseline that T2, F1-F5, F10, T3 and F11 share is timed: F1
+(``interval_timeline``) and F11 (``decompose_contributors``) read its
+dispatch and completion columns. The sweeps F7, F9 and F19, both sides
+of the F13 and F14 ablations and F20's out-of-order side are read only
+through their events and run counters, so they run with
+``record_timeline=False`` and skip building, storing and holding four
+cycle columns per instruction. They derive their configs from one
+untimed baseline, so those experiments still share its points.
+
 Simulation keys come from the lab's canonical config digest
 (:func:`repro.lab.store.config_digest`), so a key can never collide
 between differing configurations nor depend on field order. Traces are

@@ -212,8 +212,10 @@ def _simulate_columns(
     identical ordering rules, so every produced field is equal to the
     scalar core's. See :mod:`repro.pipeline.core` for the machine
     model. A sanitizer ``san`` gets the oracle's cycle-level checks, in
-    its order: each commit, then the window after each real and each
-    ghost dispatch.
+    its order: each commit and the committing instruction's stage
+    order, then the window after each real and each ghost dispatch.
+    The stage check reads the dispatch, issue and completion columns
+    the loop keeps whether or not the timeline is recorded.
 
     Instead of materializing completion events, commit reads the
     completion column directly (an instruction with ``comp[seq] <=
@@ -360,6 +362,9 @@ def _simulate_columns(
             if san is not None:
                 for seq in range(rob_head, head):
                     san.check_commit(cycle, seq=seq)
+                    san.check_stages(
+                        seq, dispatch_of[seq], issue_of[seq], comp[seq], cycle
+                    )
             rob_head = head
             last_commit_cycle = cycle
 

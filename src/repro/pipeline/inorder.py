@@ -175,6 +175,9 @@ class InOrderCore:
                 # Retirement is the in-order commit point; the window of
                 # issued-but-unretired instructions is bounded by rob_size.
                 san.check_commit(retire, seq=seq)
+                san.check_stages(
+                    seq, dispatch_cycle[seq], start, done, retire
+                )
 
             # In-order issue bandwidth: width per cycle, no younger
             # instruction issues earlier.

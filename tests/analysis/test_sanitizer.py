@@ -175,3 +175,69 @@ def test_sanitized_simulation_matches_unsanitized(monkeypatch):
         report = sanitizer.drain_report()
         assert plain == sanitized, config
         assert report is not None and report.ok, config
+
+
+# -- per-instruction stage ordering, checked in the cores at commit ----------
+
+
+def _stage_trace():
+    return generate_trace(WorkloadProfile(name="stages"), 3_000, seed=11)
+
+
+def _run_core(core, trace, config):
+    if core == "ooo":
+        return simulate(trace, config)
+    return simulate_inorder(trace, config)
+
+
+@pytest.mark.parametrize("record_timeline", [True, False])
+@pytest.mark.parametrize("core", ["ooo", "inorder"])
+def test_completion_below_issue_is_one_stage_violation_per_seq(
+    monkeypatch, core, record_timeline
+):
+    """A core whose completion lands a cycle before its issue records
+    ``stage-ordering`` once for each such seq, timeline or not."""
+    from repro.perf import batchcore
+
+    bad = [500, 1200, 2400]
+    combined = batchcore._combined_latency
+
+    def completes_before_issue(cols, miss, fu):
+        lat = list(combined(cols, miss, fu))
+        for seq in bad:
+            lat[seq] = -1
+        return lat
+
+    monkeypatch.setattr(batchcore, "_combined_latency", completes_before_issue)
+    monkeypatch.setenv(sanitizer.ENV_VAR, "1")
+    config = CoreConfig(record_timeline=record_timeline)
+    _run_core(core, _stage_trace(), config)
+    report = sanitizer.drain_report()
+    flagged = [v.seq for v in report.violations if v.check == "stage-ordering"]
+    assert flagged == bad, report.render()
+
+
+@pytest.mark.parametrize("core", ["ooo", "inorder"])
+def test_untimed_run_checks_every_instruction_stage(monkeypatch, core):
+    """A clean sanitized run makes one stage check per instruction and
+    as many checks in all as its timed twin."""
+    stage_checks = []
+    check_stages = sanitizer.Sanitizer.check_stages
+
+    def counting(self, seq, *cycles):
+        stage_checks.append(seq)
+        check_stages(self, seq, *cycles)
+
+    monkeypatch.setattr(sanitizer.Sanitizer, "check_stages", counting)
+    monkeypatch.setenv(sanitizer.ENV_VAR, "1")
+    trace = _stage_trace()
+    checks = {}
+    for timed in (False, True):
+        stage_checks.clear()
+        result = _run_core(core, trace, CoreConfig(record_timeline=timed))
+        assert (result.complete_cycle is None) is not timed
+        report = sanitizer.drain_report()
+        assert report.ok, report.render()
+        assert sorted(stage_checks) == list(range(len(trace)))
+        checks[timed] = report.checks_run
+    assert checks[False] == checks[True]

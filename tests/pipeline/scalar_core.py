@@ -94,6 +94,7 @@ class SuperscalarCore:
         complete_cycle = [0] * n if record_timeline else None
         commit_cycle = [0] * n if record_timeline else None
         dispatch_of: List[int] = [0] * n  # always needed for events
+        issue_of: List[int] = [0] * n  # and for the sanitizer's stage check
 
         # Scheduling structures.
         ready_events: List[Tuple[int, int, int]] = []  # (cycle, ticket, seq)
@@ -145,6 +146,7 @@ class SuperscalarCore:
                 if record.is_load and ann.dcache_class is not None:
                     done += ann.dcache_latency
                 comp[seq] = done
+                issue_of[seq] = cycle
                 if record_timeline:
                     issue_cycle[seq] = cycle
                     complete_cycle[seq] = done
@@ -203,6 +205,9 @@ class SuperscalarCore:
                 last_commit_cycle = cycle
                 if san is not None:
                     san.check_commit(cycle, seq=seq)
+                    san.check_stages(
+                        seq, dispatch_of[seq], issue_of[seq], comp[seq], cycle
+                    )
                 if record_timeline:
                     commit_cycle[seq] = cycle
 

@@ -60,10 +60,15 @@ def dribble(interval_s=0.25, count=40):
 
 
 def stall(seconds=30.0):
-    """A script step that goes silent instead of answering."""
+    """A script step that goes silent instead of answering, until
+    ``seconds`` pass or the client hangs up."""
 
     def step(conn):
-        time.sleep(seconds)
+        conn.settimeout(seconds)
+        try:
+            conn.recv(1)
+        except OSError:
+            pass
 
     return step
 
@@ -92,10 +97,16 @@ class ScriptedServer:
         return self
 
     def __exit__(self, *exc_info):
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        # Closing alone does not wake a thread blocked in accept();
+        # shutting the listener down does.
+        for close in (
+            lambda: self.sock.shutdown(socket.SHUT_RDWR),
+            self.sock.close,
+        ):
+            try:
+                close()
+            except OSError:
+                pass
         self._thread.join(timeout=2.0)
 
     def _run(self):
