@@ -12,7 +12,7 @@ Examples::
     python -m repro trace-info gzip.trc
     python -m repro list
     python -m repro sweep --workload gzip --parameter rob_size \\
-        --values 32,64,128,256 --batch         # lockstep batched sweep
+        --values 32,64,128,256                 # one cached point per value
     python -m repro lab run --workers 4        # parallel, store-cached
     python -m repro lab run f2 f3 --no-cache
     python -m repro lab run f2 --metrics       # merged metrics manifest
@@ -384,7 +384,7 @@ def cmd_lab_run(args: argparse.Namespace) -> int:
         faults.enable(args.faults)  # exported so workers inherit it
     watchdog_policy = None
     if args.hang_s is not None:
-        from repro.resilience.watchdog import WatchdogPolicy
+        from repro.resilience.supervisor import WatchdogPolicy
 
         watchdog_policy = WatchdogPolicy(hang_s=args.hang_s)
     run_id = args.resume or args.run_id
@@ -856,10 +856,9 @@ def _sweep_value(text: str):
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One-dimensional CoreConfig sweep through the lab pool.
 
-    ``--batch`` chunks the points into batches that each build their
-    trace once (``BatchSimJob``). Results are field-exact equal to the
-    per-point run's, but each batch is one ``sim-batch`` store entry,
-    so batched and per-point sweeps do not share cached points.
+    Each value is one :class:`~repro.lab.jobs.SimJob` point with its own
+    ``sim-ooo`` store entry: the entry the harness reads and writes for
+    the same workload, length, seed and config.
     """
     from repro.lab.jobs import SweepJob
     from repro.lab.pool import run_jobs
@@ -885,20 +884,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         base_config=_config_from(args),
     )
     try:
-        jobs = (
-            sweep.expand_batched(batch_size=args.batch_size)
-            if args.batch
-            else sweep.expand()
-        )
+        jobs = sweep.expand()
     except (TypeError, ValueError) as exc:
         raise SystemExit(str(exc))
-    if args.batch:
-        value_groups = [
-            values[lo : lo + args.batch_size]
-            for lo in range(0, len(values), args.batch_size)
-        ]
-    else:
-        value_groups = [[value] for value in values]
     results, telemetry = run_jobs(
         jobs,
         workers=args.workers,
@@ -907,7 +895,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     rows = []
     exit_code = 0
-    for spec, group, outcome in zip(jobs, value_groups, results):
+    for spec, value, outcome in zip(jobs, values, results):
         if not outcome.ok:
             exit_code = 1
             last = (outcome.error or "").strip().splitlines()
@@ -915,18 +903,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"  FAILED {outcome.label}: {last[-1] if last else '?'}"
             )
             continue
-        decoded = spec.decode(outcome.payload)
-        group_results = decoded if isinstance(decoded, list) else [decoded]
-        for value, result in zip(group, group_results):
-            rows.append(
-                [
-                    value,
-                    result.ipc,
-                    result.cycles,
-                    len(result.events),
-                    result.rob_peak_occupancy,
-                ]
-            )
+        result = spec.decode(outcome.payload)
+        rows.append(
+            [
+                value,
+                result.ipc,
+                result.cycles,
+                len(result.events),
+                result.rob_peak_occupancy,
+            ]
+        )
     if rows:
         console.result(
             format_table(
@@ -935,8 +921,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 float_fmt=".3f",
                 title=(
                     f"sweep {args.workload} {args.parameter} "
-                    f"({'batched' if args.batch else 'scalar'}, "
-                    f"{len(values)} point(s))"
+                    f"({len(values)} point(s))"
                 ),
             )
         )
@@ -1304,8 +1289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep", parents=[common],
-        help="one-dimensional CoreConfig sweep through the lab pool "
-        "(--batch routes points through the lockstep batched core)",
+        help="one-dimensional CoreConfig sweep through the lab pool",
     )
     p.add_argument("--workload", required=True,
                    help="SPEC-like workload name")
@@ -1315,11 +1299,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated values for the swept field")
     p.add_argument("--length", type=int, default=40_000)
     p.add_argument("--seed", type=int, default=2006)
-    p.add_argument("--batch", action="store_true",
-                   help="simulate points in lockstep batches "
-                   "(field-exact equal to the scalar path)")
-    p.add_argument("--batch-size", type=int, default=8,
-                   help="lockstep configs per batched job (default 8)")
     p.add_argument("--workers", type=int, default=None,
                    help="pool worker processes (default: all cores; "
                    "1 = serial)")

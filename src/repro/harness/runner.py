@@ -35,7 +35,10 @@ untimed baseline, so those experiments still share its points.
 
 Simulation keys come from the lab's canonical config digest
 (:func:`repro.lab.store.config_digest`), so a key can never collide
-between differing configurations nor depend on field order. Traces are
+between differing configurations nor depend on field order. A point's
+store key is its :class:`~repro.lab.jobs.SimJob`'s, so ``repro
+sweep``, ``repro lab`` and serve read and write the entries the
+harness does. Traces are
 only cached in memory: they regenerate deterministically and would
 double the store's footprint for no reuse win.
 """
@@ -47,12 +50,12 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.lab.codec import result_from_payload, result_to_payload
+from repro.lab.jobs import SimJob
 from repro.lab.store import (
     ResultStore,
     caching_disabled,
     config_digest,
     default_store_root,
-    job_key,
 )
 from repro.pipeline.config import CoreConfig
 # Not called here since harness misses run on the batched core; kept as
@@ -185,6 +188,8 @@ def simulate_workload_batch(
     results: List[Optional[SimulationResult]] = [None] * len(configs)
     store = _persistent_store()
     missing: List[int] = []
+    # A point's store entry is its SimJob's, so sweeps share it.
+    store_keys: Dict[int, str] = {}
     for index, config in enumerate(configs):
         key = (name, length, seed, _config_key(config))
         cached = _sim_cache.get(key)
@@ -192,7 +197,10 @@ def simulate_workload_batch(
             results[index] = cached
             continue
         if store is not None:
-            payload = store.get(job_key("sim-ooo", name, length, seed, config))
+            store_keys[index] = SimJob(
+                workload=name, length=length, seed=seed, config=config
+            ).key()
+            payload = store.get(store_keys[index])
             if payload is not None:
                 result = result_from_payload(payload)
                 _sim_cache[key] = result
@@ -211,7 +219,7 @@ def simulate_workload_batch(
             _sim_cache[(name, length, seed, _config_key(config))] = result
             if store is not None:
                 store.put(
-                    job_key("sim-ooo", name, length, seed, config),
+                    store_keys[index],
                     result_to_payload(result),
                     meta={"workload": name, "length": length, "seed": seed},
                 )

@@ -163,26 +163,6 @@ def experiment_from_payload(payload: Dict[str, Any]) -> "Any":
     )
 
 
-def batch_to_payload(results: "Any") -> Dict[str, Any]:
-    """Payload form of one lockstep batch (a list of results).
-
-    The batch rides the store as a single payload so a
-    ``BatchSimJob``'s N lockstep points stay one cache entry — the
-    whole point of batching is that they were produced together.
-    """
-    return {
-        "type": "simulation_batch",
-        "results": [result_to_payload(r) for r in results],
-    }
-
-
-def batch_from_payload(payload: Dict[str, Any]) -> "Any":
-    """Inverse of :func:`batch_to_payload`."""
-    if payload.get("type") != "simulation_batch":
-        raise ValueError(f"not a simulation batch: {payload.get('type')!r}")
-    return [result_from_payload(p) for p in payload["results"]]
-
-
 def payload_from_value(value: Any) -> Dict[str, Any]:
     """Encode any supported job return value."""
     from repro.harness.experiment import ExperimentResult
@@ -191,10 +171,6 @@ def payload_from_value(value: Any) -> Dict[str, Any]:
         return result_to_payload(value)
     if isinstance(value, ExperimentResult):
         return experiment_to_payload(value)
-    if isinstance(value, (list, tuple)) and value and all(
-        isinstance(item, SimulationResult) for item in value
-    ):
-        return batch_to_payload(value)
     raise TypeError(
         f"no codec for job value of type {type(value).__name__}"
     )
@@ -207,8 +183,6 @@ def value_from_payload(payload: Dict[str, Any]) -> Any:
         return result_from_payload(payload)
     if kind == "experiment_result":
         return experiment_from_payload(payload)
-    if kind == "simulation_batch":
-        return batch_from_payload(payload)
     raise ValueError(f"no codec for stored payload type {kind!r}")
 
 
@@ -216,13 +190,7 @@ def _split_columns(
     payload: Dict[str, Any], columns: List[Sequence[int]]
 ) -> Dict[str, Any]:
     """Header form of ``payload``: its cycle columns moved to ``columns``."""
-    kind = payload.get("type")
-    if kind == "simulation_batch":
-        return {
-            **payload,
-            "results": [_split_columns(p, columns) for p in payload["results"]],
-        }
-    if kind != "simulation_result":
+    if payload.get("type") != "simulation_result":
         return payload
     header = dict(payload)
     names = []
@@ -240,10 +208,7 @@ def _join_columns(
     header: Dict[str, Any], take: Callable[[int], array]
 ) -> Dict[str, Any]:
     """Inverse of :func:`_split_columns`; ``take(n)`` reads the next column."""
-    kind = header.get("type")
-    if kind == "simulation_batch":
-        header["results"] = [_join_columns(p, take) for p in header["results"]]
-    elif kind == "simulation_result":
+    if header.get("type") == "simulation_result":
         for name, length in header.pop("columns"):
             header[name] = take(length)
     return header
@@ -321,8 +286,6 @@ def decode_payload(blob: bytes) -> Tuple[Dict[str, Any], Dict[str, Any]]:
 
 __all__: List[str] = [
     "CYCLE_COLUMNS",
-    "batch_from_payload",
-    "batch_to_payload",
     "decode_payload",
     "encode_payload",
     "experiment_from_payload",

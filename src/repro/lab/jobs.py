@@ -29,12 +29,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.analysis import sanitizer as _sanitizer
 from repro.lab import codec
 from repro.obs import context as _obs_context
-from repro.lab.store import ResultStore, config_digest, job_key
+from repro.lab.store import ResultStore, job_key
 from repro.obs import runtime as _obs
 from repro.pipeline.config import CoreConfig
 from repro.resilience import deadline as _deadline
 from repro.resilience import faults
-from repro.resilience.watchdog import (
+from repro.resilience.supervisor import (
     claim_job,
     stamp_job_start,
     worker_checkpoint,
@@ -131,55 +131,6 @@ class SimJob(JobSpec):
 
 
 @dataclass(frozen=True)
-class BatchSimJob(JobSpec):
-    """Simulate one workload under N configurations at once.
-
-    One job, one trace, N :class:`SimulationResult`s from
-    :func:`repro.perf.batchcore.run_batch`, each field-exact equal to a
-    :class:`SimJob` of the same point. The key is its own
-    (``sim-batch``, hashing every config digest, so reordering or
-    editing any point re-addresses the whole batch) and the N results
-    are stored as one ``simulation_batch`` payload: batched and
-    per-point runs do not share store entries.
-    """
-
-    workload: str = ""
-    length: int = 60_000
-    seed: int = 2006
-    configs: Tuple[CoreConfig, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.workload:
-            raise ValueError("BatchSimJob needs a workload name")
-        if not self.configs:
-            raise ValueError("BatchSimJob needs at least one config")
-        object.__setattr__(self, "configs", tuple(self.configs))
-        if not self.label:
-            object.__setattr__(
-                self,
-                "label",
-                f"batch:{self.workload}:{len(self.configs)}cfg",
-            )
-
-    def key(self) -> str:
-        return job_key(
-            kind="sim-batch",
-            workload=self.workload,
-            length=self.length,
-            seed=self.seed,
-            config=self.configs[0],
-            extra={"configs": [config_digest(c) for c in self.configs]},
-        )
-
-    def execute(self) -> Any:
-        from repro.harness.runner import build_workload_trace
-        from repro.perf.batchcore import run_batch
-
-        trace = build_workload_trace(self.workload, self.length, self.seed)
-        return run_batch(trace, list(self.configs))
-
-
-@dataclass(frozen=True)
 class ExperimentJob(JobSpec):
     """Run one registered experiment (``t1``..``t3``, ``f1``..``f21``)."""
 
@@ -243,46 +194,6 @@ class SweepJob:
                     seed=self.seed,
                     config=config,
                     core=self.core,
-                    timeout_s=self.timeout_s,
-                    retries=self.retries,
-                )
-            )
-        return jobs
-
-    def expand_batched(self, batch_size: int = 8) -> List[BatchSimJob]:
-        """Expansion into lockstep batches instead of scalar points.
-
-        Values are chunked in declaration order into
-        :class:`BatchSimJob`s of at most ``batch_size`` configs. Only
-        meaningful for the out-of-order core (the batched kernel models
-        it alone); the in-order core raises so a sweep never silently
-        simulates the wrong machine.
-        """
-        if self.core != "ooo":
-            raise ValueError(
-                f"batched expansion only supports the 'ooo' core, "
-                f"got {self.core!r}"
-            )
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        jobs = []
-        values = list(self.values)
-        for lo in range(0, len(values), batch_size):
-            chunk = values[lo : lo + batch_size]
-            configs = tuple(
-                self.base_config.with_overrides(**{self.parameter: value})
-                for value in chunk
-            )
-            jobs.append(
-                BatchSimJob(
-                    label=(
-                        f"sweep:{self.workload}:{self.parameter}="
-                        f"{chunk[0]}..{chunk[-1]}"
-                    ),
-                    workload=self.workload,
-                    length=self.length,
-                    seed=self.seed,
-                    configs=configs,
                     timeout_s=self.timeout_s,
                     retries=self.retries,
                 )
@@ -593,7 +504,6 @@ def _execute_claimed_job(
 
 
 __all__ = [
-    "BatchSimJob",
     "ExperimentJob",
     "JobResult",
     "JobSpec",

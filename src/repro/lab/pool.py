@@ -68,8 +68,7 @@ from repro.lab.store import (
 from repro.lab.telemetry import RunTelemetry
 from repro.obs import runtime as _obs
 from repro.resilience.journal import RunJournal, load_journal
-from repro.resilience.supervisor import Supervisor
-from repro.resilience.watchdog import WatchdogPolicy
+from repro.resilience.supervisor import Supervisor, WatchdogPolicy
 from repro.util.rng import jittered_backoff_s
 
 #: Chunks per worker when batching timeout-free jobs; small enough to

@@ -13,11 +13,10 @@ its long runs survivable:
   kill a worker at the N-th hit;
 - :mod:`repro.resilience.journal` — the write-ahead run journal behind
   ``repro lab run --resume``;
-- :mod:`repro.resilience.watchdog` — worker heartbeats, claims and
-  start stamps, written from inside pool workers;
 - :mod:`repro.resilience.supervisor` — the one worker supervisor the
-  lab pool and the serve shards run on: eager forking under a fork
-  lock, the liveness rule, hang detection, restart and teardown;
+  lab pool and the serve shards run on: worker heartbeats, claims and
+  start stamps, eager forking under a fork lock, the liveness rule,
+  hang detection, restart and teardown;
 - :mod:`repro.resilience.fsck` — store integrity scanning, the
   quarantine, and ``repro lab fsck [--repair]``.
 
@@ -44,7 +43,7 @@ from repro.resilience.faults import (
     parse_spec,
 )
 from repro.resilience.journal import JournalState, RunJournal, load_journal
-from repro.resilience.watchdog import (
+from repro.resilience.supervisor import (
     HeartbeatDir,
     WatchdogPolicy,
     worker_checkpoint,

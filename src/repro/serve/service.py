@@ -57,7 +57,7 @@ from repro.obs.spans import (
 )
 from repro.resilience import deadline as deadlines
 from repro.resilience.atomic import atomic_write_json
-from repro.resilience.watchdog import WatchdogPolicy
+from repro.resilience.supervisor import WatchdogPolicy
 from repro.serve import protocol
 from repro.serve.admission import (
     AdmissionController,

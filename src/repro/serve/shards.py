@@ -46,8 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.lab.jobs import JobResult, JobSpec, execute_job
 from repro.resilience.journal import JournalState, RunJournal
-from repro.resilience.supervisor import Supervisor
-from repro.resilience.watchdog import HeartbeatDir, WatchdogPolicy
+from repro.resilience.supervisor import HeartbeatDir, Supervisor, WatchdogPolicy
 
 
 def shard_index(key: str, n_shards: int) -> int:

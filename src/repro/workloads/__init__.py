@@ -24,7 +24,6 @@ from repro.workloads.kernels import (
     kernel_names,
     kernel_trace,
 )
-from repro.workloads.generator import default_suite, suite_traces
 
 __all__ = [
     "SPEC_PROFILES",
@@ -37,6 +36,4 @@ __all__ = [
     "build_kernel",
     "kernel_names",
     "kernel_trace",
-    "default_suite",
-    "suite_traces",
 ]

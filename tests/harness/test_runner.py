@@ -1,8 +1,12 @@
 """Unit tests for the caching runner."""
 
+import pytest
+
 import repro.harness.runner as runner
 from repro.harness.runner import (
+    DEFAULT_SEED,
     baseline_config,
+    build_workload_trace,
     cache_stats,
     clear_caches,
     simulate_workload,
@@ -10,6 +14,29 @@ from repro.harness.runner import (
 )
 from repro.lab.store import ResultStore
 from repro.util.lru import LRUCache
+from tests.trace.records import records_of
+
+
+class TestBuildWorkloadTrace:
+    def test_trace_has_requested_length(self):
+        assert len(build_workload_trace("mcf", length=500)) == 500
+        with pytest.raises(ValueError):
+            build_workload_trace("nosuch", length=500)
+
+    def test_deterministic_per_name(self):
+        a = build_workload_trace("gcc", length=300)
+        b = build_workload_trace("gcc", length=300)
+        assert records_of(a) == records_of(b)
+
+    def test_names_get_distinct_streams(self):
+        a = build_workload_trace("gzip", length=300)
+        b = build_workload_trace("bzip2", length=300)
+        assert records_of(a) != records_of(b)
+
+    def test_seed_changes_stream(self):
+        a = build_workload_trace("vpr", length=300, seed=DEFAULT_SEED)
+        b = build_workload_trace("vpr", length=300, seed=DEFAULT_SEED + 1)
+        assert records_of(a) != records_of(b)
 
 
 class TestCaching:

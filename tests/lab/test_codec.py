@@ -130,6 +130,10 @@ class TestGenericCodec:
         assert payload["type"] == "simulation_result"
         assert value_from_payload(payload).cycles == sim_result.cycles
 
+    def test_result_list_has_no_codec(self, sim_result):
+        with pytest.raises(TypeError):
+            payload_from_value([sim_result, sim_result])
+
     def test_unknown_value_raises(self):
         with pytest.raises(TypeError):
             payload_from_value(object())

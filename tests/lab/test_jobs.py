@@ -14,6 +14,7 @@ from repro.lab.jobs import (
     SweepJob,
     execute_job,
 )
+from repro.lab.pool import run_jobs
 from repro.lab.store import ResultStore
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.result import SimulationResult
@@ -65,6 +66,17 @@ class TestSimJob:
         via_runner = simulate_workload("gzip", length=500, seed=7)
         assert direct.cycles == via_runner.cycles
         assert direct.events == via_runner.events
+
+    def test_execute_matches_scalar_core(self):
+        from repro.harness.runner import build_workload_trace
+        from tests.pipeline.scalar_core import SuperscalarCore
+
+        config = CoreConfig(rob_size=32)
+        job = SimJob(workload="gzip", length=400, config=config)
+        reference = SuperscalarCore(config).run(
+            build_workload_trace("gzip", 400)
+        )
+        assert vars(job.execute()) == vars(reference)
 
     def test_inorder_core(self):
         job = SimJob(workload="gzip", length=500, core="inorder")
@@ -136,7 +148,6 @@ class TestJobStore:
         self, tmp_path, monkeypatch, sanitized
     ):
         from repro.harness.runner import DEFAULT_LENGTH, DEFAULT_SEED
-        from repro.lab.store import job_key
 
         elsewhere = tmp_path / "env"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(elsewhere))
@@ -144,9 +155,9 @@ class TestJobStore:
         run_store = tmp_path / "run"
         job = ExperimentJob(experiment_id="f1")
         assert execute_job(job, str(run_store)).ok
-        sim_key = job_key(
-            "sim-ooo", "twolf", DEFAULT_LENGTH, DEFAULT_SEED, CoreConfig()
-        )
+        sim_key = SimJob(
+            workload="twolf", length=DEFAULT_LENGTH, seed=DEFAULT_SEED
+        ).key()
         assert ResultStore(root=run_store).get(sim_key) is not None
         assert ResultStore(root=elsewhere).count() == 0
 
@@ -164,6 +175,24 @@ class TestSweepJob:
         assert len({j.key() for j in jobs}) == 3
         assert all(j.workload == "gzip" for j in jobs)
 
+    def test_each_point_keys_its_own_config(self):
+        def keys(values):
+            sweep = SweepJob(parameter="rob_size", values=values, workload="gzip")
+            return [job.key() for job in sweep.expand()]
+
+        base = keys((16, 32, 64))
+        assert keys((64, 32, 16)) == base[::-1]
+        edited = keys((16, 48, 64))
+        assert [a == b for a, b in zip(base, edited)] == [True, False, True]
+
+    def test_inorder_sweep_expands_to_inorder_points(self):
+        sweep = SweepJob(
+            parameter="rob_size", values=(32,), workload="gzip", core="inorder"
+        )
+        (job,) = sweep.expand()
+        assert job.core == "inorder"
+        assert job.key() != SimJob(workload="gzip", config=job.config).key()
+
     def test_points_inherit_failure_policy(self):
         sweep = SweepJob(
             parameter="rob_size",
@@ -175,6 +204,65 @@ class TestSweepJob:
         job = sweep.expand()[0]
         assert job.timeout_s == 5.0
         assert job.retries == 2
+
+
+class TestSharedSimCache:
+    """A sweep point and the harness share one ``sim-ooo`` entry."""
+
+    SWEEP = SweepJob(
+        parameter="rob_size", values=(32, 64, 128), workload="gzip", length=400
+    )
+
+    @pytest.fixture
+    def harness(self, monkeypatch):
+        import repro.harness.runner as runner
+        import repro.perf.batchcore as batchcore
+
+        calls = []
+        real = batchcore.run_batch
+
+        def counted(trace, configs):
+            calls.append(len(configs))
+            return real(trace, configs)
+
+        monkeypatch.setattr(batchcore, "run_batch", counted)
+        runner.clear_caches()
+        yield runner, calls
+        runner.clear_caches()
+
+    def _harness_run(self, runner, root):
+        configs = [job.config for job in self.SWEEP.expand()]
+        with runner.job_store(root):
+            return runner.simulate_workload_batch("gzip", configs, length=400)
+
+    def test_sweep_fills_what_the_harness_reads(self, tmp_path, harness):
+        runner, calls = harness
+        jobs = self.SWEEP.expand()
+        outcomes, _ = run_jobs(jobs, workers=1, store_root=tmp_path)
+        assert [o.status for o in outcomes] == [JobStatus.OK] * 3
+        swept = [o.value(job) for job, o in zip(jobs, outcomes)]
+
+        read = self._harness_run(runner, tmp_path)
+        assert calls == []
+        assert [vars(r) for r in read] == [vars(r) for r in swept]
+
+        runner.clear_caches()
+        fresh = self._harness_run(runner, None)
+        assert calls == [3]
+        assert [vars(r) for r in fresh] == [vars(r) for r in swept]
+
+    def test_harness_fills_what_the_sweep_reads(self, tmp_path, harness):
+        runner, calls = harness
+        filled = self._harness_run(runner, tmp_path)
+        assert calls == [3]
+        assert ResultStore(root=tmp_path).count() == 3
+
+        jobs = self.SWEEP.expand()
+        outcomes, _ = run_jobs(jobs, workers=1, store_root=tmp_path)
+        assert [o.status for o in outcomes] == [JobStatus.CACHED] * 3
+        swept = [o.value(job) for job, o in zip(jobs, outcomes)]
+        assert [vars(r) for r in swept] == [vars(r) for r in filled]
+        assert ResultStore(root=tmp_path).count() == 3
 
 
 class TestExecuteJob:

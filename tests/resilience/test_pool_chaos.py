@@ -14,7 +14,8 @@ import pytest
 from repro.lab import ResultStore, SimJob, run_jobs
 from repro.lab.jobs import JobStatus
 from repro.resilience import faults
-from repro.resilience.watchdog import WatchdogPolicy
+from repro.resilience.atomic import read_jsonl
+from repro.resilience.supervisor import WatchdogPolicy
 from repro.util.rng import jittered_backoff_s
 
 
@@ -234,6 +235,11 @@ sys.exit(130 if telemetry.interrupted else 0)
 """
 
 
+def _journaled_done(journal: Path) -> bool:
+    """Whether the run journal records a finished job yet."""
+    return any(record.get("event") == "done" for record in read_jsonl(journal))
+
+
 @pytest.mark.slow
 class TestSigintResume:
     def test_sigint_then_resume_is_byte_identical(self, tmp_path):
@@ -251,18 +257,24 @@ class TestSigintResume:
         sig_root = tmp_path / "sig"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        # Each worker's second and later jobs sleep before they run, so
+        # the run is still going when its first job is journaled done.
+        env[faults.ENV_VAR] = "job.execute:delay(3)@2x*"
         proc = subprocess.Popen(
             [sys.executable, "-c", _SIGINT_DRIVER, str(sig_root)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
-        time.sleep(2.5)  # let it start some (not all) jobs
+        store = ResultStore(root=sig_root)
+        journal = store.runs_dir / "sigrun.journal.jsonl"
+        waited = time.monotonic()
+        while not _journaled_done(journal):
+            assert proc.poll() is None, proc.communicate()[1].decode()
+            assert time.monotonic() - waited < 120, "no job finished"
+            time.sleep(0.05)
         proc.send_signal(signal.SIGINT)
         proc.wait(timeout=120)
 
-        store = ResultStore(root=sig_root)
-        journal = store.runs_dir / "sigrun.journal.jsonl"
-        if proc.returncode == 0 or not journal.is_file():
-            pytest.skip("run finished before the signal landed")
+        assert journal.is_file()
         assert proc.returncode == 130
 
         results, resumed = run_jobs(jobs, workers=2, store_root=sig_root,

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -262,3 +265,68 @@ class TestLegacyJsonObjects:
         assert main(["lab", "gc", "--all", "--cache-dir", str(tmp_path)]) == 0
         assert "removed 2 object(s); 0 remain" in capsys.readouterr().out
         assert not legacy.exists() and not current.exists()
+
+
+#: An object of the batched sweep-job kind, stored by ``repro sweep
+#: --batch --workload gzip --parameter rob_size --values 32,64 --length
+#: 300`` before that kind was removed: one payload listing both timed
+#: results, then both results' delta-coded cycle columns. Its file name
+#: is its key, which no job addresses any more.
+ORPHAN = (
+    Path(__file__).parent / "data"
+    / "b1c55b47fde0af4a225c0199dea34aba4c5041323da990648d456883b6724e8a.bin"
+)
+
+
+class TestOrphanedBatchObject:
+    """A store written while batched sweep jobs existed keeps their
+    objects. Their cycle columns no longer decode, so each reads as an
+    unreadable miss and is quarantined, and no other object is touched."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        store = ResultStore(root=tmp_path)
+        self.good_key = "cd" + "4" * 62
+        store.put(self.good_key, TestBinaryObjectDamage._simulation_payload())
+        self.orphan_key = ORPHAN.stem
+        self.orphan_path = store.objects_dir / ORPHAN.name[:2] / ORPHAN.name
+        self.orphan_path.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(ORPHAN, self.orphan_path)
+        return store
+
+    def _good_object_intact(self, root):
+        payload = ResultStore(root=root).get(self.good_key)
+        assert payload["type"] == "simulation_result"
+        assert list(payload["commit_cycle"]) == [6, 7, 8]
+
+    def test_reads_as_unreadable(self, store):
+        raw = self.orphan_path.read_bytes()
+        status, _ = verify_object_bytes(raw, expected_key=self.orphan_key)
+        assert status == "unreadable"
+
+    def test_get_is_a_quarantined_miss(self, store):
+        assert store.get(self.orphan_key) is None
+        assert store.stats.corrupt == 1
+        assert not self.orphan_path.exists()
+        assert len(store.quarantined_files()) == 1
+        self._good_object_intact(store.root)
+
+    def test_fsck_reports_and_repair_quarantines_it_alone(self, store):
+        report = fsck_store(store)
+        assert [(i.path, i.kind) for i in report.issues] == [
+            (str(self.orphan_path), "unreadable")
+        ]
+        repaired = fsck_store(store, repair=True)
+        assert repaired.ok and repaired.repaired == 1
+        assert not self.orphan_path.exists()
+        assert fsck_store(store).ok
+        self._good_object_intact(store.root)
+
+    def test_gc_by_age_clears_it(self, store, capsys):
+        month_ago = self.orphan_path.stat().st_mtime - 30 * 86_400
+        os.utime(self.orphan_path, (month_ago, month_ago))
+        assert main(["lab", "gc", "--max-age-days", "7",
+                     "--cache-dir", str(store.root)]) == 0
+        assert "removed 1 object(s); 1 remain" in capsys.readouterr().out
+        assert not self.orphan_path.exists()
+        self._good_object_intact(store.root)

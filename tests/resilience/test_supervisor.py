@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.lab import SimJob, run_jobs
 from repro.lab.jobs import execute_job
-from repro.resilience.watchdog import in_worker_process
+from repro.resilience.supervisor import in_worker_process
 from repro.serve import protocol
 from repro.serve.service import ExperimentService
 

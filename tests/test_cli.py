@@ -357,19 +357,20 @@ class TestSweep:
         assert "rob_size" in out
         assert "32" in out and "64" in out
 
-    def test_batched_sweep_matches_scalar_sweep(self, tmp_path, capsys):
+    def test_warm_sweep_prints_the_cold_table(self, tmp_path, capsys):
         args = [
             "sweep", "--workload", "gzip", "--parameter", "rob_size",
-            "--values", "32,64,128", "--length", "2000", "--no-cache",
+            "--values", "32,64,128", "--length", "2000",
+            "--cache-dir", str(tmp_path),
         ]
         assert main(args) == 0
-        scalar_out = capsys.readouterr().out
-        assert main(args + ["--batch", "--batch-size", "2"]) == 0
-        batch_out = capsys.readouterr().out
-        scalar_rows = [l for l in scalar_out.splitlines() if l.strip()]
-        batch_rows = [l for l in batch_out.splitlines() if l.strip()]
-        # identical tables after the mode header: IPC, cycles, events
-        assert scalar_rows[1:6] == batch_rows[1:6]
+        *cold_table, cold_summary = capsys.readouterr().out.splitlines()
+        assert main(args) == 0
+        *warm_table, warm_summary = capsys.readouterr().out.splitlines()
+        assert "3 point(s)" in cold_table[0]
+        assert warm_table == cold_table
+        assert "3 ran, 0 cache hits" in cold_summary
+        assert "0 ran, 3 cache hits" in warm_summary
 
     def test_unknown_workload_exits(self):
         with pytest.raises(SystemExit):
@@ -378,9 +379,9 @@ class TestSweep:
                 "--values", "32", "--no-cache",
             ])
 
-    def test_batched_inorder_rejected(self):
+    def test_batch_flag_is_rejected(self):
         with pytest.raises(SystemExit):
             main([
                 "sweep", "--workload", "gzip", "--parameter", "rob_size",
-                "--values", "32", "--batch", "--inorder", "--no-cache",
+                "--values", "32", "--batch", "--no-cache",
             ])
